@@ -456,7 +456,7 @@ def _sigma_from_dict(d: dict) -> SigmaSpec:
 
 
 def model_from_dict(d: dict) -> LsvModel:
-    _check_keys(d, {"s0", "v0", "rho", "r", "q", "eta", "sigma"}, "model")
+    _check_keys(d, {"s0", "v0", "rho", "r", "q", "mu", "eta", "sigma"}, "model")
     for key in ("s0", "v0", "rho", "eta", "sigma"):
         if key not in d:
             raise ValueError(f"model file missing required key {key!r}")
@@ -466,12 +466,17 @@ def model_from_dict(d: dict) -> LsvModel:
         rho=float(d["rho"]),
         r=float(d.get("r", 0.0)),
         q=float(d.get("q", 0.0)),
+        mu=float(d.get("mu", 0.0)),
         eta=_eta_from_dict(d["eta"]),
         sigma=_sigma_from_dict(d["sigma"]),
     )
 
 
 def model_to_dict(model: LsvModel) -> dict:
+    """JSON form of the model; a zero drift is left out, so files written
+    before the drift was serialized keep their content and hash."""
+    if callable(model.mu):
+        raise ValueError("a callable drift mu cannot be written to a model file")
     if isinstance(model.eta, TanhEta):
         eta = {"type": "tanh", "f0": model.eta.f0, "f1": model.eta.f1, "x0": model.eta.x0}
     elif isinstance(model.eta, LogPolyEta):
@@ -494,7 +499,7 @@ def model_to_dict(model: LsvModel) -> dict:
             "clamp_lo": model.sigma.clamp_lo,
             "clamp_hi": model.sigma.clamp_hi,
         }
-    return {
+    out = {
         "s0": model.s0,
         "v0": model.v0,
         "rho": model.rho,
@@ -503,6 +508,9 @@ def model_to_dict(model: LsvModel) -> dict:
         "eta": eta,
         "sigma": sigma,
     }
+    if model.mu != 0.0:
+        out["mu"] = float(model.mu)
+    return out
 
 
 def load_model(path) -> LsvModel:

@@ -4,20 +4,23 @@ The action being minimized weighs the asset and variance path energies with
 a rho cross term.  It has no closed form off rho = 0, so this module offers:
 analytic sandwich bounds, the exact perfect-correlation reduction to a
 one-dimensional problem, an h-only upper bound for intermediate rho, and a
-direct-transcription numerical minimizer with an augmented-Lagrangian outer
-loop cross-checked against the discrete stationarity conditions.
+direct transcription of the full problem.  The transcription solves its KKT
+conditions by Newton's method: the midpoint action couples only adjacent
+nodes, so the Lagrangian Hessian is banded and is built from a few coloured
+central differences of the analytic gradient.  The solution is
+cross-checked against the continuous stationarity conditions.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize
+from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError
@@ -189,11 +192,83 @@ def _asian_h_path(model: LsvModel, z: float, t: np.ndarray, tol: QuadTolerance) 
 
 
 # ---------------------------------------------------------------------------
+# Banded Newton-KKT solve shared by both direct transcriptions
+# ---------------------------------------------------------------------------
+
+_NEWTON_MAX_ITER = 20
+_KKT_TOL = 1e-12  # on max |grad L|, unless its rounding floor is higher
+_CONSTRAINT_TOL = 1e-12  # on |C - K|, relative to K
+_FD_STEP = 1e-5  # central-difference step for the Hessian columns
+_EPS = float(np.finfo(float).eps)
+
+
+def _to_nodes(left, right):
+    """Interior-node gradient from per-interval partials: interval i adds
+    ``left[i]`` to node i and ``right[i]`` to node i + 1; node 0 is pinned."""
+    out = right.copy()
+    out[:-1] += left[1:]
+    return out
+
+
+def _newton_kkt(lagrangian_grad, z, lam: float, bw: int, k: float):
+    """Newton iteration on the KKT system of min f(z) subject to C(z) = K.
+
+    ``lagrangian_grad(z, lam)`` returns (grad f + lam grad C, C - K, grad C).
+    The Lagrangian Hessian H is banded with half-bandwidth ``bw``, so 2 bw + 1
+    colour groups of central differences of the gradient give all of it
+    (Curtis, Powell & Reid 1974).  Each step solves [H a; a^T 0] with
+    a = grad C by one banded solve for two right-hand sides and a scalar
+    Schur complement for the multiplier.
+
+    Returns (z, lam, diagnostics); raises ConvergenceError carrying both
+    residuals when the tolerances are not met within ``_NEWTON_MAX_ITER``.
+    """
+    width = 2 * bw + 1
+    rows = np.arange(z.size)
+    # Hessian column j = i + off[c][i] is the one of colour c in row i's band
+    offsets = [(c - rows + bw) % width - bw for c in range(width)]
+    kkt_tol = _KKT_TOL
+    evals = 0
+    for it in range(_NEWTON_MAX_ITER + 1):
+        grad, c, a = lagrangian_grad(z, lam)
+        evals += 1
+        diag = {
+            "newton_iters": it,
+            "grad_evals": evals,
+            "kkt_residual": float(np.max(np.abs(grad))),
+            "constraint_residual": float(c),
+        }
+        if diag["kkt_residual"] < kkt_tol and abs(c) < _CONSTRAINT_TOL * k:
+            return z, lam, diag
+        if it == _NEWTON_MAX_ITER or not math.isfinite(diag["kkt_residual"] + c):
+            break
+        band = np.zeros((width, z.size))
+        for colour, off in enumerate(offsets):
+            step = np.where(rows % width == colour, _FD_STEP, 0.0)
+            col = (lagrangian_grad(z + step, lam)[0] - lagrangian_grad(z - step, lam)[0]) / (2.0 * _FD_STEP)
+            ok = (rows + off >= 0) & (rows + off < z.size)
+            band[bw - off[ok], (rows + off)[ok]] = col[ok]
+        evals += 2 * width
+        # grad L is not computable more finely than curvature times the rounding of z
+        kkt_tol = max(_KKT_TOL, _EPS * float(np.max(np.abs(band[bw]))) * float(np.max(np.abs(z))))
+        y = solve_banded((bw, bw), band, np.column_stack((-grad, a)))
+        dlam = (a @ y[:, 0] + c) / (a @ y[:, 1])
+        z = z + y[:, 0] - dlam * y[:, 1]
+        lam += dlam
+    raise ConvergenceError(
+        f"Newton-KKT stopped after {diag['newton_iters']} iterations: "
+        f"max|grad L| {diag['kkt_residual']:.3e}, |C - K| {abs(c):.3e}",
+        best=z,
+        diagnostics=diag,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Path-coupling map and perfect correlation
 # ---------------------------------------------------------------------------
 
 
-def f_map_rho(model: LsvModel, v: float, rho_eff: float, tol: QuadTolerance | None = None) -> float:
+def f_map_rho(model: LsvModel, v: float, rho_eff: float) -> float:
     """Asset level F(v) locked to variance level v along the coupled path.
 
     Solves int_{S0}^{F} dy/(y eta(y)) = rho_eff * int_{V0}^{v} dy/(sqrt(y) sigma(y)).
@@ -202,7 +277,6 @@ def f_map_rho(model: LsvModel, v: float, rho_eff: float, tol: QuadTolerance | No
         raise ValueError("v must be positive")
     if rho_eff == 0.0 or v == model.v0:
         return model.s0
-    tol = tol or QuadTolerance()
     mapper = _CoupledMap(model, rho_eff)
     return float(mapper.f_of_x(np.asarray([v]))[0])
 
@@ -353,73 +427,53 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) 
         except NumericsError:
             pass  # excursion left the monotone window: transcribe directly
 
-    return _h_only_direct(model, k, mapper, tol)
+    return _h_only_direct(model, k, mapper)
 
 
-def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap, tol: QuadTolerance, n: int = 401) -> RateResult:
+def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap, n: int = 401) -> RateResult:
     """Direct transcription of the h-only problem (non-invertible payoff map).
 
     The payoff map may be locally decreasing, so the sign of the excursion
-    that meets the constraint is not known a priori; both directions are
-    tried and the better-converged, lower-cost solution wins.
+    that meets the constraint is not known a priori; Newton-KKT solves are
+    started on both sides and the lower-cost converged solution wins.
     """
     t = np.linspace(0.0, 1.0, n)
     dt = t[1] - t[0]
     log_v0 = math.log(model.v0)
-    a0 = forward_variance_limit(model)
-    x_eff = math.log(k / a0)
+    x_eff = math.log(k / forward_variance_limit(model))
 
-    def split(h_int):
+    def pieces(h_int):
         h = np.concatenate(([0.0], h_int))
         hm = 0.5 * (h[1:] + h[:-1])
-        dh = np.diff(h) / dt
-        return h, hm, dh
-
-    def objective_grad(h_int, lam, mu):
-        h, hm, dh = split(h_int)
+        v = model.v0 * np.exp(hm)
         sig = np.asarray(sigma_log_eval(model, hm), dtype=float)
         dsig = np.asarray(model.sigma.dvalue_log(hm), dtype=float)
-        v = model.v0 * np.exp(hm)
-        gvals = mapper.payoff_factor(v)
-        gder = mapper.payoff_factor_deriv(v)
-        c = float(np.sum(gvals) * dt) - k
+        return h, np.diff(h) / dt, v, sig, dsig
+
+    def lagrangian_grad(h_int, lam):
+        _, dh, v, sig, dsig = pieces(h_int)
+        c = float(np.sum(mapper.payoff_factor(v)) * dt) - k
         b = dh / sig
-        obj = 0.5 * float(np.sum(b * b)) * dt + lam * c + 0.5 * mu * c * c
-        nu = lam + mu * c
-        d_dh = b / sig * dt
-        d_hm = -b * b / sig * dsig * dt + nu * gder * v * dt
-        grad = np.zeros(n)
-        np.add.at(grad, np.arange(0, n - 1), -d_dh / dt + 0.5 * d_hm)
-        np.add.at(grad, np.arange(1, n), d_dh / dt + 0.5 * d_hm)
-        return obj, grad[1:], c
+        s_h = b / sig
+        m_h = -dt * b * b * dsig / sig
+        c_h = 0.5 * dt * mapper.payoff_factor_deriv(v) * v
+        grad_c = _to_nodes(c_h, c_h)
+        return _to_nodes(0.5 * m_h - s_h, 0.5 * m_h + s_h) + lam * grad_c, c, grad_c
 
-    def solve_from(scale):
-        h_int = (scale * 1.5 * (2.0 * t - t * t))[1:]
-        lam, mu = 0.0, 1.0
-        c = math.inf
-        for outer in range(10):
-            maxiter = 400 if outer < 3 else 3000
-            res = minimize(
-                lambda v_, lam=lam, mu=mu: objective_grad(v_, lam, mu)[:2],
-                h_int,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-12, "maxcor": 20},
-            )
-            h_int = res.x
-            _, _, c = objective_grad(h_int, lam, mu)
-            if abs(c) <= 1e-10 * k and res.status == 0:
-                break
-            lam += mu * c
-            mu *= 10.0
-        h, hm, dh = split(h_int)
-        sig = np.asarray(sigma_log_eval(model, hm), dtype=float)
-        value = 0.5 * float(np.sum((dh / sig) ** 2)) * dt
-        return value, c, h
-
-    candidates = [solve_from(s) for s in (x_eff, -x_eff)]
-    candidates.sort(key=lambda r: (abs(r[1]) > 1e-8 * k, r[0]))
-    value, c, h = candidates[0]
+    solutions, failures = [], []
+    for scale in (x_eff, -x_eff):
+        try:
+            h_int, lam, diag = _newton_kkt(lagrangian_grad, (scale * 1.5 * (2.0 * t - t * t))[1:], 0.0, 1, k)
+        except NumericsError as exc:  # no convergence, or the map table was left
+            failures.append(exc)
+            continue
+        h, dh, v, sig, dsig = pieces(h_int)
+        force = -dh * dh * dsig / sig**3 + lam * mapper.payoff_factor_deriv(v) * v
+        diag["el_residual"] = _el_max(dt, (dh / sig**2, force))
+        solutions.append((0.5 * float(np.sum((dh / sig) ** 2)) * dt, h, lam, diag))
+    if not solutions:
+        raise failures[0]
+    value, h, lam, diag = min(solutions, key=lambda s: s[0])
     paths = PathPair(
         t,
         np.log(mapper.f_of_x(model.v0 * np.exp(np.clip(h, -mapper.W_SPAN, mapper.W_SPAN)))),
@@ -429,9 +483,10 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap, tol: QuadTole
         value,
         "corr_path_direct",
         z_star=k,
+        lagrange=lam,
         g_cost=0.0,
         h_cost=value,
-        diagnostics={"constraint_residual": c, "fallback": True},
+        diagnostics={"x": x_eff, **diag, "fallback": True},
         paths=paths,
     )
 
@@ -476,26 +531,24 @@ def rate_upper_corr_path(model: LsvModel, k: float, tol: QuadTolerance | None = 
 @dataclass(frozen=True)
 class NumericOptions:
     n: int = 201
-    max_outer: int = 8
-    mu0: float = 1.0
-    constraint_tol: float = 1e-11  # relative to K
-    gtol: float = 1e-11
-    max_inner: int = 4000
-    n_starts: int = 3
-    seed: int = 0
 
 
-def _al_objective(model: LsvModel, k: float, n: int, dt: float):
-    """Builds the augmented-Lagrangian objective/gradient closure."""
+def _lagrangian_grad(model: LsvModel, k: float, n: int):
+    """Gradient closure of the discrete Lagrangian Lambda + lam (C - K).
+
+    The unknowns are the interleaved interior log levels
+    z = (g_1, h_1, ..., g_{n-1}, h_{n-1}); node 0 is pinned at (log S0, log V0).
+    The closure maps (z, lam) to (grad L, C - K, grad C).
+    """
     rho = model.rho
     one_m = 1.0 - rho * rho
+    dt = 1.0 / (n - 1)
     log_s0 = math.log(model.s0)
     log_v0 = math.log(model.v0)
-    v0 = model.v0
 
-    def compute(vars_, lam, mu):
-        g = np.concatenate(([log_s0], vars_[: n - 1]))
-        h = np.concatenate(([log_v0], vars_[n - 1 :]))
+    def compute(z, lam):
+        g = np.concatenate(([log_s0], z[0::2]))
+        h = np.concatenate(([log_v0], z[1::2]))
         dg = np.diff(g) / dt
         dh = np.diff(h) / dt
         gm = 0.5 * (g[1:] + g[:-1]) - log_s0
@@ -504,45 +557,40 @@ def _al_objective(model: LsvModel, k: float, n: int, dt: float):
         deta_m = np.asarray(model.eta.dvalue_log(gm), dtype=float)
         sig_m = np.asarray(sigma_log_eval(model, hm), dtype=float)
         dsig_m = np.asarray(model.sigma.dvalue_log(hm), dtype=float)
-        v_m = v0 * np.exp(hm)
-        sqrt_v = np.sqrt(v_m)
+        v_m = model.v0 * np.exp(hm)
 
-        p = 1.0 / (eta_m * sqrt_v)
+        p = 1.0 / (eta_m * np.sqrt(v_m))
         q = 1.0 / sig_m
-        u = dg * p - rho * dh * q
+        a_w = (dg * p - rho * dh * q) / one_m
         b = dh * q
-
         c_terms = v_m * eta_m * eta_m * dt
         c = float(np.sum(c_terms)) - k
-        lam_eff = lam + mu * c
 
-        obj = float(np.sum(u * u)) * dt / (2.0 * one_m) + 0.5 * float(np.sum(b * b)) * dt
-        obj += lam * c + 0.5 * mu * c * c
+        # per-interval partials: s_* of the action w.r.t. the slope (times dt),
+        # m_* w.r.t. the midpoint value, c_* of C w.r.t. the midpoint value
+        s_g = a_w * p
+        s_h = (b - rho * a_w) * q
+        m_g = -dt * a_w * dg * p * deta_m / eta_m
+        m_h = dt * (a_w * (rho * dh * q * dsig_m / sig_m - 0.5 * dg * p) - b * b * dsig_m / sig_m)
+        c_g = c_terms * deta_m / eta_m
+        c_h = 0.5 * c_terms
 
-        a_w = dt * u / one_m  # weight on du
-        b_w = dt * b  # weight on db
-
-        d_dg = a_w * p
-        d_dh = -a_w * rho * q + b_w * q
-        d_gm = a_w * (-dg * p * deta_m / eta_m) + lam_eff * 2.0 * c_terms * deta_m / eta_m
-        d_hm = (
-            a_w * (-0.5 * dg * p + rho * dh * q * dsig_m / sig_m)
-            - b_w * dh * q * dsig_m / sig_m
-            + lam_eff * c_terms
-        )
-
-        grad_g = np.zeros(n)
-        grad_h = np.zeros(n)
-        left = np.arange(0, n - 1)
-        right = np.arange(1, n)
-        np.add.at(grad_g, left, -d_dg / dt + 0.5 * d_gm)
-        np.add.at(grad_g, right, d_dg / dt + 0.5 * d_gm)
-        np.add.at(grad_h, left, -d_dh / dt + 0.5 * d_hm)
-        np.add.at(grad_h, right, d_dh / dt + 0.5 * d_hm)
-        grad = np.concatenate((grad_g[1:], grad_h[1:]))
-        return obj, grad, c
+        grad_f = np.empty(2 * (n - 1))
+        grad_c = np.empty(2 * (n - 1))
+        grad_f[0::2] = _to_nodes(0.5 * m_g - s_g, 0.5 * m_g + s_g)
+        grad_f[1::2] = _to_nodes(0.5 * m_h - s_h, 0.5 * m_h + s_h)
+        grad_c[0::2] = _to_nodes(c_g, c_g)
+        grad_c[1::2] = _to_nodes(c_h, c_h)
+        return grad_f + lam * grad_c, c, grad_c
 
     return compute
+
+
+def _el_max(dt: float, *pairs) -> float:
+    """Scaled max-norm of d/dt momentum - force over (momentum, force) pairs
+    given at interval midpoints."""
+    resid = max(float(np.max(np.abs(np.diff(p) / dt - 0.5 * (f[1:] + f[:-1])))) for p, f in pairs)
+    return resid / max(1.0, *(float(np.max(np.abs(f))) for _, f in pairs))
 
 
 def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
@@ -577,42 +625,7 @@ def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
         + rho * 0.5 * dg * dh / (one_m * eta_m * sqrt_v * sig_m)
         + lam * v_m * eta_m**2
     )
-    r_g = np.diff(p_g) / dt - 0.5 * (rhs_g[1:] + rhs_g[:-1])
-    r_h = np.diff(p_h) / dt - 0.5 * (rhs_h[1:] + rhs_h[:-1])
-    scale = max(1.0, float(np.max(np.abs(rhs_g))), float(np.max(np.abs(rhs_h))))
-    return float(max(np.max(np.abs(r_g)), np.max(np.abs(r_h)))) / scale
-
-
-def _one_start(model, k, opts, init_g, init_h):
-    n = opts.n
-    t = np.linspace(0.0, 1.0, n)
-    dt = t[1] - t[0]
-    compute = _al_objective(model, k, n, dt)
-    vars_ = np.concatenate((init_g[1:], init_h[1:]))
-    lam, mu = 0.0, opts.mu0
-    c = math.inf
-    # early outers only steer lambda/mu; precision comes from the last ones
-    for outer in range(opts.max_outer):
-        maxiter = 300 if outer < 3 else min(opts.max_inner, 600 * 2 ** (outer - 3))
-        gtol = 1e-8 if outer < 3 else opts.gtol
-        res = minimize(
-            lambda v_, lam=lam, mu=mu: compute(v_, lam, mu)[:2],
-            vars_,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-18, "gtol": gtol, "maxcor": 20},
-        )
-        vars_ = res.x
-        _, grad, c = compute(vars_, lam, mu)
-        if abs(c) <= opts.constraint_tol * k and res.status == 0:
-            break
-        lam += mu * c
-        mu *= 10.0
-    g = np.concatenate(([math.log(model.s0)], vars_[: n - 1]))
-    h = np.concatenate(([math.log(model.v0)], vars_[n - 1 :]))
-    paths = PathPair(t, g, h)
-    grad_norm = float(np.max(np.abs(grad)))
-    return paths, lam, c, grad_norm
+    return _el_max(dt, (p_g, rhs_g), (p_h, rhs_h))
 
 
 def rate_numeric(
@@ -622,9 +635,11 @@ def rate_numeric(
 ) -> RateResult:
     """Direct transcription of the full variational problem for |rho| < 1.
 
-    Piecewise-linear paths on a uniform grid, midpoint-rule action, equality
-    constraint enforced by an augmented Lagrangian with an L-BFGS inner loop,
-    initialized from the small-x expansion paths (plus perturbed restarts).
+    Piecewise-linear paths on a uniform grid and a midpoint-rule action; the
+    KKT conditions of the constrained minimization are solved by the banded
+    Newton iteration ``_newton_kkt`` (half-bandwidth 3 in the interleaved
+    (g, h) unknowns), started from the second-order small-x expansion paths.
+    Raises ConvergenceError, with both residuals, if Newton does not converge.
     """
     if abs(model.rho) >= 1.0:
         raise ValueError("rate_numeric requires |rho| < 1")
@@ -632,43 +647,19 @@ def rate_numeric(
         raise ValueError("strike must be positive")
     opts = opts or NumericOptions()
 
-    fv0 = forward_variance_limit(model)
-    x = math.log(k / fv0)
+    x = math.log(k / forward_variance_limit(model))
     n = opts.n
     t = np.linspace(0.0, 1.0, n)
+    log_s0 = math.log(model.s0)
+    log_v0 = math.log(model.v0)
     if abs(x) <= 1e-14:
-        paths = PathPair(t, np.full(n, math.log(model.s0)), np.full(n, math.log(model.v0)))
+        paths = PathPair(t, np.full(n, log_s0), np.full(n, log_v0))
         return RateResult(0.0, "numeric_transcription", z_star=model.v0, lagrange=0.0, paths=paths)
 
     base = atm_mod.expansion_paths(model, x, n=n, order=2)
-    rng = np.random.default_rng(opts.seed)
-    shapes = np.stack([2.0 * t - t * t, t * t * (1.0 - t) * 4.0, np.sin(math.pi * t) * t])
-
-    starts = []
-    for i in range(opts.n_starts):
-        if i == 0:
-            starts.append((base.g.copy(), base.h.copy()))
-        else:
-            wiggle_g = 0.1 * abs(x) * (rng.standard_normal(3) @ shapes)
-            wiggle_h = 0.1 * abs(x) * (rng.standard_normal(3) @ shapes)
-            starts.append((base.g + wiggle_g, base.h + wiggle_h))
-
-    results = []
-    with ThreadPoolExecutor(max_workers=min(opts.n_starts, 4)) as pool:
-        futures = [pool.submit(_one_start, model, k, opts, g0, h0) for g0, h0 in starts]
-        for i, fut in enumerate(futures):
-            paths, lam, c, grad_norm = fut.result()
-            val = lambda_functional(model, paths).total
-            results.append((val, i, paths, lam, c, grad_norm))
-
-    results.sort(key=lambda r: (r[0], r[1]))
-    val, idx, paths, lam, c, grad_norm = results[0]
-    if abs(c) > 1e-8 * k:
-        raise ConvergenceError(
-            f"constraint residual {c:.3e} after augmented-Lagrangian loop",
-            best=paths,
-            diagnostics={"constraint_residual": c, "grad_norm": grad_norm},
-        )
+    z0 = np.column_stack((base.g[1:], base.h[1:])).ravel()
+    z, lam, diag = _newton_kkt(_lagrangian_grad(model, k, n), z0, 0.0, 3, k)
+    paths = PathPair(t, np.concatenate(([log_s0], z[0::2])), np.concatenate(([log_v0], z[1::2])))
 
     lv = lambda_functional(model, paths)
     return RateResult(
@@ -679,13 +670,6 @@ def rate_numeric(
         lagrange=lam,
         g_cost=lv.g_cost,
         h_cost=lv.h_cost,
-        diagnostics={
-            "x": x,
-            "constraint_residual": c,
-            "grad_norm": grad_norm,
-            "el_residual": _el_residual(model, paths, lam),
-            "start_values": [(r[0], r[1]) for r in results],
-            "selected_start": idx,
-        },
+        diagnostics={"x": x, **diag, "el_residual": _el_residual(model, paths, lam)},
         paths=paths,
     )

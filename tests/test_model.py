@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,23 @@ class TestJson:
     def test_documented_key_names(self, tanh_model):
         d = model_to_dict(tanh_model)
         assert set(d) == {"s0", "v0", "rho", "r", "q", "eta", "sigma"}
+
+    def test_round_trip_drift(self, tanh_model, tmp_path):
+        m = replace(tanh_model, mu=-0.35)
+        assert model_to_dict(m)["mu"] == -0.35
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        assert load_model(path) == m
+
+    def test_drift_changes_hash(self, tanh_model):
+        from varsmile.cli import _model_hash
+
+        assert _model_hash(replace(tanh_model, mu=0.2)) != _model_hash(tanh_model)
+        assert _model_hash(replace(tanh_model, mu=0.0)) == _model_hash(tanh_model)
+
+    def test_callable_drift_rejected(self, tanh_model):
+        with pytest.raises(ValueError, match="callable"):
+            model_to_dict(replace(tanh_model, mu=lambda v: 0.1 * v))
 
 
 class TestSigmaEval:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,9 @@ from varsmile import (
     rate_zero_rho,
 )
 from varsmile.model import sigma_log_eval
-from varsmile.rate_general import _al_objective, _CoupledMap, constraint_integral
+from varsmile import rate_general
+from varsmile.errors import ConvergenceError
+from varsmile.rate_general import _CoupledMap, _lagrangian_grad, constraint_integral
 
 
 def const_model(rho=0.0, eta0=1.0, sigma0=2.0, v0=0.1):
@@ -232,6 +235,8 @@ class TestPerfectCorr:
         res = rate_perfect_corr(m, k, 1)
         assert res.method == "perfect_corr_direct"
         assert res.diagnostics.get("fallback")
+        assert res.diagnostics["kkt_residual"] < 1e-11
+        json.dumps(res.diagnostics)
         oracle = h_only_oracle(m, k, 1.0)
         assert oracle is not None
         assert abs(res.value - oracle) <= 1e-3 * oracle
@@ -262,26 +267,34 @@ class TestRateNumeric:
         assert np.all(res.paths.g == res.paths.g[0])
 
     def test_gradient_matches_finite_differences(self, tanh_model):
+        """The Newton-KKT gradient against central differences of the public
+        action and constraint, L = Lambda + lam (C - K)."""
         m = tanh_model.with_rho(0.4)
-        n = 21
+        n, k, lam = 21, 0.12, 0.3
         t = np.linspace(0, 1, n)
-        dt = t[1] - t[0]
-        compute = _al_objective(m, 0.12, n, dt)
+        lagrangian_grad = _lagrangian_grad(m, k, n)
         rng = np.random.default_rng(5)
-        vars_ = np.concatenate((
+        z = np.column_stack((
             -0.02 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
-            0.3 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
-        ))
-        lam, mu = 0.3, 7.0
-        _, grad, _ = compute(vars_, lam, mu)
+            math.log(m.v0) + 0.3 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
+        )).ravel()
+
+        def paths(z_):
+            return PathPair(t, np.concatenate(([0.0], z_[0::2])), np.concatenate(([math.log(m.v0)], z_[1::2])))
+
+        def lagrangian(z_):
+            return lambda_functional(m, paths(z_)).total + lam * (constraint_integral(m, paths(z_)) - k)
+
+        grad, c, grad_c = lagrangian_grad(z, lam)
+        assert c == constraint_integral(m, paths(z)) - k
         eps = 1e-7
-        for idx in rng.choice(vars_.size, size=12, replace=False):
-            e = np.zeros_like(vars_)
+        for idx in rng.choice(z.size, size=12, replace=False):
+            e = np.zeros_like(z)
             e[idx] = eps
-            fp = compute(vars_ + e, lam, mu)[0]
-            fm = compute(vars_ - e, lam, mu)[0]
-            fd = (fp - fm) / (2 * eps)
+            fd = (lagrangian(z + e) - lagrangian(z - e)) / (2 * eps)
             assert abs(fd - grad[idx]) <= 1e-6 * max(1.0, abs(fd))
+            fd_c = (constraint_integral(m, paths(z + e)) - constraint_integral(m, paths(z - e))) / (2 * eps)
+            assert abs(fd_c - grad_c[idx]) <= 1e-6 * max(1.0, abs(fd_c))
 
     def test_matches_closed_form_spot(self, tanh_model):
         k = 0.1 * math.exp(0.08)
@@ -312,6 +325,33 @@ class TestRateNumeric:
     def test_el_residual_small(self, tanh_model):
         res = rate_numeric(tanh_model.with_rho(0.6), 0.115)
         assert res.diagnostics["el_residual"] < 1e-3
+
+    @pytest.mark.parametrize("rho", [0.9, -0.9])
+    def test_high_correlation_inside_bounds(self, tanh_model, rho):
+        # max|grad L| bottoms out above 1e-12 here, at the gradient's rounding floor
+        m = tanh_model.with_rho(rho)
+        k = forward_variance_limit(m) * math.exp(-0.3)
+        res = rate_numeric(m, k)
+        b = rate_bounds_rho(m, k)
+        assert b.lower <= res.value <= b.best_upper + 1e-6
+        assert res.diagnostics["kkt_residual"] > 1e-12
+
+    def test_diagnostics_json_serializable(self, tanh_model):
+        res = rate_numeric(tanh_model.with_rho(-0.5), 0.09)
+        record = json.loads(json.dumps(res.diagnostics))
+        assert set(record) == {"x", "newton_iters", "grad_evals", "kkt_residual", "constraint_residual", "el_residual"}
+        assert record["newton_iters"] >= 1
+        assert abs(record["constraint_residual"]) < 1e-12 * 0.09
+
+    def test_iteration_cap_raises_with_residuals(self, tanh_model, monkeypatch):
+        monkeypatch.setattr(rate_general, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError) as info:
+            rate_numeric(tanh_model.with_rho(0.3), 0.1 * math.exp(0.1))
+        diag = info.value.diagnostics
+        assert diag["newton_iters"] == 1
+        assert diag["kkt_residual"] >= 1e-12 or abs(diag["constraint_residual"]) >= 1e-12 * 0.1
+        assert "max|grad L|" in str(info.value) and "|C - K|" in str(info.value)
+        assert info.value.best is not None
 
     def test_rejects_perfect_corr(self, tanh_model):
         with pytest.raises(ValueError):

@@ -173,15 +173,23 @@ class TestRateZeroRho:
         put = rate_zero_rho(tanh_model, 0.08)
         assert put.lagrange > 0
 
-    def test_logpoly_leverage_consistent_with_numeric(self):
+    @pytest.mark.parametrize(
+        "eta, sigma, x",
+        [
+            pytest.param(((1.0, -0.15, 0.02), 0.5, 1.6), ConstantSigma(2.0), 0.08, id="wide_clamp"),
+            # clamped eta and sigma: the Hessian jumps where a path crosses a clamp
+            pytest.param(((1.0, -0.3), 0.85, 1.15), LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15), 0.15,
+                         id="kinked"),
+            # the variance path runs into the sigma clamp at 2.15
+            pytest.param(((1.0, -0.3), 0.85, 1.15), LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15), 0.3,
+                         id="kinked_sigma_clamp_binds"),
+        ],
+    )
+    def test_logpoly_leverage_consistent_with_numeric(self, eta, sigma, x):
         from varsmile import LogPolyEta, rate_numeric
 
-        m = LsvModel(
-            s0=1.0, v0=0.1, rho=0.0,
-            eta=LogPolyEta((1.0, -0.15, 0.02), clamp_lo=0.5, clamp_hi=1.6),
-            sigma=ConstantSigma(2.0),
-        )
-        k = forward_variance_limit(m) * math.exp(0.08)
+        m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=LogPolyEta(*eta), sigma=sigma)
+        k = forward_variance_limit(m) * math.exp(x)
         closed = rate_zero_rho(m, k).value
         numeric = rate_numeric(m, k).value
         assert abs(numeric - closed) <= 1e-4 * closed
