@@ -1,21 +1,26 @@
-"""Shared numerical kernel: singular quadrature, bracketed root finding,
-golden-section minimization.
+"""Shared numerical kernel: singular quadrature and bracketed root finding.
 
 Every integral in the rate-function machinery has at worst an inverse
 square-root singularity at one endpoint.  ``integrate_sqrt_singular``
 removes it exactly by the substitution u = sqrt(b - y) (mirrored for the
-left endpoint) and integrates the smooth transformed integrand with
-adaptive Gauss panels.
+left endpoint) and integrates the smooth transformed integrand with a
+vectorized adaptive Gauss-Legendre rule: each pass evaluates an n-point and
+a 2n-point rule on every active panel in one integrand call, keeps the
+panels where the two agree to their share of the tolerance and bisects the
+rest.  Integrands are numpy-vectorized and may return several rows, so
+integrals over the same interval share one evaluation.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AccuracyError, BracketError
@@ -23,18 +28,33 @@ from .errors import AccuracyError, BracketError
 __all__ = [
     "QuadTolerance",
     "Bracket",
-    "ScalarMinimum",
     "integrate_sqrt_singular",
+    "count_kernel_calls",
     "find_root",
     "bracket_root",
-    "minimize_scalar",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_GL_N = 10
+_X_N, _W_N = np.polynomial.legendre.leggauss(_GL_N)
+_X_2N, _W_2N = np.polynomial.legendre.leggauss(2 * _GL_N)
+# Neither rule has a node within _EDGE of a panel end, so a kink there is
+# invisible to both.  Two probes just inside the ends are compared with the
+# 2n-node interpolant extrapolated to them.
+_PROBES = np.array([-1.0 + 1e-6, 1.0 - 1e-6])
+_EDGE = 1.0 - _X_2N[-1]
+_NODES = np.concatenate((_X_N, _X_2N, _PROBES))  # one evaluation for all, on [-1, 1]
+_PROBE = 3 * _GL_N  # index of the first probe
+# columns: n-point weights, 2n-point weights, interpolant at the two probes
+_RULES = np.zeros((_NODES.size, 4))
+_RULES[:_GL_N, 0] = _W_N
+_RULES[_GL_N:_PROBE, 1] = _W_2N
+_RULES[_GL_N:_PROBE, 2:] = [
+    [np.prod((t - np.delete(_X_2N, j)) / (xj - np.delete(_X_2N, j))) for t in _PROBES]
+    for j, xj in enumerate(_X_2N)
+]
 
-# Hard cap on bracket auto-expansion (total width factor).
-_EXPAND_LIMIT = 2.0**10
+# per-context counter of kernel calls, set by ``count_kernel_calls``
+_KERNEL_CALLS: ContextVar[list | None] = ContextVar("varsmile_kernel_calls", default=None)
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,7 @@ class QuadTolerance:
 
 @dataclass(frozen=True)
 class Bracket:
-    """Interval [lo, hi]; sign change for roots, unimodality for minima."""
+    """Interval [lo, hi] on which a function changes sign."""
 
     lo: float
     hi: float
@@ -64,89 +84,118 @@ class Bracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class ScalarMinimum:
-    """Result of a scalar minimization."""
+@contextmanager
+def count_kernel_calls():
+    """Count ``integrate_sqrt_singular`` calls made in this context.
 
-    x: float
-    fx: float
-    boundary: bool = False
-    expansions: int = 0
+    Yields a one-element list holding the count; calls made inside a nested
+    counter are added to the enclosing one when the nested block ends.
+    """
+    counter = [0]
+    token = _KERNEL_CALLS.set(counter)
+    try:
+        yield counter
+    finally:
+        _KERNEL_CALLS.reset(token)
+        outer = _KERNEL_CALLS.get()
+        if outer is not None:
+            outer[0] += counter[0]
 
 
 def integrate_sqrt_singular(
-    f: Callable[[float], float],
+    f: Callable,
     a: float,
     b: float,
     singular_at: str = "none",
     tol: QuadTolerance | None = None,
     pass_distance: bool = False,
-) -> float:
+):
     """Integrate f on [a, b] where f may blow up like 1/sqrt(distance) at one end.
 
-    ``singular_at`` is "a", "b" or "none".  The singular endpoint is removed
-    by substitution before the adaptive panels see the integrand, so the
-    endpoint itself is never evaluated.
+    ``f`` maps a 1-D array of points to an array of the same length, or to
+    an (m, len) array of m integrands; the result is a float, or an array of
+    m integrals.  ``singular_at`` is "a", "b" or "none".  The singular
+    endpoint is removed by substitution before the panels see the
+    integrand, and no rule evaluates a panel's endpoints.
 
     With ``pass_distance`` (singular cases only) the integrand is called as
     f(y, d) where d is the exact distance to the singular endpoint; forming
     b - y inside f would cancel catastrophically near the endpoint.
+
+    A panel is accepted when the n- and 2n-point rules agree to within its
+    width's share of max(abs_tol, rel_tol * |integral|), for every row; the
+    disagreement also counts how far the integrand, probed 1e-6 half-widths
+    inside each panel end other than the singular point, is from the 2n-node
+    interpolant (a kink nearer an end than any node is otherwise missed by
+    both rules).
+    Raises AccuracyError, with the estimate and the summed disagreement of
+    the open panels, when more than ``max_subdivisions`` panels are needed.
     """
     tol = tol or QuadTolerance()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
+    if singular_at not in ("a", "b", "none"):
+        raise ValueError("singular_at must be 'a', 'b' or 'none'")
+    if pass_distance and singular_at == "none":
+        raise ValueError("pass_distance needs a singular endpoint")
     if a == b:
         return 0.0
     if a > b:
         raise ValueError("requires a < b")
+    counter = _KERNEL_CALLS.get()
+    if counter is not None:
+        counter[0] += 1
 
-    if singular_at == "b":
-        width = b - a
-        if pass_distance:
-
-            def g(u: float) -> float:
-                d = u * u
-                return 2.0 * u * f(b - d, d)
-
-        else:
-
-            def g(u: float) -> float:
-                return 2.0 * u * f(b - u * u)
-
-        lo, hi = 0.0, math.sqrt(width)
-    elif singular_at == "a":
-        width = b - a
-        if pass_distance:
-
-            def g(u: float) -> float:
-                d = u * u
-                return 2.0 * u * f(a + d, d)
-
-        else:
-
-            def g(u: float) -> float:
-                return 2.0 * u * f(a + u * u)
-
-        lo, hi = 0.0, math.sqrt(width)
-    elif singular_at == "none":
-        if pass_distance:
-            raise ValueError("pass_distance needs a singular endpoint")
+    if singular_at == "none":
         g, lo, hi = f, a, b
     else:
-        raise ValueError("singular_at must be 'a', 'b' or 'none'")
+        end, sign = (b, -1.0) if singular_at == "b" else (a, 1.0)
 
-    out = quad(
-        g,
-        lo,
-        hi,
-        epsabs=tol.abs_tol,
-        epsrel=tol.rel_tol,
-        limit=tol.max_subdivisions,
-        full_output=1,
-    )
-    if len(out) >= 4:
-        raise AccuracyError(str(out[3]).replace("\n", " "), estimate=out[0], error_bound=out[1])
-    return out[0]
+        def g(u):
+            d = u * u
+            return 2.0 * u * (f(end + sign * d, d) if pass_distance else f(end + sign * d))
+
+        lo, hi = 0.0, math.sqrt(b - a)
+
+    width = hi - lo
+    left = np.array([lo])
+    half = np.array([0.5 * width])
+    done = 0.0
+    n_panels = 1
+    while True:
+        x = (left + half)[:, None] + half[:, None] * _NODES
+        # the panel at a singular point (always first) gets no probe there:
+        # it is moved onto a node and its term dropped
+        at_singular = singular_at != "none" and left[0] == lo
+        if at_singular:
+            x[0, _PROBE] = x[0, _GL_N]
+        vals = np.asarray(g(x.ravel()), dtype=float)
+        scalar = vals.ndim == 1
+        vals = vals.reshape(-1, *x.shape)
+        rules = vals @ _RULES
+        i_2n = half * rules[..., 1]
+        off_edge = np.abs(vals[..., _PROBE:] - rules[..., 2:])
+        if at_singular:
+            off_edge[:, 0, 0] = 0.0
+        err = np.abs(i_2n - half * rules[..., 0]) + _EDGE * half * off_edge.sum(axis=-1)
+        total = done + i_2n.sum(axis=-1)
+        allowed = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))[:, None] * (2.0 * half / width)
+        ok = (err <= allowed).all(axis=0)
+        if ok.all():
+            return float(total[0]) if scalar else total
+        done = done + i_2n[:, ok].sum(axis=-1)
+        bad = ~ok
+        n_panels += int(bad.sum())
+        if n_panels > tol.max_subdivisions:
+            bound = err[:, bad].sum(axis=-1)
+            raise AccuracyError(
+                f"{n_panels} panels needed, budget {tol.max_subdivisions}",
+                estimate=float(total[0]) if scalar else total,
+                error_bound=float(bound[0]) if scalar else bound,
+            )
+        left, half = left[bad], 0.5 * half[bad]
+        left = np.concatenate((left, left + 2.0 * half))
+        half = np.concatenate((half, half))
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12) -> float:
@@ -187,71 +236,3 @@ def bracket_root(
             flo = f(lo)
         n += 1
     return Bracket(lo, hi)
-
-
-def _golden(f, a, b, tol):
-    """Golden-section search on [a, b]; returns best sampled (x, fx)."""
-    h = b - a
-    x1 = a + _INVPHI2 * h
-    x2 = a + _INVPHI * h
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    while h > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            h = b - a
-            x1 = a + _INVPHI2 * h
-            f1 = f(x1)
-            if f1 < best_f:
-                best_x, best_f = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            h = b - a
-            x2 = a + _INVPHI * h
-            f2 = f(x2)
-            if f2 < best_f:
-                best_x, best_f = x2, f2
-    return best_x, best_f, a, b
-
-
-def minimize_scalar(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = 1e-10,
-    expand: bool = True,
-    hard_bounds: tuple[float, float] | None = None,
-) -> ScalarMinimum:
-    """Golden-section minimization with optional auto-expanding bracket.
-
-    If the minimizer lands at a bracket edge the bracket is widened on that
-    side (doubling, capped at a total factor of 2**10, clipped to
-    ``hard_bounds``).  If the edge persists the result is returned with
-    ``boundary=True``; the value is still valid as an upper bound.
-    """
-    lo, hi = bracket.lo, bracket.hi
-    width0 = hi - lo
-    expansions = 0
-    while True:
-        x, fx, a_fin, b_fin = _golden(f, lo, hi, tol)
-        edge_lo = (x - lo) <= 2.0 * tol
-        edge_hi = (hi - x) <= 2.0 * tol
-        if not (edge_lo or edge_hi):
-            return ScalarMinimum(x, fx, boundary=False, expansions=expansions)
-        if not expand or (hi - lo) >= _EXPAND_LIMIT * width0:
-            return ScalarMinimum(x, fx, boundary=True, expansions=expansions)
-        w = hi - lo
-        if edge_lo:
-            new_lo = lo - w
-            if hard_bounds is not None:
-                new_lo = max(new_lo, hard_bounds[0])
-            if new_lo >= lo or not new_lo < x:
-                return ScalarMinimum(x, fx, boundary=True, expansions=expansions)
-            lo = new_lo
-        else:
-            new_hi = hi + w
-            if hard_bounds is not None:
-                new_hi = min(new_hi, hard_bounds[1])
-            if new_hi <= hi or not new_hi > x:
-                return ScalarMinimum(x, fx, boundary=True, expansions=expansions)
-            hi = new_hi
-        expansions += 1

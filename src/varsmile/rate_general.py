@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError
@@ -36,6 +35,7 @@ from .paths import PathPair
 from .rate_zero import (
     CONST_ETA_REL_TOL,
     RateResult,
+    _asian_h_path,
     asian_rate_general,
     asian_rate_j,
     optimal_paths_zero_rho,
@@ -137,58 +137,22 @@ def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None)
     lower = i0 / (1.0 + abs(rho))
     uppers: list[tuple[str, float]] = [("scaled_zero_corr", i0 / (1.0 - abs(rho)))]
 
+    z_pivot = k / float(model.eta.value_log(0.0)) ** 2
+    asian = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
     eta0, eta1, _ = eta_log_coeffs(model)
     if abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
-        n = 401
-        t = np.linspace(0.0, 1.0, n)
-        z_pivot = k / float(eta_log_eval(model, 0.0)) ** 2
-        h = _asian_h_path(model, z_pivot, t, tol)
-        paths0 = PathPair(t, np.full(n, math.log(model.s0)), h)
+        t = np.linspace(0.0, 1.0, 401)
+        h = _asian_h_path(model.sigma, model.v0, asian.alpha, asian.branch, t, tol)
+        paths0 = PathPair(t, np.full(t.size, math.log(model.s0)), h)
     else:
         paths0 = optimal_paths_zero_rho(model0, k, tol=tol)
     uppers.append(("zero_corr_paths", lambda_functional(model, paths0).total))
-
-    z_pivot = k / float(eta_log_eval(model, 0.0)) ** 2
-    j = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol).value
-    uppers.append(("scaled_asian", j / (1.0 - rho * rho)))
+    uppers.append(("scaled_asian", asian.value / (1.0 - rho * rho)))
 
     uppers.append(("corr_path", rate_upper_corr_path(model, k, tol=tol)))
 
     best = min(v for _, v in uppers)
     return BoundsResult(lower=lower, upper_candidates=tuple(uppers), best_upper=best)
-
-
-def _asian_h_path(model: LsvModel, z: float, t: np.ndarray, tol: QuadTolerance) -> np.ndarray:
-    """Optimal h path of the plain Asian problem, used when eta is constant."""
-    from .rate_zero import _cumulative_map  # local: shares the inversion helper
-
-    log_v0 = math.log(model.v0)
-    sol = asian_rate_j(model.sigma, model.v0, z, tol=tol)
-    if sol.branch == "atm":
-        return np.full(t.size, log_v0)
-    alpha = sol.alpha
-    sig = model.sigma
-    if sol.branch == "above":
-
-        def kern(y, d=None):
-            if d is None:
-                d = alpha - y
-            return math.exp(-0.5 * y) / (float(sig.value_log(y)) * math.sqrt(math.expm1(d)))
-
-    else:
-
-        def kern(y, d=None):
-            if d is None:
-                d = alpha - y
-            return 1.0 / (float(sig.value_log(-y)) * math.sqrt(math.expm1(d)))
-
-    from scipy.interpolate import PchipInterpolator
-
-    w_nodes, p_cum = _cumulative_map(kern, alpha, singular_last=True, tol=tol)
-    f0 = PchipInterpolator(p_cum, w_nodes)(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
-    if sol.branch == "below":
-        f0 = -f0
-    return log_v0 + f0
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +255,7 @@ class _CoupledMap:
     """
 
     W_SPAN = 10.0
+    _INVERSE_MAX_ITER = 100
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
     def __init__(self, model: LsvModel, rho_eff: float):
@@ -378,18 +343,32 @@ class _CoupledMap:
             hi += 1
         return (w[lo], w[hi], lo > 0 or hi < n - 1)
 
-    def payoff_inverse(self, a: float, w_window) -> float:
-        """x with G(x) = a, searched inside the monotone window."""
+    def payoff_inverse(self, a, w_window):
+        """x with G(x) = a, elementwise, inside the monotone window.
+
+        Newton steps in w = log(x / V0) from w = log(a / G(V0)), kept inside a
+        shrinking bracket by bisection, until every step is below 1e-13.
+        """
         w_lo, w_hi, _ = w_window
-
-        def fn(w):
-            return float(self.payoff_factor(self.v0 * math.exp(w))) - a
-
-        f_lo, f_hi = fn(w_lo), fn(w_hi)
-        if f_lo > 0.0 or f_hi < 0.0:
+        a = np.asarray(a, dtype=float)
+        g_lo, g_mid, g_hi = self.payoff_factor(self.v0 * np.exp([w_lo, 0.0, w_hi]))
+        if np.any(a < g_lo) or np.any(a > g_hi):
             raise NumericsError("payoff level outside the monotone window")
-        w = brentq(fn, w_lo, w_hi, xtol=1e-13)
-        return self.v0 * math.exp(w)
+        lo = np.full(a.shape, w_lo)
+        hi = np.full(a.shape, w_hi)
+        w = np.clip(np.log(a / g_mid), w_lo, w_hi)
+        for _ in range(self._INVERSE_MAX_ITER):
+            x = self.v0 * np.exp(w)
+            r = self.payoff_factor(x) - a
+            lo = np.where(r < 0.0, w, lo)
+            hi = np.where(r > 0.0, w, hi)
+            w_new = w - r / (self.payoff_factor_deriv(x) * x)
+            w_new = np.where((w_new > lo) & (w_new < hi) | (r == 0.0), w_new, 0.5 * (lo + hi))
+            done = np.all(np.abs(w_new - w) <= 1e-13)
+            w = w_new
+            if done:
+                return self.v0 * np.exp(w)
+        raise ConvergenceError("payoff inverse did not converge", best=self.v0 * np.exp(w))
 
 
 def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) -> RateResult:
@@ -409,11 +388,10 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) 
     if window is not None:
         try:
             def sig_hat_log(y):
-                a = a0 * math.exp(y)
+                a = a0 * np.exp(y)
                 x = mapper.payoff_inverse(a, window)
-                gp = float(mapper.payoff_factor_deriv(np.asarray([x]))[0])
-                sig = float(sigma_log_eval(model, math.log(x / model.v0)))
-                return x * gp * sig / a
+                sig = model.sigma.value_log(np.log(x / model.v0))
+                return x * mapper.payoff_factor_deriv(x) * sig / a
 
             sol = asian_rate_general(sig_hat_log, k / a0, tol=tol)
             return RateResult(

@@ -4,7 +4,12 @@ With rho = 0 the two-dimensional path problem splits: given the variance
 leg's time budget z = integral of e^h, the asset leg's optimal cost is a
 closed form driven by a terminal level G solving a ratio-of-integrals
 equation, and the variance leg is the Asian-option rate J(V0, z).  The
-rate function is the scalar infimum over z of the sum.
+rate function is the scalar infimum over z of the sum.  It is found as the
+root of the objective's derivative, which the envelope theorem gives from
+the asset leg's multiplier and the variance leg's endpoint integral F.
+Integrals over one interval (F and G; the two endpoint integrals; all
+panels of a cumulative time map) share one call of the vectorized kernel
+``integrate_sqrt_singular``.
 """
 
 from __future__ import annotations
@@ -16,20 +21,16 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import (
-    AccuracyError,
-    BracketError,
-    DegenerateEtaError,
-    InfeasibleStrikeError,
+from .errors import DegenerateEtaError, InfeasibleStrikeError
+from .model import LsvModel, SigmaSpec, eta_log_coeffs, forward_variance_limit
+from .numerics import (
+    Bracket,
+    QuadTolerance,
+    bracket_root,
+    count_kernel_calls,
+    find_root,
+    integrate_sqrt_singular,
 )
-from .model import (
-    LsvModel,
-    SigmaSpec,
-    eta_log_coeffs,
-    eta_log_eval,
-    forward_variance_limit,
-)
-from .numerics import Bracket, QuadTolerance, bracket_root, find_root, integrate_sqrt_singular, minimize_scalar
 from .paths import PathPair
 
 __all__ = [
@@ -92,49 +93,44 @@ class RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _fg_above(sig_log: Callable[[float], float], alpha: float, tol: QuadTolerance):
+def _fg_above(sig_log: Callable, alpha: float, tol: QuadTolerance):
     """Endpoint integrals for the z > level0 branch.
 
     F = int_0^a dy / (sig(y) sqrt(e^a - e^y)),  G = int_0^a sqrt(e^a - e^y) / sig(y) dy,
     with e^a - e^y = e^y expm1(d) on the exact distance d = a - y.
     """
 
-    def f_int(y, d):
-        return math.exp(-0.5 * y) / (sig_log(y) * math.sqrt(math.expm1(d)))
+    def fg(y, d):
+        s, r = sig_log(y), np.sqrt(np.expm1(d))
+        return np.array([np.exp(-0.5 * y) / (s * r), np.exp(0.5 * y) * r / s])
 
-    def g_int(y, d):
-        return math.exp(0.5 * y) * math.sqrt(math.expm1(d)) / sig_log(y)
-
-    f = integrate_sqrt_singular(f_int, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
-    g = integrate_sqrt_singular(g_int, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
-    return f, g
+    f, g = integrate_sqrt_singular(fg, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
+    return float(f), float(g)
 
 
-def _fg_below(sig_log: Callable[[float], float], alpha: float, tol: QuadTolerance):
+def _fg_below(sig_log: Callable, alpha: float, tol: QuadTolerance):
     """Endpoint integrals for the z < level0 branch (log excursion downward)."""
     ea = math.exp(0.5 * alpha)
 
-    def f_int(y, d):
-        return 1.0 / (sig_log(-y) * math.sqrt(math.expm1(d)))
+    def fg(y, d):
+        s, r = sig_log(-y), np.sqrt(np.expm1(d))
+        return np.array([1.0 / (s * r), r / s])
 
-    def g_int(y, d):
-        return math.sqrt(math.expm1(d)) / sig_log(-y)
-
-    f = ea * integrate_sqrt_singular(f_int, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
-    g = integrate_sqrt_singular(g_int, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True) / ea
-    return f, g
+    f, g = integrate_sqrt_singular(fg, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
+    return ea * float(f), float(g) / ea
 
 
 def asian_rate_general(
-    sig_log: Callable[[float], float],
+    sig_log: Callable,
     zr: float,
     tol: QuadTolerance | None = None,
 ) -> AsianRateSolution:
     """Rate of the h-only problem with constraint (1/level0) int e^h dt = zr.
 
-    ``sig_log(y)`` must return the (positive) volatility coefficient at log
-    offset y from the starting level.  Used directly for J(V0, z) and, with
-    a transformed coefficient, for the perfectly correlated reduction.
+    ``sig_log(y)`` must return the (positive) volatility coefficients at an
+    array of log offsets y from the starting level.  Used directly for
+    J(V0, z) and, with a transformed coefficient, for the perfectly
+    correlated reduction.
     """
     tol = tol or QuadTolerance()
     if zr <= 0:
@@ -142,27 +138,20 @@ def asian_rate_general(
     if abs(zr - 1.0) <= _ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm")
 
-    if zr > 1.0:
-
-        def phi(alpha):
-            f, g = _fg_above(sig_log, alpha, tol)
-            return math.exp(alpha) - zr - g / f
-
-        lo = math.log(zr)  # e^alpha >= zr at the root
-        br = bracket_root(phi, lo, lo + 1.0, expand="hi")
-        alpha = find_root(phi, br, tol=1e-13)
-        f, g = _fg_above(sig_log, alpha, tol)
-        return AsianRateSolution(0.5 * f * g, "above", alpha=alpha, f_value=f, g_value=g)
+    above = zr > 1.0
+    fg = _fg_above if above else _fg_below
+    seen = {}  # find_root re-evaluates the ends bracket_root returns
 
     def phi(alpha):
-        f, g = _fg_below(sig_log, alpha, tol)
-        return zr - math.exp(-alpha) - g / f
+        if alpha not in seen:
+            seen[alpha] = fg(sig_log, alpha, tol)
+        f, g = seen[alpha]
+        return (math.exp(alpha) - zr if above else zr - math.exp(-alpha)) - g / f
 
-    lo = -math.log(zr)  # e^-alpha <= zr at the root
-    br = bracket_root(phi, lo, lo + 1.0, expand="hi")
-    alpha = find_root(phi, br, tol=1e-13)
-    f, g = _fg_below(sig_log, alpha, tol)
-    return AsianRateSolution(0.5 * f * g, "below", alpha=alpha, f_value=f, g_value=g)
+    lo = abs(math.log(zr))  # e^alpha >= zr (above) or e^-alpha <= zr (below) at the root
+    alpha = find_root(phi, bracket_root(phi, lo, lo + 1.0, expand="hi"), tol=1e-13)
+    f, g = seen[alpha]
+    return AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
 
 def asian_rate_j(
@@ -174,7 +163,7 @@ def asian_rate_j(
     """J(V0, z): the variance-leg rate, by quadrature plus root finding."""
     if v0 <= 0 or z <= 0:
         raise ValueError("v0 and z must be positive")
-    return asian_rate_general(lambda y: float(sigma.value_log(y)), z / v0, tol=tol)
+    return asian_rate_general(sigma.value_log, z / v0, tol=tol)
 
 
 def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
@@ -215,49 +204,55 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
 # ---------------------------------------------------------------------------
 
 
+def _eta_sq_gap(eta, u, u_g: float, e_g: float, dist):
+    """eta^2 at u_g minus eta^2 at u for u_g < 0, the reverse for u_g > 0,
+    given the exact distance dist = |u_g - u|; no cancellation as u -> u_g."""
+    sgn = 1.0 if u_g > 0 else -1.0
+    return sgn * eta.diff_log(u, u_g, delta=-sgn * dist) * (eta.value_log(u) + e_g)
+
+
 def _endpoint_integrals(model: LsvModel, u_g: float, tol: QuadTolerance):
     """The two integrals of the endpoint equation, on [min(u_g,0), max(u_g,0)].
 
     Returned positively oriented; their ratio num/den equals z/K at the
     solution.  u_g < 0 is the call geometry (eta^2(G) > eta^2(x) on the way),
-    u_g > 0 the put geometry.
+    u_g > 0 the put geometry.  Both come from one kernel call.
     """
-    if u_g < 0:
-        lo, hi, singular = u_g, 0.0, "a"
+    eta = model.eta
+    e_g = eta.value_log(u_g)
 
-        def dsq(u, dist):
-            # eta^2(e^u_g) - eta^2(e^u) with u - u_g = dist exact
-            e1 = eta_log_eval(model, u_g)
-            e2 = eta_log_eval(model, u)
-            return model.eta.diff_log(u_g, u, delta=-dist) * (e1 + e2)
+    def num_den(u, dist):
+        e = eta.value_log(u)
+        root = np.sqrt(np.maximum(_eta_sq_gap(eta, u, u_g, e_g, dist), 5e-324))
+        return np.array([1.0 / (e * root), e / root])
 
-    else:
-        lo, hi, singular = 0.0, u_g, "b"
-
-        def dsq(u, dist):
-            # eta^2(e^u) - eta^2(e^u_g) with u_g - u = dist exact
-            e1 = eta_log_eval(model, u)
-            e2 = eta_log_eval(model, u_g)
-            return model.eta.diff_log(u, u_g, delta=-dist) * (e1 + e2)
-
-    def num_int(u, dist):
-        e = float(eta_log_eval(model, u))
-        d = float(dsq(u, dist))
-        return 1.0 / (e * math.sqrt(max(d, 5e-324)))
-
-    def den_int(u, dist):
-        e = float(eta_log_eval(model, u))
-        d = float(dsq(u, dist))
-        return e / math.sqrt(max(d, 5e-324))
-
-    num = integrate_sqrt_singular(num_int, lo, hi, singular_at=singular, tol=tol, pass_distance=True)
-    den = integrate_sqrt_singular(den_int, lo, hi, singular_at=singular, tol=tol, pass_distance=True)
-    return num, den
+    lo, hi, singular = (u_g, 0.0, "a") if u_g < 0 else (0.0, u_g, "b")
+    num, den = integrate_sqrt_singular(num_den, lo, hi, singular_at=singular, tol=tol, pass_distance=True)
+    return float(num), float(den)
 
 
-def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadTolerance) -> float:
-    """Root u_G = log(G/S0) of the ratio equation num/den = z/K."""
-    eta0 = float(eta_log_eval(model, 0.0))
+def _plateau_edge(eta, inside: float, outside: float) -> float:
+    """Last point before eta turns flat (sits on a clamp), between ``inside``
+    where it is not flat and ``outside`` where it is; by bisection."""
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            return inside
+        if eta.dvalue_log(mid) == 0.0:
+            outside = mid
+        else:
+            inside = mid
+
+
+def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadTolerance):
+    """Root u_G = log(G/S0) of the ratio equation num/den = z/K, with the
+    den integral at the root.
+
+    The search for a sign change moves away from S0 and stops at the first
+    point where eta turns flat: past it the integrals diverge, so a target
+    not reached there is infeasible.
+    """
+    eta0 = float(model.eta.value_log(0.0))
     target = z / k
     limit = 1.0 / eta0**2
 
@@ -267,7 +262,7 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadToleranc
                 f"call-side endpoint needs z/K <= 1/eta(S0)^2; got {target} > {limit}"
             )
         if target >= limit * (1.0 - 1e-13):
-            return 0.0
+            return 0.0, 0.0
         sign = -1.0
     elif side == "put":
         if target < limit * (1.0 - 1e-12):
@@ -275,24 +270,33 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadToleranc
                 f"put-side endpoint needs z/K >= 1/eta(S0)^2; got {target} < {limit}"
             )
         if target <= limit * (1.0 + 1e-13):
-            return 0.0
+            return 0.0, 0.0
         sign = 1.0
     else:
         raise ValueError("side must be 'call' or 'put'")
 
+    seen = {}  # find_root re-evaluates the bracket ends
+
     def psi(u_g):
-        num, den = _endpoint_integrals(model, u_g, tol)
+        if u_g not in seen:
+            seen[u_g] = _endpoint_integrals(model, u_g, tol)
+        num, den = seen[u_g]
         return num / den - target
 
     # psi has the sign of (limit - target) near u_g = 0 and crosses zero as
-    # |u_g| grows; expand until it does or eta saturates.
-    u_near = sign * 1e-12
-    f_near = psi(u_near)
+    # |u_g| grows; expand until it does, eta turns flat or it saturates.
+    u_prev = sign * 1e-12
+    f_near = psi(u_prev)
     u = sign * 0.25
-    u_prev = u_near
     while True:
-        f_u = psi(u)
-        if f_near * f_u <= 0.0:
+        if model.eta.dvalue_log(u) == 0.0:
+            u = _plateau_edge(model.eta, u_prev, u)
+            if f_near * psi(u) > 0.0:
+                raise InfeasibleStrikeError(
+                    f"no endpoint level G reaches z/K = {target} before eta turns flat at u = {u:.6g}"
+                )
+            break
+        if f_near * psi(u) <= 0.0:
             break
         u_prev = u
         u = 2.0 * u
@@ -301,7 +305,8 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadToleranc
                 f"no endpoint level G reaches z/K = {target} (eta saturated)"
             )
     lo, hi = (u, u_prev) if u < u_prev else (u_prev, u)
-    return find_root(psi, Bracket(lo, hi), tol=1e-13)
+    u_g = find_root(psi, Bracket(lo, hi), tol=1e-13)
+    return u_g, seen[u_g][1]
 
 
 def solve_g_endpoint(
@@ -318,39 +323,69 @@ def solve_g_endpoint(
     if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
         raise DegenerateEtaError("constant eta: endpoint equation is degenerate, use J(V0, K/eta0^2)")
     tol = tol or QuadTolerance()
-    u_g = _solve_u_g(model, z, k, side, tol)
+    u_g, _ = _solve_u_g(model, z, k, side, tol)
     return model.s0 * math.exp(u_g)
 
 
 def _g_leg_cost(model: LsvModel, z: float, k: float, tol: QuadTolerance):
-    """Asset-leg cost at budget z: (G, cost, lagrange, den integral).
+    """Asset-leg cost at budget z: (G, cost, lagrange, eta(G)).
 
     The formula branch is fixed by z against K/eta(S0)^2, not by the option
     side: below it the asset path must raise eta (call geometry), above it
     must lower eta.
     """
-    eta0 = float(eta_log_eval(model, 0.0))
+    eta0 = float(model.eta.value_log(0.0))
     z_pivot = k / eta0**2
     if abs(z - z_pivot) <= 1e-13 * z_pivot:
-        return model.s0, 0.0, 0.0, 0.0
+        return model.s0, 0.0, 0.0, eta0
     side = "call" if z < z_pivot else "put"
-    u_g = _solve_u_g(model, z, k, side, tol)
-    _, den = _endpoint_integrals(model, u_g, tol)
-    eta_g = float(eta_log_eval(model, u_g))
+    u_g, den = _solve_u_g(model, z, k, side, tol)
+    eta_g = float(model.eta.value_log(u_g))
     gap = eta_g**2 * z - k
     # gap >= 0 on the call branch and <= 0 on the put branch by construction.
     cost = den * den * abs(gap) / (2.0 * k * k)
     lam = -den * den / (2.0 * k * k) if side == "call" else den * den / (2.0 * k * k)
-    return model.s0 * math.exp(u_g), cost, lam, den
+    return model.s0 * math.exp(u_g), cost, lam, eta_g
+
+
+def _asian_fields(sol: AsianRateSolution) -> dict:
+    return {"alpha": sol.alpha, "branch": sol.branch, "f_value": sol.f_value, "g_value": sol.g_value}
+
+
+def _budget_legs(model: LsvModel, k: float, z: float, tol: QuadTolerance):
+    """Both legs at variance budget z: (d/dz of the objective, the Asian
+    solution, the asset-leg tuple of ``_g_leg_cost``).
+
+    The derivative is lam eta(G)^2 + F^2 / (2 V0) on the above branch and
+    lam eta(G)^2 - F^2 / (2 V0) below (envelope theorem: only the explicit
+    z-dependence of each leg's Lagrangian counts).
+    """
+    sol = asian_rate_j(model.sigma, model.v0, z, tol=tol)
+    leg = _g_leg_cost(model, z, k, tol)
+    dj = sol.f_value**2 / (2.0 * model.v0)
+    return leg[2] * leg[3] ** 2 + (dj if sol.branch == "above" else -dj), sol, leg
 
 
 def rate_zero_rho(
     model: LsvModel,
     k: float,
     tol: QuadTolerance | None = None,
-    z_tol: float = 1e-9,
 ) -> RateResult:
-    """Closed-form rate function at rho = 0 via scalar minimization over z."""
+    """Closed-form rate function at rho = 0: the infimum over the variance
+    budget z of the asset-leg cost plus J(V0, z).
+
+    By the envelope theorem the objective's derivative is
+    lam eta(G)^2 + F^2 / (2 V0) above V0 (minus below), from quantities the
+    two leg solves already return (``_budget_legs``).  Its root in y = log z
+    is bracketed by V0, where dJ = 0, and the pivot K/eta(S0)^2, where the
+    asset cost and its multiplier vanish.  When the endpoint solve is infeasible at V0 (eta
+    turns flat first), that end moves toward the pivot until it is feasible;
+    if no feasible budget brackets the root, InfeasibleStrikeError is raised.
+
+    The diagnostics are plain JSON: the variance leg's ``alpha``, ``branch``,
+    ``f_value``, ``g_value``, and the counts ``derivative_evals`` and
+    ``kernel_calls`` (quadrature kernel calls made by this rate).
+    """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
     if k <= 0:
@@ -371,57 +406,71 @@ def rate_zero_rho(
         )
 
     eta0, eta1, _ = eta_log_coeffs(model)
-    z_pivot = k / float(eta_log_eval(model, 0.0)) ** 2
+    z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
-    if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
-        sol = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
-        return RateResult(
-            sol.value,
-            "closed_zero_rho",
-            z_star=z_pivot,
-            g_endpoint=None,
-            lagrange=None,
-            g_cost=0.0,
-            h_cost=sol.value,
-            diagnostics={"x": x, "side": side, "constant_eta": True, "asian": sol},
-        )
+    with count_kernel_calls() as kernel_calls:
+        if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
+            sol = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
+            return RateResult(
+                sol.value,
+                "closed_zero_rho",
+                z_star=z_pivot,
+                g_endpoint=None,
+                lagrange=None,
+                g_cost=0.0,
+                h_cost=sol.value,
+                diagnostics={
+                    "x": x,
+                    "side": side,
+                    "constant_eta": True,
+                    **_asian_fields(sol),
+                    "derivative_evals": 0,
+                    "kernel_calls": kernel_calls[0],
+                },
+            )
 
-    y_pivot = math.log(z_pivot)
+        legs = {}
+        evals = [0]
 
-    def objective(y):
-        z = math.exp(y)
-        try:
-            j = asian_rate_j(model.sigma, model.v0, z, tol=tol).value
-            _, gc, _, _ = _g_leg_cost(model, z, k, tol)
-        except (InfeasibleStrikeError, BracketError, AccuracyError):
-            # infeasible budget: finite penalty sloping back toward the
-            # always-feasible pivot so the search cannot stall on a plateau
-            return 1e6 * (1.0 + abs(y - y_pivot))
-        return gc + j
+        def slope(y):  # d/dz at z = e^y, which has the sign of d/dy
+            if y not in legs:
+                evals[0] += 1
+                legs[y] = _budget_legs(model, k, math.exp(y), tol)
+            return legs[y][0]
 
-    y_lo = math.log(min(model.v0, z_pivot)) - 1.0
-    y_hi = math.log(max(model.v0, z_pivot)) + 1.0
-    best = minimize_scalar(objective, Bracket(y_lo, y_hi), tol=z_tol, expand=True)
-    z_star = math.exp(best.x)
-
-    sol = asian_rate_j(model.sigma, model.v0, z_star, tol=tol)
-    g_end, g_cost, lam, _ = _g_leg_cost(model, z_star, k, tol)
-    value = g_cost + sol.value
+        # y_near keeps the pivot's sign; y_far starts at V0 and moves toward
+        # y_near while its endpoint solve is infeasible (y_bad).
+        y_near, y_far, y_bad = math.log(z_pivot), math.log(model.v0), None
+        for _ in range(60):
+            try:
+                if slope(y_far) * slope(y_near) <= 0.0 or y_bad is None:
+                    break
+                y_near = y_far  # feasible but past the root: it lies nearer y_bad
+            except InfeasibleStrikeError:
+                y_bad = y_far
+            y_far = 0.5 * (y_bad + y_near)
+        else:
+            raise InfeasibleStrikeError(
+                f"no feasible budget brackets the minimizer at K = {k}; it sits where eta turns flat"
+            )
+        y_star = find_root(slope, Bracket(min(y_far, y_near), max(y_far, y_near)), tol=1e-12)
+        _, sol, (g_end, g_cost, lam, _) = legs[y_star]
+        diagnostics = {
+            "x": x,
+            "side": side,
+            **_asian_fields(sol),
+            "derivative_evals": evals[0],
+            "kernel_calls": kernel_calls[0],
+        }
     return RateResult(
-        value,
+        g_cost + sol.value,
         "closed_zero_rho",
-        z_star=z_star,
+        z_star=math.exp(y_star),
         g_endpoint=g_end,
         lagrange=lam,
         g_cost=g_cost,
         h_cost=sol.value,
-        diagnostics={
-            "x": x,
-            "side": side,
-            "boundary_minimizer": best.boundary,
-            "bracket_expansions": best.expansions,
-            "asian": sol,
-        },
+        diagnostics=diagnostics,
     )
 
 
@@ -430,26 +479,51 @@ def rate_zero_rho(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_map(integrand, upper: float, singular_last: bool, tol: QuadTolerance, m: int = 160):
-    """Cumulative integral of ``integrand`` on [0, upper] at nodes clustered
-    toward ``upper`` (where the integrand may be singular).  ``integrand``
-    takes (y, d) with d the exact distance upper - y when known, else None.
-    Returns (nodes, cumulative values)."""
+def _cumulative_map(integrand, upper: float, tol: QuadTolerance, m: int = 160):
+    """Cumulative integral of ``integrand`` on [0, upper] at m + 1 nodes
+    clustered toward ``upper``, where the integrand may be singular.
+
+    ``integrand(y, d)`` is vectorized, with d the exact distance upper - y.
+    Each panel is mapped onto [0, 1] and becomes one row of a single kernel
+    call, singular at 1 (harmless where the integrand is smooth).
+    Returns (nodes, cumulative values).
+    """
     j = np.arange(m + 1)
     nodes = upper * (1.0 - (1.0 - j / m) ** 2)
     nodes[0], nodes[-1] = 0.0, upper
+    width = np.diff(nodes)[:, None]
+    gap = (upper - nodes[1:])[:, None]
+
+    def panels(_, e):
+        d = gap + e * width
+        return width * integrand(upper - d, d)
+
     cum = np.zeros(m + 1)
-    for i in range(1, m + 1):
-        lo, hi = nodes[i - 1], nodes[i]
-        if singular_last and i == m:
-            cum[i] = cum[i - 1] + integrate_sqrt_singular(
-                integrand, lo, hi, singular_at="b", tol=tol, pass_distance=True
-            )
-        else:
-            cum[i] = cum[i - 1] + integrate_sqrt_singular(
-                lambda y: integrand(y, None), lo, hi, singular_at="none", tol=tol
-            )
+    cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 0.0, 1.0, singular_at="b", tol=tol, pass_distance=True))
     return nodes, cum
+
+
+def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.ndarray, tol: QuadTolerance):
+    """Variance-leg path log V(t) of the Asian problem with terminal log
+    excursion ``alpha`` on ``branch``, by inverting t(w) = P(w)/P(alpha)."""
+    log_v0 = math.log(v0)
+    if branch == "atm":
+        return np.full(t.size, log_v0)
+    if branch == "above":
+
+        def kern(y, d):
+            return np.exp(-0.5 * y) / (sigma.value_log(y) * np.sqrt(np.expm1(d)))
+
+    else:
+
+        def kern(y, d):
+            return 1.0 / (sigma.value_log(-y) * np.sqrt(np.expm1(d)))
+
+    w_nodes, p_cum = _cumulative_map(kern, alpha, tol)
+    w = PchipInterpolator(p_cum, w_nodes)(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
+    h = log_v0 + (w if branch == "above" else -w)
+    h[0] = log_v0
+    return h
 
 
 def optimal_paths_zero_rho(
@@ -474,75 +548,29 @@ def optimal_paths_zero_rho(
     res = rate_zero_rho(model, k, tol=tol)
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
-    log_v0 = math.log(model.v0)
     if res.value == 0.0:
-        return PathPair(t, np.full(n, log_s0), np.full(n, log_v0))
+        return PathPair(t, np.full(n, log_s0), np.full(n, math.log(model.v0)))
 
-    z_star = res.z_star
-    sol: AsianRateSolution = res.diagnostics["asian"]
-    sig = model.sigma
-
-    # variance leg: invert t(w) = P(w)/P(alpha)
-    alpha = sol.alpha
-    if sol.branch == "above":
-
-        def kern(y, d=None):
-            if d is None:
-                d = alpha - y
-            return math.exp(-0.5 * y) / (float(sig.value_log(y)) * math.sqrt(math.expm1(d)))
-
-    else:
-
-        def kern(y, d=None):
-            if d is None:
-                d = alpha - y
-            return 1.0 / (float(sig.value_log(-y)) * math.sqrt(math.expm1(d)))
-
-    w_nodes, p_cum = _cumulative_map(kern, alpha, singular_last=True, tol=tol)
-    w_of_p = PchipInterpolator(p_cum, w_nodes)
-    f0 = w_of_p(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
-    if sol.branch == "below":
-        f0 = -f0
-    h = log_v0 + f0
-    h[0] = log_v0
+    diag = res.diagnostics
+    h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t, tol)
 
     # asset leg: Theta(gamma(t)) = (den / (sqrt2 K)) * int_0^t e^h ds
+    eta = model.eta
     u_g = math.log(res.g_endpoint / model.s0)
     _, den = _endpoint_integrals(model, u_g, tol)
+    m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
 
-    m_spline = CubicSpline(t, np.exp(h)).antiderivative()
-    m_t = m_spline(t)
+    e_g = eta.value_log(u_g)
+    sgn = 1.0 if u_g > 0 else -1.0
 
-    abs_ug = abs(u_g)
-    if u_g < 0.0:
+    def theta_kern(s, d):
+        gap = _eta_sq_gap(eta, sgn * s, u_g, e_g, d)
+        return 1.0 / (eta.value_log(sgn * s) * np.sqrt(2.0 * np.maximum(gap, 5e-324)))
 
-        def theta_kern(s, d=None):
-            if d is None:
-                d = abs_ug - s
-            u = -s
-            e1 = eta_log_eval(model, u_g)
-            e2 = eta_log_eval(model, u)
-            dd = float(model.eta.diff_log(u_g, u, delta=-d) * (e1 + e2))
-            return 1.0 / (float(e2) * math.sqrt(2.0 * max(dd, 5e-324)))
-
-    else:
-
-        def theta_kern(s, d=None):
-            if d is None:
-                d = abs_ug - s
-            u = s
-            e1 = eta_log_eval(model, u)
-            e2 = eta_log_eval(model, u_g)
-            dd = float(model.eta.diff_log(u, u_g, delta=-d) * (e1 + e2))
-            return 1.0 / (float(e1) * math.sqrt(2.0 * max(dd, 5e-324)))
-
-    s_nodes, theta_cum = _cumulative_map(theta_kern, abs(u_g), singular_last=True, tol=tol)
-    s_of_theta = PchipInterpolator(theta_cum, s_nodes)
+    s_nodes, theta_cum = _cumulative_map(theta_kern, abs(u_g), tol)
     rhs = (den / math.sqrt(2.0) / k) * m_t
-    gamma = s_of_theta(np.clip(rhs, 0.0, theta_cum[-1]))
-    if u_g < 0.0:
-        gamma = -gamma
-    g = log_s0 + gamma
+    gamma = PchipInterpolator(theta_cum, s_nodes)(np.clip(rhs, 0.0, theta_cum[-1]))
+    g = log_s0 + sgn * gamma
     g[0] = log_s0
 
     return PathPair(t, g, h)

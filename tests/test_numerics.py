@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from varsmile import LogPolyEta, TanhEta
 from varsmile.errors import AccuracyError, BracketError
 from varsmile.numerics import (
     Bracket,
@@ -12,7 +14,6 @@ from varsmile.numerics import (
     bracket_root,
     find_root,
     integrate_sqrt_singular,
-    minimize_scalar,
 )
 
 # Pinned by the 1e6-panel trapezoid oracle below and cross-checked against
@@ -30,7 +31,7 @@ def trapezoid_oracle_exp_singular():
 
 class TestIntegrateSqrtSingular:
     def test_inverse_sqrt_exact(self):
-        val = integrate_sqrt_singular(lambda y: 1.0 / math.sqrt(1.0 - y), 0.0, 1.0, "b")
+        val = integrate_sqrt_singular(lambda y: 1.0 / np.sqrt(1.0 - y), 0.0, 1.0, "b")
         assert abs(val - 2.0) < 1e-10
 
     def test_polynomial(self):
@@ -38,7 +39,7 @@ class TestIntegrateSqrtSingular:
 
     def test_exp_singular_frozen(self):
         val = integrate_sqrt_singular(
-            lambda y: 1.0 / math.sqrt(math.e - math.exp(y)), 0.0, 1.0, "b"
+            lambda y: 1.0 / np.sqrt(math.e - np.exp(y)), 0.0, 1.0, "b"
         )
         assert abs(val - INT_EXP_SINGULAR) < 1e-9
 
@@ -50,22 +51,22 @@ class TestIntegrateSqrtSingular:
     def test_polynomials_exact(self, coeffs):
         poly = np.polynomial.Polynomial(coeffs)
         exact = float(poly.integ()(2.0) - poly.integ()(0.5))
-        val = integrate_sqrt_singular(lambda y: float(poly(y)), 0.5, 2.0, "none")
+        val = integrate_sqrt_singular(poly, 0.5, 2.0, "none")
         assert abs(val - exact) < 1e-12
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_scaled_inverse_sqrt_exact(self, c):
-        val = integrate_sqrt_singular(lambda y: c / math.sqrt(3.0 - y), 1.0, 3.0, "b")
+        val = integrate_sqrt_singular(lambda y: c / np.sqrt(3.0 - y), 1.0, 3.0, "b")
         assert abs(val - c * 2.0 * math.sqrt(2.0)) < 1e-12
 
     def test_singular_at_a(self):
-        val = integrate_sqrt_singular(lambda y: 1.0 / math.sqrt(y), 0.0, 1.0, "a")
+        val = integrate_sqrt_singular(lambda y: 1.0 / np.sqrt(y), 0.0, 1.0, "a")
         assert abs(val - 2.0) < 1e-12
 
     def test_pass_distance(self):
         val = integrate_sqrt_singular(
-            lambda y, d: 1.0 / math.sqrt(d), 0.0, 1.0, "b", pass_distance=True
+            lambda y, d: 1.0 / np.sqrt(d), 0.0, 1.0, "b", pass_distance=True
         )
         assert abs(val - 2.0) < 1e-12
 
@@ -73,7 +74,7 @@ class TestIntegrateSqrtSingular:
         tol = QuadTolerance(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2)
         with pytest.raises(AccuracyError) as exc:
             integrate_sqrt_singular(
-                lambda y: math.sin(200.0 / (y + 0.01)), 0.0, 1.0, "none", tol=tol
+                lambda y: np.sin(200.0 / (y + 0.01)), 0.0, 1.0, "none", tol=tol
             )
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error_bound >= 0
@@ -84,6 +85,79 @@ class TestIntegrateSqrtSingular:
         with pytest.raises(ValueError):
             integrate_sqrt_singular(lambda y: y, 0.0, 1.0, "middle")
         assert integrate_sqrt_singular(lambda y: y, 1.0, 1.0, "none") == 0.0
+
+
+tanh_etas = st.builds(
+    TanhEta, st.floats(0.8, 1.5), st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)
+)
+# linear or quadratic in u, clamped: kinks wherever the polynomial meets a clamp
+logpoly_etas = st.builds(
+    LogPolyEta,
+    st.tuples(st.floats(0.9, 1.1), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5)),
+    st.floats(0.5, 0.95),
+    st.floats(1.05, 1.6),
+)
+
+
+def _clamp_kinks(eta, a, b):
+    """Points in (a, b) where a LogPolyEta's polynomial meets a clamp."""
+    if not isinstance(eta, LogPolyEta):
+        return []
+    kinks = []
+    for level in (eta.clamp_lo, eta.clamp_hi):
+        roots = np.polynomial.Polynomial(eta.coeffs) - level
+        kinks += [r.real for r in roots.trim(1e-8).roots() if r.imag == 0.0 and a < r.real < b]
+    return sorted(kinks)
+
+
+def _quadpack_reference(smooth, a, b, singular_at, kinks):
+    """int_a^b smooth(y) / sqrt(distance to the singular end) by QUADPACK,
+    split at the kinks; the piece at the singular end uses the QAWS rule,
+    which integrates smooth against the algebraic weight directly."""
+    cuts = [a, *kinks, b]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if singular_at == "a" and lo == a:
+            val = quad(smooth, lo, hi, weight="alg", wvar=(-0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        elif singular_at == "b" and hi == b:
+            val = quad(smooth, lo, hi, weight="alg", wvar=(0.0, -0.5), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        else:
+            end = a if singular_at == "a" else b
+            val = quad(lambda y: smooth(y) / math.sqrt(abs(y - end)), lo, hi,
+                       epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        total += val
+    return total
+
+
+class TestKernelAgainstQuadpack:
+    """The kernel against scipy's QUADPACK on eta-shaped integrands with an
+    inverse square-root endpoint singularity."""
+
+    @given(
+        eta=st.one_of(tanh_etas, logpoly_etas),
+        a=st.floats(-1.5, 1.0),
+        width=st.floats(0.01, 2.0),
+        singular_at=st.sampled_from(["a", "b"]),
+        invert=st.booleans(),
+    )
+    # a kink 0.009 inside the regular end, nearer than any node of either rule
+    @example(
+        eta=LogPolyEta((1.0610936958706816, -0.5490813041025937, -0.15510047301032914),
+                       0.7901922965746442, 1.3581204198006676),
+        a=0.42984596319252644,
+        width=1.5082228037848893,
+        singular_at="b",
+        invert=True,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_sqrt_weighted(self, eta, a, width, singular_at, invert):
+        b = a + width
+        smooth = (lambda y: 1.0 / eta.value_log(y)) if invert else eta.value_log
+        val = integrate_sqrt_singular(
+            lambda y, d: smooth(y) / np.sqrt(d), a, b, singular_at, pass_distance=True
+        )
+        ref = _quadpack_reference(lambda y: float(smooth(y)), a, b, singular_at, _clamp_kinks(eta, a, b))
+        assert abs(val - ref) <= 1e-10 * abs(ref)
 
 
 class TestFindRoot:
@@ -115,52 +189,3 @@ class TestFindRoot:
         assert br.lo < 100.0 < br.hi
         with pytest.raises(BracketError):
             bracket_root(lambda x: x * x + 1.0, 0.0, 1.0, max_expansions=5)
-
-
-class TestMinimizeScalar:
-    def test_quadratic(self):
-        res = minimize_scalar(lambda x: (x - 3.0) ** 2, Bracket(0.0, 10.0), tol=1e-10)
-        assert abs(res.x - 3.0) < 1e-8
-        assert res.fx < 1e-15
-        assert not res.boundary
-
-    def test_quartic(self):
-        res = minimize_scalar(lambda x: x**4, Bracket(-1.0, 2.0), tol=1e-10)
-        assert abs(res.x) < 1e-7
-
-    def test_cosh_minus_x(self):
-        res = minimize_scalar(lambda x: math.cosh(x) - x, Bracket(-2.0, 2.0), tol=1e-10)
-        assert abs(res.x - math.asinh(1.0)) < 1e-8
-
-    def test_expansion_finds_exterior_minimum(self):
-        res = minimize_scalar(lambda x: (x - 25.0) ** 2, Bracket(0.0, 1.0), tol=1e-9)
-        assert abs(res.x - 25.0) < 1e-6
-        assert res.expansions > 0
-        assert not res.boundary
-
-    def test_boundary_flagged_without_expansion(self):
-        res = minimize_scalar(lambda x: x, Bracket(0.0, 1.0), tol=1e-9, expand=False)
-        assert res.boundary
-        assert res.x < 1e-6
-
-    def test_hard_bounds_respected(self):
-        res = minimize_scalar(
-            lambda x: (x - 25.0) ** 2, Bracket(0.0, 1.0), tol=1e-9, hard_bounds=(0.0, 2.0)
-        )
-        assert res.boundary
-        assert res.x <= 2.0
-
-    @given(st.floats(-5.0, 5.0), st.floats(0.1, 10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_convex_argmin(self, center, curv):
-        res = minimize_scalar(
-            lambda x: curv * (x - center) ** 2 + math.exp(0.1 * (x - center)),
-            Bracket(center - 6.0, center + 6.0),
-            tol=1e-9,
-        )
-        # analytic argmin solves 2 curv (x-c) + 0.1 exp(0.1 (x-c)) = 0
-        from scipy.optimize import brentq
-
-        root = brentq(lambda x: 2 * curv * (x - center) + 0.1 * math.exp(0.1 * (x - center)),
-                      center - 6.0, center + 6.0)
-        assert abs(res.x - root) < 1e-6

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import simpson
 from varsmile import (
     ConstantEta,
     ConstantSigma,
+    LogPolyEta,
     LogPolySigma,
     LsvModel,
     TanhEta,
@@ -20,10 +22,20 @@ from varsmile import (
     rate_zero_rho,
     solve_g_endpoint,
 )
-from varsmile.errors import DegenerateEtaError
+from varsmile.errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
 from varsmile.model import eta_eval
 from varsmile.numerics import QuadTolerance
-from varsmile.rate_zero import _endpoint_integrals
+from varsmile.rate_zero import _budget_legs, _endpoint_integrals
+
+# eta 1 - 0.3u clamped to [0.85, 1.15] (flat beyond |u| = 0.5) and a clamped
+# linear vol-of-vol: kinks in both legs
+KINKED = LsvModel(
+    s0=1.0,
+    v0=0.1,
+    rho=0.0,
+    eta=LogPolyEta((1.0, -0.3), 0.85, 1.15),
+    sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15),
+)
 
 
 def bisect(f, a, b, iters=80):
@@ -119,6 +131,14 @@ class TestGEndpoint:
         with pytest.raises(DegenerateEtaError):
             solve_g_endpoint(m, 0.11, 0.12, "call")
 
+    def test_search_stops_where_eta_turns_flat(self):
+        # past u = -0.5 eta sits on its clamp and the endpoint integrals diverge
+        k = forward_variance_limit(KINKED) * math.exp(0.25)
+        with pytest.raises(InfeasibleStrikeError, match="turns flat"):
+            solve_g_endpoint(KINKED, KINKED.v0, k, "call")
+        g = solve_g_endpoint(KINKED, 0.95 * k, k, "call")  # eta(S0) = 1: the pivot is z = K
+        assert math.exp(-0.5) < g < KINKED.s0
+
     def test_put_side(self, tanh_model):
         g = solve_g_endpoint(tanh_model, 0.085, 0.08, "put")
         assert g > tanh_model.s0
@@ -193,6 +213,58 @@ class TestRateZeroRho:
         closed = rate_zero_rho(m, k).value
         numeric = rate_numeric(m, k).value
         assert abs(numeric - closed) <= 1e-4 * closed
+
+    # Rates from a golden-section minimization of the same objective.  At
+    # x = 0.25, 0.3 and -0.3 the endpoint solve is infeasible at V0 (eta turns
+    # flat first), so the bracket end moves toward the pivot.
+    @pytest.mark.parametrize(
+        "x, expect",
+        [
+            (0.25, 0.02059790463005167),
+            (0.3, 0.02908609136170523),
+            (-0.2, 0.01647034415682011),
+            (-0.3, 0.03884831060024585),
+        ],
+    )
+    def test_kinked_wide_strikes_pinned(self, x, expect):
+        k = forward_variance_limit(KINKED) * math.exp(x)
+        assert abs(rate_zero_rho(KINKED, k).value - expect) <= 1e-9 * expect
+
+    @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
+    @pytest.mark.parametrize("x", [0.15, -0.15])
+    def test_objective_derivative(self, tanh_model, kinked, x):
+        m = KINKED if kinked else tanh_model
+        k = forward_variance_limit(m) * math.exp(x)
+        tol = QuadTolerance()
+        res = rate_zero_rho(m, k)
+
+        def objective(z):
+            _, sol, leg = _budget_legs(m, k, z, tol)
+            return leg[1] + sol.value
+
+        slopes = {}
+        for zr in (0.97, 1.0, 1.03):
+            z = res.z_star * zr
+            h = 1e-6 * z
+            slopes[zr] = _budget_legs(m, k, z, tol)[0]
+            central = (objective(z + h) - objective(z - h)) / (2.0 * h)
+            assert abs(slopes[zr] - central) <= 1e-7 * max(abs(central), abs(slopes[0.97]))
+        assert slopes[0.97] < 0.0 < slopes[1.03]
+        assert abs(slopes[1.0]) <= 1e-6 * abs(slopes[0.97])
+
+    def test_diagnostics_json_serializable(self, tanh_model):
+        const = LsvModel(s0=2.0, v0=0.1, rho=0.0, eta=ConstantEta(1.2), sigma=ConstantSigma(2.0))
+        for m, k, branch in ((tanh_model, 0.12, "above"), (tanh_model, 0.08, "below"), (const, 0.19, "above")):
+            diag = json.loads(json.dumps(rate_zero_rho(m, k).diagnostics))
+            assert diag["branch"] == branch
+            assert diag["alpha"] > 0 and diag["f_value"] > 0 and diag["g_value"] > 0
+            assert diag["kernel_calls"] > 0
+            assert diag["derivative_evals"] >= (0 if m is const else 2)
+
+    def test_kernel_budget_surfaces(self, tanh_model):
+        tol = QuadTolerance(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=1)
+        with pytest.raises(AccuracyError):
+            rate_zero_rho(tanh_model, 0.12, tol=tol)
 
     def test_constant_eta_shortcut(self):
         m = LsvModel(s0=2.0, v0=0.1, rho=0.0, eta=ConstantEta(1.2), sigma=ConstantSigma(2.0))
