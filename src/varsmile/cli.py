@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -194,7 +195,11 @@ def _cmd_mc(args) -> int:
     model = _load_checked(args.model)
     strikes = _strikes_from_args(model, args)
     cfg = _cfg_from_args(args)
-    sm = mc_mod.mc_smile(model, strikes, cfg.maturity, cfg, n_workers=args.workers)
+    t0 = time.perf_counter()
+    rv = mc_mod.simulate_realized_variance(model, cfg, n_workers=args.workers)
+    t1 = time.perf_counter()
+    sm = mc_mod.mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
+    t2 = time.perf_counter()
     lines = ["K,x,call,call_se,put,put_se,ivol,ivol_se"]
     for row in sm:
         lines.append(
@@ -219,6 +224,7 @@ def _cmd_mc(args) -> int:
         "model_hash": _model_hash(model),
         "forward": sm.forward.mean,
         "forward_se": sm.forward.stderr,
+        "timing": {"simulate_s": t1 - t0, "price_s": t2 - t1},
     }
     meta_path = (args.out + ".meta.json") if args.out else None
     _write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")

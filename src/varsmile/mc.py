@@ -1,10 +1,16 @@
 """Monte Carlo simulator for the LSV model.
 
 Log-coordinate Euler stepping (exact for the constant vol-of-vol variance
-leg), left-endpoint accumulation of the realized-variance integral, joint
-antithetic variates, and per-path Philox substreams keyed by (seed, stream
-index) so results are bit-identical for a fixed seed regardless of how the
-work is partitioned across workers.
+leg), left-endpoint accumulation of the realized-variance integral and joint
+antithetic variates.
+
+Streams are split into fixed chunks of ``_CHUNK_STREAMS``.  Each chunk reads
+one Philox generator keyed by (seed, chunk index on that fixed grid), step
+major: blocks of ``(steps, 2, streams)`` normals, with consecutive blocks
+continuing the one counter-based stream, so the block size does not change
+the draws.  Results are therefore bit-identical for a fixed seed however the
+chunks are spread over workers, and the full chunks of a smaller ``n_paths``
+are the leading paths of a larger one.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
 ]
 
 _CHUNK_STREAMS = 2048  # fixed partition: results never depend on worker count
+_STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,6 @@ class McConfig:
     n_steps: int = 2000
     seed: int = 0
     maturity: float = 1.0 / 12.0
-    scheme: str = "log-euler"
     antithetic: bool = True
 
     def __post_init__(self):
@@ -54,8 +60,6 @@ class McConfig:
             raise ValueError("n_steps must be >= 1")
         if not self.maturity > 0:
             raise ValueError("maturity must be positive")
-        if self.scheme != "log-euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_streams(self) -> int:
@@ -86,17 +90,26 @@ def _estimate(samples: np.ndarray, cfg: McConfig) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, n_effective=n, seed=cfg.seed, config=cfg)
 
 
+def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf: np.ndarray):
+    """(call, put) estimates at strike k; each payoff is formed in place in
+    ``buf``, so a strike sweep reuses one array instead of allocating three
+    sample-sized temporaries per payoff."""
+    out = []
+    for a, b in ((rv, k), (k, rv)):
+        np.subtract(a, b, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        buf *= disc
+        out.append(_estimate(buf, cfg))
+    return out
+
+
 def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
-    """Simulate streams [lo, hi); writes into disjoint output slices."""
+    """Simulate streams [lo, hi) of the chunk starting at ``lo``; writes into
+    disjoint output slices."""
     n_steps = cfg.n_steps
     m = hi - lo
-    z = np.empty((m, n_steps))
-    w = np.empty((m, n_steps))
-    for j in range(m):
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, lo + j]))
-        draws = gen.standard_normal((n_steps, 2))
-        z[j] = draws[:, 0]
-        w[j] = draws[:, 1]
+    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, lo // _CHUNK_STREAMS]))
+    nb = _STEP_BLOCK
 
     rho = model.rho
     root = math.sqrt(max(1.0 - rho * rho, 0.0))
@@ -120,8 +133,11 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         caps = np.zeros((n_cap + 1,) + shape)
 
     for i in range(n_steps):
-        ez = signs * z[:, i][None, :]
-        ew = signs * w[:, i][None, :]
+        if i % nb == 0:
+            block = gen.standard_normal((min(nb, n_steps - i), 2, m))
+        z, w = block[i % nb]
+        ez = signs * z
+        ew = signs * w
         v = v0 * np.exp(wv)
         eta = np.asarray(model.eta.value_log(us), dtype=float)
         sig = np.asarray(model.sigma.value_log(wv), dtype=float)
@@ -188,8 +204,7 @@ def mc_price(
         raise ValueError("strike must be nonnegative")
     rv = simulate_realized_variance(model, cfg, n_workers) if samples is None else samples
     disc = math.exp(-model.r * cfg.maturity)
-    call = _estimate(disc * np.maximum(rv - k, 0.0), cfg)
-    put = _estimate(disc * np.maximum(k - rv, 0.0), cfg)
+    call, put = _payoff_estimates(rv, k, disc, cfg, np.empty_like(rv))
     forward = _estimate(rv, cfg)
     return call, put, forward
 
@@ -246,9 +261,9 @@ def mc_smile(
     fv0 = forward_variance_limit(model)
 
     rows = []
+    buf = np.empty_like(rv)
     for k in strikes:
-        call = _estimate(disc * np.maximum(rv - k, 0.0), cfg)
-        put = _estimate(disc * np.maximum(k - rv, 0.0), cfg)
+        call, put = _payoff_estimates(rv, k, disc, cfg, buf)
         side = "call" if k >= forward.mean else "put"
         px = call if side == "call" else put
         reliable = px.mean > 3.0 * px.stderr

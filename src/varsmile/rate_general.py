@@ -36,9 +36,9 @@ from .rate_zero import (
     CONST_ETA_REL_TOL,
     RateResult,
     _asian_h_path,
+    _paths_from_rate,
     asian_rate_general,
     asian_rate_j,
-    optimal_paths_zero_rho,
     rate_zero_rho,
 )
 
@@ -132,7 +132,8 @@ def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None)
         raise ValueError("bounds require |rho| < 1")
     tol = tol or QuadTolerance()
     model0 = model.with_rho(0.0)
-    i0 = rate_zero_rho(model0, k, tol=tol).value
+    res0 = rate_zero_rho(model0, k, tol=tol)
+    i0 = res0.value
 
     lower = i0 / (1.0 + abs(rho))
     uppers: list[tuple[str, float]] = [("scaled_zero_corr", i0 / (1.0 - abs(rho)))]
@@ -145,7 +146,7 @@ def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None)
         h = _asian_h_path(model.sigma, model.v0, asian.alpha, asian.branch, t, tol)
         paths0 = PathPair(t, np.full(t.size, math.log(model.s0)), h)
     else:
-        paths0 = optimal_paths_zero_rho(model0, k, tol=tol)
+        paths0 = _paths_from_rate(model0, k, res0, 401, tol)
     uppers.append(("zero_corr_paths", lambda_functional(model, paths0).total))
     uppers.append(("scaled_asian", asian.value / (1.0 - rho * rho)))
 

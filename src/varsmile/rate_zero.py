@@ -545,7 +545,11 @@ def optimal_paths_zero_rho(
     if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
         raise DegenerateEtaError("optimal paths need non-constant eta")
 
-    res = rate_zero_rho(model, k, tol=tol)
+    return _paths_from_rate(model, k, rate_zero_rho(model, k, tol=tol), n, tol)
+
+
+def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int, tol: QuadTolerance) -> PathPair:
+    """The optimal paths of ``optimal_paths_zero_rho`` from its solved rate."""
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
     if res.value == 0.0:

@@ -129,7 +129,10 @@ class TestMcCmd:
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["seed"] == 12
         assert meta["config"]["n_paths"] == 2000
+        assert "scheme" not in meta["config"]
         assert "model_hash" in meta
+        assert set(meta["timing"]) == {"simulate_s", "price_s"}
+        assert all(v >= 0 for v in meta["timing"].values())
 
     def test_csv_header(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from varsmile import mc
 from varsmile import (
     ConstantEta,
     ConstantSigma,
@@ -32,8 +33,6 @@ class TestConfig:
             McConfig(n_steps=0)
         with pytest.raises(ValueError):
             McConfig(maturity=0.0)
-        with pytest.raises(ValueError):
-            McConfig(scheme="euler")
 
     def test_streams(self):
         assert McConfig(n_paths=100).n_streams == 50
@@ -59,6 +58,24 @@ class TestDeterminism:
         a = simulate_realized_variance(tanh_model, small_cfg(seed=1))
         b = simulate_realized_variance(tanh_model, small_cfg(seed=2))
         assert not np.array_equal(a, b)
+
+
+class TestDrawLayout:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_step_block_invariance(self, tanh_model, monkeypatch, block):
+        cfg = small_cfg(n_paths=4200, n_steps=100)
+        monkeypatch.setattr(mc, "_STEP_BLOCK", cfg.n_steps)
+        rv_ref, logs_ref = mc._simulate_core(tanh_model, cfg, sample_stride=10)
+        monkeypatch.setattr(mc, "_STEP_BLOCK", block)
+        rv, logs = mc._simulate_core(tanh_model, cfg, sample_stride=10)
+        assert np.array_equal(rv, rv_ref)
+        assert np.array_equal(logs, logs_ref)
+
+    @pytest.mark.parametrize("antithetic, small, large", [(True, 8192, 12288), (False, 4096, 6144)])
+    def test_full_chunks_nested(self, tanh_model, antithetic, small, large):
+        a = simulate_realized_variance(tanh_model, small_cfg(n_paths=small, n_steps=5, antithetic=antithetic))
+        b = simulate_realized_variance(tanh_model, small_cfg(n_paths=large, n_steps=5, antithetic=antithetic))
+        assert np.array_equal(a, b[:small])
 
 
 class TestPricing:

@@ -19,6 +19,7 @@ from varsmile import (
     f_map_rho,
     forward_variance_limit,
     lambda_functional,
+    optimal_paths_zero_rho,
     rate_bounds_rho,
     rate_numeric,
     rate_perfect_corr,
@@ -26,7 +27,7 @@ from varsmile import (
     rate_zero_rho,
 )
 from varsmile.model import sigma_log_eval
-from varsmile import rate_general
+from varsmile import rate_general, rate_zero
 from varsmile.errors import ConvergenceError
 from varsmile.rate_general import _CoupledMap, _lagrangian_grad, constraint_integral
 
@@ -108,6 +109,23 @@ class TestBounds:
         j = asian_rate_j_const(2.0, 0.1, 0.12).value
         assert abs(dict(b.upper_candidates)["scaled_asian"] - j / 0.75) < 1e-9
         assert b.lower <= b.best_upper
+
+    def test_one_rate_solve_per_call(self, tanh_model, monkeypatch):
+        m = tanh_model.with_rho(0.7)
+        k = 0.1 * math.exp(0.2)
+        paths_bound = lambda_functional(m, optimal_paths_zero_rho(tanh_model, k)).total
+        solve = rate_zero.rate_zero_rho
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(rate_zero, "rate_zero_rho", counted)
+        monkeypatch.setattr(rate_general, "rate_zero_rho", counted)
+        b = rate_bounds_rho(m, k)
+        assert len(calls) == 1
+        assert dict(b.upper_candidates)["zero_corr_paths"] == paths_bound
 
     def test_monotone_degradation(self, tanh_model):
         k = 0.12
