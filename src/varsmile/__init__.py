@@ -34,6 +34,7 @@ from .rate_general import (
     f_map_rho,
     lambda_functional,
     rate_bounds_rho,
+    rate_by_method,
     rate_numeric,
     rate_perfect_corr,
     rate_upper_corr_path,

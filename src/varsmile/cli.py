@@ -22,8 +22,7 @@ from . import mc as mc_mod
 from . import smile as smile_mod
 from .errors import NumericsError
 from .model import LsvModel, load_model, model_to_dict, validate, forward_variance_limit
-from .rate_general import rate_bounds_rho, rate_numeric, rate_perfect_corr
-from .rate_zero import rate_zero_rho
+from .rate_general import rate_by_method
 
 _SKEW_NOTE = (
     "note: rho=0 skew from the closed-form expression is reported; a commonly "
@@ -110,8 +109,8 @@ def _cmd_rate(args) -> int:
     strikes = _strikes_from_args(model, args)
     out = []
     for k in strikes:
+        res = rate_by_method(model, k, args.method)
         if args.method == "closed":
-            res = rate_zero_rho(model, k)
             payload = {
                 "strike": k,
                 "method": res.method,
@@ -123,10 +122,6 @@ def _cmd_rate(args) -> int:
                 "h_cost": res.h_cost,
             }
         elif args.method == "numeric":
-            if abs(model.rho) == 1.0:
-                res = rate_perfect_corr(model, k, int(model.rho))
-            else:
-                res = rate_numeric(model, k)
             payload = {
                 "strike": k,
                 "method": res.method,
@@ -136,22 +131,15 @@ def _cmd_rate(args) -> int:
                 "constraint_residual": res.diagnostics.get("constraint_residual"),
             }
         elif args.method == "bounds":
-            b = rate_bounds_rho(model, k)
             payload = {
                 "strike": k,
                 "method": "bounds",
-                "lower": b.lower,
-                "best_upper": b.best_upper,
-                "upper_candidates": dict(b.upper_candidates),
+                "lower": res.lower,
+                "best_upper": res.best_upper,
+                "upper_candidates": dict(res.upper_candidates),
             }
         else:  # expansion
-            x = math.log(k / forward_variance_limit(model))
-            payload = {
-                "strike": k,
-                "method": "expansion",
-                "value": atm_mod.rate_expansion(model, x),
-                "x": x,
-            }
+            payload = {"strike": k, "method": "expansion", "value": res.value, "x": res.diagnostics["x"]}
         out.append(payload)
     _write(args.out, json.dumps(out[0] if len(out) == 1 else out, indent=2, sort_keys=True) + "\n")
     return 0

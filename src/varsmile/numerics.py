@@ -219,20 +219,15 @@ def bracket_root(
     hi: float,
     grow: float = 2.0,
     max_expansions: int = 60,
-    expand: str = "hi",
 ) -> Bracket:
-    """Expand [lo, hi] geometrically on one side until f changes sign."""
+    """Expand [lo, hi] geometrically at ``hi`` until f changes sign."""
     flo = f(lo)
     fhi = f(hi)
     n = 0
     while flo * fhi > 0:
         if n >= max_expansions:
             raise BracketError(f"no sign change after {n} expansions (last [{lo}, {hi}])")
-        if expand == "hi":
-            hi = lo + (hi - lo) * grow
-            fhi = f(hi)
-        else:
-            lo = hi - (hi - lo) * grow
-            flo = f(lo)
+        hi = lo + (hi - lo) * grow
+        fhi = f(hi)
         n += 1
     return Bracket(lo, hi)

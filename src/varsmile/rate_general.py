@@ -53,6 +53,7 @@ __all__ = [
     "rate_perfect_corr",
     "rate_upper_corr_path",
     "rate_numeric",
+    "rate_by_method",
 ]
 
 
@@ -652,3 +653,31 @@ def rate_numeric(
         diagnostics={"x": x, **diag, "el_residual": _el_residual(model, paths, lam)},
         paths=paths,
     )
+
+
+def rate_by_method(
+    model: LsvModel,
+    k: float,
+    method: str,
+    tol: QuadTolerance | None = None,
+) -> RateResult | BoundsResult:
+    """The rate at strike k by a named method, as the CLI's ``rate`` and
+    ``asymptotic_smile`` compute it.
+
+    "closed": ``rate_zero_rho``.  "numeric": ``rate_numeric``, or at
+    rho = +-1, where the transcription does not apply, the exact reduction
+    ``rate_perfect_corr``.  "bounds": ``rate_bounds_rho`` (a BoundsResult).
+    "expansion": A x^2 + B x^3, with x in the diagnostics.
+    """
+    if method == "closed":
+        return rate_zero_rho(model, k, tol=tol)
+    if method == "numeric":
+        if abs(model.rho) == 1.0:
+            return rate_perfect_corr(model, k, int(model.rho), tol=tol)
+        return rate_numeric(model, k)
+    if method == "bounds":
+        return rate_bounds_rho(model, k, tol=tol)
+    if method == "expansion":
+        x = math.log(k / forward_variance_limit(model))
+        return RateResult(atm_mod.rate_expansion(model, x), "expansion", diagnostics={"x": x})
+    raise ValueError("rate method must be one of closed|bounds|numeric|expansion")

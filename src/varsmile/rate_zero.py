@@ -6,10 +6,15 @@ closed form driven by a terminal level G solving a ratio-of-integrals
 equation, and the variance leg is the Asian-option rate J(V0, z).  The
 rate function is the scalar infimum over z of the sum.  It is found as the
 root of the objective's derivative, which the envelope theorem gives from
-the asset leg's multiplier and the variance leg's endpoint integral F.
-Integrals over one interval (F and G; the two endpoint integrals; all
-panels of a cumulative time map) share one call of the vectorized kernel
-``integrate_sqrt_singular``.
+the asset leg's multiplier and the variance leg's endpoint integral F.  The
+root is sought in the variance leg's terminal log excursion alpha rather
+than in z: one pair of endpoint integrals F, G at alpha fixes z, J and F
+without an Asian root solve.  The one Asian solve left (at the pivot budget
+K/eta(S0)^2) brackets its root from the constant vol-of-vol root, which
+depends only on z/V0; the asset-leg solves reuse each other's endpoint
+integrals as brackets.  Integrals over one interval (F and G; the two
+endpoint integrals; all panels of a cumulative time map) share one call of
+the vectorized kernel ``integrate_sqrt_singular``.
 """
 
 from __future__ import annotations
@@ -120,6 +125,25 @@ def _fg_below(sig_log: Callable, alpha: float, tol: QuadTolerance):
     return ea * float(f), float(g) / ea
 
 
+def _const_sigma_root(zr: float) -> tuple[float, float]:
+    """Root of the constant vol-of-vol Asian problem at budget ratio zr != 1:
+    (beta, alpha) above, with sinh(beta)/beta = zr, or (xi, alpha) below,
+    with sin(2 xi)/(2 xi) = zr.  G/F does not depend on sigma0 there, so
+    neither does the terminal log excursion alpha."""
+    if zr > 1.0:
+        br = bracket_root(lambda b: math.sinh(b) / b - zr, 1e-8, 2.0)
+        beta = find_root(lambda b: math.sinh(b) / b - zr, br, tol=1e-14)
+        return beta, 2.0 * math.log(math.cosh(0.5 * beta))
+    br = Bracket(1e-12, 0.5 * math.pi * (1.0 - 1e-15))
+    xi = find_root(lambda s: math.sin(2.0 * s) / (2.0 * s) - zr, br, tol=1e-14)
+    return xi, -2.0 * math.log(math.cos(xi))
+
+
+# The first bracket probe of the general Asian root sits this factor of the
+# constant vol-of-vol root's distance from the lower bound.
+_SEED_STRETCH = 1.1
+
+
 def asian_rate_general(
     sig_log: Callable,
     zr: float,
@@ -130,7 +154,10 @@ def asian_rate_general(
     ``sig_log(y)`` must return the (positive) volatility coefficients at an
     array of log offsets y from the starting level.  Used directly for
     J(V0, z) and, with a transformed coefficient, for the perfectly
-    correlated reduction.
+    correlated reduction.  The root in the terminal log excursion alpha is
+    bracketed from |log zr| upward, with the first probe just past the
+    constant vol-of-vol root, so the probe does not run far beyond the root
+    (across a clamp kink, say) when sigma varies slowly.
     """
     tol = tol or QuadTolerance()
     if zr <= 0:
@@ -149,7 +176,8 @@ def asian_rate_general(
         return (math.exp(alpha) - zr if above else zr - math.exp(-alpha)) - g / f
 
     lo = abs(math.log(zr))  # e^alpha >= zr (above) or e^-alpha <= zr (below) at the root
-    alpha = find_root(phi, bracket_root(phi, lo, lo + 1.0, expand="hi"), tol=1e-13)
+    _, alpha_c = _const_sigma_root(zr)
+    alpha = find_root(phi, bracket_root(phi, lo, lo + _SEED_STRETCH * (alpha_c - lo)), tol=1e-13)
     f, g = seen[alpha]
     return AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
@@ -180,20 +208,17 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
     if abs(zr - 1.0) <= _ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm", const_param=0.0)
 
+    param, alpha = _const_sigma_root(zr)
     if zr > 1.0:
-        br = bracket_root(lambda b: math.sinh(b) / b - zr, 1e-8, 2.0, expand="hi")
-        beta = find_root(lambda b: math.sinh(b) / b - zr, br, tol=1e-14)
+        beta = param
         value = (0.5 * beta * beta - beta * math.tanh(0.5 * beta)) / sigma0**2
         ch = math.cosh(0.5 * beta)
-        alpha = 2.0 * math.log(ch)
         f = beta / (sigma0 * ch)
         g = 2.0 * ch * (0.5 * beta - math.tanh(0.5 * beta)) / sigma0
         return AsianRateSolution(value, "above", alpha=alpha, f_value=f, g_value=g, const_param=beta)
 
-    br = Bracket(1e-12, 0.5 * math.pi * (1.0 - 1e-15))
-    xi = find_root(lambda s: math.sin(2.0 * s) / (2.0 * s) - zr, br, tol=1e-14)
+    xi = param
     value = 2.0 * xi * (math.tan(xi) - xi) / sigma0**2
-    alpha = -2.0 * math.log(math.cos(xi))
     f = 2.0 * xi / (sigma0 * math.cos(xi))
     g = 2.0 * (math.sin(xi) - xi * math.cos(xi)) / sigma0
     return AsianRateSolution(value, "below", alpha=alpha, f_value=f, g_value=g, const_param=xi)
@@ -244,13 +269,15 @@ def _plateau_edge(eta, inside: float, outside: float) -> float:
             inside = mid
 
 
-def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadTolerance):
+def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadTolerance, seen: dict | None = None):
     """Root u_G = log(G/S0) of the ratio equation num/den = z/K, with the
     den integral at the root.
 
     The search for a sign change moves away from S0 and stops at the first
     point where eta turns flat: past it the integrals diverge, so a target
-    not reached there is infeasible.
+    not reached there is infeasible.  ``seen`` maps u_G to its endpoint
+    integrals; solves for one model and tolerance may share it, and its
+    points then narrow the search.
     """
     eta0 = float(model.eta.value_log(0.0))
     target = z / k
@@ -275,19 +302,31 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadToleranc
     else:
         raise ValueError("side must be 'call' or 'put'")
 
-    seen = {}  # find_root re-evaluates the bracket ends
+    seen = {} if seen is None else seen
 
     def psi(u_g):
+        if u_g == 0.0:
+            return limit - target  # num/den -> 1/eta(S0)^2 as u_g -> 0
         if u_g not in seen:
             seen[u_g] = _endpoint_integrals(model, u_g, tol)
         num, den = seen[u_g]
         return num / den - target
 
-    # psi has the sign of (limit - target) near u_g = 0 and crosses zero as
-    # |u_g| grows; expand until it does, eta turns flat or it saturates.
-    u_prev = sign * 1e-12
+    # psi has the sign of (limit - target) at u_g = 0 and crosses zero as
+    # |u_g| grows.  Start from the last known point before the crossing and
+    # the first known one past it; without the latter, expand until psi
+    # crosses, eta turns flat or it saturates.
+    u_prev = 0.0
     f_near = psi(u_prev)
-    u = sign * 0.25
+    u = None
+    for v in sorted((v for v in seen if v * sign > 0.0), key=abs):
+        if f_near * psi(v) > 0.0:
+            u_prev = v
+        else:
+            u = v
+            break
+    if u is None:
+        u = 2.0 * u_prev if u_prev else sign * 0.25
     while True:
         if model.eta.dvalue_log(u) == 0.0:
             u = _plateau_edge(model.eta, u_prev, u)
@@ -327,7 +366,7 @@ def solve_g_endpoint(
     return model.s0 * math.exp(u_g)
 
 
-def _g_leg_cost(model: LsvModel, z: float, k: float, tol: QuadTolerance):
+def _g_leg_cost(model: LsvModel, z: float, k: float, tol: QuadTolerance, seen: dict | None = None):
     """Asset-leg cost at budget z: (G, cost, lagrange, eta(G)).
 
     The formula branch is fixed by z against K/eta(S0)^2, not by the option
@@ -339,7 +378,7 @@ def _g_leg_cost(model: LsvModel, z: float, k: float, tol: QuadTolerance):
     if abs(z - z_pivot) <= 1e-13 * z_pivot:
         return model.s0, 0.0, 0.0, eta0
     side = "call" if z < z_pivot else "put"
-    u_g, den = _solve_u_g(model, z, k, side, tol)
+    u_g, den = _solve_u_g(model, z, k, side, tol, seen)
     eta_g = float(model.eta.value_log(u_g))
     gap = eta_g**2 * z - k
     # gap >= 0 on the call branch and <= 0 on the put branch by construction.
@@ -352,18 +391,35 @@ def _asian_fields(sol: AsianRateSolution) -> dict:
     return {"alpha": sol.alpha, "branch": sol.branch, "f_value": sol.f_value, "g_value": sol.g_value}
 
 
-def _budget_legs(model: LsvModel, k: float, z: float, tol: QuadTolerance):
-    """Both legs at variance budget z: (d/dz of the objective, the Asian
-    solution, the asset-leg tuple of ``_g_leg_cost``).
+def _variance_leg(model: LsvModel, alpha: float, above: bool, tol: QuadTolerance):
+    """Budget z and Asian solution of the variance leg whose terminal log
+    excursion is ``alpha`` on the above (z > V0) or below branch.
+
+    One endpoint-integral call gives F and G; the Asian root condition then
+    fixes z = V0 (e^alpha - G/F) above and V0 (e^-alpha + G/F) below, with
+    J = F G / 2.  No root is solved.
+    """
+    if alpha == 0.0:
+        return model.v0, AsianRateSolution(0.0, "atm")
+    f, g = (_fg_above if above else _fg_below)(model.sigma.value_log, alpha, tol)
+    z = model.v0 * (math.exp(alpha) - g / f if above else math.exp(-alpha) + g / f)
+    return z, AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
+
+
+def _budget_legs(
+    model: LsvModel, k: float, z: float, sol: AsianRateSolution, tol: QuadTolerance, seen: dict | None = None
+):
+    """Both legs at variance budget z, given the variance leg's solution
+    there: (d/dz of the objective, z, ``sol``, the asset-leg tuple of
+    ``_g_leg_cost``).  ``seen`` is passed on to ``_solve_u_g``.
 
     The derivative is lam eta(G)^2 + F^2 / (2 V0) on the above branch and
     lam eta(G)^2 - F^2 / (2 V0) below (envelope theorem: only the explicit
     z-dependence of each leg's Lagrangian counts).
     """
-    sol = asian_rate_j(model.sigma, model.v0, z, tol=tol)
-    leg = _g_leg_cost(model, z, k, tol)
+    leg = _g_leg_cost(model, z, k, tol, seen)
     dj = sol.f_value**2 / (2.0 * model.v0)
-    return leg[2] * leg[3] ** 2 + (dj if sol.branch == "above" else -dj), sol, leg
+    return leg[2] * leg[3] ** 2 + (dj if sol.branch == "above" else -dj), z, sol, leg
 
 
 def rate_zero_rho(
@@ -376,11 +432,17 @@ def rate_zero_rho(
 
     By the envelope theorem the objective's derivative is
     lam eta(G)^2 + F^2 / (2 V0) above V0 (minus below), from quantities the
-    two leg solves already return (``_budget_legs``).  Its root in y = log z
-    is bracketed by V0, where dJ = 0, and the pivot K/eta(S0)^2, where the
-    asset cost and its multiplier vanish.  When the endpoint solve is infeasible at V0 (eta
-    turns flat first), that end moves toward the pivot until it is feasible;
-    if no feasible budget brackets the root, InfeasibleStrikeError is raised.
+    two leg solves already return (``_budget_legs``).  Its root is found in
+    the variance leg's terminal log excursion alpha, which fixes z, J and F
+    from one endpoint-integral call (``_variance_leg``), so no evaluation
+    solves an Asian root.  The bracket is [0, alpha at the pivot
+    K/eta(S0)^2]: alpha = 0 is z = V0, where dJ = 0, and at the pivot the
+    asset cost and its multiplier vanish; one seeded Asian solve gives the
+    pivot's alpha.  The asset-leg solves share their endpoint integrals, so
+    each starts from the points earlier solves bracketed it with.  When the
+    endpoint solve is infeasible at V0 (eta turns flat first), that end
+    moves toward the pivot until it is feasible; if no feasible budget
+    brackets the root, InfeasibleStrikeError is raised.
 
     The diagnostics are plain JSON: the variance leg's ``alpha``, ``branch``,
     ``f_value``, ``g_value``, and the counts ``derivative_evals`` and
@@ -409,52 +471,58 @@ def rate_zero_rho(
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
     with count_kernel_calls() as kernel_calls:
+        pivot = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
         if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
-            sol = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
             return RateResult(
-                sol.value,
+                pivot.value,
                 "closed_zero_rho",
                 z_star=z_pivot,
                 g_endpoint=None,
                 lagrange=None,
                 g_cost=0.0,
-                h_cost=sol.value,
+                h_cost=pivot.value,
                 diagnostics={
                     "x": x,
                     "side": side,
                     "constant_eta": True,
-                    **_asian_fields(sol),
+                    **_asian_fields(pivot),
                     "derivative_evals": 0,
                     "kernel_calls": kernel_calls[0],
                 },
             )
 
-        legs = {}
-        evals = [0]
+        above = z_pivot > model.v0
+        endpoint = {}  # endpoint integrals by u_G, shared by the asset-leg solves
+        legs = {pivot.alpha: _budget_legs(model, k, z_pivot, pivot, tol)}
+        evals = [1]
 
-        def slope(y):  # d/dz at z = e^y, which has the sign of d/dy
-            if y not in legs:
+        def slope(alpha):  # d/dz at the budget that alpha fixes
+            if alpha not in legs:
                 evals[0] += 1
-                legs[y] = _budget_legs(model, k, math.exp(y), tol)
-            return legs[y][0]
+                z, sol = _variance_leg(model, alpha, above, tol)
+                legs[alpha] = _budget_legs(model, k, z, sol, tol, endpoint)
+            return legs[alpha][0]
 
-        # y_near keeps the pivot's sign; y_far starts at V0 and moves toward
-        # y_near while its endpoint solve is infeasible (y_bad).
-        y_near, y_far, y_bad = math.log(z_pivot), math.log(model.v0), None
+        # a_near keeps the pivot's sign; a_far starts at V0 (alpha = 0) and
+        # moves toward a_near while its endpoint solve is infeasible (a_bad).
+        a_near, a_far, a_bad = pivot.alpha, 0.0, None
         for _ in range(60):
             try:
-                if slope(y_far) * slope(y_near) <= 0.0 or y_bad is None:
+                if slope(a_far) * slope(a_near) <= 0.0 or a_bad is None:
                     break
-                y_near = y_far  # feasible but past the root: it lies nearer y_bad
+                a_near = a_far  # feasible but past the root: it lies nearer a_bad
             except InfeasibleStrikeError:
-                y_bad = y_far
-            y_far = 0.5 * (y_bad + y_near)
+                a_bad = a_far
+            a_far = 0.5 * (a_bad + a_near)
         else:
             raise InfeasibleStrikeError(
                 f"no feasible budget brackets the minimizer at K = {k}; it sits where eta turns flat"
             )
-        y_star = find_root(slope, Bracket(min(y_far, y_near), max(y_far, y_near)), tol=1e-12)
-        _, sol, (g_end, g_cost, lam, _) = legs[y_star]
+        if a_far == a_near:  # the pivot is at V0 to the Asian solve's precision
+            a_star = a_near
+        else:
+            a_star = find_root(slope, Bracket(min(a_far, a_near), max(a_far, a_near)), tol=1e-12)
+        _, z_star, sol, (g_end, g_cost, lam, _) = legs[a_star]
         diagnostics = {
             "x": x,
             "side": side,
@@ -465,7 +533,7 @@ def rate_zero_rho(
     return RateResult(
         g_cost + sol.value,
         "closed_zero_rho",
-        z_star=math.exp(y_star),
+        z_star=z_star,
         g_endpoint=g_end,
         lagrange=lam,
         g_cost=g_cost,

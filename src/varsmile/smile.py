@@ -14,8 +14,7 @@ from .errors import ArbitrageError, PrecisionWarning
 from .model import LsvModel, eta_log_coeffs, forward_variance_limit, sigma_log_coeffs
 from .atm import atm_expansion
 from .numerics import QuadTolerance
-from .rate_general import rate_bounds_rho, rate_numeric
-from .rate_zero import rate_zero_rho
+from .rate_general import rate_by_method
 
 __all__ = [
     "SmilePoint",
@@ -148,8 +147,9 @@ def asymptotic_smile(
 ) -> SmilePoint:
     """Zero-maturity implied vol at strike k from a chosen rate computation.
 
-    Methods: "closed" (rho = 0 closed form), "numeric" (direct
-    transcription), "expansion" (small-x polynomial), "bounds" (interval).
+    Methods (``rate_by_method``): "closed" (rho = 0 closed form), "numeric"
+    (direct transcription; the exact reduction at rho = +-1), "expansion"
+    (small-x polynomial, valid for small |x| only), "bounds" (interval).
     At the money every method returns the same limit sqrt(D/3).
     """
     if k <= 0:
@@ -161,24 +161,14 @@ def asymptotic_smile(
         sig = math.sqrt(1.0 / (2.0 * exp.A))
         return SmilePoint(strike=k, x=0.0, sigma_v=sig, method=rate_method)
 
-    if rate_method == "closed":
-        rate = rate_zero_rho(model, k, tol=tol).value
-        return SmilePoint(strike=k, x=x, sigma_v=_sigma_from_rate(x, rate), method="closed")
-    if rate_method == "numeric":
-        rate = rate_numeric(model, k).value
-        return SmilePoint(strike=k, x=x, sigma_v=_sigma_from_rate(x, rate), method="numeric")
-    if rate_method == "expansion":
-        exp = atm_expansion(model)
-        rate = exp.rate(x)
-        if rate <= 0.0:
-            raise ValueError(f"expansion rate non-positive at x={x}; outside validity radius")
-        return SmilePoint(strike=k, x=x, sigma_v=_sigma_from_rate(x, rate), method="expansion")
+    res = rate_by_method(model, k, rate_method, tol=tol)
     if rate_method == "bounds":
-        bounds = rate_bounds_rho(model, k, tol=tol)
-        lo = _sigma_from_rate(x, bounds.best_upper)  # larger rate -> smaller vol
-        hi = _sigma_from_rate(x, bounds.lower)
+        lo = _sigma_from_rate(x, res.best_upper)  # larger rate -> smaller vol
+        hi = _sigma_from_rate(x, res.lower)
         return SmilePoint(strike=k, x=x, sigma_v=None, method="bounds", lo=lo, hi=hi)
-    raise ValueError("rate_method must be one of closed|bounds|numeric|expansion")
+    if res.value <= 0.0:
+        raise ValueError(f"{rate_method} rate {res.value:.6g} not positive at x={x}")
+    return SmilePoint(strike=k, x=x, sigma_v=_sigma_from_rate(x, res.value), method=rate_method)
 
 
 def linear_smile_coeffs(model: LsvModel) -> tuple[float, float]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from varsmile import (
     ConstantEta,
@@ -25,7 +25,13 @@ from varsmile import (
 from varsmile.errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
 from varsmile.model import eta_eval
 from varsmile.numerics import QuadTolerance
-from varsmile.rate_zero import _budget_legs, _endpoint_integrals
+from varsmile.rate_zero import (
+    _budget_legs,
+    _endpoint_integrals,
+    _g_leg_cost,
+    _variance_leg,
+    asian_rate_general,
+)
 
 # eta 1 - 0.3u clamped to [0.85, 1.15] (flat beyond |u| = 0.5) and a clamped
 # linear vol-of-vol: kinks in both legs
@@ -36,6 +42,36 @@ KINKED = LsvModel(
     eta=LogPolyEta((1.0, -0.3), 0.85, 1.15),
     sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15),
 )
+
+
+def _fg_reference(sig, alpha, above, kinks):
+    """F and G of the Asian root condition (see ``asian_rate_general``) by
+    QUADPACK, split at the kinks.  The piece ending at the singular point
+    y = alpha uses the QAWS rule with the weights (alpha - y)^(-1/2) for F
+    and (alpha - y)^(1/2) for G."""
+    s = (lambda y: float(sig.value_log(y))) if above else (lambda y: float(sig.value_log(-y)))
+    half = 0.5 if above else 0.0  # F carries e^(-y/2) and G e^(y/2) above
+
+    def ratio(y):  # expm1(d) / d at d = alpha - y, 1 at d = 0
+        d = alpha - y
+        return math.expm1(d) / d if d > 0.0 else 1.0
+
+    cuts = [0.0, *kinks, alpha]
+    f = g = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi == alpha:
+            f += quad(lambda y: math.exp(-half * y) / (s(y) * math.sqrt(ratio(y))), lo, hi,
+                      weight="alg", wvar=(0.0, -0.5), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            g += quad(lambda y: math.exp(half * y) * math.sqrt(ratio(y)) / s(y), lo, hi,
+                      weight="alg", wvar=(0.0, 0.5), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        else:
+            f += quad(lambda y: math.exp(-half * y) / (s(y) * math.sqrt(math.expm1(alpha - y))), lo, hi,
+                      epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            g += quad(lambda y: math.exp(half * y) * math.sqrt(math.expm1(alpha - y)) / s(y), lo, hi,
+                      epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    if not above:
+        f, g = math.exp(0.5 * alpha) * f, math.exp(-0.5 * alpha) * g
+    return f, g
 
 
 def bisect(f, a, b, iters=80):
@@ -93,6 +129,27 @@ class TestAsianRate:
         b = asian_rate_j_const(1.5, 0.2, 0.2 * zr)
         assert abs(a.value - b.value) <= 1e-9
 
+    @pytest.mark.parametrize("zr", [1.6, 0.6], ids=["above", "below"])
+    def test_general_solves_past_sigma_clamp(self, zr):
+        # sigma = 2 + 0.5 w meets its clamps at w = +-0.3, inside the
+        # excursion on either branch
+        sol = asian_rate_general(KINKED.sigma.value_log, zr)
+        above = zr > 1.0
+        assert sol.branch == ("above" if above else "below")
+        assert sol.alpha > 0.3
+        f, g = _fg_reference(KINKED.sigma, sol.alpha, above, [0.3])
+        resid = (math.exp(sol.alpha) - zr if above else zr - math.exp(-sol.alpha)) - g / f
+        assert abs(resid) <= 1e-10
+        assert abs(sol.value - 0.5 * f * g) <= 1e-10 * sol.value
+
+    @pytest.mark.parametrize("zr", [0.5, 0.9, 1.1, 3.0])
+    def test_general_matches_const_shortcut(self, zr):
+        sol = asian_rate_general(ConstantSigma(2.0).value_log, zr)
+        ref = asian_rate_j_const(2.0, 1.0, zr)
+        assert sol.branch == ref.branch
+        assert abs(sol.value - ref.value) <= 1e-12 * ref.value
+        assert abs(sol.alpha - ref.alpha) <= 1e-12 * ref.alpha
+
     def test_nonconstant_sigma_runs(self):
         sig = LogPolySigma(2.0, 0.4, 0.0, clamp_lo=0.5, clamp_hi=5.0)
         sol = asian_rate_j(sig, 0.1, 0.15)
@@ -148,6 +205,10 @@ class TestRateZeroRho:
     def test_atm_zero(self, tanh_model):
         res = rate_zero_rho(tanh_model, 0.1)
         assert res.value == 0.0
+        # past the ATM cut-off, but the pivot budget is V0 to the Asian
+        # solve's precision: the bracket in alpha is the single point 0
+        res = rate_zero_rho(tanh_model, 0.1 * math.exp(5e-14))
+        assert res.value == 0.0 and res.z_star == 0.1 * math.exp(5e-14)
 
     def test_requires_rho_zero(self, tanh_model):
         with pytest.raises(ValueError):
@@ -233,24 +294,38 @@ class TestRateZeroRho:
     @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
     @pytest.mark.parametrize("x", [0.15, -0.15])
     def test_objective_derivative(self, tanh_model, kinked, x):
+        # d/dz at the budget an excursion alpha fixes, against central
+        # differences in z of the objective built on the Asian root J(V0, z)
         m = KINKED if kinked else tanh_model
         k = forward_variance_limit(m) * math.exp(x)
         tol = QuadTolerance()
         res = rate_zero_rho(m, k)
+        above = res.diagnostics["branch"] == "above"
 
         def objective(z):
-            _, sol, leg = _budget_legs(m, k, z, tol)
-            return leg[1] + sol.value
+            return _g_leg_cost(m, z, k, tol)[1] + asian_rate_j(m.sigma, m.v0, z, tol=tol).value
 
         slopes = {}
-        for zr in (0.97, 1.0, 1.03):
-            z = res.z_star * zr
+        for ar in (0.97, 1.0, 1.03):
+            z, sol = _variance_leg(m, res.diagnostics["alpha"] * ar, above, tol)
+            if ar == 1.0:
+                assert z == res.z_star and sol.value == res.h_cost
             h = 1e-6 * z
-            slopes[zr] = _budget_legs(m, k, z, tol)[0]
             central = (objective(z + h) - objective(z - h)) / (2.0 * h)
-            assert abs(slopes[zr] - central) <= 1e-7 * max(abs(central), abs(slopes[0.97]))
-        assert slopes[0.97] < 0.0 < slopes[1.03]
-        assert abs(slopes[1.0]) <= 1e-6 * abs(slopes[0.97])
+            slopes[z] = (_budget_legs(m, k, z, sol, tol)[0], central)
+        z_lo, z_mid, z_hi = sorted(slopes)
+        for slope, central in slopes.values():
+            assert abs(slope - central) <= 1e-7 * max(abs(central), abs(slopes[z_lo][0]))
+        assert slopes[z_lo][0] < 0.0 < slopes[z_hi][0]
+        assert abs(slopes[z_mid][0]) <= 1e-6 * abs(slopes[z_lo][0])
+
+    @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
+    @pytest.mark.parametrize("x", [0.15, -0.15, 0.3, -0.3])
+    def test_kernel_call_budget(self, tanh_model, kinked, x):
+        # no leg solve starts cold: about 30-45 kernel calls per strike here
+        m = KINKED if kinked else tanh_model
+        res = rate_zero_rho(m, forward_variance_limit(m) * math.exp(x))
+        assert res.diagnostics["kernel_calls"] <= 65
 
     def test_diagnostics_json_serializable(self, tanh_model):
         const = LsvModel(s0=2.0, v0=0.1, rho=0.0, eta=ConstantEta(1.2), sigma=ConstantSigma(2.0))

@@ -15,6 +15,8 @@ from varsmile import (
     implied_vol,
     linear_smile,
     linear_smile_coeffs,
+    rate_by_method,
+    rate_perfect_corr,
 )
 from varsmile.errors import ArbitrageError, PrecisionWarning
 
@@ -121,6 +123,19 @@ class TestAsymptoticSmile:
         a = asymptotic_smile(m, k, rate_method="expansion").sigma_v
         b = asymptotic_smile(m, k, rate_method="numeric").sigma_v
         assert abs(a - b) < 5e-3
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_numeric_at_perfect_correlation(self, tanh_model, sign):
+        # the transcription needs |rho| < 1; at rho = +-1 the CLI's rate and
+        # the smile both take the exact reduction
+        m = tanh_model.with_rho(float(sign))
+        k = 0.1 * math.exp(0.1)
+        pt = asymptotic_smile(m, k, rate_method="numeric")
+        res = rate_by_method(m, k, "numeric")
+        assert res.method.startswith("perfect_corr")
+        assert res.value == rate_perfect_corr(m, k, sign).value
+        assert pt.method == "numeric"
+        assert abs(pt.sigma_v - 0.1 / math.sqrt(2.0 * res.value)) <= 1e-12
 
     def test_bad_method(self, tanh_model):
         with pytest.raises(ValueError):
