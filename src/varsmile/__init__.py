@@ -9,13 +9,11 @@ from .model import (
     LsvModel,
     TanhEta,
     eta_eval,
-    eta_log_coeffs,
     forward_variance_limit,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
-    sigma_log_coeffs,
     validate,
 )
 from .paths import PathPair
@@ -31,7 +29,6 @@ from .rate_zero import (
 from .rate_general import (
     BoundsResult,
     NumericOptions,
-    f_map_rho,
     lambda_functional,
     rate_bounds_rho,
     rate_by_method,

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError
-from .model import (
-    LsvModel,
-    eta_log_coeffs,
-    forward_variance_limit,
-    sigma_log_coeffs,
-)
+from .model import LsvModel, forward_variance_limit
 from .paths import PathPair
 
 __all__ = ["AtmExpansion", "atm_expansion", "rate_expansion", "expansion_paths", "atm_price_limit"]
@@ -84,8 +79,8 @@ class AtmExpansion:
 
 def atm_expansion(model: LsvModel) -> AtmExpansion:
     """Assemble the expansion coefficients for the given model."""
-    eta0, eta1, eta2 = eta_log_coeffs(model)
-    sig0, sig1, _ = sigma_log_coeffs(model)
+    eta0, eta1, eta2 = model.eta.log_coeffs()
+    sig0, sig1, _ = model.sigma.log_coeffs()
     rho = model.rho
     v0 = model.v0
     sv = math.sqrt(v0)
@@ -235,8 +230,8 @@ def atm_price_limit(model: LsvModel) -> float:
     Equals eta^2(S0) V0 / sqrt(6 pi) times the square root of
     4 V0 (S0 eta'(S0))^2 + sigma^2(V0) + 4 rho S0 eta'(S0) sqrt(V0) sigma(V0).
     """
-    _, eta1, _ = eta_log_coeffs(model)
-    sig0, _, _ = sigma_log_coeffs(model)
+    _, eta1, _ = model.eta.log_coeffs()
+    sig0, _, _ = model.sigma.log_coeffs()
     v0 = model.v0
     radicand = 4.0 * v0 * eta1 * eta1 + sig0 * sig0 + 4.0 * model.rho * eta1 * math.sqrt(v0) * sig0
     radicand = max(radicand, 0.0)

@@ -184,27 +184,13 @@ def _cmd_mc(args) -> int:
     strikes = _strikes_from_args(model, args)
     cfg = _cfg_from_args(args)
     t0 = time.perf_counter()
-    rv = mc_mod.simulate_realized_variance(model, cfg, n_workers=args.workers)
+    rv = mc_mod.simulate_realized_variance(model, cfg)
     t1 = time.perf_counter()
     sm = mc_mod.mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
     t2 = time.perf_counter()
+    fields = ("strike", "x", "call", "call_se", "put", "put_se", "ivol", "ivol_se")
     lines = ["K,x,call,call_se,put,put_se,ivol,ivol_se"]
-    for row in sm:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.strike,
-                    row.x,
-                    row.call,
-                    row.call_se,
-                    row.put,
-                    row.put_se,
-                    row.ivol,
-                    row.ivol_se,
-                )
-            )
-        )
+    lines += [",".join(_fmt(getattr(row, f)) for f in fields) for row in sm]
     _write(args.out, "\n".join(lines) + "\n")
     meta = {
         "seed": cfg.seed,
@@ -228,7 +214,7 @@ def _cmd_table1(args) -> int:
         row = {"rho": rho, "sigma_v_atm": sig_atm, "s_v": s_v}
         if args.mc:
             cfg = _cfg_from_args(args)
-            _, _, fwd = mc_mod.mc_price(m, forward_variance_limit(m), cfg, n_workers=args.workers)
+            _, _, fwd = mc_mod.mc_price(m, forward_variance_limit(m), cfg)
             row["fv_mc"] = fwd.mean
             row["fv_mc_se"] = fwd.stderr
         rows.append(row)
@@ -251,7 +237,7 @@ def _cmd_figures(args) -> int:
         m = replace(model, rho=rho)
         fv0 = forward_variance_limit(m)
         strikes = [fv0 * math.exp(x) for x in xs]
-        sm = mc_mod.mc_smile(m, strikes, cfg.maturity, cfg, n_workers=args.workers)
+        sm = mc_mod.mc_smile(m, strikes, cfg.maturity, cfg)
         for row in sm:
             lin = smile_mod.linear_smile(m, row.x)
             lines.append(
@@ -280,7 +266,6 @@ def _build_parser() -> _Parser:
             sp.add_argument("--paths", type=int, default=100_000)
             sp.add_argument("--steps", type=int, default=2000)
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("rate", help="rate function at one or more strikes")
     common(sp, method=("closed", "bounds", "numeric", "expansion"))

@@ -8,15 +8,13 @@ Streams are split into fixed chunks of ``_CHUNK_STREAMS``.  Each chunk reads
 one Philox generator keyed by (seed, chunk index on that fixed grid), step
 major: blocks of ``(steps, 2, streams)`` normals, with consecutive blocks
 continuing the one counter-based stream, so the block size does not change
-the draws.  Results are therefore bit-identical for a fixed seed however the
-chunks are spread over workers, and the full chunks of a smaller ``n_paths``
-are the leading paths of a larger one.
+the draws.  Results are therefore bit-identical for a fixed seed, and the
+full chunks of a smaller ``n_paths`` are the leading paths of a larger one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -37,7 +35,7 @@ __all__ = [
     "discrete_rv_diagnostic",
 ]
 
-_CHUNK_STREAMS = 2048  # fixed partition: results never depend on worker count
+_CHUNK_STREAMS = 2048  # fixed partition: chunk i draws from Philox key (seed, i)
 _STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
 
 
@@ -139,8 +137,8 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         ez = signs * z
         ew = signs * w
         v = v0 * np.exp(wv)
-        eta = np.asarray(model.eta.value_log(us), dtype=float)
-        sig = np.asarray(model.sigma.value_log(wv), dtype=float)
+        eta = model.eta.value_log(us)
+        sig = model.sigma.value_log(wv)
         mu = np.asarray(model.mu_eval(v), dtype=float)
         ev = eta * eta * v
         acc += ev * dt
@@ -163,46 +161,44 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
             logs_out[lo:hi] = caps[:, 0, :].T
 
 
-def _simulate_core(model: LsvModel, cfg: McConfig, sample_stride=None, n_workers: int = 1):
+def _simulate_core(model: LsvModel, cfg: McConfig, sample_stride=None):
     dt = cfg.maturity / cfg.n_steps
     n_streams = cfg.n_streams
     rv = np.empty(cfg.n_paths)
     logs = None
     if sample_stride is not None:
         logs = np.empty((cfg.n_paths, cfg.n_steps // sample_stride + 1))
-    bounds = list(range(0, n_streams, _CHUNK_STREAMS)) + [n_streams]
-    tasks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if n_workers <= 1:
-        for lo, hi in tasks:
-            _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv, logs)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, model, cfg, lo, hi, dt, sample_stride, rv, logs)
-                for lo, hi in tasks
-            ]
-            for fut in futures:
-                fut.result()
+    for lo in range(0, n_streams, _CHUNK_STREAMS):
+        _run_chunk(model, cfg, lo, min(lo + _CHUNK_STREAMS, n_streams), dt, sample_stride, rv, logs)
     return rv, logs
 
 
-def simulate_realized_variance(model: LsvModel, cfg: McConfig, n_workers: int = 1) -> np.ndarray:
+def simulate_realized_variance(model: LsvModel, cfg: McConfig) -> np.ndarray:
     """Per-path samples of (1/T) int_0^T V eta^2(S) ds."""
-    rv, _ = _simulate_core(model, cfg, n_workers=n_workers)
+    rv, _ = _simulate_core(model, cfg)
     return rv
+
+
+def _checked_samples(model: LsvModel, cfg: McConfig, samples: Optional[np.ndarray]) -> np.ndarray:
+    if samples is None:
+        return simulate_realized_variance(model, cfg)
+    if len(samples) != cfg.n_paths:
+        raise ValueError(f"samples has {len(samples)} paths, the config {cfg.n_paths}")
+    return samples
 
 
 def mc_price(
     model: LsvModel,
     k: float,
     cfg: McConfig,
-    n_workers: int = 1,
     samples: Optional[np.ndarray] = None,
 ) -> tuple[McEstimate, McEstimate, McEstimate]:
-    """(call, put, forward) estimates; put-call parity holds pathwise."""
+    """(call, put, forward) estimates; put-call parity holds pathwise.
+
+    ``samples`` short-circuits the simulation, as in ``mc_smile``."""
     if k < 0:
         raise ValueError("strike must be nonnegative")
-    rv = simulate_realized_variance(model, cfg, n_workers) if samples is None else samples
+    rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
     call, put = _payoff_estimates(rv, k, disc, cfg, np.empty_like(rv))
     forward = _estimate(rv, cfg)
@@ -237,7 +233,6 @@ def mc_smile(
     strikes,
     t: float,
     cfg: McConfig,
-    n_workers: int = 1,
     samples: Optional[np.ndarray] = None,
 ) -> McSmile:
     """Implied-vol smile from one common path set reused across strikes.
@@ -245,17 +240,14 @@ def mc_smile(
     The OTM side (call above the forward, put below) supplies the price that
     is inverted; its standard error maps to the vol through the Black vega.
     Strikes whose OTM price is within 3 standard errors of zero are flagged
-    unreliable.  ``samples`` short-circuits the simulation (they must come
-    from this model and config).
+    unreliable.  ``samples`` short-circuits the simulation: one value per
+    path of ``cfg``, from this model (a length mismatch raises ValueError).
     """
     strikes = [float(k) for k in strikes]
     if any(k <= 0 for k in strikes):
         raise ValueError("strikes must be positive")
     cfg = replace(cfg, maturity=float(t))
-    if samples is None:
-        rv, _ = _simulate_core(model, cfg, n_workers=n_workers)
-    else:
-        rv = samples
+    rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
     forward = _estimate(rv, cfg)
     fv0 = forward_variance_limit(model)
@@ -297,7 +289,7 @@ class DiscreteRvDiagnostic:
     sampling_n: int
 
 
-def discrete_rv_diagnostic(model: LsvModel, cfg: McConfig, sampling_n: int, n_workers: int = 1) -> DiscreteRvDiagnostic:
+def discrete_rv_diagnostic(model: LsvModel, cfg: McConfig, sampling_n: int) -> DiscreteRvDiagnostic:
     """Paired samples of the discrete sum P_n(T)/(n tau) and the integral.
 
     The gap is reported, not asserted: the discrete sum's expectation need
@@ -306,7 +298,7 @@ def discrete_rv_diagnostic(model: LsvModel, cfg: McConfig, sampling_n: int, n_wo
     if sampling_n < 1 or cfg.n_steps % sampling_n != 0:
         raise ValueError("sampling_n must divide n_steps")
     stride = cfg.n_steps // sampling_n
-    rv, logs = _simulate_core(model, cfg, sample_stride=stride, n_workers=n_workers)
+    rv, logs = _simulate_core(model, cfg, sample_stride=stride)
     increments = np.diff(logs, axis=1)
     discrete = np.sum(increments * increments, axis=1) / cfg.maturity
     gap = float(np.mean((discrete - rv) / rv))

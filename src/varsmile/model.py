@@ -28,10 +28,6 @@ __all__ = [
     "ValidationReport",
     "eta_eval",
     "sigma_eval",
-    "eta_log_eval",
-    "sigma_log_eval",
-    "eta_log_coeffs",
-    "sigma_log_coeffs",
     "forward_variance_limit",
     "validate",
     "model_from_dict",
@@ -68,10 +64,6 @@ class TanhEta:
     @property
     def is_constant(self) -> bool:
         return self.f1 == 0.0
-
-    @property
-    def is_decreasing(self) -> bool:
-        return self.f1 < 0.0
 
     def value_log(self, u):
         return self.f0 + self.f1 * np.tanh(u - self.x0)
@@ -115,12 +107,6 @@ class LogPolyEta:
     def is_constant(self) -> bool:
         return all(c == 0.0 for c in self.coeffs[1:]) or self.clamp_lo == self.clamp_hi
 
-    @property
-    def is_decreasing(self) -> bool:
-        u = np.linspace(-10.0, 10.0, 1001)
-        v = self.value_log(u)
-        return bool(np.all(np.diff(v) <= 0.0))
-
     def _raw(self, u):
         return np.polynomial.polynomial.polyval(u, self.coeffs)
 
@@ -137,24 +123,24 @@ class LogPolyEta:
 
     def log_coeffs(self) -> tuple[float, float, float]:
         c = self.coeffs + (0.0, 0.0, 0.0)
-        return (c[0], c[1], c[2])
+        return _clamped_coeffs(self, c[0], c[1], c[2])
 
     def diff_log(self, u1, u2, delta=None):
+        u1 = np.asarray(u1, dtype=float)
+        u2 = np.asarray(u2, dtype=float)
         if delta is None:
-            delta = np.asarray(u1, dtype=float) - np.asarray(u2, dtype=float)
+            delta = u1 - u2
         r1, r2 = self._raw(u1), self._raw(u2)
         inside = (
             (r1 > self.clamp_lo) & (r1 < self.clamp_hi)
             & (r2 > self.clamp_lo) & (r2 < self.clamp_hi)
         )
         # p(u1) - p(u2) = (u1 - u2) * sum_k c_k * sum_{j<k} u1^j u2^(k-1-j)
-        acc = np.zeros_like(np.asarray(u1, dtype=float) + np.asarray(u2, dtype=float))
+        acc = np.zeros_like(u1 + u2)
         for k in range(len(self.coeffs) - 1, 0, -1):
             inner = np.zeros_like(acc)
             for j in range(k):
-                inner = inner + np.asarray(u1, dtype=float) ** j * np.asarray(u2, dtype=float) ** (
-                    k - 1 - j
-                )
+                inner = inner + u1**j * u2 ** (k - 1 - j)
             acc = acc + self.coeffs[k] * inner
         exact = delta * acc
         plain = self.value_log(u1) - self.value_log(u2)
@@ -174,7 +160,6 @@ class ConstantEta:
         return self.eta0
 
     is_constant = True
-    is_decreasing = False
 
     def value_log(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.eta0)
@@ -190,6 +175,14 @@ class ConstantEta:
 
 
 EtaSpec = Union[TanhEta, LogPolyEta, ConstantEta]
+
+
+def _clamped_coeffs(spec, c0: float, c1: float, c2: float) -> tuple[float, float, float]:
+    """Expansion at 0 of a clipped polynomial with raw coefficients c0, c1, c2:
+    the raw ones strictly inside the clamps, else those of the flat piece."""
+    if spec.clamp_lo < c0 < spec.clamp_hi:
+        return (c0, c1, c2)
+    return (float(spec.value_log(0.0)), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ class LogPolySigma:
         return np.where(inside, self.sigma1 + 2.0 * self.sigma2 * w, 0.0)
 
     def log_coeffs(self) -> tuple[float, float, float]:
-        return (self.sigma0, self.sigma1, self.sigma2)
+        return _clamped_coeffs(self, self.sigma0, self.sigma1, self.sigma2)
 
 
 SigmaSpec = Union[ConstantSigma, LogPolySigma]
@@ -308,26 +301,6 @@ def sigma_eval(model: LsvModel, v):
     return float(out) if out.ndim == 0 else out
 
 
-def eta_log_eval(model: LsvModel, u):
-    """eta at log-moneyness u = log(S/S0)."""
-    return model.eta.value_log(u)
-
-
-def sigma_log_eval(model: LsvModel, w):
-    """sigma at log-variance-moneyness w = log(V/V0)."""
-    return model.sigma.value_log(w)
-
-
-def eta_log_coeffs(model: LsvModel) -> tuple[float, float, float]:
-    """(eta0, eta1, eta2) of eta(S) = eta0 + eta1 u + eta2 u^2 + O(u^3)."""
-    return model.eta.log_coeffs()
-
-
-def sigma_log_coeffs(model: LsvModel) -> tuple[float, float, float]:
-    """(sigma0, sigma1, sigma2) of the expansion in w = log(V/V0)."""
-    return model.sigma.log_coeffs()
-
-
 def forward_variance_limit(model: LsvModel) -> float:
     """Zero-maturity fair strike of the variance swap: eta(S0)^2 * V0."""
     return float(eta_eval(model, model.s0)) ** 2 * model.v0
@@ -368,7 +341,7 @@ def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
         if not (0.0 < lo <= hi and math.isfinite(hi)):
             errors.append(f"{name} clamp bounds invalid: [{lo}, {hi}]")
 
-    if not getattr(model.eta, "is_constant", False):
+    if not model.eta.is_constant:
         deltas = np.diff(eta_vals)
         if np.any(deltas > 1e-15) and np.any(deltas < -1e-15):
             warnings.append("eta is not monotone; endpoint equations assume monotone leverage")

@@ -44,6 +44,3 @@ class PathPair:
     def constant(cls, g0: float, h0: float, n: int = 401) -> "PathPair":
         t = np.linspace(0.0, 1.0, n)
         return cls(t, np.full(n, float(g0)), np.full(n, float(h0)))
-
-    def with_values(self, g: np.ndarray, h: np.ndarray) -> "PathPair":
-        return PathPair(self.t, g, h)

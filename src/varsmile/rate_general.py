@@ -23,19 +23,13 @@ from scipy.linalg import solve_banded
 
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError
-from .model import (
-    LsvModel,
-    eta_log_coeffs,
-    eta_log_eval,
-    forward_variance_limit,
-    sigma_log_eval,
-)
+from .model import LsvModel, forward_variance_limit
 from .numerics import QuadTolerance
 from .paths import PathPair
 from .rate_zero import (
-    CONST_ETA_REL_TOL,
     RateResult,
     _asian_h_path,
+    _eta_flat,
     _paths_from_rate,
     asian_rate_general,
     asian_rate_j,
@@ -49,7 +43,6 @@ __all__ = [
     "lambda_functional",
     "constraint_integral",
     "rate_bounds_rho",
-    "f_map_rho",
     "rate_perfect_corr",
     "rate_upper_corr_path",
     "rate_numeric",
@@ -80,16 +73,21 @@ class BoundsResult:
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_pieces(model: LsvModel, paths: PathPair):
-    dt = paths.dt
-    dg = np.diff(paths.g) / dt
-    dh = np.diff(paths.h) / dt
-    gm = 0.5 * (paths.g[1:] + paths.g[:-1]) - math.log(model.s0)
-    hm = 0.5 * (paths.h[1:] + paths.h[:-1]) - math.log(model.v0)
-    eta_m = np.asarray(eta_log_eval(model, gm), dtype=float)
-    sig_m = np.asarray(sigma_log_eval(model, hm), dtype=float)
-    v_m = model.v0 * np.exp(hm)
-    return dt, dg, dh, gm, hm, eta_m, sig_m, v_m
+def _midpoint_pieces(model: LsvModel, g, h, dt: float):
+    """Slopes of the log-level arrays g, h and the coefficient functions at
+    their interval midpoints: (dg, dh, eta, eta', sigma, sigma', V), the
+    derivatives in the log coordinates."""
+    gm = 0.5 * (g[1:] + g[:-1]) - math.log(model.s0)
+    hm = 0.5 * (h[1:] + h[:-1]) - math.log(model.v0)
+    return (
+        np.diff(g) / dt,
+        np.diff(h) / dt,
+        model.eta.value_log(gm),
+        model.eta.dvalue_log(gm),
+        model.sigma.value_log(hm),
+        model.sigma.dvalue_log(hm),
+        model.v0 * np.exp(hm),
+    )
 
 
 def lambda_functional(model: LsvModel, paths: PathPair) -> LambdaValue:
@@ -102,7 +100,8 @@ def lambda_functional(model: LsvModel, paths: PathPair) -> LambdaValue:
     rho = model.rho
     if abs(rho) >= 1.0:
         raise ValueError("|rho| must be < 1; use rate_perfect_corr at |rho| = 1")
-    dt, dg, dh, _, _, eta_m, sig_m, v_m = _midpoint_pieces(model, paths)
+    dt = paths.dt
+    dg, dh, eta_m, _, sig_m, _, v_m = _midpoint_pieces(model, paths.g, paths.h, dt)
     a = dg / (eta_m * np.sqrt(v_m))
     b = dh / sig_m
     g_cost = float(np.sum((a - rho * b) ** 2) * dt / (2.0 * (1.0 - rho * rho)))
@@ -112,8 +111,8 @@ def lambda_functional(model: LsvModel, paths: PathPair) -> LambdaValue:
 
 def constraint_integral(model: LsvModel, paths: PathPair) -> float:
     """Midpoint-rule value of int_0^1 e^h eta^2(e^g) dt."""
-    dt, _, _, _, _, eta_m, _, v_m = _midpoint_pieces(model, paths)
-    return float(np.sum(v_m * eta_m * eta_m) * dt)
+    _, _, eta_m, _, _, _, v_m = _midpoint_pieces(model, paths.g, paths.h, paths.dt)
+    return float(np.sum(v_m * eta_m * eta_m) * paths.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +140,7 @@ def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None)
 
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
     asian = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
-    eta0, eta1, _ = eta_log_coeffs(model)
-    if abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
+    if _eta_flat(model):
         t = np.linspace(0.0, 1.0, 401)
         h = _asian_h_path(model.sigma, model.v0, asian.alpha, asian.branch, t, tol)
         paths0 = PathPair(t, np.full(t.size, math.log(model.s0)), h)
@@ -234,19 +232,6 @@ def _newton_kkt(lagrangian_grad, z, lam: float, bw: int, k: float):
 # ---------------------------------------------------------------------------
 
 
-def f_map_rho(model: LsvModel, v: float, rho_eff: float) -> float:
-    """Asset level F(v) locked to variance level v along the coupled path.
-
-    Solves int_{S0}^{F} dy/(y eta(y)) = rho_eff * int_{V0}^{v} dy/(sqrt(y) sigma(y)).
-    """
-    if v <= 0:
-        raise ValueError("v must be positive")
-    if rho_eff == 0.0 or v == model.v0:
-        return model.s0
-    mapper = _CoupledMap(model, rho_eff)
-    return float(mapper.f_of_x(np.asarray([v]))[0])
-
-
 class _CoupledMap:
     """Precomputed primitives for the coupled-path construction.
 
@@ -267,9 +252,7 @@ class _CoupledMap:
         self.v0 = model.v0
 
         w = np.linspace(-self.W_SPAN, self.W_SPAN, 1601)
-        integrand_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / np.asarray(
-            sigma_log_eval(model, ww), dtype=float
-        )
+        integrand_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
         phi_v = self._cumulative(integrand_v, w)
         self._phi_v = CubicSpline(w, phi_v)
 
@@ -279,7 +262,7 @@ class _CoupledMap:
         u_span = max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0)
         n_seg = int(min(12800, max(1600, 80 * u_span)))
         u = np.linspace(-u_span, u_span, n_seg + 1)
-        integrand_s = lambda uu: 1.0 / np.asarray(eta_log_eval(model, uu), dtype=float)
+        integrand_s = lambda uu: 1.0 / model.eta.value_log(uu)
         phi_s = self._cumulative(integrand_s, u)
         self._phi_s = CubicSpline(u, phi_s)
         self._phi_s_inv = CubicSpline(phi_s, u)
@@ -303,7 +286,7 @@ class _CoupledMap:
         return out
 
     def f_of_x(self, x):
-        """F at variance level(s) x (vectorized); returns asset levels."""
+        """Asset level(s) F(x) = S0 exp(Phi_S^{-1}(rho_eff Phi_V(log(x / V0)))) at variance level(s) x."""
         w = np.log(np.asarray(x, dtype=float) / self.v0)
         if np.any(np.abs(w) > self.W_SPAN):
             raise NumericsError("variance level outside the coupled-map table")
@@ -316,7 +299,7 @@ class _CoupledMap:
         """G(x) = x * eta^2(F(x))."""
         x = np.asarray(x, dtype=float)
         f = self.f_of_x(x)
-        e = np.asarray(eta_log_eval(self.model, np.log(f / self.s0)), dtype=float)
+        e = self.model.eta.value_log(np.log(f / self.s0))
         return x * e * e
 
     def payoff_factor_deriv(self, x):
@@ -325,9 +308,9 @@ class _CoupledMap:
         x = np.asarray(x, dtype=float)
         f = self.f_of_x(x)
         u = np.log(f / self.s0)
-        e = np.asarray(eta_log_eval(self.model, u), dtype=float)
-        xi = np.asarray(self.model.eta.dvalue_log(u), dtype=float)
-        sig = np.asarray(sigma_log_eval(self.model, np.log(x / self.v0)), dtype=float)
+        e = self.model.eta.value_log(u)
+        xi = self.model.eta.dvalue_log(u)
+        sig = self.model.sigma.value_log(np.log(x / self.v0))
         return e * e * (1.0 + 2.0 * self.rho_eff * np.sqrt(x) * xi / sig)
 
     def monotone_window(self, n: int = 2001):
@@ -426,8 +409,8 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap, n: int = 401)
         h = np.concatenate(([0.0], h_int))
         hm = 0.5 * (h[1:] + h[:-1])
         v = model.v0 * np.exp(hm)
-        sig = np.asarray(sigma_log_eval(model, hm), dtype=float)
-        dsig = np.asarray(model.sigma.dvalue_log(hm), dtype=float)
+        sig = model.sigma.value_log(hm)
+        dsig = model.sigma.dvalue_log(hm)
         return h, np.diff(h) / dt, v, sig, dsig
 
     def lagrangian_grad(h_int, lam):
@@ -529,15 +512,7 @@ def _lagrangian_grad(model: LsvModel, k: float, n: int):
     def compute(z, lam):
         g = np.concatenate(([log_s0], z[0::2]))
         h = np.concatenate(([log_v0], z[1::2]))
-        dg = np.diff(g) / dt
-        dh = np.diff(h) / dt
-        gm = 0.5 * (g[1:] + g[:-1]) - log_s0
-        hm = 0.5 * (h[1:] + h[:-1]) - log_v0
-        eta_m = np.asarray(eta_log_eval(model, gm), dtype=float)
-        deta_m = np.asarray(model.eta.dvalue_log(gm), dtype=float)
-        sig_m = np.asarray(sigma_log_eval(model, hm), dtype=float)
-        dsig_m = np.asarray(model.sigma.dvalue_log(hm), dtype=float)
-        v_m = model.v0 * np.exp(hm)
+        dg, dh, eta_m, deta_m, sig_m, dsig_m, v_m = _midpoint_pieces(model, g, h, dt)
 
         p = 1.0 / (eta_m * np.sqrt(v_m))
         q = 1.0 / sig_m
@@ -579,15 +554,7 @@ def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
     rho = model.rho
     one_m = 1.0 - rho * rho
     dt = paths.dt
-    dg = np.diff(paths.g) / dt
-    dh = np.diff(paths.h) / dt
-    gm = 0.5 * (paths.g[1:] + paths.g[:-1]) - math.log(model.s0)
-    hm = 0.5 * (paths.h[1:] + paths.h[:-1]) - math.log(model.v0)
-    eta_m = np.asarray(eta_log_eval(model, gm), dtype=float)
-    deta_m = np.asarray(model.eta.dvalue_log(gm), dtype=float)
-    sig_m = np.asarray(sigma_log_eval(model, hm), dtype=float)
-    dsig_m = np.asarray(model.sigma.dvalue_log(hm), dtype=float)
-    v_m = model.v0 * np.exp(hm)
+    dg, dh, eta_m, deta_m, sig_m, dsig_m, v_m = _midpoint_pieces(model, paths.g, paths.h, dt)
     sqrt_v = np.sqrt(v_m)
 
     p_g = dg / (one_m * eta_m**2 * v_m) - rho * dh / (one_m * eta_m * sqrt_v * sig_m)

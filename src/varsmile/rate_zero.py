@@ -27,7 +27,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DegenerateEtaError, InfeasibleStrikeError
-from .model import LsvModel, SigmaSpec, eta_log_coeffs, forward_variance_limit
+from .model import LsvModel, SigmaSpec, forward_variance_limit
 from .numerics import (
     Bracket,
     QuadTolerance,
@@ -49,11 +49,16 @@ __all__ = [
     "optimal_paths_zero_rho",
 ]
 
-# Treat eta as constant below this relative slope; the endpoint equation
-# degenerates (it divides by eta^2(G) - eta^2(x) which is identically 0).
 CONST_ETA_REL_TOL = 1e-12
-
 _ATM_REL_TOL = 1e-13
+
+
+def _eta_flat(model: LsvModel) -> bool:
+    """eta is constant, or flat at S0 (relative slope below CONST_ETA_REL_TOL,
+    as on a clamp).  The endpoint equation then degenerates (it divides by
+    eta^2(G) - eta^2(x)), and the rho = 0 rate is the Asian rate at K/eta(S0)^2."""
+    eta0, eta1, _ = model.eta.log_coeffs()
+    return model.eta.is_constant or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0)
 
 
 @dataclass(frozen=True)
@@ -358,8 +363,7 @@ def solve_g_endpoint(
     """Terminal asset level G of the zero-correlation asset-leg solution."""
     if z <= 0 or k <= 0:
         raise ValueError("z and K must be positive")
-    eta0, eta1, _ = eta_log_coeffs(model)
-    if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
+    if _eta_flat(model):
         raise DegenerateEtaError("constant eta: endpoint equation is degenerate, use J(V0, K/eta0^2)")
     tol = tol or QuadTolerance()
     u_g, _ = _solve_u_g(model, z, k, side, tol)
@@ -467,12 +471,11 @@ def rate_zero_rho(
             diagnostics={"x": 0.0, "side": "atm"},
         )
 
-    eta0, eta1, _ = eta_log_coeffs(model)
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
     with count_kernel_calls() as kernel_calls:
         pivot = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
-        if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
+        if _eta_flat(model):
             return RateResult(
                 pivot.value,
                 "closed_zero_rho",
@@ -609,8 +612,7 @@ def optimal_paths_zero_rho(
     if model.rho != 0.0:
         raise ValueError("optimal_paths_zero_rho requires rho = 0")
     tol = tol or QuadTolerance()
-    eta0, eta1, _ = eta_log_coeffs(model)
-    if getattr(model.eta, "is_constant", False) or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0):
+    if _eta_flat(model):
         raise DegenerateEtaError("optimal paths need non-constant eta")
 
     return _paths_from_rate(model, k, rate_zero_rho(model, k, tol=tol), n, tol)

@@ -11,7 +11,7 @@ from typing import Optional
 from scipy.special import ndtr
 
 from .errors import ArbitrageError, PrecisionWarning
-from .model import LsvModel, eta_log_coeffs, forward_variance_limit, sigma_log_coeffs
+from .model import LsvModel, forward_variance_limit
 from .atm import atm_expansion
 from .numerics import QuadTolerance
 from .rate_general import rate_by_method
@@ -174,8 +174,8 @@ def asymptotic_smile(
 def linear_smile_coeffs(model: LsvModel) -> tuple[float, float]:
     """(ATM level, ATM skew) of the zero-maturity smile in log-moneyness."""
     exp = atm_expansion(model)
-    _, eta1, _ = eta_log_coeffs(model)
-    sig0, sig1, _ = sigma_log_coeffs(model)
+    _, eta1, _ = model.eta.log_coeffs()
+    sig0, sig1, _ = model.sigma.log_coeffs()
     sig_atm = math.sqrt(exp.D / 3.0)
     numerator = (
         sig0**4

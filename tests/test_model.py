@@ -13,11 +13,9 @@ from varsmile import (
     LsvModel,
     TanhEta,
     eta_eval,
-    eta_log_coeffs,
     forward_variance_limit,
     model_from_dict,
     model_to_dict,
-    sigma_log_coeffs,
     validate,
 )
 from varsmile.model import load_model, save_model, sigma_eval
@@ -61,25 +59,25 @@ class TestEtaEval:
 
 class TestLogCoeffs:
     def test_tanh_x0_zero(self, tanh_model):
-        assert eta_log_coeffs(tanh_model) == (1.0, -0.1, -0.0)
+        assert tanh_model.eta.log_coeffs() == (1.0, -0.1, -0.0)
 
     def test_constant(self):
-        assert eta_log_coeffs(make(ConstantEta(2.0))) == (2.0, 0.0, 0.0)
+        assert make(ConstantEta(2.0)).eta.log_coeffs() == (2.0, 0.0, 0.0)
 
     def test_tanh_shifted(self):
         m = make(TanhEta(1.0, -0.1, 0.5))
-        e0, e1, e2 = eta_log_coeffs(m)
+        e0, e1, e2 = m.eta.log_coeffs()
         assert abs(e0 - (1.0 + 0.1 * math.tanh(0.5))) < 1e-15
         assert abs(e1 - (-0.1 / math.cosh(0.5) ** 2)) < 1e-15
         assert abs(e2 - (-0.1 * math.tanh(0.5) / math.cosh(0.5) ** 2)) < 1e-15
 
     def test_sigma_constant(self):
-        assert sigma_log_coeffs(make(ConstantEta(1.0), ConstantSigma(2.0))) == (2.0, 0.0, 0.0)
-        assert sigma_log_coeffs(make(ConstantEta(1.0), ConstantSigma(0.3))) == (0.3, 0.0, 0.0)
+        assert make(ConstantEta(1.0), ConstantSigma(2.0)).sigma.log_coeffs() == (2.0, 0.0, 0.0)
+        assert make(ConstantEta(1.0), ConstantSigma(0.3)).sigma.log_coeffs() == (0.3, 0.0, 0.0)
 
     def test_sigma_logpoly(self):
         m = make(ConstantEta(1.0), LogPolySigma(1.0, 0.5, 0.0))
-        assert sigma_log_coeffs(m) == (1.0, 0.5, 0.0)
+        assert m.sigma.log_coeffs() == (1.0, 0.5, 0.0)
 
     @pytest.mark.parametrize(
         "eta",
@@ -87,7 +85,7 @@ class TestLogCoeffs:
     )
     def test_matches_finite_differences(self, eta):
         m = make(eta)
-        e0, e1, e2 = eta_log_coeffs(m)
+        e0, e1, e2 = m.eta.log_coeffs()
         f = lambda u: float(m.eta.value_log(u))
         h = 1e-4
         d1 = (f(h) - f(-h)) / (2 * h)

@@ -21,9 +21,6 @@ def test_validation():
         PathPair(t + 0.5, np.zeros(11), np.zeros(11))
 
 
-def test_constant_and_with_values():
+def test_constant():
     p = PathPair.constant(1.5, -2.3, n=21)
     assert np.all(p.g == 1.5) and np.all(p.h == -2.3)
-    q = p.with_values(p.g + 1.0, p.h)
-    assert np.all(q.g == 2.5)
-    assert q.t is p.t

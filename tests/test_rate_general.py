@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from varsmile import (
     ConstantEta,
     ConstantSigma,
+    LogPolyEta,
     LsvModel,
     NumericOptions,
     PathPair,
@@ -16,7 +17,6 @@ from varsmile import (
     asian_rate_j_const,
     atm_expansion,
     expansion_paths,
-    f_map_rho,
     forward_variance_limit,
     lambda_functional,
     optimal_paths_zero_rho,
@@ -26,7 +26,6 @@ from varsmile import (
     rate_upper_corr_path,
     rate_zero_rho,
 )
-from varsmile.model import sigma_log_eval
 from varsmile import rate_general, rate_zero
 from varsmile.errors import ConvergenceError
 from varsmile.rate_general import _CoupledMap, _lagrangian_grad, constraint_integral
@@ -110,6 +109,16 @@ class TestBounds:
         assert abs(dict(b.upper_candidates)["scaled_asian"] - j / 0.75) < 1e-9
         assert b.lower <= b.best_upper
 
+    def test_flat_logpoly_matches_constant_twin(self, tanh_model):
+        # equal clamps make a logpoly eta constant whatever its slope
+        rates = []
+        for eta in (LogPolyEta((1.15, -0.3), 1.15, 1.15), ConstantEta(1.15)):
+            m = LsvModel(s0=1.0, v0=0.1, rho=0.3, eta=eta, sigma=tanh_model.sigma)
+            b = rate_bounds_rho(m, forward_variance_limit(m) * math.exp(0.05))
+            rates.append([b.lower, b.best_upper, *(v for _, v in b.upper_candidates)])
+        for got, want in zip(*rates):
+            assert abs(got - want) <= 1e-12 * want
+
     def test_one_rate_solve_per_call(self, tanh_model, monkeypatch):
         m = tanh_model.with_rho(0.7)
         k = 0.1 * math.exp(0.2)
@@ -139,19 +148,15 @@ class TestBounds:
 class TestFMap:
     def test_identity_points(self):
         m = const_model(rho=1.0)
-        assert f_map_rho(m, m.v0, 0.7) == m.s0
-        assert f_map_rho(m, 0.4, 0.0) == m.s0
+        assert _CoupledMap(m, 0.7).f_of_x([m.v0])[0] == m.s0
+        assert _CoupledMap(m, 0.0).f_of_x([0.4])[0] == m.s0
 
     def test_constant_closed_form(self):
         m = const_model(rho=1.0)
         for rho_eff, v in ((1.0, 0.4), (-0.6, 0.05), (0.3, 0.2)):
-            got = f_map_rho(m, v, rho_eff)
+            got = _CoupledMap(m, rho_eff).f_of_x([v])[0]
             expect = m.s0 * math.exp(2.0 * 1.0 * rho_eff * (math.sqrt(v) - math.sqrt(0.1)) / 2.0)
             assert abs(got - expect) < 1e-9 * expect
-
-    def test_rejects_bad_v(self):
-        with pytest.raises(ValueError):
-            f_map_rho(const_model(), -0.1, 0.5)
 
 
 def h_only_oracle(model, k, rho_eff, n=201):
@@ -177,12 +182,12 @@ def h_only_oracle(model, k, rho_eff, n=201):
 
     def energy(h_int):
         _, hm, dh = pieces(h_int)
-        q = 1.0 / np.asarray(sigma_log_eval(model, hm))
+        q = 1.0 / model.sigma.value_log(hm)
         return 0.5 * float(np.sum((dh * q) ** 2)) * dt
 
     def energy_jac(h_int):
         _, hm, dh = pieces(h_int)
-        sig = np.asarray(sigma_log_eval(model, hm))
+        sig = model.sigma.value_log(hm)
         q = 1.0 / sig
         dsig = np.asarray(model.sigma.dvalue_log(hm))
         return scatter(dh * q * q * dt, -dh * dh * q * q * (dsig / sig) * dt, len(h_int))
