@@ -14,24 +14,26 @@ cross-checked against the continuous stationarity conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import solve_banded
 
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError
 from .model import LsvModel, forward_variance_limit
-from .numerics import QuadTolerance
+from .numerics import Bracket, QuadTolerance, count_kernel_calls, find_root, integrate_sqrt_singular
 from .paths import PathPair
 from .rate_zero import (
+    _ATM_REL_TOL,
+    _SEED_STRETCH,
     RateResult,
     _asian_h_path,
+    _const_sigma_root,
     _eta_flat,
     _paths_from_rate,
-    asian_rate_general,
     asian_rate_j,
     rate_zero_rho,
 )
@@ -235,174 +237,186 @@ def _newton_kkt(lagrangian_grad, z, lam: float, bw: int, k: float):
 class _CoupledMap:
     """Precomputed primitives for the coupled-path construction.
 
-    Caches spline representations of Phi_S(u) = int_0^u du'/eta(u') and
-    Phi_V(w) = sqrt(V0) int_0^w e^{w'/2}/sigma(w') dw' on wide log grids,
-    giving fast vectorized F(v), the effective payoff map G(x) = x eta^2(F(x)),
-    and its analytic derivative.
+    Tabulates Phi_V(w) = sqrt(V0) int_0^w e^{w'/2}/sigma(w') dw' over the
+    log-variance table |w| <= W_SPAN and the inverse of
+    Phi_S(u) = int_0^u du'/eta(u') over the log-asset range that
+    rho_eff Phi_V reaches, on uniform grids of node spacing STEP through 0,
+    as cubic Hermite interpolants of the values and exact slopes at the
+    nodes.  They give vectorized F(v), the effective payoff map
+    G(v) = v eta^2(F(v)), and its analytic derivative.
     """
 
-    W_SPAN = 10.0
-    _INVERSE_MAX_ITER = 100
+    W_SPAN = 4.0
+    STEP = 0.00625
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
     def __init__(self, model: LsvModel, rho_eff: float):
-        self.model = model
-        self.rho_eff = rho_eff
-        self.s0 = model.s0
-        self.v0 = model.v0
+        self.model, self.rho_eff, self.v0 = model, rho_eff, model.v0
 
-        w = np.linspace(-self.W_SPAN, self.W_SPAN, 1601)
-        integrand_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
-        phi_v = self._cumulative(integrand_v, w)
-        self._phi_v = CubicSpline(w, phi_v)
+        self.w = self._grid(self.W_SPAN)
+        dphi_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
+        phi_v = self._cumulative(dphi_v, self.w)
+        self._phi_v = CubicHermiteSpline(self.w, phi_v, dphi_v(self.w))
 
         # asset-side span must cover the image of rho * Phi_V: Phi_S grows at
         # least like u / eta_max, so u_span = |Phi_V|_max eta_max suffices
         reach = abs(rho_eff) * float(np.max(np.abs(phi_v)))
-        u_span = max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0)
-        n_seg = int(min(12800, max(1600, 80 * u_span)))
-        u = np.linspace(-u_span, u_span, n_seg + 1)
-        integrand_s = lambda uu: 1.0 / model.eta.value_log(uu)
-        phi_s = self._cumulative(integrand_s, u)
-        self._phi_s = CubicSpline(u, phi_s)
-        self._phi_s_inv = CubicSpline(phi_s, u)
+        u = self._grid(max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0))
+        phi_s = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u)
+        self._phi_s_inv = CubicHermiteSpline(phi_s, u, model.eta.value_log(u))
         self._phi_s_range = (phi_s[0], phi_s[-1])
 
     @classmethod
+    def _grid(cls, span: float):
+        """Nodes STEP apart from -span to span (rounded out), 0 in the middle."""
+        n = math.ceil(span / cls.STEP - 1e-9)
+        return cls.STEP * np.arange(-n, n + 1)
+
+    @classmethod
     def _cumulative(cls, fn, grid):
-        """Cumulative integral along a uniform grid anchored at 0,
-        Gauss-Legendre per segment."""
-        lo = grid[:-1]
-        hi = grid[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * cls._GL_NODES[None, :]
-        vals = fn(nodes.ravel()).reshape(nodes.shape)
-        seg = half * (vals @ cls._GL_WEIGHTS)
+        """Cumulative integral along a ``_grid``, summed outward from its
+        middle node 0 (where it is exactly 0); Gauss-Legendre per segment."""
+        half = 0.5 * cls.STEP
+        nodes = (grid[:-1] + half)[:, None] + half * cls._GL_NODES
+        seg = half * (fn(nodes.ravel()).reshape(nodes.shape) @ cls._GL_WEIGHTS)
+        mid = grid.size // 2
         out = np.zeros(grid.size)
-        out[1:] = np.cumsum(seg)
-        # anchor so the primitive vanishes exactly at 0 (0 need not be a node)
-        out -= CubicSpline(grid, out)(0.0)
+        out[mid + 1 :] = np.cumsum(seg[mid:])
+        out[:mid] = -np.cumsum(seg[mid - 1 :: -1])[::-1]
         return out
 
-    def f_of_x(self, x):
-        """Asset level(s) F(x) = S0 exp(Phi_S^{-1}(rho_eff Phi_V(log(x / V0)))) at variance level(s) x."""
+    def _log_f(self, x):
+        """u = log(F(x) / S0) = Phi_S^{-1}(rho_eff Phi_V(log(x / V0)))."""
         w = np.log(np.asarray(x, dtype=float) / self.v0)
         if np.any(np.abs(w) > self.W_SPAN):
-            raise NumericsError("variance level outside the coupled-map table")
+            raise NumericsError(f"variance level outside the coupled-map table |log(v/V0)| <= {self.W_SPAN:g}")
         rhs = self.rho_eff * self._phi_v(w)
         if np.any(rhs < self._phi_s_range[0]) or np.any(rhs > self._phi_s_range[1]):
             raise NumericsError("coupled-map primitive out of range (clamp saturation)")
-        return self.s0 * np.exp(self._phi_s_inv(rhs))
+        return self._phi_s_inv(rhs)
+
+    def f_of_x(self, x):
+        """Asset level(s) F(x) at variance level(s) x."""
+        return self.model.s0 * np.exp(self._log_f(x))
 
     def payoff_factor(self, x):
         """G(x) = x * eta^2(F(x))."""
-        x = np.asarray(x, dtype=float)
-        f = self.f_of_x(x)
-        e = self.model.eta.value_log(np.log(f / self.s0))
+        e = self.model.eta.value_log(self._log_f(x))
         return x * e * e
 
     def payoff_factor_deriv(self, x):
         """G'(x) = eta^2(F) * (1 + 2 rho_eff sqrt(x) * Xi(F) / sigma(x)),
         with Xi the log-derivative of eta at F."""
-        x = np.asarray(x, dtype=float)
-        f = self.f_of_x(x)
-        u = np.log(f / self.s0)
-        e = self.model.eta.value_log(u)
-        xi = self.model.eta.dvalue_log(u)
-        sig = self.model.sigma.value_log(np.log(x / self.v0))
-        return e * e * (1.0 + 2.0 * self.rho_eff * np.sqrt(x) * xi / sig)
+        u, eta, sig = self._log_f(x), self.model.eta, self.model.sigma.value_log(np.log(x / self.v0))
+        e = eta.value_log(u)
+        return e * e * (1.0 + 2.0 * self.rho_eff * np.sqrt(x) * eta.dvalue_log(u) / sig)
 
-    def monotone_window(self, n: int = 2001):
-        """Largest log-variance window around 0 where G is strictly increasing."""
-        w = np.linspace(-self.W_SPAN + 0.05, self.W_SPAN - 0.05, n)
-        gp = self.payoff_factor_deriv(self.v0 * np.exp(w))
-        i0 = n // 2
-        if gp[i0] <= 0.0:
+    def monotone_window(self):
+        """(w_lo, w_hi): the widest run of inner table nodes around 0 on which
+        G' > 0, or None if G' <= 0 at V0."""
+        w = self.w[1:-1]
+        down = np.flatnonzero(self.payoff_factor_deriv(self.v0 * np.exp(w)) <= 0.0)
+        mid = w.size // 2
+        if mid in down:
             return None
-        lo = i0
-        while lo > 0 and gp[lo - 1] > 0.0:
-            lo -= 1
-        hi = i0
-        while hi < n - 1 and gp[hi + 1] > 0.0:
-            hi += 1
-        return (w[lo], w[hi], lo > 0 or hi < n - 1)
+        below, above = down[down < mid], down[down > mid]
+        return (w[below[-1] + 1] if below.size else w[0], w[above[0] - 1] if above.size else w[-1])
 
-    def payoff_inverse(self, a, w_window):
-        """x with G(x) = a, elementwise, inside the monotone window.
 
-        Newton steps in w = log(x / V0) from w = log(a / G(V0)), kept inside a
-        shrinking bracket by bisection, until every step is below 1e-13.
-        """
-        w_lo, w_hi, _ = w_window
-        a = np.asarray(a, dtype=float)
-        g_lo, g_mid, g_hi = self.payoff_factor(self.v0 * np.exp([w_lo, 0.0, w_hi]))
-        if np.any(a < g_lo) or np.any(a > g_hi):
-            raise NumericsError("payoff level outside the monotone window")
-        lo = np.full(a.shape, w_lo)
-        hi = np.full(a.shape, w_hi)
-        w = np.clip(np.log(a / g_mid), w_lo, w_hi)
-        for _ in range(self._INVERSE_MAX_ITER):
-            x = self.v0 * np.exp(w)
-            r = self.payoff_factor(x) - a
-            lo = np.where(r < 0.0, w, lo)
-            hi = np.where(r > 0.0, w, hi)
-            w_new = w - r / (self.payoff_factor_deriv(x) * x)
-            w_new = np.where((w_new > lo) & (w_new < hi) | (r == 0.0), w_new, 0.5 * (lo + hi))
-            done = np.all(np.abs(w_new - w) <= 1e-13)
-            w = w_new
-            if done:
-                return self.v0 * np.exp(w)
-        raise ConvergenceError("payoff inverse did not converge", best=self.v0 * np.exp(w))
+# Integrand nodes this near (in w) to the terminal excursion w_a take the payoff
+# gap G(v_a) - G(v) from a Gauss rule on v G'(v), which does not cancel.
+_NEAR = 1e-3
+_NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(4)
+
+
+def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float, tol: QuadTolerance):
+    """(G(v_a) / A0, F, G) at the terminal log variance w_a: the Asian
+    endpoint integrals in w, F = int dw / (sigma(w) sqrt(D)) and
+    G = int sqrt(D) / sigma(w) dw over [0, w_a], D = |G(v_a) - G(v)| / A0."""
+    s, t_a, v0 = math.copysign(1.0, w_a), abs(w_a), mapper.v0
+    level = lambda w: mapper.payoff_factor(v0 * np.exp(w)) / a0
+    e_a = float(level(w_a))
+
+    def fg(t, d):  # t = |w| on [0, t_a], d = t_a - t
+        gap = s * (e_a - level(s * t))
+        near = d < _NEAR
+        vn = v0 * np.exp(s * (t[near, None] + 0.5 * d[near, None] * (1.0 + _NEAR_X)))
+        rule = 0.5 * d[near] * ((vn * mapper.payoff_factor_deriv(vn)) @ _NEAR_W) / a0
+        # far off the difference only where a clamp kink lies in [w, w_a]
+        gap[near] = np.where(np.abs(rule - gap[near]) <= 64.0 * _EPS * e_a, rule, gap[near])
+        sig, r = mapper.model.sigma.value_log(s * t), np.sqrt(gap)
+        return np.array([1.0 / (sig * r), r / sig])
+
+    f, g = integrate_sqrt_singular(fg, 0.0, t_a, singular_at="b", tol=tol, pass_distance=True)
+    return e_a, float(f), float(g)
+
+
+def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadTolerance):
+    """The h-only problem as an Asian problem in the payoff level A = G(v),
+    solved in the log variance w = log(v / V0): (rate, diagnostics).
+
+    With sigma_hat the Asian coefficient in y = log(A / A0),
+    dy / sigma_hat(y) = dw / sigma(w), so the endpoint integrals need G, not
+    its inverse (``_coupled_endpoint``).  The root runs in |w_a|, from a seed
+    whose log(G / A0) is the Asian seed probe, read off the table; it may not
+    leave ``window``, where G is increasing.
+    """
+    s = 1.0 if zr > 1.0 else -1.0  # G increases, so w_a has the sign of log zr
+    seen = {0.0: (1.0, 1.0, 0.0)}  # at w_a = 0, D vanishes and G/F with it
+
+    def phi(t_a):  # the Asian root condition at |w_a| = t_a
+        if t_a not in seen:
+            seen[t_a] = _coupled_endpoint(mapper, a0, s * t_a, tol)
+        e_a, f, g = seen[t_a]
+        return s * (e_a - zr) - g / f
+
+    edge = window[1] if s > 0 else -window[0]
+    nodes = mapper.w[(mapper.w >= 0.0) & (mapper.w <= edge)]
+    lo = abs(math.log(zr))
+    probe = lo + _SEED_STRETCH * (_const_sigma_root(zr)[1] - lo)
+    hi = float(np.interp(probe, s * np.log(mapper.payoff_factor(mapper.v0 * np.exp(s * nodes)) / a0), nodes))
+    while phi(hi) < 0.0:
+        if hi == edge:
+            raise NumericsError(f"excursion leaves the monotone window |log(v/V0)| <= {edge:g} of G")
+        hi = min(2.0 * hi, edge)
+    t_a = find_root(phi, Bracket(0.0, hi), tol=1e-13)
+    e_a, f, g = seen[t_a]
+    return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if s > 0 else "below", "w_a": s * t_a}
 
 
 def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) -> RateResult:
-    """inf of the variance-leg energy subject to int G(e^h) dt = K.
-
-    Reduced to a plain Asian problem with effective volatility
-    sigma_hat(A) = x G'(x) sigma(x) / A at x = G^{-1}(A); falls back to a
-    one-dimensional direct transcription when G is not invertible on the
-    needed range.
-    """
+    """inf of the variance-leg energy subject to int G(e^h) dt = K: an Asian
+    problem in the payoff level (``_coupled_asian``, with plain-JSON diagnostics
+    ``alpha``, ``branch``, ``rho_eff``, ``w_a`` and ``kernel_calls``), or a
+    direct transcription when G is not invertible on the needed range."""
     a0 = forward_variance_limit(model)
-    if abs(k - a0) <= 1e-14 * a0:
-        return RateResult(0.0, "corr_path_asian", z_star=k, g_cost=0.0, h_cost=0.0)
+    if abs(k - a0) <= _ATM_REL_TOL * a0:
+        return RateResult(0.0, "corr_path_asian", z_star=k)
 
     mapper = _CoupledMap(model, rho_eff)
     window = mapper.monotone_window()
     if window is not None:
         try:
-            def sig_hat_log(y):
-                a = a0 * np.exp(y)
-                x = mapper.payoff_inverse(a, window)
-                sig = model.sigma.value_log(np.log(x / model.v0))
-                return x * mapper.payoff_factor_deriv(x) * sig / a
-
-            sol = asian_rate_general(sig_hat_log, k / a0, tol=tol)
-            return RateResult(
-                sol.value,
-                "corr_path_asian",
-                z_star=k,
-                g_cost=0.0,
-                h_cost=sol.value,
-                diagnostics={"alpha": sol.alpha, "branch": sol.branch, "rho_eff": rho_eff},
-            )
+            with count_kernel_calls() as kernel_calls:
+                value, diagnostics = _coupled_asian(mapper, a0, k / a0, window, tol)
+            diagnostics.update(rho_eff=rho_eff, kernel_calls=kernel_calls[0])
+            return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
         except NumericsError:
             pass  # excursion left the monotone window: transcribe directly
 
     return _h_only_direct(model, k, mapper)
 
 
-def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap, n: int = 401) -> RateResult:
+def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult:
     """Direct transcription of the h-only problem (non-invertible payoff map).
 
     The payoff map may be locally decreasing, so the sign of the excursion
     that meets the constraint is not known a priori; Newton-KKT solves are
-    started on both sides and the lower-cost converged solution wins.
+    started on both sides and the lower-cost converged solution wins.  A
+    path that leaves the coupled-map table raises NumericsError.
     """
-    t = np.linspace(0.0, 1.0, n)
+    t = np.linspace(0.0, 1.0, 401)
     dt = t[1] - t[0]
-    log_v0 = math.log(model.v0)
     x_eff = math.log(k / forward_variance_limit(model))
 
     def pieces(h_int):
@@ -437,17 +451,12 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap, n: int = 401)
     if not solutions:
         raise failures[0]
     value, h, lam, diag = min(solutions, key=lambda s: s[0])
-    paths = PathPair(
-        t,
-        np.log(mapper.f_of_x(model.v0 * np.exp(np.clip(h, -mapper.W_SPAN, mapper.W_SPAN)))),
-        log_v0 + h,
-    )
+    paths = PathPair(t, np.log(mapper.f_of_x(model.v0 * np.exp(h))), math.log(model.v0) + h)
     return RateResult(
         value,
         "corr_path_direct",
         z_star=k,
         lagrange=lam,
-        g_cost=0.0,
         h_cost=value,
         diagnostics={"x": x_eff, **diag, "fallback": True},
         paths=paths,
@@ -464,16 +473,7 @@ def rate_perfect_corr(model: LsvModel, k: float, sign: int, tol: QuadTolerance |
         raise ValueError("strike must be positive")
     tol = tol or QuadTolerance()
     res = _h_only_rate(model, k, float(sign), tol)
-    method = "perfect_corr" if res.method == "corr_path_asian" else "perfect_corr_direct"
-    return RateResult(
-        res.value,
-        method,
-        z_star=res.z_star,
-        g_cost=res.g_cost,
-        h_cost=res.h_cost,
-        diagnostics=res.diagnostics,
-        paths=res.paths,
-    )
+    return replace(res, method="perfect_corr" if res.method == "corr_path_asian" else "perfect_corr_direct")
 
 
 def rate_upper_corr_path(model: LsvModel, k: float, tol: QuadTolerance | None = None) -> float:

@@ -157,9 +157,8 @@ def asian_rate_general(
     """Rate of the h-only problem with constraint (1/level0) int e^h dt = zr.
 
     ``sig_log(y)`` must return the (positive) volatility coefficients at an
-    array of log offsets y from the starting level.  Used directly for
-    J(V0, z) and, with a transformed coefficient, for the perfectly
-    correlated reduction.  The root in the terminal log excursion alpha is
+    array of log offsets y from the starting level (J(V0, z) passes
+    sigma).  The root in the terminal log excursion alpha is
     bracketed from |log zr| upward, with the first probe just past the
     constant vol-of-vol root, so the probe does not run far beyond the root
     (across a clamp kink, say) when sigma varies slowly.

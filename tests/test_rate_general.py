@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.integrate import quad
+from scipy.optimize import brentq, minimize
 
 from varsmile import (
     ConstantEta,
     ConstantSigma,
     LogPolyEta,
+    LogPolySigma,
     LsvModel,
     NumericOptions,
     PathPair,
@@ -27,8 +29,15 @@ from varsmile import (
     rate_zero_rho,
 )
 from varsmile import rate_general, rate_zero
-from varsmile.errors import ConvergenceError
-from varsmile.rate_general import _CoupledMap, _lagrangian_grad, constraint_integral
+from varsmile.errors import ConvergenceError, NumericsError
+from varsmile.numerics import QuadTolerance
+from varsmile.rate_general import _CoupledMap, _coupled_endpoint, _h_only_rate, _lagrangian_grad, constraint_integral
+
+# perfbench/models/kinked.json: eta 1 - 0.3u clamped to [0.85, 1.15] (kinks
+# at u = +-0.5), sigma 2 + 0.5w clamped to [1.85, 2.15] (kinks at w = +-0.3)
+KINKED = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=LogPolyEta((1.0, -0.3), 0.85, 1.15),
+                  sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15))
+TANH = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=ConstantSigma(2.0))
 
 
 def const_model(rho=0.0, eta0=1.0, sigma0=2.0, v0=0.1):
@@ -156,7 +165,27 @@ class TestFMap:
         for rho_eff, v in ((1.0, 0.4), (-0.6, 0.05), (0.3, 0.2)):
             got = _CoupledMap(m, rho_eff).f_of_x([v])[0]
             expect = m.s0 * math.exp(2.0 * 1.0 * rho_eff * (math.sqrt(v) - math.sqrt(0.1)) / 2.0)
-            assert abs(got - expect) < 1e-9 * expect
+            assert abs(got - expect) < 1e-12 * expect
+
+    @pytest.mark.parametrize("model, w_kinks, u_kinks", [(TANH, (), ()), (KINKED, (-0.3, 0.3), (-0.5, 0.5))],
+                             ids=["tanh", "kinked"])
+    def test_matches_quadpack_map(self, model, w_kinks, u_kinks):
+        """F(v) against QUADPACK primitives, split at the clamp kinks, and a
+        brentq solve of Phi_S(u) = rho Phi_V(w)."""
+
+        def primitive(fn, b, kinks):
+            pts = [p for p in kinks if min(0.0, b) < p < max(0.0, b)]
+            return quad(fn, 0.0, b, points=pts or None, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        for rho_eff in (1.0, -1.0, 0.7):
+            mapper = _CoupledMap(model, rho_eff)
+            for w in (-3.5, -1.0, -0.31, 0.05, 0.2, 0.4, 1.5, 3.5):
+                phi_v = primitive(lambda y: math.sqrt(model.v0) * math.exp(0.5 * y) / model.sigma.value_log(y),
+                                  w, w_kinks)
+                u = brentq(lambda u: primitive(lambda y: 1.0 / model.eta.value_log(y), u, u_kinks) - rho_eff * phi_v,
+                           -10.0, 10.0, xtol=1e-15, rtol=1e-15)
+                expect = model.s0 * math.exp(u)
+                assert abs(mapper.f_of_x([model.v0 * math.exp(w)])[0] - expect) <= 1e-12 * expect
 
 
 def h_only_oracle(model, k, rho_eff, n=201):
@@ -202,6 +231,7 @@ def h_only_oracle(model, k, rho_eff, n=201):
         gd = np.asarray(mapper.payoff_factor_deriv(v)) * v * dt
         return scatter(np.zeros_like(gd), gd, len(h_int))
 
+    box = _CoupledMap.W_SPAN - 0.5  # keep midpoints inside the map's table
     best = None
     for scale in (x_eff, -x_eff):
         h0 = (scale * 1.5 * (2 * t - t * t))[1:]
@@ -210,7 +240,7 @@ def h_only_oracle(model, k, rho_eff, n=201):
             h0,
             jac=energy_jac,
             method="SLSQP",
-            bounds=[(-9.5, 9.5)] * (n - 1),
+            bounds=[(-box, box)] * (n - 1),
             constraints=[{"type": "eq", "fun": con, "jac": con_jac}],
             options={"maxiter": 500, "ftol": 1e-14},
         )
@@ -228,6 +258,29 @@ class TestPerfectCorr:
             res = rate_perfect_corr(m, 0.12, sign)
             assert abs(res.value - asian_rate_j_const(2.0, 0.1, 0.12).value) < 1e-12
             assert res.method == "perfect_corr"
+
+    @pytest.mark.parametrize("x", [1e-3, -1e-3, 1e-2])
+    def test_constant_eta_small_excursions(self, x):
+        # the payoff gap near the terminal excursion cancels unless taken from v G'(v)
+        m = const_model(rho=1.0)
+        k = 0.1 * math.exp(x)
+        expect = asian_rate_j_const(2.0, 0.1, k).value
+        assert abs(rate_perfect_corr(m, k, 1).value - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("delta", [1e-6, 2e-5, 5e-4])
+    def test_endpoint_integrals_past_a_clamp_kink(self, monkeypatch, delta):
+        """Terminal excursions just past the eta clamp (u = 0.5), where G'
+        jumps: the endpoint integrals stay accurate, because the Gauss rule
+        for the payoff gap is not used across the kink."""
+        m = KINKED.with_rho(1.0)
+        a0 = forward_variance_limit(m)
+        mapper = _CoupledMap(m, 1.0)
+        w_kink = brentq(lambda w: float(mapper._log_f(m.v0 * math.exp(w))) - 0.5, 1.0, 3.0, xtol=1e-15)
+        got = _coupled_endpoint(mapper, a0, w_kink + delta, QuadTolerance())
+        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta, QuadTolerance())
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-10 * b
 
     def test_atm_zero(self):
         m = LsvModel(s0=1.0, v0=0.1, rho=1.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=ConstantSigma(2.0))
@@ -263,6 +316,66 @@ class TestPerfectCorr:
         oracle = h_only_oracle(m, k, 1.0)
         assert oracle is not None
         assert abs(res.value - oracle) <= 1e-3 * oracle
+
+
+    @pytest.mark.parametrize("sign, x", [(1, 0.15), (-1, -0.15), (1, -0.15), (-1, 0.15)])
+    def test_kinked_kernel_calls_single_pass(self, monkeypatch, sign, x):
+        """Each kernel call of the w-route takes one pass (10 + 20 Gauss
+        nodes and 2 edge probes) at the closed_kinked strikes."""
+        kernel = rate_general.integrate_sqrt_singular
+        points = []
+
+        def counted(f, *args, **kw):
+            seen = [0]
+
+            def wrapped(y, *rest):
+                seen[0] += np.size(y)
+                return f(y, *rest)
+
+            out = kernel(wrapped, *args, **kw)
+            points.append(seen[0])
+            return out
+
+        monkeypatch.setattr(rate_general, "integrate_sqrt_singular", counted)
+        m = KINKED.with_rho(float(sign))
+        res = rate_perfect_corr(m, forward_variance_limit(m) * math.exp(x), sign)
+        assert points == [32] * len(points)
+        assert len(points) == res.diagnostics["kernel_calls"] <= 7
+
+    def test_diagnostics_json_serializable(self):
+        for m, rho_eff, x in ((TANH.with_rho(1.0), 1.0, 0.15), (KINKED.with_rho(-1.0), -1.0, -0.15),
+                              (KINKED.with_rho(0.7), 0.7, 0.2)):
+            a0 = forward_variance_limit(m)
+            res = _h_only_rate(m, a0 * math.exp(x), rho_eff, QuadTolerance())
+            if abs(rho_eff) == 1.0:
+                assert rate_perfect_corr(m, a0 * math.exp(x), int(rho_eff)).diagnostics == res.diagnostics
+            diag = json.loads(json.dumps(res.diagnostics))
+            assert set(diag) == {"alpha", "branch", "rho_eff", "w_a", "kernel_calls"}
+            assert diag["branch"] == ("above" if x > 0 else "below") and diag["rho_eff"] == rho_eff
+            assert 0 < diag["kernel_calls"] <= 7
+            # alpha is the log excursion of the payoff level at the terminal log variance w_a
+            g_a = _CoupledMap(m, rho_eff).payoff_factor(m.v0 * math.exp(diag["w_a"]))
+            assert abs(abs(math.log(g_a / a0)) - diag["alpha"]) <= 1e-12
+
+    @pytest.mark.parametrize("model", [TANH, KINKED], ids=["tanh", "kinked"])
+    @pytest.mark.parametrize("rho, x", [(1.0, 0.15), (-1.0, -0.15), (0.7, 0.2), (-0.7, -0.1)])
+    def test_tables_converged(self, monkeypatch, model, rho, x):
+        """Perfect-correlation rates and corr-path bounds at the benchmark's
+        design points do not move when the map's grids are refined."""
+        m = model.with_rho(rho)
+        k = forward_variance_limit(m) * math.exp(x)
+        rate = (lambda: rate_perfect_corr(m, k, int(rho)).value) if abs(rho) == 1.0 else (
+            lambda: rate_upper_corr_path(m, k))
+        coarse = rate()
+        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        fine = rate()
+        assert abs(coarse - fine) <= 1e-11 * fine
+
+    def test_excursion_past_table_raises(self):
+        # the terminal excursion is about 1.5 x here: x = 3 needs |log(v/V0)| near 4.5
+        m = KINKED.with_rho(1.0)
+        with pytest.raises(NumericsError, match="coupled-map table"):
+            rate_perfect_corr(m, forward_variance_limit(m) * math.exp(3.0), 1)
 
 
 class TestCorrPathBound:
