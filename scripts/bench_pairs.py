@@ -3,7 +3,7 @@
 
 Usage:
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json
-        [--pairs 10] [--seconds 25] [--seed 1] [--workloads closed_kinked ...]
+        [--pairs 10] [--seconds 25] [--seed 1]
 
 PARENT and CHANGE are checkout roots, each with its own ``perfbench/run.py``
 and ``src/``.  For every workload the script runs ``perfbench/run.py
@@ -71,11 +71,9 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workloads", nargs="*", default=None, help="default: all of BENCHMARK.json")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     report = {
         "command": "perfbench/run.py --trace 0",
         "pairs": args.pairs,
@@ -86,7 +84,7 @@ def main(argv=None) -> int:
         "src_loc": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

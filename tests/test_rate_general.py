@@ -317,7 +317,6 @@ class TestPerfectCorr:
         assert oracle is not None
         assert abs(res.value - oracle) <= 1e-3 * oracle
 
-
     @pytest.mark.parametrize("sign, x", [(1, 0.15), (-1, -0.15), (1, -0.15), (-1, 0.15)])
     def test_kinked_kernel_calls_single_pass(self, monkeypatch, sign, x):
         """Each kernel call of the w-route takes one pass (10 + 20 Gauss
