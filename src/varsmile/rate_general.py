@@ -285,31 +285,33 @@ class _CoupledMap:
         out[:mid] = -np.cumsum(seg[mid - 1 :: -1])[::-1]
         return out
 
-    def _log_f(self, x):
-        """u = log(F(x) / S0) = Phi_S^{-1}(rho_eff Phi_V(log(x / V0)))."""
+    def _coords(self, x):
+        """(w, rho_eff Phi_V(w)) at w = log(x / V0); Phi_S^{-1} of the latter is log(F(x) / S0)."""
         w = np.log(np.asarray(x, dtype=float) / self.v0)
         if np.any(np.abs(w) > self.W_SPAN):
             raise NumericsError(f"variance level outside the coupled-map table |log(v/V0)| <= {self.W_SPAN:g}")
         rhs = self.rho_eff * self._phi_v(w)
         if np.any(rhs < self._phi_s_range[0]) or np.any(rhs > self._phi_s_range[1]):
             raise NumericsError("coupled-map primitive out of range (clamp saturation)")
-        return self._phi_s_inv(rhs)
+        return w, rhs
 
     def f_of_x(self, x):
         """Asset level(s) F(x) at variance level(s) x."""
-        return self.model.s0 * np.exp(self._log_f(x))
+        return self.model.s0 * np.exp(self._phi_s_inv(self._coords(x)[1]))
 
     def payoff_factor(self, x):
         """G(x) = x * eta^2(F(x))."""
-        e = self.model.eta.value_log(self._log_f(x))
+        e = self.model.eta.value_log(self._phi_s_inv(self._coords(x)[1]))
         return x * e * e
 
     def payoff_factor_deriv(self, x):
-        """G'(x) = eta^2(F) * (1 + 2 rho_eff sqrt(x) * Xi(F) / sigma(x)),
-        with Xi the log-derivative of eta at F."""
-        u, eta, sig = self._log_f(x), self.model.eta, self.model.sigma.value_log(np.log(x / self.v0))
+        """G'(x) = eta^2(F) + 2 eta(F) Xi(F) du/dw, Xi the log-derivative of eta at
+        F, with the tables' own slope du/dw = rho_eff (Phi_S^{-1})' Phi_V' (not
+        eta(F) rho_eff sqrt(x) / sigma(x)): the derivative of ``payoff_factor``."""
+        w, rhs = self._coords(x)
+        u, eta = self._phi_s_inv(rhs), self.model.eta
         e = eta.value_log(u)
-        return e * e * (1.0 + 2.0 * self.rho_eff * np.sqrt(x) * eta.dvalue_log(u) / sig)
+        return e * (e + 2.0 * eta.dvalue_log(u) * self.rho_eff * self._phi_s_inv(rhs, 1) * self._phi_v(w, 1))
 
     def monotone_window(self):
         """(w_lo, w_hi): the widest run of inner table nodes around 0 on which
@@ -403,7 +405,6 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) 
             return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
         except NumericsError:
             pass  # excursion left the monotone window: transcribe directly
-
     return _h_only_direct(model, k, mapper)
 
 

@@ -275,12 +275,28 @@ class TestPerfectCorr:
         m = KINKED.with_rho(1.0)
         a0 = forward_variance_limit(m)
         mapper = _CoupledMap(m, 1.0)
-        w_kink = brentq(lambda w: float(mapper._log_f(m.v0 * math.exp(w))) - 0.5, 1.0, 3.0, xtol=1e-15)
+        w_kink = brentq(lambda w: math.log(mapper.f_of_x([m.v0 * math.exp(w)])[0]) - 0.5, 1.0, 3.0, xtol=1e-15)
         got = _coupled_endpoint(mapper, a0, w_kink + delta, QuadTolerance())
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
         ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta, QuadTolerance())
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-10 * b
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-4, 5e-4])
+    def test_endpoint_integrals_past_an_off_node_sigma_clamp(self, monkeypatch, rho, delta):
+        """A sigma clamp between table nodes (w = 0.34) bends the tabulated G
+        inside one table segment; the Gauss rule for the payoff gap follows the
+        tables' own slope there, so the kernel converges.  The tables are only
+        about 1e-7 accurate across such a segment."""
+        m = LsvModel(s0=1.0, v0=0.1, rho=rho, eta=TanhEta(1.0, -0.1, 0.0),
+                     sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.17))
+        a0 = forward_variance_limit(m)
+        got = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta, QuadTolerance())
+        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        ref = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta, QuadTolerance())
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-6 * b
 
     def test_atm_zero(self):
         m = LsvModel(s0=1.0, v0=0.1, rho=1.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=ConstantSigma(2.0))
