@@ -243,7 +243,7 @@ class _CoupledMap:
     rho_eff Phi_V reaches, on uniform grids of node spacing STEP through 0,
     as cubic Hermite interpolants of the values and exact slopes at the
     nodes.  They give vectorized F(v), the effective payoff map
-    G(v) = v eta^2(F(v)), and its analytic derivative.
+    G(v) = v eta^2(F(v)), and G' from the tables' own slopes.
     """
 
     W_SPAN = 4.0
