@@ -3,12 +3,13 @@
 
 Usage:
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json
-        [--pairs 10] [--seconds 25] [--seed 1]
+        [--pairs 10] [--seed 1]
 
 PARENT and CHANGE are checkout roots, each with its own ``perfbench/run.py``
 and ``src/``.  For every workload the script runs ``perfbench/run.py
---trace 0`` k times on each side, alternating which side goes first, so a
-drift of the host's speed falls on both alike.  The JSON it writes holds,
+--trace 0`` k times on each side, for the ``run_seconds`` that
+``BENCHMARK.json`` fixes, alternating which side goes first, so a drift of
+the host's speed falls on both alike.  The JSON it writes holds,
 per workload and end-to-end metric of ``BENCHMARK.json``, the median and
 interquartile range (IQR) of each side, the change's wins over the k pairs,
 and the gain of the medians over the parent's IQR; and, once, the host's
@@ -69,7 +70,6 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     report = {
         "command": "perfbench/run.py --trace 0",
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "seed": args.seed,
         "cores": os.cpu_count(),
         "python": platform.python_version(),
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 t0 = time.perf_counter()
-                runs[side].append(run_once(getattr(args, side), workload, args.seed, args.seconds))
+                runs[side].append(run_once(getattr(args, side), workload, args.seed, spec["run_seconds"]))
                 print(f"{workload} pair {i + 1}/{args.pairs} {side} {time.perf_counter() - t0:.0f} s",
                       file=sys.stderr)
         entry = {side: {"failed": sum(r["failed"] for r in rs), "attempted": sum(r["attempted"] for r in rs)}

@@ -60,21 +60,16 @@ class AtmExpansion:
         t = np.asarray(t, dtype=float)
         return self.h1_amp * (2.0 * t - t * t)
 
-    def g2(self, t):
+    @staticmethod
+    def _profile2(t, a, b, c):
         t = np.asarray(t, dtype=float)
-        return (
-            0.5 * self.a * t * (t - 2.0)
-            + self.b * t * (t * t - 3.0) / 6.0
-            + self.c * t * (t**3 - 4.0) / 12.0
-        )
+        return 0.5 * a * t * (t - 2.0) + b * t * (t * t - 3.0) / 6.0 + c * t * (t**3 - 4.0) / 12.0
+
+    def g2(self, t):
+        return self._profile2(t, self.a, self.b, self.c)
 
     def h2(self, t):
-        t = np.asarray(t, dtype=float)
-        return (
-            0.5 * self.abar * t * (t - 2.0)
-            + self.bbar * t * (t * t - 3.0) / 6.0
-            + self.cbar * t * (t**3 - 4.0) / 12.0
-        )
+        return self._profile2(t, self.abar, self.bbar, self.cbar)
 
 
 def atm_expansion(model: LsvModel) -> AtmExpansion:

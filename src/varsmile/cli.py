@@ -31,6 +31,13 @@ _SKEW_NOTE = (
 )
 
 
+# RateResult fields that ``rate`` reports per method
+_RATE_FIELDS = {
+    "closed": ("method", "value", "z_star", "g_endpoint", "lagrange", "g_cost", "h_cost"),
+    "numeric": ("method", "value", "g_cost", "h_cost"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -110,27 +117,7 @@ def _cmd_rate(args) -> int:
     out = []
     for k in strikes:
         res = rate_by_method(model, k, args.method)
-        if args.method == "closed":
-            payload = {
-                "strike": k,
-                "method": res.method,
-                "value": res.value,
-                "z_star": res.z_star,
-                "g_endpoint": res.g_endpoint,
-                "lagrange": res.lagrange,
-                "g_cost": res.g_cost,
-                "h_cost": res.h_cost,
-            }
-        elif args.method == "numeric":
-            payload = {
-                "strike": k,
-                "method": res.method,
-                "value": res.value,
-                "g_cost": res.g_cost,
-                "h_cost": res.h_cost,
-                "constraint_residual": res.diagnostics.get("constraint_residual"),
-            }
-        elif args.method == "bounds":
+        if args.method == "bounds":
             payload = {
                 "strike": k,
                 "method": "bounds",
@@ -138,8 +125,12 @@ def _cmd_rate(args) -> int:
                 "best_upper": res.best_upper,
                 "upper_candidates": dict(res.upper_candidates),
             }
-        else:  # expansion
+        elif args.method == "expansion":
             payload = {"strike": k, "method": "expansion", "value": res.value, "x": res.diagnostics["x"]}
+        else:
+            payload = {"strike": k, **{f: getattr(res, f) for f in _RATE_FIELDS[args.method]}}
+            if args.method == "numeric":
+                payload["constraint_residual"] = res.diagnostics.get("constraint_residual")
         out.append(payload)
     _write(args.out, json.dumps(out[0] if len(out) == 1 else out, indent=2, sort_keys=True) + "\n")
     return 0

@@ -34,6 +34,10 @@ class DegenerateEtaError(ValueError):
     """Constant local volatility where a non-constant one is required."""
 
 
+class TableRangeError(NumericsError):
+    """A level left the range of a precomputed table."""
+
+
 class InfeasibleStrikeError(NumericsError):
     """No terminal asset level solves the endpoint equation for the given (z, K)."""
 

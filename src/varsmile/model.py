@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -283,22 +283,22 @@ class LsvModel:
         return np.full_like(np.asarray(v, dtype=float), float(self.mu))
 
 
+def _eval_at_level(spec, level0: float, x, what: str):
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError(f"{what} must be positive")
+    out = spec.value_log(np.log(x / level0))
+    return float(out) if out.ndim == 0 else out
+
+
 def eta_eval(model: LsvModel, s):
     """Clamped local volatility at asset price(s) s > 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("asset price must be positive")
-    out = model.eta.value_log(np.log(s / model.s0))
-    return float(out) if out.ndim == 0 else out
+    return _eval_at_level(model.eta, model.s0, s, "asset price")
 
 
 def sigma_eval(model: LsvModel, v):
     """Clamped vol-of-vol at variance level(s) v > 0."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("variance must be positive")
-    out = model.sigma.value_log(np.log(v / model.v0))
-    return float(out) if out.ndim == 0 else out
+    return _eval_at_level(model.sigma, model.v0, v, "variance")
 
 
 def forward_variance_limit(model: LsvModel) -> float:
@@ -373,15 +373,10 @@ def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
 # JSON model files
 # ---------------------------------------------------------------------------
 
-_ETA_KEYS = {
-    "tanh": {"f0", "f1", "x0"},
-    "logpoly": {"coeffs", "clamp_lo", "clamp_hi"},
-    "constant": {"eta0"},
-}
-_SIGMA_KEYS = {
-    "constant": {"sigma0"},
-    "logpoly": {"sigma0", "sigma1", "sigma2", "clamp_lo", "clamp_hi"},
-}
+# file "type" of each family; a spec's other keys are its dataclass fields
+_ETA_TYPES = {"tanh": TanhEta, "logpoly": LogPolyEta, "constant": ConstantEta}
+_SIGMA_TYPES = {"constant": ConstantSigma, "logpoly": LogPolySigma}
+_TYPE_NAMES = {cls: name for types in (_ETA_TYPES, _SIGMA_TYPES) for name, cls in types.items()}
 
 
 def _check_keys(d: dict, allowed: set[str], where: str):
@@ -390,14 +385,20 @@ def _check_keys(d: dict, allowed: set[str], where: str):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _eta_from_dict(d: dict) -> EtaSpec:
+def _spec_body(d: dict, what: str, types: dict) -> tuple[str, dict]:
+    """(type, remaining keys) of an eta or sigma spec, the keys checked."""
     if "type" not in d:
-        raise ValueError("eta spec needs a 'type' key")
+        raise ValueError(f"{what} spec needs a 'type' key")
     kind = d["type"]
-    if kind not in _ETA_KEYS:
-        raise ValueError(f"unknown eta type {kind!r}")
+    if kind not in types:
+        raise ValueError(f"unknown {what} type {kind!r}")
     body = {k: v for k, v in d.items() if k != "type"}
-    _check_keys(body, _ETA_KEYS[kind], f"eta[{kind}]")
+    _check_keys(body, {f.name for f in fields(types[kind])}, f"{what}[{kind}]")
+    return kind, body
+
+
+def _eta_from_dict(d: dict) -> EtaSpec:
+    kind, body = _spec_body(d, "eta", _ETA_TYPES)
     if kind == "tanh":
         return TanhEta(float(body["f0"]), float(body["f1"]), float(body.get("x0", 0.0)))
     if kind == "logpoly":
@@ -410,13 +411,7 @@ def _eta_from_dict(d: dict) -> EtaSpec:
 
 
 def _sigma_from_dict(d: dict) -> SigmaSpec:
-    if "type" not in d:
-        raise ValueError("sigma spec needs a 'type' key")
-    kind = d["type"]
-    if kind not in _SIGMA_KEYS:
-        raise ValueError(f"unknown sigma type {kind!r}")
-    body = {k: v for k, v in d.items() if k != "type"}
-    _check_keys(body, _SIGMA_KEYS[kind], f"sigma[{kind}]")
+    kind, body = _spec_body(d, "sigma", _SIGMA_TYPES)
     if kind == "constant":
         return ConstantSigma(float(body["sigma0"]))
     return LogPolySigma(
@@ -450,37 +445,11 @@ def model_to_dict(model: LsvModel) -> dict:
     before the drift was serialized keep their content and hash."""
     if callable(model.mu):
         raise ValueError("a callable drift mu cannot be written to a model file")
-    if isinstance(model.eta, TanhEta):
-        eta = {"type": "tanh", "f0": model.eta.f0, "f1": model.eta.f1, "x0": model.eta.x0}
-    elif isinstance(model.eta, LogPolyEta):
-        eta = {
-            "type": "logpoly",
-            "coeffs": list(model.eta.coeffs),
-            "clamp_lo": model.eta.clamp_lo,
-            "clamp_hi": model.eta.clamp_hi,
-        }
-    else:
-        eta = {"type": "constant", "eta0": model.eta.eta0}
-    if isinstance(model.sigma, ConstantSigma):
-        sigma = {"type": "constant", "sigma0": model.sigma.sigma0}
-    else:
-        sigma = {
-            "type": "logpoly",
-            "sigma0": model.sigma.sigma0,
-            "sigma1": model.sigma.sigma1,
-            "sigma2": model.sigma.sigma2,
-            "clamp_lo": model.sigma.clamp_lo,
-            "clamp_hi": model.sigma.clamp_hi,
-        }
-    out = {
-        "s0": model.s0,
-        "v0": model.v0,
-        "rho": model.rho,
-        "r": model.r,
-        "q": model.q,
-        "eta": eta,
-        "sigma": sigma,
-    }
+    out = {"s0": model.s0, "v0": model.v0, "rho": model.rho, "r": model.r, "q": model.q}
+    for name, spec in (("eta", model.eta), ("sigma", model.sigma)):
+        out[name] = {"type": _TYPE_NAMES[type(spec)], **asdict(spec)}
+        if "coeffs" in out[name]:
+            out[name]["coeffs"] = list(spec.coeffs)
     if model.mu != 0.0:
         out["mu"] = float(model.mu)
     return out

@@ -20,9 +20,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import solve_banded
+from scipy.optimize import minimize_scalar
 
 from . import atm as atm_mod
-from .errors import ConvergenceError, NumericsError
+from .errors import ConvergenceError, NumericsError, TableRangeError
 from .model import LsvModel, forward_variance_limit
 from .numerics import Bracket, QuadTolerance, count_kernel_calls, find_root, integrate_sqrt_singular
 from .paths import PathPair
@@ -151,7 +152,10 @@ def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None)
     uppers.append(("zero_corr_paths", lambda_functional(model, paths0).total))
     uppers.append(("scaled_asian", asian.value / (1.0 - rho * rho)))
 
-    uppers.append(("corr_path", rate_upper_corr_path(model, k, tol=tol)))
+    try:
+        uppers.append(("corr_path", rate_upper_corr_path(model, k, tol=tol)))
+    except TableRangeError:
+        pass  # the strike's excursion leaves the coupled-map table; the other uppers stand
 
     best = min(v for _, v in uppers)
     return BoundsResult(lower=lower, upper_candidates=tuple(uppers), best_upper=best)
@@ -238,22 +242,22 @@ class _CoupledMap:
     """Precomputed primitives for the coupled-path construction.
 
     Tabulates Phi_V(w) = sqrt(V0) int_0^w e^{w'/2}/sigma(w') dw' over the
-    log-variance table |w| <= W_SPAN and the inverse of
-    Phi_S(u) = int_0^u du'/eta(u') over the log-asset range that
+    log-variance table |w| <= span, clipped to [W_SPAN, MAX_SPAN], and the
+    inverse of Phi_S(u) = int_0^u du'/eta(u') over the log-asset range that
     rho_eff Phi_V reaches, on uniform grids of node spacing STEP through 0,
     as cubic Hermite interpolants of the values and exact slopes at the
     nodes.  They give vectorized F(v), the effective payoff map
-    G(v) = v eta^2(F(v)), and G' from the tables' own slopes.
+    G(v) = v eta^2(F(v)), and G' from the tables' own slope.
     """
 
-    W_SPAN = 4.0
+    W_SPAN, MAX_SPAN = 4.0, 10.0
     STEP = 0.00625
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-    def __init__(self, model: LsvModel, rho_eff: float):
+    def __init__(self, model: LsvModel, rho_eff: float, span: float = W_SPAN):
         self.model, self.rho_eff, self.v0 = model, rho_eff, model.v0
 
-        self.w = self._grid(self.W_SPAN)
+        self.w = self._grid(min(max(span, self.W_SPAN), self.MAX_SPAN))
         dphi_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
         phi_v = self._cumulative(dphi_v, self.w)
         self._phi_v = CubicHermiteSpline(self.w, phi_v, dphi_v(self.w))
@@ -262,9 +266,19 @@ class _CoupledMap:
         # least like u / eta_max, so u_span = |Phi_V|_max eta_max suffices
         reach = abs(rho_eff) * float(np.max(np.abs(phi_v)))
         u = self._grid(max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0))
-        phi_s = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u)
-        self._phi_s_inv = CubicHermiteSpline(phi_s, u, model.eta.value_log(u))
+        phi_s, e_u = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u), model.eta.value_log(u)
+        self._phi_s_inv = CubicHermiteSpline(phi_s, u, e_u)
         self._phi_s_range = (phi_s[0], phi_s[-1])
+
+        # G' jumps where F crosses a clamp point of eta: a u-table segment whose end nodes
+        # differ in clamp state brackets one in Phi_S, and so in w (``kinks``)
+        at = (e_u <= model.eta.clamp_lo) | (e_u >= model.eta.clamp_hi)
+        j = np.flatnonzero(at[1:] != at[:-1])
+        lvl, w = (rho_eff * phi_v, self.w) if rho_eff > 0 else (rho_eff * phi_v[::-1], self.w[::-1])
+        ends = np.sort(np.interp(np.stack((phi_s[j], phi_s[j + 1])), lvl, w), axis=0).T
+        reached = (phi_s[j + 1] > lvl[0]) & (phi_s[j] < lvl[-1])
+        self._kink_brackets = np.clip(ends[reached] + [-self.STEP, self.STEP], w.min(), w.max())
+        self._kinks = {}
 
     @classmethod
     def _grid(cls, span: float):
@@ -288,8 +302,8 @@ class _CoupledMap:
     def _coords(self, x):
         """(w, rho_eff Phi_V(w)) at w = log(x / V0); Phi_S^{-1} of the latter is log(F(x) / S0)."""
         w = np.log(np.asarray(x, dtype=float) / self.v0)
-        if np.any(np.abs(w) > self.W_SPAN):
-            raise NumericsError(f"variance level outside the coupled-map table |log(v/V0)| <= {self.W_SPAN:g}")
+        if np.any(np.abs(w) > self.w[-1]):
+            raise TableRangeError(f"variance level outside the coupled-map table |log(v/V0)| <= {self.w[-1]:g}")
         rhs = self.rho_eff * self._phi_v(w)
         if np.any(rhs < self._phi_s_range[0]) or np.any(rhs > self._phi_s_range[1]):
             raise NumericsError("coupled-map primitive out of range (clamp saturation)")
@@ -324,9 +338,26 @@ class _CoupledMap:
         below, above = down[down < mid], down[down > mid]
         return (w[below[-1] + 1] if below.size else w[0], w[above[0] - 1] if above.size else w[-1])
 
+    def kinks(self, s: float, t_hi: float):
+        """The distances t = s w in (0, t_hi), ascending, at which the tabulated
+        F(V0 e^w) crosses a clamp point of eta, so G' jumps; each is bisected
+        to rounding on the tables the first time it is asked for."""
+        eta = self.model.eta
+        for i, (lo, hi) in enumerate(self._kink_brackets):
+            if i not in self._kinks and min(s * lo, s * hi) < t_hi and max(s * lo, s * hi) > 0.0:
+                for _ in range(7):  # 256^7 subdivisions of the bracket reach rounding
+                    grid = np.linspace(lo, hi, 257)
+                    e = eta.value_log(self._phi_s_inv(self.rho_eff * self._phi_v(grid)))
+                    at = (e <= eta.clamp_lo) | (e >= eta.clamp_hi)
+                    j = max(int(np.argmax(at != at[0])), 1)
+                    lo, hi = grid[j - 1], grid[j]
+                self._kinks[i] = 0.5 * (lo + hi)
+        return sorted(s * w for w in self._kinks.values() if 0.0 < s * w < t_hi)
+
 
 # Integrand nodes this near (in w) to the terminal excursion w_a take the payoff
-# gap G(v_a) - G(v) from a Gauss rule on v G'(v), which does not cancel.
+# gap G(v_a) - G(v) from a Gauss rule on v G'(v), which does not cancel; the
+# rule is split where G' jumps, so it holds up to a kink.
 _NEAR = 1e-3
 _NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(4)
 
@@ -338,17 +369,21 @@ def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float, tol: QuadToler
     s, t_a, v0 = math.copysign(1.0, w_a), abs(w_a), mapper.v0
     level = lambda w: mapper.payoff_factor(v0 * np.exp(w)) / a0
     e_a = float(level(w_a))
+    kinks = mapper.kinks(s, t_a)
 
     def fg(t, d):  # t = |w| on [0, t_a], d = t_a - t
         gap = s * (e_a - level(s * t))
         near = d < _NEAR
-        vn = v0 * np.exp(s * (t[near, None] + 0.5 * d[near, None] * (1.0 + _NEAR_X)))
-        rule = 0.5 * d[near] * ((vn * mapper.payoff_factor_deriv(vn)) @ _NEAR_W) / a0
-        # far off the difference only where a clamp kink lies in [w, w_a]
-        gap[near] = np.where(np.abs(rule - gap[near]) <= 64.0 * _EPS * e_a, rule, gap[near])
+        ends = [d[near], *(np.clip(t_a - k, 0.0, d[near]) for k in kinks), 0.0]
+        gap[near] = 0.0
+        for p, q in zip(ends[:-1], ends[1:]):
+            vn = v0 * np.exp(s * (t_a - (q + 0.5 * (p - q))[:, None] - 0.5 * (p - q)[:, None] * _NEAR_X))
+            gap[near] += 0.5 * (p - q) * ((vn * mapper.payoff_factor_deriv(vn)) @ _NEAR_W) / a0
         sig, r = mapper.model.sigma.value_log(s * t), np.sqrt(gap)
         return np.array([1.0 / (sig * r), r / sig])
 
+    # the kernel isolates a kink on the path by bisection: within 1e-9 of t_a, that takes 200-800 panels
+    tol = replace(tol, max_subdivisions=4 * tol.max_subdivisions) if kinks else tol
     f, g = integrate_sqrt_singular(fg, 0.0, t_a, singular_at="b", tol=tol, pass_distance=True)
     return e_a, float(f), float(g)
 
@@ -360,8 +395,10 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadT
     With sigma_hat the Asian coefficient in y = log(A / A0),
     dy / sigma_hat(y) = dw / sigma(w), so the endpoint integrals need G, not
     its inverse (``_coupled_endpoint``).  The root runs in |w_a|, from a seed
-    whose log(G / A0) is the Asian seed probe, read off the table; it may not
-    leave ``window``, where G is increasing.
+    whose log(G / A0) is the Asian seed probe, read off the table; None if it
+    leaves ``window``, where G is increasing.  Just past a kink of G the root
+    condition, smooth in the square root of the distance to it, can dip back
+    below zero (a fold with three roots); there the least rate is taken.
     """
     s = 1.0 if zr > 1.0 else -1.0  # G increases, so w_a has the sign of log zr
     seen = {0.0: (1.0, 1.0, 0.0)}  # at w_a = 0, D vanishes and G/F with it
@@ -379,9 +416,21 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadT
     hi = float(np.interp(probe, s * np.log(mapper.payoff_factor(mapper.v0 * np.exp(s * nodes)) / a0), nodes))
     while phi(hi) < 0.0:
         if hi == edge:
-            raise NumericsError(f"excursion leaves the monotone window |log(v/V0)| <= {edge:g} of G")
+            if edge == mapper.w[-2]:
+                raise TableRangeError(f"excursion leaves the coupled-map table |log(v/V0)| <= {edge:g}")
+            return None  # it leaves the monotone window
         hi = min(2.0 * hi, edge)
-    t_a = find_root(phi, Bracket(0.0, hi), tol=1e-13)
+    kinks = mapper.kinks(s, hi)
+    points = [0.0]
+    for a, b in zip(kinks, kinks[1:] + [hi]):
+        points.append(a)
+        if phi(a) > 0.0:  # a dip below zero just past a, if any, sits at phi's least value
+            r = minimize_scalar(lambda r: phi(a + r * r), bounds=(0.0, math.sqrt(b - a)), method="bounded").x
+            points.append(min(a + r * r, b))
+    points.append(hi)
+    roots = [find_root(phi, Bracket(p, q), tol=1e-13)
+             for p, q in zip(points[:-1], points[1:]) if (phi(p) < 0.0) != (phi(q) < 0.0)]
+    t_a = min(roots, key=lambda t: seen[t][1] * seen[t][2])
     e_a, f, g = seen[t_a]
     return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if s > 0 else "below", "w_a": s * t_a}
 
@@ -390,22 +439,22 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) 
     """inf of the variance-leg energy subject to int G(e^h) dt = K: an Asian
     problem in the payoff level (``_coupled_asian``, with plain-JSON diagnostics
     ``alpha``, ``branch``, ``rho_eff``, ``w_a`` and ``kernel_calls``), or a
-    direct transcription when G is not invertible on the needed range."""
+    direct transcription when G is not invertible on the needed range.  The
+    map's table is widened with the strike: |w_a| stays below 2 |log(K / A0)|
+    at the models tried, up to the table's largest half-width MAX_SPAN."""
     a0 = forward_variance_limit(model)
     if abs(k - a0) <= _ATM_REL_TOL * a0:
         return RateResult(0.0, "corr_path_asian", z_star=k)
 
-    mapper = _CoupledMap(model, rho_eff)
+    mapper = _CoupledMap(model, rho_eff, 2.0 * abs(math.log(k / a0)) + 1.0)
     window = mapper.monotone_window()
-    if window is not None:
-        try:
-            with count_kernel_calls() as kernel_calls:
-                value, diagnostics = _coupled_asian(mapper, a0, k / a0, window, tol)
-            diagnostics.update(rho_eff=rho_eff, kernel_calls=kernel_calls[0])
-            return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
-        except NumericsError:
-            pass  # excursion left the monotone window: transcribe directly
-    return _h_only_direct(model, k, mapper)
+    with count_kernel_calls() as kernel_calls:
+        found = None if window is None else _coupled_asian(mapper, a0, k / a0, window, tol)
+    if found is None:
+        return _h_only_direct(model, k, mapper)
+    value, diagnostics = found
+    diagnostics.update(rho_eff=rho_eff, kernel_calls=kernel_calls[0])
+    return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
 
 
 def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult:
@@ -613,7 +662,6 @@ def rate_numeric(
     return RateResult(
         lv.total,
         "numeric_transcription",
-        z_star=None,
         g_endpoint=float(math.exp(paths.g[-1])),
         lagrange=lam,
         g_cost=lv.g_cost,

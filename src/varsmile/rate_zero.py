@@ -479,9 +479,6 @@ def rate_zero_rho(
                 pivot.value,
                 "closed_zero_rho",
                 z_star=z_pivot,
-                g_endpoint=None,
-                lagrange=None,
-                g_cost=0.0,
                 h_cost=pivot.value,
                 diagnostics={
                     "x": x,

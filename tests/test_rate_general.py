@@ -29,7 +29,7 @@ from varsmile import (
     rate_zero_rho,
 )
 from varsmile import rate_general, rate_zero
-from varsmile.errors import ConvergenceError, NumericsError
+from varsmile.errors import ConvergenceError, NumericsError, TableRangeError
 from varsmile.numerics import QuadTolerance
 from varsmile.rate_general import _CoupledMap, _coupled_endpoint, _h_only_rate, _lagrangian_grad, constraint_integral
 
@@ -144,6 +144,16 @@ class TestBounds:
         b = rate_bounds_rho(m, k)
         assert len(calls) == 1
         assert dict(b.upper_candidates)["zero_corr_paths"] == paths_bound
+
+    def test_corr_path_past_the_table_is_dropped(self, monkeypatch):
+        # with the table held to |log(v/V0)| <= 4, this put's excursion (about 4.3) leaves it
+        m = KINKED.with_rho(0.7)
+        k = forward_variance_limit(m) * math.exp(-2.5)
+        monkeypatch.setattr(_CoupledMap, "MAX_SPAN", _CoupledMap.W_SPAN)
+        with pytest.raises(TableRangeError):
+            rate_upper_corr_path(m, k)
+        b = rate_bounds_rho(m, k)
+        assert [name for name, _ in b.upper_candidates] == ["scaled_zero_corr", "zero_corr_paths", "scaled_asian"]
 
     def test_monotone_degradation(self, tanh_model):
         k = 0.12
@@ -386,11 +396,60 @@ class TestPerfectCorr:
         fine = rate()
         assert abs(coarse - fine) <= 1e-11 * fine
 
-    def test_excursion_past_table_raises(self):
-        # the terminal excursion is about 1.5 x here: x = 3 needs |log(v/V0)| near 4.5
+    @pytest.mark.parametrize("rho, x", [(1.0, 3.0), (1.0, -2.5), (-1.0, -3.0)])
+    def test_far_strikes_widen_the_table(self, monkeypatch, rho, x):
+        """Strikes whose excursion leaves |log(v/V0)| <= W_SPAN get a table
+        sized from the strike, and their rates do not move when it is refined."""
+        m = KINKED.with_rho(rho)
+        k = forward_variance_limit(m) * math.exp(x)
+        coarse = rate_perfect_corr(m, k, int(rho))
+        assert coarse.method == "perfect_corr" and abs(coarse.diagnostics["w_a"]) > _CoupledMap.W_SPAN
+        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        fine = rate_perfect_corr(m, k, int(rho)).value
+        assert abs(coarse.value - fine) <= 1e-11 * fine
+
+    def test_excursion_past_table_raises(self, monkeypatch):
+        # the terminal excursion is about 1.9 |x| here: x = -6 needs |log(v/V0)| near 11
         m = KINKED.with_rho(1.0)
-        with pytest.raises(NumericsError, match="coupled-map table"):
-            rate_perfect_corr(m, forward_variance_limit(m) * math.exp(3.0), 1)
+        monkeypatch.setattr(rate_general, "_h_only_direct", lambda *a: pytest.fail("transcribed past the table"))
+        with pytest.raises(TableRangeError, match="coupled-map table"):
+            rate_perfect_corr(m, forward_variance_limit(m) * math.exp(-6.0), 1)
+
+    def test_fold_past_a_clamp_kink_takes_least_rate(self):
+        """Past the eta clamp (u = 0.5) the root condition dips back below zero,
+        so this strike has three roots in |w_a|; the rate is the least of the three."""
+        m = KINKED.with_rho(1.0)
+        a0 = forward_variance_limit(m)
+        zr = math.exp(1.2656570832710217)
+        mapper, tol = _CoupledMap(m, 1.0), QuadTolerance()
+        (w_kink,) = mapper.kinks(1.0, 3.0)
+
+        def phi(t):
+            e_a, f, g = _coupled_endpoint(mapper, a0, t, tol)
+            return e_a - zr - g / f
+
+        roots = [brentq(phi, a, b, xtol=1e-15) for a, b in ((2.0, w_kink), (w_kink + 1e-6, 2.09), (2.09, 2.2))]
+        rates = [0.5 * math.prod(_coupled_endpoint(mapper, a0, t, tol)[1:]) for t in roots]
+        assert rates[2] < rates[0] - 1e-6 and rates[2] < rates[1]
+        res = rate_perfect_corr(m, a0 * zr, 1)
+        assert abs(res.diagnostics["w_a"] - roots[2]) <= 1e-12
+        assert abs(res.value - rates[2]) <= 1e-12 * rates[2]
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [1e-13, 1e-11, 1e-9, 1e-7])
+    def test_endpoint_integrals_just_past_a_clamp_kink(self, monkeypatch, rho, delta):
+        """Terminal excursions within 1e-7 of the eta clamp point, measured
+        from each table's own kink: the rule for the payoff gap is split
+        there, so the kernel converges and the refined tables agree."""
+        m = KINKED.with_rho(rho)
+        a0 = forward_variance_limit(m)
+        mapper = _CoupledMap(m, rho)
+        got = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, QuadTolerance())
+        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        mapper = _CoupledMap(m, rho)
+        ref = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, QuadTolerance())
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-11 * b
 
 
 class TestCorrPathBound:
