@@ -355,9 +355,8 @@ class _CoupledMap:
         return sorted(s * w for w in self._kinks.values() if 0.0 < s * w < t_hi)
 
 
-# Integrand nodes this near (in w) to the terminal excursion w_a take the payoff
-# gap G(v_a) - G(v) from a Gauss rule on v G'(v), which does not cancel; the
-# rule is split where G' jumps, so it holds up to a kink.
+# Integrand nodes this near (in w) to w_a take the payoff gap G(v_a) - G(v) from
+# a Gauss rule on v G'(v), split where G' jumps; the plain difference cancels.
 _NEAR = 1e-3
 _NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(4)
 
@@ -435,13 +434,16 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadT
     return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if s > 0 else "below", "w_a": s * t_a}
 
 
-def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance) -> RateResult:
+def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance | None) -> RateResult:
     """inf of the variance-leg energy subject to int G(e^h) dt = K: an Asian
     problem in the payoff level (``_coupled_asian``, with plain-JSON diagnostics
     ``alpha``, ``branch``, ``rho_eff``, ``w_a`` and ``kernel_calls``), or a
     direct transcription when G is not invertible on the needed range.  The
     map's table is widened with the strike: |w_a| stays below 2 |log(K / A0)|
     at the models tried, up to the table's largest half-width MAX_SPAN."""
+    if k <= 0:
+        raise ValueError("strike must be positive")
+    tol = tol or QuadTolerance()
     a0 = forward_variance_limit(model)
     if abs(k - a0) <= _ATM_REL_TOL * a0:
         return RateResult(0.0, "corr_path_asian", z_star=k)
@@ -519,9 +521,6 @@ def rate_perfect_corr(model: LsvModel, k: float, sign: int, tol: QuadTolerance |
         raise ValueError("sign must be +1 or -1")
     if model.rho != float(sign):
         raise ValueError(f"model.rho must equal {sign} for the perfect-correlation rate")
-    if k <= 0:
-        raise ValueError("strike must be positive")
-    tol = tol or QuadTolerance()
     res = _h_only_rate(model, k, float(sign), tol)
     return replace(res, method="perfect_corr" if res.method == "corr_path_asian" else "perfect_corr_direct")
 
@@ -530,9 +529,6 @@ def rate_upper_corr_path(model: LsvModel, k: float, tol: QuadTolerance | None = 
     """h-only upper bound on the rate for |rho| < 1 (tight as |rho| -> 1)."""
     if abs(model.rho) >= 1.0:
         raise ValueError("requires |rho| < 1")
-    if k <= 0:
-        raise ValueError("strike must be positive")
-    tol = tol or QuadTolerance()
     return _h_only_rate(model, k, model.rho, tol).value
 
 
