@@ -436,6 +436,37 @@ class TestPerfectCorr:
         assert abs(res.value - rates[2]) <= 1e-12 * rates[2]
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [1e-4, 5e-4])
+    def test_endpoint_integrals_past_a_clamp_kink_match_quadpack(self, rho, delta):
+        """Nodes before the eta clamp point see a payoff gap that spans the
+        jump of G'.  QUADPACK on the pieces either side of the kink, with the
+        plain gap before it and an 8-point rule on v G' after it, agrees."""
+        m = KINKED.with_rho(rho)
+        a0 = forward_variance_limit(m)
+        mapper = _CoupledMap(m, rho)
+        (kink,) = mapper.kinks(1.0, 3.0)
+        t_a = kink + delta
+        level = lambda w: float(mapper.payoff_factor(m.v0 * math.exp(w))) / a0
+        slope = lambda w: m.v0 * math.exp(w) * float(mapper.payoff_factor_deriv(m.v0 * math.exp(w))) / a0
+        sig = lambda w: float(m.sigma.value_log(w))
+        e_a = level(t_a)
+        x8, w8 = np.polynomial.legendre.leggauss(8)
+
+        def gap_over_u2(u):  # (G(v_a) - G(v)) / (A0 u^2) at w = t_a - u^2, past the kink
+            return sum(wi * slope(t_a - 0.5 * u * u * (1.0 + xi)) for xi, wi in zip(x8, w8)) / 2.0
+
+        def integral(fn, top):
+            return quad(fn, 0.0, math.sqrt(top), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+        f = integral(lambda u: 2.0 * u / (sig(kink - u * u) * math.sqrt(e_a - level(kink - u * u))), kink)
+        f += integral(lambda u: 2.0 / (sig(t_a - u * u) * math.sqrt(gap_over_u2(u))), delta)
+        g = integral(lambda u: 2.0 * u * math.sqrt(e_a - level(kink - u * u)) / sig(kink - u * u), kink)
+        g += integral(lambda u: 2.0 * u * u * math.sqrt(gap_over_u2(u)) / sig(t_a - u * u), delta)
+        _, f_got, g_got = _coupled_endpoint(mapper, a0, t_a, QuadTolerance())
+        assert abs(f_got - f) <= 1e-10 * f
+        assert abs(g_got - g) <= 1e-10 * g
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
     @pytest.mark.parametrize("delta", [1e-13, 1e-11, 1e-9, 1e-7])
     def test_endpoint_integrals_just_past_a_clamp_kink(self, monkeypatch, rho, delta):
         """Terminal excursions within 1e-7 of the eta clamp point, measured
