@@ -50,10 +50,10 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError("n_paths must be >= 2")
         if self.antithetic and self.n_paths % 2 != 0:
             raise ValueError("antithetic sampling needs an even n_paths")
+        if self.n_streams < 2:
+            raise ValueError("a standard error needs at least 2 independent streams (4 paths with antithetic)")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not self.maturity > 0:
@@ -77,9 +77,14 @@ class McEstimate:
             raise ValueError("estimate must be finite with nonnegative stderr")
 
 
-def _estimate(samples: np.ndarray, cfg: McConfig) -> McEstimate:
+def _estimate(samples: np.ndarray, cfg: McConfig, half: Optional[np.ndarray] = None) -> McEstimate:
+    """Mean and standard error over independent samples: the antithetic pair
+    means (written into ``half`` when given), else the samples themselves."""
     if cfg.antithetic:
-        pairs = samples.reshape(-1, 2).mean(axis=1)
+        # (a + b) * 0.5 rounds as the (a + b) / 2 of a length-2 mean does,
+        # without numpy's slow reduction along a short axis
+        pairs = np.add(samples[0::2], samples[1::2], out=half)
+        pairs *= 0.5
     else:
         pairs = samples
     n = pairs.size
@@ -88,22 +93,35 @@ def _estimate(samples: np.ndarray, cfg: McConfig) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, n_effective=n, seed=cfg.seed, config=cfg)
 
 
-def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf: np.ndarray):
+def _work_buffers(rv: np.ndarray, cfg: McConfig):
+    """The payoff array and the pair-mean array that a strike sweep reuses."""
+    return np.empty_like(rv), (np.empty(cfg.n_streams) if cfg.antithetic else None)
+
+
+def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf: np.ndarray, half):
     """(call, put) estimates at strike k; each payoff is formed in place in
-    ``buf``, so a strike sweep reuses one array instead of allocating three
-    sample-sized temporaries per payoff."""
+    ``buf`` and its pair means in ``half``, so a strike sweep reuses two
+    arrays instead of allocating sample-sized temporaries per payoff."""
     out = []
     for a, b in ((rv, k), (k, rv)):
         np.subtract(a, b, out=buf)
         np.maximum(buf, 0.0, out=buf)
         buf *= disc
-        out.append(_estimate(buf, cfg))
+        out.append(_estimate(buf, cfg, half))
     return out
 
 
 def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     """Simulate streams [lo, hi) of the chunk starting at ``lo``; writes into
-    disjoint output slices."""
+    disjoint output slices.
+
+    Row 0 of the ``(rows, m)`` state follows the drawn normals ``(z, w)``, row
+    1 (antithetic) their negation.  Each drawn block is mixed once, in place:
+    ``w`` becomes the spot noise ``rho z + root w``.  Row 1's noise is the
+    exact negation of row 0's, so row 1 subtracts the noise term that row 0
+    adds.  Every elementwise operation keeps the operands and order of the
+    plain Euler step, so the samples do not depend on this arrangement.
+    """
     n_steps = cfg.n_steps
     m = hi - lo
     gen = np.random.Generator(np.random.Philox(key=[cfg.seed, lo // _CHUNK_STREAMS]))
@@ -114,36 +132,71 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     sqdt = math.sqrt(dt)
     drift_s = (model.r - model.q) * dt
     v0 = model.v0
+    # constant vol-of-vol s and numeric mu: the variance increment is the
+    # scalar drift_v plus (s z) sqrt(dt), scaled once per block
+    hoist = model.sigma.is_constant and not callable(model.mu)
+    if hoist:
+        s = float(model.sigma.value_log(0.0))
+        drift_v = (float(model.mu) - 0.5 * s * s) * dt
 
-    if cfg.antithetic:
-        signs = np.array([1.0, -1.0])[:, None]
-        shape = (2, m)
-    else:
-        signs = np.array([1.0])[:, None]
-        shape = (1, m)
-
+    mirror = cfg.antithetic
+    shape = (2 if mirror else 1, m)
     us = np.zeros(shape)  # log(S/S0)
     wv = np.zeros(shape)  # log(V/V0)
     acc = np.zeros(shape)
-    n_cap = 0
+    v, ev, dw = np.empty(shape), np.empty(shape), np.empty(shape)
+    blocks = np.empty((min(nb, n_steps), 2, m))
     if sample_stride is not None:
-        n_cap = n_steps // sample_stride
-        caps = np.zeros((n_cap + 1,) + shape)
+        caps = np.zeros((n_steps // sample_stride + 1,) + shape)
 
     for i in range(n_steps):
         if i % nb == 0:
-            block = gen.standard_normal((min(nb, n_steps - i), 2, m))
-        z, w = block[i % nb]
-        ez = signs * z
-        ew = signs * w
-        v = v0 * np.exp(wv)
+            block = gen.standard_normal(out=blocks[: min(nb, n_steps - i)])
+            zb, xb = block[:, 0], block[:, 1]
+            xb *= root
+            xb += rho * zb
+            if hoist:
+                zb *= s
+                zb *= sqdt
+        z, x = block[i % nb]
+        np.exp(wv, out=v)
+        v *= v0
         eta = model.eta.value_log(us)
-        sig = model.sigma.value_log(wv)
-        mu = np.asarray(model.mu_eval(v), dtype=float)
-        ev = eta * eta * v
-        acc += ev * dt
-        us += drift_s - 0.5 * ev * dt + eta * np.sqrt(v) * (rho * ez + root * ew) * sqdt
-        wv += (mu - 0.5 * sig * sig) * dt + sig * ez * sqdt
+
+        # dw = (mu - 0.5 sig sig) dt +- (sig z) sqrt(dt)
+        if hoist:
+            np.add(z, drift_v, out=dw[0])
+            if mirror:
+                np.subtract(drift_v, z, out=dw[1])
+        else:
+            sig = model.sigma.value_log(wv)
+            mu = np.asarray(model.mu_eval(v), dtype=float)
+            np.multiply(sig, 0.5, out=dw)
+            dw *= sig
+            np.subtract(mu, dw, out=dw)
+            dw *= dt
+            np.multiply(sig, z, out=ev)
+            ev *= sqdt
+            dw[0] += ev[0]
+            if mirror:
+                dw[1] -= ev[1]
+
+        # acc += ev dt;  us += drift_s - 0.5 (ev dt) +- ((eta sqrt(v)) x) sqrt(dt)
+        np.multiply(eta, eta, out=ev)
+        ev *= v
+        ev *= dt
+        acc += ev
+        np.sqrt(v, out=v)
+        v *= eta
+        v *= x
+        v *= sqdt
+        ev *= 0.5
+        np.subtract(drift_s, ev, out=ev)
+        ev[0] += v[0]
+        if mirror:
+            ev[1] -= v[1]
+        us += ev
+        wv += dw
         if sample_stride is not None and (i + 1) % sample_stride == 0:
             caps[(i + 1) // sample_stride] = us
 
@@ -200,8 +253,9 @@ def mc_price(
         raise ValueError("strike must be nonnegative")
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
-    call, put = _payoff_estimates(rv, k, disc, cfg, np.empty_like(rv))
-    forward = _estimate(rv, cfg)
+    buf, half = _work_buffers(rv, cfg)
+    call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
+    forward = _estimate(rv, cfg, half)
     return call, put, forward
 
 
@@ -249,13 +303,13 @@ def mc_smile(
     cfg = replace(cfg, maturity=float(t))
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
-    forward = _estimate(rv, cfg)
+    buf, half = _work_buffers(rv, cfg)
+    forward = _estimate(rv, cfg, half)
     fv0 = forward_variance_limit(model)
 
     rows = []
-    buf = np.empty_like(rv)
     for k in strikes:
-        call, put = _payoff_estimates(rv, k, disc, cfg, buf)
+        call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
         side = "call" if k >= forward.mean else "put"
         px = call if side == "call" else put
         reliable = px.mean > 3.0 * px.stderr

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +9,21 @@ from varsmile import mc
 from varsmile import (
     ConstantEta,
     ConstantSigma,
+    LogPolySigma,
     LsvModel,
     McConfig,
     discrete_rv_diagnostic,
     forward_variance_limit,
+    load_model,
     mc_price,
     mc_smile,
     simulate_realized_variance,
 )
+
+# a NaN or invalid value in the step kernel or the estimators fails a test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+KINKED = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "models" / "kinked.json")
 
 
 def small_cfg(**kw):
@@ -33,6 +42,15 @@ class TestConfig:
             McConfig(n_steps=0)
         with pytest.raises(ValueError):
             McConfig(maturity=0.0)
+
+    def test_needs_two_streams(self):
+        # one antithetic pair leaves no standard error (ddof=1)
+        with pytest.raises(ValueError, match="2 independent streams"):
+            McConfig(n_paths=2)
+        with pytest.raises(ValueError, match="2 independent streams"):
+            McConfig(n_paths=1, antithetic=False)
+        assert McConfig(n_paths=4).n_streams == 2
+        assert McConfig(n_paths=2, antithetic=False).n_streams == 2
 
     def test_streams(self):
         assert McConfig(n_paths=100).n_streams == 50
@@ -68,6 +86,111 @@ class TestDrawLayout:
         a = simulate_realized_variance(tanh_model, small_cfg(n_paths=small, n_steps=5, antithetic=antithetic))
         b = simulate_realized_variance(tanh_model, small_cfg(n_paths=large, n_steps=5, antithetic=antithetic))
         assert np.array_equal(a, b[:small])
+
+
+# References for the bit pins below: the plain Euler step loop with per-step
+# antithetic signs, and pair means by a length-2 reduce.  The kernel and the
+# estimator must reproduce them bit for bit.
+def _reference_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
+    n_steps = cfg.n_steps
+    m = hi - lo
+    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, lo // mc._CHUNK_STREAMS]))
+    nb = mc._STEP_BLOCK
+    rho = model.rho
+    root = math.sqrt(max(1.0 - rho * rho, 0.0))
+    sqdt = math.sqrt(dt)
+    drift_s = (model.r - model.q) * dt
+    v0 = model.v0
+    signs = np.array([1.0, -1.0] if cfg.antithetic else [1.0])[:, None]
+    shape = (signs.shape[0], m)
+    us = np.zeros(shape)
+    wv = np.zeros(shape)
+    acc = np.zeros(shape)
+    if sample_stride is not None:
+        caps = np.zeros((n_steps // sample_stride + 1,) + shape)
+    for i in range(n_steps):
+        if i % nb == 0:
+            block = gen.standard_normal((min(nb, n_steps - i), 2, m))
+        z, w = block[i % nb]
+        ez = signs * z
+        ew = signs * w
+        v = v0 * np.exp(wv)
+        eta = model.eta.value_log(us)
+        sig = model.sigma.value_log(wv)
+        mu = np.asarray(model.mu_eval(v), dtype=float)
+        ev = eta * eta * v
+        acc += ev * dt
+        us += drift_s - 0.5 * ev * dt + eta * np.sqrt(v) * (rho * ez + root * ew) * sqdt
+        wv += (mu - 0.5 * sig * sig) * dt + sig * ez * sqdt
+        if sample_stride is not None and (i + 1) % sample_stride == 0:
+            caps[(i + 1) // sample_stride] = us
+    rv = acc / cfg.maturity
+    if cfg.antithetic:
+        rv_out[2 * lo : 2 * hi : 2] = rv[0]
+        rv_out[2 * lo + 1 : 2 * hi : 2] = rv[1]
+        if sample_stride is not None:
+            logs_out[2 * lo : 2 * hi : 2] = caps[:, 0, :].T
+            logs_out[2 * lo + 1 : 2 * hi : 2] = caps[:, 1, :].T
+    else:
+        rv_out[lo:hi] = rv[0]
+        if sample_stride is not None:
+            logs_out[lo:hi] = caps[:, 0, :].T
+
+
+def _reference_simulate(model, cfg, sample_stride):
+    dt = cfg.maturity / cfg.n_steps
+    rv = np.empty(cfg.n_paths)
+    logs = np.empty((cfg.n_paths, cfg.n_steps // sample_stride + 1))
+    for lo in range(0, cfg.n_streams, mc._CHUNK_STREAMS):
+        hi = min(lo + mc._CHUNK_STREAMS, cfg.n_streams)
+        _reference_chunk(model, cfg, lo, hi, dt, sample_stride, rv, logs)
+    return rv, logs
+
+
+def _reference_estimate(samples, cfg, half=None):
+    pairs = samples.reshape(-1, 2).mean(axis=1) if cfg.antithetic else samples
+    n = pairs.size
+    return mc.McEstimate(
+        mean=float(np.mean(pairs)),
+        stderr=float(np.std(pairs, ddof=1) / math.sqrt(n)),
+        n_effective=n,
+        seed=cfg.seed,
+        config=cfg,
+    )
+
+
+class TestBitPin:
+    # 2348 streams: one full chunk and a partial one; 70 steps: a partial block
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("rho", [0.0, 0.7, -0.7])
+    @pytest.mark.parametrize("case", ["tanh", "kinked", "tanh_mu", "tanh_mu_callable", "flat_logpoly_sigma"])
+    def test_matches_reference_loop(self, tanh_model, monkeypatch, case, rho, antithetic):
+        model = {
+            "tanh": tanh_model,  # constant sigma, mu = 0
+            "kinked": KINKED,  # clamped logpoly eta and sigma
+            "tanh_mu": replace(tanh_model, mu=0.4),
+            "tanh_mu_callable": replace(tanh_model, mu=lambda v: 0.3 - 2.0 * v),
+            # a constant LogPolySigma; 1.7 is not a power of 2, so (s z) sqrt(dt) rounds
+            "flat_logpoly_sigma": replace(tanh_model, sigma=LogPolySigma(1.7, 0.0)),
+        }[case].with_rho(rho)
+        streams, steps = mc._CHUNK_STREAMS + 300, 70
+        assert steps % mc._STEP_BLOCK != 0
+        cfg = McConfig(n_paths=streams * (2 if antithetic else 1), n_steps=steps, seed=17,
+                       maturity=1.0 / 12.0, antithetic=antithetic)
+
+        rv, logs = mc._simulate_core(model, cfg, sample_stride=7)
+        rv_ref, logs_ref = _reference_simulate(model, cfg, sample_stride=7)
+        assert np.array_equal(rv, rv_ref)
+        assert np.array_equal(logs, logs_ref)
+        assert np.array_equal(simulate_realized_variance(model, cfg), rv_ref)
+
+        f0 = forward_variance_limit(model)
+        strikes = [f0 * math.exp(x) for x in (-0.3, -0.05, 0.0, 0.2)]
+        smile = mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
+        price = mc_price(model, f0, cfg, samples=rv)
+        monkeypatch.setattr(mc, "_estimate", _reference_estimate)
+        assert smile == mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
+        assert price == mc_price(model, f0, cfg, samples=rv)
 
 
 class TestPricing:
