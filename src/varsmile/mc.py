@@ -77,9 +77,10 @@ class McEstimate:
             raise ValueError("estimate must be finite with nonnegative stderr")
 
 
-def _estimate(samples: np.ndarray, cfg: McConfig, half: Optional[np.ndarray] = None) -> McEstimate:
+def _estimate(samples: np.ndarray, cfg: McConfig, half: Optional[np.ndarray]) -> McEstimate:
     """Mean and standard error over independent samples: the antithetic pair
-    means (written into ``half`` when given), else the samples themselves."""
+    means (written into ``half``, which is None without antithetic), else the
+    samples themselves."""
     if cfg.antithetic:
         # (a + b) * 0.5 rounds as the (a + b) / 2 of a length-2 mean does,
         # without numpy's slow reduction along a short axis
@@ -132,19 +133,19 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     sqdt = math.sqrt(dt)
     drift_s = (model.r - model.q) * dt
     v0 = model.v0
+    mirror = cfg.antithetic
+    shape = (2 if mirror else 1, m)
     # constant vol-of-vol s and numeric mu: the variance increment is the
-    # scalar drift_v plus (s z) sqrt(dt), scaled once per block
+    # scalar drift_v plus (s z) sqrt(dt), scaled once per block, written in dw
     hoist = model.sigma.is_constant and not callable(model.mu)
     if hoist:
         s = float(model.sigma.value_log(0.0))
         drift_v = (float(model.mu) - 0.5 * s * s) * dt
-
-    mirror = cfg.antithetic
-    shape = (2 if mirror else 1, m)
+        dw = np.empty(shape)
     us = np.zeros(shape)  # log(S/S0)
     wv = np.zeros(shape)  # log(V/V0)
     acc = np.zeros(shape)
-    v, ev, dw = np.empty(shape), np.empty(shape), np.empty(shape)
+    v, ev = np.empty(shape), np.empty(shape)
     blocks = np.empty((min(nb, n_steps), 2, m))
     if sample_stride is not None:
         caps = np.zeros((n_steps // sample_stride + 1,) + shape)
@@ -171,15 +172,11 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         else:
             sig = model.sigma.value_log(wv)
             mu = np.asarray(model.mu_eval(v), dtype=float)
-            np.multiply(sig, 0.5, out=dw)
-            dw *= sig
-            np.subtract(mu, dw, out=dw)
-            dw *= dt
-            np.multiply(sig, z, out=ev)
-            ev *= sqdt
-            dw[0] += ev[0]
+            dw = (mu - 0.5 * sig * sig) * dt
+            noise = (sig * z) * sqdt
+            dw[0] += noise[0]
             if mirror:
-                dw[1] -= ev[1]
+                dw[1] -= noise[1]
 
         # acc += ev dt;  us += drift_s - 0.5 (ev dt) +- ((eta sqrt(v)) x) sqrt(dt)
         np.multiply(eta, eta, out=ev)
