@@ -28,7 +28,6 @@ from .rate_zero import (
 )
 from .rate_general import (
     BoundsResult,
-    NumericOptions,
     lambda_functional,
     rate_bounds_rho,
     rate_by_method,

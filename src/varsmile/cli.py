@@ -94,12 +94,19 @@ def _load_checked(path: str) -> LsvModel:
 
 
 def _strikes_from_args(model: LsvModel, args) -> list[float]:
-    fv0 = forward_variance_limit(model)
     if args.k is not None:
-        return [float(v) for v in _parse_grid(args.k)]
-    if args.x is not None:
-        return [fv0 * math.exp(x) for x in _parse_grid(args.x)]
-    raise ValueError("need --k or --x")
+        strikes = [float(v) for v in _parse_grid(args.k)]
+    elif args.x is not None:
+        fv0 = forward_variance_limit(model)
+        try:
+            strikes = [fv0 * math.exp(x) for x in _parse_grid(args.x)]
+        except OverflowError:
+            raise ValueError(f"--x {args.x} overflows the strike") from None
+    else:
+        raise ValueError("need --k or --x")
+    if not all(math.isfinite(k) for k in strikes):
+        raise ValueError(f"strikes must be finite, got {strikes}")
+    return strikes
 
 
 def _cfg_from_args(args, default_t=1.0 / 12.0) -> mc_mod.McConfig:

@@ -246,8 +246,8 @@ def mc_price(
     """(call, put, forward) estimates; put-call parity holds pathwise.
 
     ``samples`` short-circuits the simulation, as in ``mc_smile``."""
-    if k < 0:
-        raise ValueError("strike must be nonnegative")
+    if not 0 <= k < math.inf:
+        raise ValueError("strike must be nonnegative and finite")
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
     buf, half = _work_buffers(rv, cfg)
@@ -295,8 +295,8 @@ def mc_smile(
     path of ``cfg``, from this model (a length mismatch raises ValueError).
     """
     strikes = [float(k) for k in strikes]
-    if any(k <= 0 for k in strikes):
-        raise ValueError("strikes must be positive")
+    if not all(0 < k < math.inf for k in strikes):
+        raise ValueError("strikes must be positive and finite")
     cfg = replace(cfg, maturity=float(t))
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)

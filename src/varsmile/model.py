@@ -324,9 +324,6 @@ def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
 
-    if abs(model.rho) > 1.0:
-        errors.append(f"|rho| > 1: {model.rho}")
-
     grid = np.linspace(-10.0, 10.0, 2001)
     eta_vals = model.eta.value_log(grid)
     sig_vals = model.sigma.value_log(grid)
@@ -350,8 +347,8 @@ def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
 
     moneyness = None
     if strike is not None:
-        if strike <= 0:
-            errors.append(f"strike must be positive, got {strike}")
+        if not 0 < strike < math.inf:
+            errors.append(f"strike must be positive and finite, got {strike}")
         else:
             fv0 = forward_variance_limit(model)
             if abs(strike - fv0) <= 1e-12 * fv0:

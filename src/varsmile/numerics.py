@@ -1,14 +1,17 @@
 """Shared numerical kernel: singular quadrature and bracketed root finding.
 
-Every integral in the rate-function machinery has at worst an inverse
-square-root singularity at one endpoint.  ``integrate_sqrt_singular``
-removes it exactly by the substitution u = sqrt(b - y) (mirrored for the
-left endpoint) and integrates the smooth transformed integrand with a
+Every integral in the rate-function machinery has an inverse square-root
+singularity at one endpoint.  ``integrate_sqrt_singular`` removes it
+exactly by the substitution u = sqrt(b - y) (mirrored for the left
+endpoint) and integrates the smooth transformed integrand with a
 vectorized adaptive Gauss-Legendre rule: each pass evaluates an n-point and
 a 2n-point rule on every active panel in one integrand call, keeps the
 panels where the two agree to their share of the tolerance and bisects the
 rest.  Integrands are numpy-vectorized and may return several rows, so
 integrals over the same interval share one evaluation.
+
+The accuracy is fixed here, not by callers: every integral is accepted at
+max(ABS_TOL, REL_TOL |integral|) within MAX_PANELS panels.
 """
 
 from __future__ import annotations
@@ -26,13 +29,19 @@ from scipy.optimize import brentq
 from .errors import AccuracyError, BracketError
 
 __all__ = [
-    "QuadTolerance",
+    "REL_TOL",
+    "ABS_TOL",
+    "MAX_PANELS",
     "Bracket",
     "integrate_sqrt_singular",
     "count_kernel_calls",
     "find_root",
     "bracket_root",
 ]
+
+REL_TOL = 1e-10
+ABS_TOL = 1e-13
+MAX_PANELS = 200
 
 _GL_N = 10
 _X_N, _W_N = np.polynomial.legendre.leggauss(_GL_N)
@@ -55,21 +64,6 @@ _RULES[_GL_N:_PROBE, 2:] = [
 
 # per-context counter of kernel calls, set by ``count_kernel_calls``
 _KERNEL_CALLS: ContextVar[list | None] = ContextVar("varsmile_kernel_calls", default=None)
-
-
-@dataclass(frozen=True)
-class QuadTolerance:
-    """Accuracy targets for the quadrature kernel."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,42 +96,30 @@ def count_kernel_calls():
             outer[0] += counter[0]
 
 
-def integrate_sqrt_singular(
-    f: Callable,
-    a: float,
-    b: float,
-    singular_at: str = "none",
-    tol: QuadTolerance | None = None,
-    pass_distance: bool = False,
-):
+def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, max_panels: int = MAX_PANELS):
     """Integrate f on [a, b] where f may blow up like 1/sqrt(distance) at one end.
 
-    ``f`` maps a 1-D array of points to an array of the same length, or to
-    an (m, len) array of m integrands; the result is a float, or an array of
-    m integrals.  ``singular_at`` is "a", "b" or "none".  The singular
-    endpoint is removed by substitution before the panels see the
+    ``singular_at`` is "a" or "b".  ``f`` is called as f(y, d), with y a
+    1-D array of points and d the exact distance of each to the singular
+    end (forming b - y inside f would cancel catastrophically near it); it
+    returns an array of the same length, or an (m, len) array of m
+    integrands, and the result is a float, or an array of m integrals.  The
+    singular endpoint is removed by substitution before the panels see the
     integrand, and no rule evaluates a panel's endpoints.
 
-    With ``pass_distance`` (singular cases only) the integrand is called as
-    f(y, d) where d is the exact distance to the singular endpoint; forming
-    b - y inside f would cancel catastrophically near the endpoint.
-
     A panel is accepted when the n- and 2n-point rules agree to within its
-    width's share of max(abs_tol, rel_tol * |integral|), for every row; the
+    width's share of max(ABS_TOL, REL_TOL * |integral|), for every row; the
     disagreement also counts how far the integrand, probed 1e-6 half-widths
     inside each panel end other than the singular point, is from the 2n-node
     interpolant (a kink nearer an end than any node is otherwise missed by
     both rules).
     Raises AccuracyError, with the estimate and the summed disagreement of
-    the open panels, when more than ``max_subdivisions`` panels are needed.
+    the open panels, when more than ``max_panels`` panels are needed.
     """
-    tol = tol or QuadTolerance()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
-    if singular_at not in ("a", "b", "none"):
-        raise ValueError("singular_at must be 'a', 'b' or 'none'")
-    if pass_distance and singular_at == "none":
-        raise ValueError("pass_distance needs a singular endpoint")
+    if singular_at not in ("a", "b"):
+        raise ValueError("singular_at must be 'a' or 'b'")
     if a == b:
         return 0.0
     if a > b:
@@ -146,27 +128,22 @@ def integrate_sqrt_singular(
     if counter is not None:
         counter[0] += 1
 
-    if singular_at == "none":
-        g, lo, hi = f, a, b
-    else:
-        end, sign = (b, -1.0) if singular_at == "b" else (a, 1.0)
+    end, sign = (b, -1.0) if singular_at == "b" else (a, 1.0)
 
-        def g(u):
-            d = u * u
-            return 2.0 * u * (f(end + sign * d, d) if pass_distance else f(end + sign * d))
+    def g(u):
+        d = u * u
+        return 2.0 * u * f(end + sign * d, d)
 
-        lo, hi = 0.0, math.sqrt(b - a)
-
-    width = hi - lo
-    left = np.array([lo])
+    width = math.sqrt(b - a)
+    left = np.array([0.0])
     half = np.array([0.5 * width])
     done = 0.0
     n_panels = 1
     while True:
         x = (left + half)[:, None] + half[:, None] * _NODES
-        # the panel at a singular point (always first) gets no probe there:
+        # the panel at the singular point (always first) gets no probe there:
         # it is moved onto a node and its term dropped
-        at_singular = singular_at != "none" and left[0] == lo
+        at_singular = left[0] == 0.0
         if at_singular:
             x[0, _PROBE] = x[0, _GL_N]
         vals = np.asarray(g(x.ravel()), dtype=float)
@@ -179,17 +156,17 @@ def integrate_sqrt_singular(
             off_edge[:, 0, 0] = 0.0
         err = np.abs(i_2n - half * rules[..., 0]) + _EDGE * half * off_edge.sum(axis=-1)
         total = done + i_2n.sum(axis=-1)
-        allowed = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))[:, None] * (2.0 * half / width)
+        allowed = np.maximum(ABS_TOL, REL_TOL * np.abs(total))[:, None] * (2.0 * half / width)
         ok = (err <= allowed).all(axis=0)
         if ok.all():
             return float(total[0]) if scalar else total
         done = done + i_2n[:, ok].sum(axis=-1)
         bad = ~ok
         n_panels += int(bad.sum())
-        if n_panels > tol.max_subdivisions:
+        if n_panels > max_panels:
             bound = err[:, bad].sum(axis=-1)
             raise AccuracyError(
-                f"{n_panels} panels needed, budget {tol.max_subdivisions}",
+                f"{n_panels} panels needed, budget {max_panels}",
                 estimate=float(total[0]) if scalar else total,
                 error_bound=float(bound[0]) if scalar else bound,
             )
@@ -213,21 +190,15 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=4 * sys.float_info.epsilon)
 
 
-def bracket_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grow: float = 2.0,
-    max_expansions: int = 60,
-) -> Bracket:
-    """Expand [lo, hi] geometrically at ``hi`` until f changes sign."""
+def bracket_root(f: Callable[[float], float], lo: float, hi: float, max_expansions: int = 60) -> Bracket:
+    """Double [lo, hi] at ``hi`` until f changes sign."""
     flo = f(lo)
     fhi = f(hi)
     n = 0
     while flo * fhi > 0:
         if n >= max_expansions:
             raise BracketError(f"no sign change after {n} expansions (last [{lo}, {hi}])")
-        hi = lo + (hi - lo) * grow
+        hi = lo + (hi - lo) * 2.0
         fhi = f(hi)
         n += 1
     return Bracket(lo, hi)

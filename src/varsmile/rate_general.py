@@ -25,7 +25,7 @@ from scipy.optimize import minimize_scalar
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError, TableRangeError
 from .model import LsvModel, forward_variance_limit
-from .numerics import Bracket, QuadTolerance, count_kernel_calls, find_root, integrate_sqrt_singular
+from .numerics import MAX_PANELS, Bracket, count_kernel_calls, find_root, integrate_sqrt_singular
 from .paths import PathPair
 from .rate_zero import (
     _ATM_REL_TOL,
@@ -42,7 +42,6 @@ from .rate_zero import (
 __all__ = [
     "BoundsResult",
     "LambdaValue",
-    "NumericOptions",
     "lambda_functional",
     "constraint_integral",
     "rate_bounds_rho",
@@ -123,7 +122,7 @@ def constraint_integral(model: LsvModel, paths: PathPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None) -> BoundsResult:
+def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
     """Sandwich bounds on the rate for |rho| < 1.
 
     Lower: I0/(1+|rho|).  Uppers: I0/(1-|rho|); the action evaluated on the
@@ -133,27 +132,26 @@ def rate_bounds_rho(model: LsvModel, k: float, tol: QuadTolerance | None = None)
     rho = model.rho
     if abs(rho) >= 1.0:
         raise ValueError("bounds require |rho| < 1")
-    tol = tol or QuadTolerance()
     model0 = model.with_rho(0.0)
-    res0 = rate_zero_rho(model0, k, tol=tol)
+    res0 = rate_zero_rho(model0, k)
     i0 = res0.value
 
     lower = i0 / (1.0 + abs(rho))
     uppers: list[tuple[str, float]] = [("scaled_zero_corr", i0 / (1.0 - abs(rho)))]
 
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
-    asian = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
+    asian = asian_rate_j(model.sigma, model.v0, z_pivot)
     if _eta_flat(model):
         t = np.linspace(0.0, 1.0, 401)
-        h = _asian_h_path(model.sigma, model.v0, asian.alpha, asian.branch, t, tol)
+        h = _asian_h_path(model.sigma, model.v0, asian.alpha, asian.branch, t)
         paths0 = PathPair(t, np.full(t.size, math.log(model.s0)), h)
     else:
-        paths0 = _paths_from_rate(model0, k, res0, 401, tol)
+        paths0 = _paths_from_rate(model0, k, res0, 401)
     uppers.append(("zero_corr_paths", lambda_functional(model, paths0).total))
     uppers.append(("scaled_asian", asian.value / (1.0 - rho * rho)))
 
     try:
-        uppers.append(("corr_path", rate_upper_corr_path(model, k, tol=tol)))
+        uppers.append(("corr_path", rate_upper_corr_path(model, k)))
     except TableRangeError:
         pass  # the strike's excursion leaves the coupled-map table; the other uppers stand
 
@@ -361,7 +359,7 @@ _NEAR = 1e-3
 _NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(4)
 
 
-def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float, tol: QuadTolerance):
+def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float):
     """(G(v_a) / A0, F, G) at the terminal log variance w_a: the Asian
     endpoint integrals in w, F = int dw / (sigma(w) sqrt(D)) and
     G = int sqrt(D) / sigma(w) dw over [0, w_a], D = |G(v_a) - G(v)| / A0."""
@@ -382,12 +380,11 @@ def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float, tol: QuadToler
         return np.array([1.0 / (sig * r), r / sig])
 
     # the kernel isolates a kink on the path by bisection: within 1e-9 of t_a, that takes 200-800 panels
-    tol = replace(tol, max_subdivisions=4 * tol.max_subdivisions) if kinks else tol
-    f, g = integrate_sqrt_singular(fg, 0.0, t_a, singular_at="b", tol=tol, pass_distance=True)
+    f, g = integrate_sqrt_singular(fg, 0.0, t_a, "b", max_panels=4 * MAX_PANELS if kinks else MAX_PANELS)
     return e_a, float(f), float(g)
 
 
-def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadTolerance):
+def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window):
     """The h-only problem as an Asian problem in the payoff level A = G(v),
     solved in the log variance w = log(v / V0): (rate, diagnostics).
 
@@ -404,7 +401,7 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadT
 
     def phi(t_a):  # the Asian root condition at |w_a| = t_a
         if t_a not in seen:
-            seen[t_a] = _coupled_endpoint(mapper, a0, s * t_a, tol)
+            seen[t_a] = _coupled_endpoint(mapper, a0, s * t_a)
         e_a, f, g = seen[t_a]
         return s * (e_a - zr) - g / f
 
@@ -434,16 +431,15 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window, tol: QuadT
     return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if s > 0 else "below", "w_a": s * t_a}
 
 
-def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance | None) -> RateResult:
+def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
     """inf of the variance-leg energy subject to int G(e^h) dt = K: an Asian
     problem in the payoff level (``_coupled_asian``, with plain-JSON diagnostics
     ``alpha``, ``branch``, ``rho_eff``, ``w_a`` and ``kernel_calls``), or a
     direct transcription when G is not invertible on the needed range.  The
     map's table is widened with the strike: |w_a| stays below 2 |log(K / A0)|
     at the models tried, up to the table's largest half-width MAX_SPAN."""
-    if k <= 0:
-        raise ValueError("strike must be positive")
-    tol = tol or QuadTolerance()
+    if not 0 < k < math.inf:
+        raise ValueError("strike must be positive and finite")
     a0 = forward_variance_limit(model)
     if abs(k - a0) <= _ATM_REL_TOL * a0:
         return RateResult(0.0, "corr_path_asian", z_star=k)
@@ -451,7 +447,7 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float, tol: QuadTolerance |
     mapper = _CoupledMap(model, rho_eff, 2.0 * abs(math.log(k / a0)) + 1.0)
     window = mapper.monotone_window()
     with count_kernel_calls() as kernel_calls:
-        found = None if window is None else _coupled_asian(mapper, a0, k / a0, window, tol)
+        found = None if window is None else _coupled_asian(mapper, a0, k / a0, window)
     if found is None:
         return _h_only_direct(model, k, mapper)
     value, diagnostics = found
@@ -515,31 +511,26 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult
     )
 
 
-def rate_perfect_corr(model: LsvModel, k: float, sign: int, tol: QuadTolerance | None = None) -> RateResult:
+def rate_perfect_corr(model: LsvModel, k: float, sign: int) -> RateResult:
     """Exact rate at rho = +1 or -1 via the coupled-path reduction."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if model.rho != float(sign):
         raise ValueError(f"model.rho must equal {sign} for the perfect-correlation rate")
-    res = _h_only_rate(model, k, float(sign), tol)
+    res = _h_only_rate(model, k, float(sign))
     return replace(res, method="perfect_corr" if res.method == "corr_path_asian" else "perfect_corr_direct")
 
 
-def rate_upper_corr_path(model: LsvModel, k: float, tol: QuadTolerance | None = None) -> float:
+def rate_upper_corr_path(model: LsvModel, k: float) -> float:
     """h-only upper bound on the rate for |rho| < 1 (tight as |rho| -> 1)."""
     if abs(model.rho) >= 1.0:
         raise ValueError("requires |rho| < 1")
-    return _h_only_rate(model, k, model.rho, tol).value
+    return _h_only_rate(model, k, model.rho).value
 
 
 # ---------------------------------------------------------------------------
 # Direct transcription of the full two-dimensional problem
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumericOptions:
-    n: int = 201
 
 
 def _lagrangian_grad(model: LsvModel, k: float, n: int):
@@ -621,27 +612,22 @@ def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
     return _el_max(dt, (p_g, rhs_g), (p_h, rhs_h))
 
 
-def rate_numeric(
-    model: LsvModel,
-    k: float,
-    opts: NumericOptions | None = None,
-) -> RateResult:
+def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
     """Direct transcription of the full variational problem for |rho| < 1.
 
-    Piecewise-linear paths on a uniform grid and a midpoint-rule action; the
-    KKT conditions of the constrained minimization are solved by the banded
-    Newton iteration ``_newton_kkt`` (half-bandwidth 3 in the interleaved
-    (g, h) unknowns), started from the second-order small-x expansion paths.
-    Raises ConvergenceError, with both residuals, if Newton does not converge.
+    Piecewise-linear paths on a uniform grid of n nodes and a midpoint-rule
+    action; the KKT conditions of the constrained minimization are solved by
+    the banded Newton iteration ``_newton_kkt`` (half-bandwidth 3 in the
+    interleaved (g, h) unknowns), started from the second-order small-x
+    expansion paths.  Raises ConvergenceError, with both residuals, if Newton
+    does not converge.
     """
     if abs(model.rho) >= 1.0:
         raise ValueError("rate_numeric requires |rho| < 1")
-    if k <= 0:
-        raise ValueError("strike must be positive")
-    opts = opts or NumericOptions()
+    if not 0 < k < math.inf:
+        raise ValueError("strike must be positive and finite")
 
     x = math.log(k / forward_variance_limit(model))
-    n = opts.n
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
     log_v0 = math.log(model.v0)
@@ -667,12 +653,7 @@ def rate_numeric(
     )
 
 
-def rate_by_method(
-    model: LsvModel,
-    k: float,
-    method: str,
-    tol: QuadTolerance | None = None,
-) -> RateResult | BoundsResult:
+def rate_by_method(model: LsvModel, k: float, method: str) -> RateResult | BoundsResult:
     """The rate at strike k by a named method, as the CLI's ``rate`` and
     ``asymptotic_smile`` compute it.
 
@@ -682,13 +663,13 @@ def rate_by_method(
     "expansion": A x^2 + B x^3, with x in the diagnostics.
     """
     if method == "closed":
-        return rate_zero_rho(model, k, tol=tol)
+        return rate_zero_rho(model, k)
     if method == "numeric":
         if abs(model.rho) == 1.0:
-            return rate_perfect_corr(model, k, int(model.rho), tol=tol)
+            return rate_perfect_corr(model, k, int(model.rho))
         return rate_numeric(model, k)
     if method == "bounds":
-        return rate_bounds_rho(model, k, tol=tol)
+        return rate_bounds_rho(model, k)
     if method == "expansion":
         x = math.log(k / forward_variance_limit(model))
         return RateResult(atm_mod.rate_expansion(model, x), "expansion", diagnostics={"x": x})

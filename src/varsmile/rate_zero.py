@@ -30,7 +30,6 @@ from .errors import DegenerateEtaError, InfeasibleStrikeError
 from .model import LsvModel, SigmaSpec, forward_variance_limit
 from .numerics import (
     Bracket,
-    QuadTolerance,
     bracket_root,
     count_kernel_calls,
     find_root,
@@ -103,7 +102,7 @@ class RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _fg_above(sig_log: Callable, alpha: float, tol: QuadTolerance):
+def _fg_above(sig_log: Callable, alpha: float):
     """Endpoint integrals for the z > level0 branch.
 
     F = int_0^a dy / (sig(y) sqrt(e^a - e^y)),  G = int_0^a sqrt(e^a - e^y) / sig(y) dy,
@@ -114,11 +113,11 @@ def _fg_above(sig_log: Callable, alpha: float, tol: QuadTolerance):
         s, r = sig_log(y), np.sqrt(np.expm1(d))
         return np.array([np.exp(-0.5 * y) / (s * r), np.exp(0.5 * y) * r / s])
 
-    f, g = integrate_sqrt_singular(fg, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
+    f, g = integrate_sqrt_singular(fg, 0.0, alpha, "b")
     return float(f), float(g)
 
 
-def _fg_below(sig_log: Callable, alpha: float, tol: QuadTolerance):
+def _fg_below(sig_log: Callable, alpha: float):
     """Endpoint integrals for the z < level0 branch (log excursion downward)."""
     ea = math.exp(0.5 * alpha)
 
@@ -126,7 +125,7 @@ def _fg_below(sig_log: Callable, alpha: float, tol: QuadTolerance):
         s, r = sig_log(-y), np.sqrt(np.expm1(d))
         return np.array([1.0 / (s * r), r / s])
 
-    f, g = integrate_sqrt_singular(fg, 0.0, alpha, singular_at="b", tol=tol, pass_distance=True)
+    f, g = integrate_sqrt_singular(fg, 0.0, alpha, "b")
     return ea * float(f), float(g) / ea
 
 
@@ -149,11 +148,7 @@ def _const_sigma_root(zr: float) -> tuple[float, float]:
 _SEED_STRETCH = 1.1
 
 
-def asian_rate_general(
-    sig_log: Callable,
-    zr: float,
-    tol: QuadTolerance | None = None,
-) -> AsianRateSolution:
+def asian_rate_general(sig_log: Callable, zr: float) -> AsianRateSolution:
     """Rate of the h-only problem with constraint (1/level0) int e^h dt = zr.
 
     ``sig_log(y)`` must return the (positive) volatility coefficients at an
@@ -163,7 +158,6 @@ def asian_rate_general(
     constant vol-of-vol root, so the probe does not run far beyond the root
     (across a clamp kink, say) when sigma varies slowly.
     """
-    tol = tol or QuadTolerance()
     if zr <= 0:
         raise ValueError("zr must be positive")
     if abs(zr - 1.0) <= _ATM_REL_TOL:
@@ -175,7 +169,7 @@ def asian_rate_general(
 
     def phi(alpha):
         if alpha not in seen:
-            seen[alpha] = fg(sig_log, alpha, tol)
+            seen[alpha] = fg(sig_log, alpha)
         f, g = seen[alpha]
         return (math.exp(alpha) - zr if above else zr - math.exp(-alpha)) - g / f
 
@@ -186,16 +180,11 @@ def asian_rate_general(
     return AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
 
-def asian_rate_j(
-    sigma: SigmaSpec,
-    v0: float,
-    z: float,
-    tol: QuadTolerance | None = None,
-) -> AsianRateSolution:
+def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
     """J(V0, z): the variance-leg rate, by quadrature plus root finding."""
     if v0 <= 0 or z <= 0:
         raise ValueError("v0 and z must be positive")
-    return asian_rate_general(sigma.value_log, z / v0, tol=tol)
+    return asian_rate_general(sigma.value_log, z / v0)
 
 
 def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
@@ -240,7 +229,7 @@ def _eta_sq_gap(eta, u, u_g: float, e_g: float, dist):
     return sgn * eta.diff_log(u, u_g, delta=-sgn * dist) * (eta.value_log(u) + e_g)
 
 
-def _endpoint_integrals(model: LsvModel, u_g: float, tol: QuadTolerance):
+def _endpoint_integrals(model: LsvModel, u_g: float):
     """The two integrals of the endpoint equation, on [min(u_g,0), max(u_g,0)].
 
     Returned positively oriented; their ratio num/den equals z/K at the
@@ -256,7 +245,7 @@ def _endpoint_integrals(model: LsvModel, u_g: float, tol: QuadTolerance):
         return np.array([1.0 / (e * root), e / root])
 
     lo, hi, singular = (u_g, 0.0, "a") if u_g < 0 else (0.0, u_g, "b")
-    num, den = integrate_sqrt_singular(num_den, lo, hi, singular_at=singular, tol=tol, pass_distance=True)
+    num, den = integrate_sqrt_singular(num_den, lo, hi, singular)
     return float(num), float(den)
 
 
@@ -273,15 +262,15 @@ def _plateau_edge(eta, inside: float, outside: float) -> float:
             inside = mid
 
 
-def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadTolerance, seen: dict | None = None):
+def _solve_u_g(model: LsvModel, z: float, k: float, side: str, seen: dict | None = None):
     """Root u_G = log(G/S0) of the ratio equation num/den = z/K, with the
     den integral at the root.
 
     The search for a sign change moves away from S0 and stops at the first
     point where eta turns flat: past it the integrals diverge, so a target
     not reached there is infeasible.  ``seen`` maps u_G to its endpoint
-    integrals; solves for one model and tolerance may share it, and its
-    points then narrow the search.
+    integrals; solves for one model may share it, and its points then
+    narrow the search.
     """
     eta0 = float(model.eta.value_log(0.0))
     target = z / k
@@ -312,7 +301,7 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadToleranc
         if u_g == 0.0:
             return limit - target  # num/den -> 1/eta(S0)^2 as u_g -> 0
         if u_g not in seen:
-            seen[u_g] = _endpoint_integrals(model, u_g, tol)
+            seen[u_g] = _endpoint_integrals(model, u_g)
         num, den = seen[u_g]
         return num / den - target
 
@@ -352,24 +341,17 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, tol: QuadToleranc
     return u_g, seen[u_g][1]
 
 
-def solve_g_endpoint(
-    model: LsvModel,
-    z: float,
-    k: float,
-    side: str,
-    tol: QuadTolerance | None = None,
-) -> float:
+def solve_g_endpoint(model: LsvModel, z: float, k: float, side: str) -> float:
     """Terminal asset level G of the zero-correlation asset-leg solution."""
     if z <= 0 or k <= 0:
         raise ValueError("z and K must be positive")
     if _eta_flat(model):
         raise DegenerateEtaError("constant eta: endpoint equation is degenerate, use J(V0, K/eta0^2)")
-    tol = tol or QuadTolerance()
-    u_g, _ = _solve_u_g(model, z, k, side, tol)
+    u_g, _ = _solve_u_g(model, z, k, side)
     return model.s0 * math.exp(u_g)
 
 
-def _g_leg_cost(model: LsvModel, z: float, k: float, tol: QuadTolerance, seen: dict | None = None):
+def _g_leg_cost(model: LsvModel, z: float, k: float, seen: dict | None = None):
     """Asset-leg cost at budget z: (G, cost, lagrange, eta(G)).
 
     The formula branch is fixed by z against K/eta(S0)^2, not by the option
@@ -381,7 +363,7 @@ def _g_leg_cost(model: LsvModel, z: float, k: float, tol: QuadTolerance, seen: d
     if abs(z - z_pivot) <= 1e-13 * z_pivot:
         return model.s0, 0.0, 0.0, eta0
     side = "call" if z < z_pivot else "put"
-    u_g, den = _solve_u_g(model, z, k, side, tol, seen)
+    u_g, den = _solve_u_g(model, z, k, side, seen)
     eta_g = float(model.eta.value_log(u_g))
     gap = eta_g**2 * z - k
     # gap >= 0 on the call branch and <= 0 on the put branch by construction.
@@ -394,7 +376,7 @@ def _asian_fields(sol: AsianRateSolution) -> dict:
     return {"alpha": sol.alpha, "branch": sol.branch, "f_value": sol.f_value, "g_value": sol.g_value}
 
 
-def _variance_leg(model: LsvModel, alpha: float, above: bool, tol: QuadTolerance):
+def _variance_leg(model: LsvModel, alpha: float, above: bool):
     """Budget z and Asian solution of the variance leg whose terminal log
     excursion is ``alpha`` on the above (z > V0) or below branch.
 
@@ -404,14 +386,12 @@ def _variance_leg(model: LsvModel, alpha: float, above: bool, tol: QuadTolerance
     """
     if alpha == 0.0:
         return model.v0, AsianRateSolution(0.0, "atm")
-    f, g = (_fg_above if above else _fg_below)(model.sigma.value_log, alpha, tol)
+    f, g = (_fg_above if above else _fg_below)(model.sigma.value_log, alpha)
     z = model.v0 * (math.exp(alpha) - g / f if above else math.exp(-alpha) + g / f)
     return z, AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
 
-def _budget_legs(
-    model: LsvModel, k: float, z: float, sol: AsianRateSolution, tol: QuadTolerance, seen: dict | None = None
-):
+def _budget_legs(model: LsvModel, k: float, z: float, sol: AsianRateSolution, seen: dict | None = None):
     """Both legs at variance budget z, given the variance leg's solution
     there: (d/dz of the objective, z, ``sol``, the asset-leg tuple of
     ``_g_leg_cost``).  ``seen`` is passed on to ``_solve_u_g``.
@@ -420,16 +400,12 @@ def _budget_legs(
     lam eta(G)^2 - F^2 / (2 V0) below (envelope theorem: only the explicit
     z-dependence of each leg's Lagrangian counts).
     """
-    leg = _g_leg_cost(model, z, k, tol, seen)
+    leg = _g_leg_cost(model, z, k, seen)
     dj = sol.f_value**2 / (2.0 * model.v0)
     return leg[2] * leg[3] ** 2 + (dj if sol.branch == "above" else -dj), z, sol, leg
 
 
-def rate_zero_rho(
-    model: LsvModel,
-    k: float,
-    tol: QuadTolerance | None = None,
-) -> RateResult:
+def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     """Closed-form rate function at rho = 0: the infimum over the variance
     budget z of the asset-leg cost plus J(V0, z).
 
@@ -453,9 +429,8 @@ def rate_zero_rho(
     """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
-    if k <= 0:
-        raise ValueError("strike must be positive")
-    tol = tol or QuadTolerance()
+    if not 0 < k < math.inf:
+        raise ValueError("strike must be positive and finite")
 
     fv0 = forward_variance_limit(model)
     x = math.log(k / fv0)
@@ -473,7 +448,7 @@ def rate_zero_rho(
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
     with count_kernel_calls() as kernel_calls:
-        pivot = asian_rate_j(model.sigma, model.v0, z_pivot, tol=tol)
+        pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
         if _eta_flat(model):
             return RateResult(
                 pivot.value,
@@ -492,14 +467,14 @@ def rate_zero_rho(
 
         above = z_pivot > model.v0
         endpoint = {}  # endpoint integrals by u_G, shared by the asset-leg solves
-        legs = {pivot.alpha: _budget_legs(model, k, z_pivot, pivot, tol)}
+        legs = {pivot.alpha: _budget_legs(model, k, z_pivot, pivot)}
         evals = [1]
 
         def slope(alpha):  # d/dz at the budget that alpha fixes
             if alpha not in legs:
                 evals[0] += 1
-                z, sol = _variance_leg(model, alpha, above, tol)
-                legs[alpha] = _budget_legs(model, k, z, sol, tol, endpoint)
+                z, sol = _variance_leg(model, alpha, above)
+                legs[alpha] = _budget_legs(model, k, z, sol, endpoint)
             return legs[alpha][0]
 
         # a_near keeps the pivot's sign; a_far starts at V0 (alpha = 0) and
@@ -546,7 +521,7 @@ def rate_zero_rho(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_map(integrand, upper: float, tol: QuadTolerance, m: int = 160):
+def _cumulative_map(integrand, upper: float, m: int = 160):
     """Cumulative integral of ``integrand`` on [0, upper] at m + 1 nodes
     clustered toward ``upper``, where the integrand may be singular.
 
@@ -566,11 +541,11 @@ def _cumulative_map(integrand, upper: float, tol: QuadTolerance, m: int = 160):
         return width * integrand(upper - d, d)
 
     cum = np.zeros(m + 1)
-    cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 0.0, 1.0, singular_at="b", tol=tol, pass_distance=True))
+    cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 0.0, 1.0, "b"))
     return nodes, cum
 
 
-def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.ndarray, tol: QuadTolerance):
+def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.ndarray):
     """Variance-leg path log V(t) of the Asian problem with terminal log
     excursion ``alpha`` on ``branch``, by inverting t(w) = P(w)/P(alpha)."""
     log_v0 = math.log(v0)
@@ -586,19 +561,14 @@ def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.
         def kern(y, d):
             return 1.0 / (sigma.value_log(-y) * np.sqrt(np.expm1(d)))
 
-    w_nodes, p_cum = _cumulative_map(kern, alpha, tol)
+    w_nodes, p_cum = _cumulative_map(kern, alpha)
     w = PchipInterpolator(p_cum, w_nodes)(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
     h = log_v0 + (w if branch == "above" else -w)
     h[0] = log_v0
     return h
 
 
-def optimal_paths_zero_rho(
-    model: LsvModel,
-    k: float,
-    n: int = 401,
-    tol: QuadTolerance | None = None,
-) -> PathPair:
+def optimal_paths_zero_rho(model: LsvModel, k: float, n: int = 401) -> PathPair:
     """Optimal (g, h) paths of the rho = 0 problem on a uniform n-point grid.
 
     h is recovered by inverting its implicit time map; g then follows from its
@@ -607,14 +577,13 @@ def optimal_paths_zero_rho(
     """
     if model.rho != 0.0:
         raise ValueError("optimal_paths_zero_rho requires rho = 0")
-    tol = tol or QuadTolerance()
     if _eta_flat(model):
         raise DegenerateEtaError("optimal paths need non-constant eta")
 
-    return _paths_from_rate(model, k, rate_zero_rho(model, k, tol=tol), n, tol)
+    return _paths_from_rate(model, k, rate_zero_rho(model, k), n)
 
 
-def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int, tol: QuadTolerance) -> PathPair:
+def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> PathPair:
     """The optimal paths of ``optimal_paths_zero_rho`` from its solved rate."""
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
@@ -622,12 +591,12 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int, tol: Qu
         return PathPair(t, np.full(n, log_s0), np.full(n, math.log(model.v0)))
 
     diag = res.diagnostics
-    h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t, tol)
+    h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t)
 
     # asset leg: Theta(gamma(t)) = (den / (sqrt2 K)) * int_0^t e^h ds
     eta = model.eta
     u_g = math.log(res.g_endpoint / model.s0)
-    _, den = _endpoint_integrals(model, u_g, tol)
+    _, den = _endpoint_integrals(model, u_g)
     m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
 
     e_g = eta.value_log(u_g)
@@ -637,7 +606,7 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int, tol: Qu
         gap = _eta_sq_gap(eta, sgn * s, u_g, e_g, d)
         return 1.0 / (eta.value_log(sgn * s) * np.sqrt(2.0 * np.maximum(gap, 5e-324)))
 
-    s_nodes, theta_cum = _cumulative_map(theta_kern, abs(u_g), tol)
+    s_nodes, theta_cum = _cumulative_map(theta_kern, abs(u_g))
     rhs = (den / math.sqrt(2.0) / k) * m_t
     gamma = PchipInterpolator(theta_cum, s_nodes)(np.clip(rhs, 0.0, theta_cum[-1]))
     g = log_s0 + sgn * gamma

@@ -13,7 +13,6 @@ from scipy.special import ndtr
 from .errors import ArbitrageError, PrecisionWarning
 from .model import LsvModel, forward_variance_limit
 from .atm import atm_expansion
-from .numerics import QuadTolerance
 from .rate_general import rate_by_method
 
 __all__ = [
@@ -139,12 +138,7 @@ def _sigma_from_rate(x: float, rate: float) -> float:
     return abs(x) / math.sqrt(2.0 * rate)
 
 
-def asymptotic_smile(
-    model: LsvModel,
-    k: float,
-    rate_method: str = "closed",
-    tol: QuadTolerance | None = None,
-) -> SmilePoint:
+def asymptotic_smile(model: LsvModel, k: float, rate_method: str = "closed") -> SmilePoint:
     """Zero-maturity implied vol at strike k from a chosen rate computation.
 
     Methods (``rate_by_method``): "closed" (rho = 0 closed form), "numeric"
@@ -152,8 +146,8 @@ def asymptotic_smile(
     (small-x polynomial, valid for small |x| only), "bounds" (interval).
     At the money every method returns the same limit sqrt(D/3).
     """
-    if k <= 0:
-        raise ValueError("strike must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError("strike must be positive and finite")
     fv0 = forward_variance_limit(model)
     x = math.log(k / fv0)
     if abs(x) <= 1e-14:
@@ -161,7 +155,7 @@ def asymptotic_smile(
         sig = math.sqrt(1.0 / (2.0 * exp.A))
         return SmilePoint(strike=k, x=0.0, sigma_v=sig, method=rate_method)
 
-    res = rate_by_method(model, k, rate_method, tol=tol)
+    res = rate_by_method(model, k, rate_method)
     if rate_method == "bounds":
         lo = _sigma_from_rate(x, res.best_upper)  # larger rate -> smaller vol
         hi = _sigma_from_rate(x, res.lower)

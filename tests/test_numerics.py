@@ -10,7 +10,6 @@ from varsmile import LogPolyEta, TanhEta
 from varsmile.errors import AccuracyError, BracketError
 from varsmile.numerics import (
     Bracket,
-    QuadTolerance,
     bracket_root,
     find_root,
     integrate_sqrt_singular,
@@ -31,15 +30,15 @@ def trapezoid_oracle_exp_singular():
 
 class TestIntegrateSqrtSingular:
     def test_inverse_sqrt_exact(self):
-        val = integrate_sqrt_singular(lambda y: 1.0 / np.sqrt(1.0 - y), 0.0, 1.0, "b")
+        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(1.0 - y), 0.0, 1.0, "b")
         assert abs(val - 2.0) < 1e-10
 
     def test_polynomial(self):
-        assert abs(integrate_sqrt_singular(lambda y: y, 0.0, 1.0, "none") - 0.5) < 1e-13
+        assert abs(integrate_sqrt_singular(lambda y, d: y, 0.0, 1.0, "b") - 0.5) < 1e-13
 
     def test_exp_singular_frozen(self):
         val = integrate_sqrt_singular(
-            lambda y: 1.0 / np.sqrt(math.e - np.exp(y)), 0.0, 1.0, "b"
+            lambda y, d: 1.0 / np.sqrt(math.e - np.exp(y)), 0.0, 1.0, "b"
         )
         assert abs(val - INT_EXP_SINGULAR) < 1e-9
 
@@ -51,40 +50,35 @@ class TestIntegrateSqrtSingular:
     def test_polynomials_exact(self, coeffs):
         poly = np.polynomial.Polynomial(coeffs)
         exact = float(poly.integ()(2.0) - poly.integ()(0.5))
-        val = integrate_sqrt_singular(poly, 0.5, 2.0, "none")
+        val = integrate_sqrt_singular(lambda y, d: poly(y), 0.5, 2.0, "b")
         assert abs(val - exact) < 1e-12
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_scaled_inverse_sqrt_exact(self, c):
-        val = integrate_sqrt_singular(lambda y: c / np.sqrt(3.0 - y), 1.0, 3.0, "b")
+        val = integrate_sqrt_singular(lambda y, d: c / np.sqrt(3.0 - y), 1.0, 3.0, "b")
         assert abs(val - c * 2.0 * math.sqrt(2.0)) < 1e-12
 
     def test_singular_at_a(self):
-        val = integrate_sqrt_singular(lambda y: 1.0 / np.sqrt(y), 0.0, 1.0, "a")
+        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(y), 0.0, 1.0, "a")
         assert abs(val - 2.0) < 1e-12
 
     def test_pass_distance(self):
-        val = integrate_sqrt_singular(
-            lambda y, d: 1.0 / np.sqrt(d), 0.0, 1.0, "b", pass_distance=True
-        )
+        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(d), 0.0, 1.0, "b")
         assert abs(val - 2.0) < 1e-12
 
     def test_budget_exhausted(self):
-        tol = QuadTolerance(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2)
         with pytest.raises(AccuracyError) as exc:
-            integrate_sqrt_singular(
-                lambda y: np.sin(200.0 / (y + 0.01)), 0.0, 1.0, "none", tol=tol
-            )
+            integrate_sqrt_singular(lambda y, d: np.sin(200.0 / (y + 0.01)), 0.0, 1.0, "a", max_panels=2)
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error_bound >= 0
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            integrate_sqrt_singular(lambda y: y, 1.0, 0.0, "none")
+            integrate_sqrt_singular(lambda y, d: y, 1.0, 0.0, "a")
         with pytest.raises(ValueError):
-            integrate_sqrt_singular(lambda y: y, 0.0, 1.0, "middle")
-        assert integrate_sqrt_singular(lambda y: y, 1.0, 1.0, "none") == 0.0
+            integrate_sqrt_singular(lambda y, d: y, 0.0, 1.0, "middle")
+        assert integrate_sqrt_singular(lambda y, d: y, 1.0, 1.0, "a") == 0.0
 
 
 tanh_etas = st.builds(
@@ -153,9 +147,7 @@ class TestKernelAgainstQuadpack:
     def test_inverse_sqrt_weighted(self, eta, a, width, singular_at, invert):
         b = a + width
         smooth = (lambda y: 1.0 / eta.value_log(y)) if invert else eta.value_log
-        val = integrate_sqrt_singular(
-            lambda y, d: smooth(y) / np.sqrt(d), a, b, singular_at, pass_distance=True
-        )
+        val = integrate_sqrt_singular(lambda y, d: smooth(y) / np.sqrt(d), a, b, singular_at)
         ref = _quadpack_reference(lambda y: float(smooth(y)), a, b, singular_at, _clamp_kinks(eta, a, b))
         assert abs(val - ref) <= 1e-10 * abs(ref)
 

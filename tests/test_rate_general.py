@@ -12,7 +12,6 @@ from varsmile import (
     LogPolyEta,
     LogPolySigma,
     LsvModel,
-    NumericOptions,
     PathPair,
     TanhEta,
     asian_rate_j,
@@ -30,7 +29,6 @@ from varsmile import (
 )
 from varsmile import rate_general, rate_zero
 from varsmile.errors import ConvergenceError, NumericsError, TableRangeError
-from varsmile.numerics import QuadTolerance
 from varsmile.rate_general import _CoupledMap, _coupled_endpoint, _h_only_rate, _lagrangian_grad, constraint_integral
 
 # perfbench/models/kinked.json: eta 1 - 0.3u clamped to [0.85, 1.15] (kinks
@@ -286,9 +284,9 @@ class TestPerfectCorr:
         a0 = forward_variance_limit(m)
         mapper = _CoupledMap(m, 1.0)
         w_kink = brentq(lambda w: math.log(mapper.f_of_x([m.v0 * math.exp(w)])[0]) - 0.5, 1.0, 3.0, xtol=1e-15)
-        got = _coupled_endpoint(mapper, a0, w_kink + delta, QuadTolerance())
+        got = _coupled_endpoint(mapper, a0, w_kink + delta)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
-        ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta, QuadTolerance())
+        ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-10 * b
 
@@ -302,9 +300,9 @@ class TestPerfectCorr:
         m = LsvModel(s0=1.0, v0=0.1, rho=rho, eta=TanhEta(1.0, -0.1, 0.0),
                      sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.17))
         a0 = forward_variance_limit(m)
-        got = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta, QuadTolerance())
+        got = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
-        ref = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta, QuadTolerance())
+        ref = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-6 * b
 
@@ -371,7 +369,7 @@ class TestPerfectCorr:
         for m, rho_eff, x in ((TANH.with_rho(1.0), 1.0, 0.15), (KINKED.with_rho(-1.0), -1.0, -0.15),
                               (KINKED.with_rho(0.7), 0.7, 0.2)):
             a0 = forward_variance_limit(m)
-            res = _h_only_rate(m, a0 * math.exp(x), rho_eff, QuadTolerance())
+            res = _h_only_rate(m, a0 * math.exp(x), rho_eff)
             if abs(rho_eff) == 1.0:
                 assert rate_perfect_corr(m, a0 * math.exp(x), int(rho_eff)).diagnostics == res.diagnostics
             diag = json.loads(json.dumps(res.diagnostics))
@@ -421,15 +419,15 @@ class TestPerfectCorr:
         m = KINKED.with_rho(1.0)
         a0 = forward_variance_limit(m)
         zr = math.exp(1.2656570832710217)
-        mapper, tol = _CoupledMap(m, 1.0), QuadTolerance()
+        mapper = _CoupledMap(m, 1.0)
         (w_kink,) = mapper.kinks(1.0, 3.0)
 
         def phi(t):
-            e_a, f, g = _coupled_endpoint(mapper, a0, t, tol)
+            e_a, f, g = _coupled_endpoint(mapper, a0, t)
             return e_a - zr - g / f
 
         roots = [brentq(phi, a, b, xtol=1e-15) for a, b in ((2.0, w_kink), (w_kink + 1e-6, 2.09), (2.09, 2.2))]
-        rates = [0.5 * math.prod(_coupled_endpoint(mapper, a0, t, tol)[1:]) for t in roots]
+        rates = [0.5 * math.prod(_coupled_endpoint(mapper, a0, t)[1:]) for t in roots]
         assert rates[2] < rates[0] - 1e-6 and rates[2] < rates[1]
         res = rate_perfect_corr(m, a0 * zr, 1)
         assert abs(res.diagnostics["w_a"] - roots[2]) <= 1e-12
@@ -462,7 +460,7 @@ class TestPerfectCorr:
         f += integral(lambda u: 2.0 / (sig(t_a - u * u) * math.sqrt(gap_over_u2(u))), delta)
         g = integral(lambda u: 2.0 * u * math.sqrt(e_a - level(kink - u * u)) / sig(kink - u * u), kink)
         g += integral(lambda u: 2.0 * u * u * math.sqrt(gap_over_u2(u)) / sig(t_a - u * u), delta)
-        _, f_got, g_got = _coupled_endpoint(mapper, a0, t_a, QuadTolerance())
+        _, f_got, g_got = _coupled_endpoint(mapper, a0, t_a)
         assert abs(f_got - f) <= 1e-10 * f
         assert abs(g_got - g) <= 1e-10 * g
 
@@ -475,10 +473,10 @@ class TestPerfectCorr:
         m = KINKED.with_rho(rho)
         a0 = forward_variance_limit(m)
         mapper = _CoupledMap(m, rho)
-        got = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, QuadTolerance())
+        got = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
         mapper = _CoupledMap(m, rho)
-        ref = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, QuadTolerance())
+        ref = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-11 * b
 
@@ -558,7 +556,7 @@ class TestRateNumeric:
 
     def test_grid_refinement_second_order(self, tanh_model):
         k = 0.1 * math.exp(0.1)
-        vals = {n: rate_numeric(tanh_model, k, NumericOptions(n=n)).value for n in (101, 201, 401)}
+        vals = {n: rate_numeric(tanh_model, k, n=n).value for n in (101, 201, 401)}
         d1 = abs(vals[201] - vals[101])
         d2 = abs(vals[401] - vals[201])
         assert d2 <= 0.25 * d1 + 1e-12

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -24,7 +25,7 @@ from varsmile import (
 )
 from varsmile.errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
 from varsmile.model import eta_eval
-from varsmile.numerics import QuadTolerance
+from varsmile.numerics import integrate_sqrt_singular
 from varsmile.rate_zero import (
     _budget_legs,
     _endpoint_integrals,
@@ -172,10 +173,8 @@ class TestGEndpoint:
     def test_grid_scan_oracle(self, tanh_model):
         # independent bisection on the raw ratio equation, frozen value
         k, z = 0.12, 0.115
-        tol = QuadTolerance()
-
         def psi(ug):
-            num, den = _endpoint_integrals(tanh_model, ug, tol)
+            num, den = _endpoint_integrals(tanh_model, ug)
             return num / den - z / k
 
         ug = bisect(psi, -1.0, -1e-9, iters=60)
@@ -298,21 +297,20 @@ class TestRateZeroRho:
         # differences in z of the objective built on the Asian root J(V0, z)
         m = KINKED if kinked else tanh_model
         k = forward_variance_limit(m) * math.exp(x)
-        tol = QuadTolerance()
         res = rate_zero_rho(m, k)
         above = res.diagnostics["branch"] == "above"
 
         def objective(z):
-            return _g_leg_cost(m, z, k, tol)[1] + asian_rate_j(m.sigma, m.v0, z, tol=tol).value
+            return _g_leg_cost(m, z, k)[1] + asian_rate_j(m.sigma, m.v0, z).value
 
         slopes = {}
         for ar in (0.97, 1.0, 1.03):
-            z, sol = _variance_leg(m, res.diagnostics["alpha"] * ar, above, tol)
+            z, sol = _variance_leg(m, res.diagnostics["alpha"] * ar, above)
             if ar == 1.0:
                 assert z == res.z_star and sol.value == res.h_cost
             h = 1e-6 * z
             central = (objective(z + h) - objective(z - h)) / (2.0 * h)
-            slopes[z] = (_budget_legs(m, k, z, sol, tol)[0], central)
+            slopes[z] = (_budget_legs(m, k, z, sol)[0], central)
         z_lo, z_mid, z_hi = sorted(slopes)
         for slope, central in slopes.values():
             assert abs(slope - central) <= 1e-7 * max(abs(central), abs(slopes[z_lo][0]))
@@ -336,10 +334,11 @@ class TestRateZeroRho:
             assert diag["kernel_calls"] > 0
             assert diag["derivative_evals"] >= (0 if m is const else 2)
 
-    def test_kernel_budget_surfaces(self, tanh_model):
-        tol = QuadTolerance(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=1)
+    def test_kernel_budget_surfaces(self, tanh_model, monkeypatch):
+        monkeypatch.setattr("varsmile.rate_zero.integrate_sqrt_singular",
+                            functools.partial(integrate_sqrt_singular, max_panels=1))
         with pytest.raises(AccuracyError):
-            rate_zero_rho(tanh_model, 0.12, tol=tol)
+            rate_zero_rho(tanh_model, 0.12)
 
     def test_constant_eta_shortcut(self):
         m = LsvModel(s0=2.0, v0=0.1, rho=0.0, eta=ConstantEta(1.2), sigma=ConstantSigma(2.0))

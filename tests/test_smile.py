@@ -137,6 +137,17 @@ class TestAsymptoticSmile:
         assert pt.method == "numeric"
         assert abs(pt.sigma_v - 0.1 / math.sqrt(2.0 * res.value)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_strike_rejected(self, tanh_model, k):
+        with pytest.raises(ValueError, match="finite"):
+            asymptotic_smile(tanh_model, k)
+        with pytest.raises(ValueError, match="finite"):
+            rate_by_method(tanh_model, k, "closed")
+        with pytest.raises(ValueError, match="finite"):
+            rate_by_method(tanh_model.with_rho(0.5), k, "numeric")
+        with pytest.raises(ValueError, match="finite"):
+            rate_perfect_corr(tanh_model.with_rho(1.0), k, 1)
+
     def test_bad_method(self, tanh_model):
         with pytest.raises(ValueError):
             asymptotic_smile(tanh_model, 0.11, rate_method="magic")
