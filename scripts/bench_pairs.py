@@ -72,6 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: a side's quartiles need two runs")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     report = {

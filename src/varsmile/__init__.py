@@ -11,6 +11,7 @@ from .model import (
     eta_eval,
     forward_variance_limit,
     load_model,
+    log_moneyness,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -35,9 +36,8 @@ from .rate_general import (
     rate_perfect_corr,
     rate_upper_corr_path,
 )
-from .atm import AtmExpansion, atm_expansion, atm_price_limit, expansion_paths, rate_expansion
+from .atm import AtmExpansion, atm_expansion, atm_price_limit, expansion_paths
 from .smile import (
-    SmileCurve,
     SmilePoint,
     asymptotic_smile,
     black_price,

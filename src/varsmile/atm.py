@@ -18,24 +18,23 @@ from .errors import DegenerateModelError
 from .model import LsvModel, forward_variance_limit
 from .paths import PathPair
 
-__all__ = ["AtmExpansion", "atm_expansion", "rate_expansion", "expansion_paths", "atm_price_limit"]
+__all__ = ["AtmExpansion", "atm_expansion", "expansion_paths", "atm_price_limit"]
 
 
 @dataclass(frozen=True)
 class AtmExpansion:
     """Coefficients of the small-x expansion of the rate function and paths.
 
-    value(x) = A x^2 + B x^3; first-order paths are g1_amp * (2t - t^2) and
-    h1_amp * (2t - t^2); second-order profiles are cubic/quartic polynomials
-    with coefficients (a, b, c) and (abar, bbar, cbar).
+    value(x) = A x^2 + B x^3 with A = 3 / (2 D); the smile's ATM level and
+    skew follow from A and B (``linear_smile_coeffs``).  First-order paths
+    are g1_amp * (2t - t^2) and h1_amp * (2t - t^2); second-order profiles
+    are cubic/quartic polynomials with coefficients (a, b, c) and
+    (abar, bbar, cbar).
     """
 
     A: float
     B: float
     D: float
-    beta0: float
-    beta1: float
-    beta2: float
     g1_amp: float
     h1_amp: float
     a: float
@@ -44,10 +43,6 @@ class AtmExpansion:
     abar: float
     bbar: float
     cbar: float
-    c_series: tuple[float, ...]
-    d_series: tuple[float, ...]
-    cbar_series: tuple[float, ...]
-    dbar_series: tuple[float, ...]
 
     def rate(self, x: float) -> float:
         return self.A * x * x + self.B * x**3
@@ -72,6 +67,14 @@ class AtmExpansion:
         return self._profile2(t, self.abar, self.bbar, self.cbar)
 
 
+def _denominator(model: LsvModel) -> float:
+    """D = sigma0^2 + 4 rho sigma0 sqrt(V0) eta1 + 4 eta1^2 V0, with eta1 and
+    sigma0 the log-expansion coefficients of eta at S0 and sigma at V0."""
+    _, eta1, _ = model.eta.log_coeffs()
+    sig0, _, _ = model.sigma.log_coeffs()
+    return sig0 * sig0 + 4.0 * model.rho * sig0 * math.sqrt(model.v0) * eta1 + 4.0 * eta1 * eta1 * model.v0
+
+
 def atm_expansion(model: LsvModel) -> AtmExpansion:
     """Assemble the expansion coefficients for the given model."""
     eta0, eta1, eta2 = model.eta.log_coeffs()
@@ -80,7 +83,7 @@ def atm_expansion(model: LsvModel) -> AtmExpansion:
     v0 = model.v0
     sv = math.sqrt(v0)
 
-    d = sig0 * sig0 + 4.0 * rho * sig0 * sv * eta1 + 4.0 * eta1 * eta1 * v0
+    d = _denominator(model)
     if d <= 1e-14:
         raise DegenerateModelError("quadratic coefficient denominator vanishes")
 
@@ -182,9 +185,6 @@ def atm_expansion(model: LsvModel) -> AtmExpansion:
         A=a_coef,
         B=b_coef,
         D=d,
-        beta0=beta0,
-        beta1=beta1,
-        beta2=beta2,
         g1_amp=g1_amp,
         h1_amp=h1_amp,
         a=a,
@@ -193,16 +193,7 @@ def atm_expansion(model: LsvModel) -> AtmExpansion:
         abar=abar,
         bbar=bbar,
         cbar=cbar,
-        c_series=c_series,
-        d_series=d_series,
-        cbar_series=cbar_series,
-        dbar_series=dbar_series,
     )
-
-
-def rate_expansion(model: LsvModel, x: float) -> float:
-    """A x^2 + B x^3; accurate for small |x| only."""
-    return atm_expansion(model).rate(x)
 
 
 def expansion_paths(model: LsvModel, x: float, n: int = 401, order: int = 2) -> PathPair:
@@ -222,12 +213,7 @@ def expansion_paths(model: LsvModel, x: float, n: int = 401, order: int = 2) -> 
 def atm_price_limit(model: LsvModel) -> float:
     """limit of ATM price / sqrt(T): same constant for calls and puts.
 
-    Equals eta^2(S0) V0 / sqrt(6 pi) times the square root of
-    4 V0 (S0 eta'(S0))^2 + sigma^2(V0) + 4 rho S0 eta'(S0) sqrt(V0) sigma(V0).
+    Equals F_V(0) sqrt(D / (6 pi)), F_V(0) = eta^2(S0) V0 and D the expansion's
+    denominator 4 V0 (S0 eta'(S0))^2 + sigma^2(V0) + 4 rho S0 eta'(S0) sqrt(V0) sigma(V0).
     """
-    _, eta1, _ = model.eta.log_coeffs()
-    sig0, _, _ = model.sigma.log_coeffs()
-    v0 = model.v0
-    radicand = 4.0 * v0 * eta1 * eta1 + sig0 * sig0 + 4.0 * model.rho * eta1 * math.sqrt(v0) * sig0
-    radicand = max(radicand, 0.0)
-    return forward_variance_limit(model) / math.sqrt(6.0 * math.pi) * math.sqrt(radicand)
+    return forward_variance_limit(model) / math.sqrt(6.0 * math.pi) * math.sqrt(max(_denominator(model), 0.0))

@@ -146,13 +146,9 @@ def _cmd_rate(args) -> int:
 def _cmd_smile(args) -> int:
     model = _load_checked(args.model)
     strikes = _strikes_from_args(model, args)
-    curve = smile_mod.SmileCurve(
-        points=tuple(
-            smile_mod.asymptotic_smile(model, k, rate_method=args.method) for k in strikes
-        )
-    )
     lines = ["K,x,sigma_v,method,lo,hi"]
-    for pt in curve:
+    for k in strikes:
+        pt = smile_mod.asymptotic_smile(model, k, rate_method=args.method)
         lines.append(
             ",".join(_fmt(v) for v in (pt.strike, pt.x, pt.sigma_v, pt.method, pt.lo, pt.hi))
         )

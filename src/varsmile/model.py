@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -29,6 +29,8 @@ __all__ = [
     "eta_eval",
     "sigma_eval",
     "forward_variance_limit",
+    "ATM_REL_TOL",
+    "log_moneyness",
     "validate",
     "model_from_dict",
     "model_to_dict",
@@ -219,7 +221,7 @@ class LogPolySigma:
     """sigma0 + sigma1 w + sigma2 w^2 in w = log(V/V0), clipped."""
 
     sigma0: float
-    sigma1: float
+    sigma1: float = 0.0
     sigma2: float = 0.0
     clamp_lo: float = 1e-4
     clamp_hi: float = 1e4
@@ -306,6 +308,28 @@ def forward_variance_limit(model: LsvModel) -> float:
     return float(eta_eval(model, model.s0)) ** 2 * model.v0
 
 
+# A strike whose ratio K / F_V(0) is within this distance of 1 is at the
+# money: its log-moneyness is exactly 0, and so is every rate there.  The
+# Asian solve reads the same band for its budget ratio z / V0.
+ATM_REL_TOL = 1e-13
+
+
+def log_moneyness(model: LsvModel, k: float) -> float:
+    """x = log(K / F_V(0)) of a strike 0 < K < inf; exactly 0.0 inside the
+    ATM band ``ATM_REL_TOL``.
+
+    The band test forms K / F_V(0) as the Asian solve forms z / V0 at the
+    pivot budget z = K / eta(S0)^2, rounding included, so a strike outside
+    the band never meets an Asian solve that takes it for ATM.
+    """
+    if not 0 < k < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {k}")
+    eta0 = float(model.eta.value_log(0.0))
+    if abs(k / eta0**2 / model.v0 - 1.0) <= ATM_REL_TOL:
+        return 0.0
+    return math.log(k / forward_variance_limit(model))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -347,16 +371,12 @@ def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
 
     moneyness = None
     if strike is not None:
-        if not 0 < strike < math.inf:
-            errors.append(f"strike must be positive and finite, got {strike}")
+        try:
+            x = log_moneyness(model, strike)
+        except (ValueError, ZeroDivisionError) as exc:  # the latter at eta(S0) = 0
+            errors.append(f"strike {strike} not classified: {exc}")
         else:
-            fv0 = forward_variance_limit(model)
-            if abs(strike - fv0) <= 1e-12 * fv0:
-                moneyness = "atm"
-            elif strike > fv0:
-                moneyness = "otm_call"
-            else:
-                moneyness = "otm_put"
+            moneyness = "atm" if x == 0.0 else "otm_call" if x > 0.0 else "otm_put"
 
     return ValidationReport(
         valid=not errors,
@@ -382,58 +402,48 @@ def _check_keys(d: dict, allowed: set[str], where: str):
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _spec_body(d: dict, what: str, types: dict) -> tuple[str, dict]:
-    """(type, remaining keys) of an eta or sigma spec, the keys checked."""
-    if "type" not in d:
-        raise ValueError(f"{what} spec needs a 'type' key")
-    kind = d["type"]
-    if kind not in types:
-        raise ValueError(f"unknown {what} type {kind!r}")
-    body = {k: v for k, v in d.items() if k != "type"}
-    _check_keys(body, {f.name for f in fields(types[kind])}, f"{what}[{kind}]")
-    return kind, body
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
-def _eta_from_dict(d: dict) -> EtaSpec:
-    kind, body = _spec_body(d, "eta", _ETA_TYPES)
-    if kind == "tanh":
-        return TanhEta(float(body["f0"]), float(body["f1"]), float(body.get("x0", 0.0)))
-    if kind == "logpoly":
-        return LogPolyEta(
-            tuple(float(c) for c in body["coeffs"]),
-            float(body["clamp_lo"]),
-            float(body["clamp_hi"]),
-        )
-    return ConstantEta(float(body["eta0"]))
-
-
-def _sigma_from_dict(d: dict) -> SigmaSpec:
-    kind, body = _spec_body(d, "sigma", _SIGMA_TYPES)
-    if kind == "constant":
-        return ConstantSigma(float(body["sigma0"]))
-    return LogPolySigma(
-        float(body["sigma0"]),
-        float(body.get("sigma1", 0.0)),
-        float(body.get("sigma2", 0.0)),
-        float(body.get("clamp_lo", 1e-4)),
-        float(body.get("clamp_hi", 1e4)),
-    )
+def _spec_from_dict(d, what: str, types: dict):
+    """The eta or sigma family that ``d`` names, built from its dataclass:
+    each field is read from the key of its name, and a key left out takes
+    the field's default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} spec must be an object, got {d!r}")
+    kind = d.get("type")
+    if not isinstance(kind, str) or kind not in types:
+        raise ValueError(f"{what} spec needs a 'type' in {sorted(types)}, got {kind!r}")
+    cls, where = types[kind], f"{what}[{kind}]"
+    _check_keys(d, {f.name for f in fields(cls)} | {"type"}, where)
+    args = {}
+    for f in fields(cls):
+        value = d.get(f.name, f.default)
+        if value is MISSING:
+            raise ValueError(f"{where} missing required key {f.name!r}")
+        if f.type.startswith("tuple"):  # LogPolyEta.coeffs
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{where}.{f.name} must be a list of numbers, got {value!r}")
+            args[f.name] = tuple(_number(c, f"{where}.{f.name}") for c in value)
+        else:
+            args[f.name] = _number(value, f"{where}.{f.name}")
+    return cls(**args)
 
 
 def model_from_dict(d: dict) -> LsvModel:
+    if not isinstance(d, dict):
+        raise ValueError(f"a model file must hold an object, got {d!r}")
     _check_keys(d, {"s0", "v0", "rho", "r", "q", "mu", "eta", "sigma"}, "model")
     for key in ("s0", "v0", "rho", "eta", "sigma"):
         if key not in d:
             raise ValueError(f"model file missing required key {key!r}")
     return LsvModel(
-        s0=float(d["s0"]),
-        v0=float(d["v0"]),
-        rho=float(d["rho"]),
-        r=float(d.get("r", 0.0)),
-        q=float(d.get("q", 0.0)),
-        mu=float(d.get("mu", 0.0)),
-        eta=_eta_from_dict(d["eta"]),
-        sigma=_sigma_from_dict(d["sigma"]),
+        **{key: _number(d.get(key, 0.0), key) for key in ("s0", "v0", "rho", "r", "q", "mu")},
+        eta=_spec_from_dict(d["eta"], "eta", _ETA_TYPES),
+        sigma=_spec_from_dict(d["sigma"], "sigma", _SIGMA_TYPES),
     )
 
 

@@ -24,14 +24,12 @@ from scipy.optimize import minimize_scalar
 
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError, TableRangeError
-from .model import LsvModel, forward_variance_limit
+from .model import LsvModel, forward_variance_limit, log_moneyness
 from .numerics import MAX_PANELS, Bracket, count_kernel_calls, find_root, integrate_sqrt_singular
 from .paths import PathPair
 from .rate_zero import (
-    _ATM_REL_TOL,
     _SEED_STRETCH,
     RateResult,
-    _asian_h_path,
     _const_sigma_root,
     _eta_flat,
     _paths_from_rate,
@@ -125,9 +123,13 @@ def constraint_integral(model: LsvModel, paths: PathPair) -> float:
 def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
     """Sandwich bounds on the rate for |rho| < 1.
 
-    Lower: I0/(1+|rho|).  Uppers: I0/(1-|rho|); the action evaluated on the
-    rho = 0 optimal paths; J(V0, K/eta(S0)^2)/(1-rho^2); and the h-only
-    correlated-path bound.
+    Lower: I0/(1+|rho|).  Uppers: I0/(1-|rho|); the action on the rho = 0
+    optimal paths; J(V0, K/eta(S0)^2)/(1-rho^2); and the h-only
+    correlated-path bound.  The action on the rho = 0 paths takes their exact
+    leg costs g0 + h0 = I0 and sums only the cross term C = int a b dt on
+    them: (g0 - rho C + rho^2 h0)/(1-rho^2) + h0, which is I0 at rho = 0.
+    The cross term drops out at rho = 0 and for flat eta (a = 0), and is
+    not summed there.
     """
     rho = model.rho
     if abs(rho) >= 1.0:
@@ -139,16 +141,16 @@ def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
     lower = i0 / (1.0 + abs(rho))
     uppers: list[tuple[str, float]] = [("scaled_zero_corr", i0 / (1.0 - abs(rho)))]
 
-    z_pivot = k / float(model.eta.value_log(0.0)) ** 2
-    asian = asian_rate_j(model.sigma, model.v0, z_pivot)
-    if _eta_flat(model):
-        t = np.linspace(0.0, 1.0, 401)
-        h = _asian_h_path(model.sigma, model.v0, asian.alpha, asian.branch, t)
-        paths0 = PathPair(t, np.full(t.size, math.log(model.s0)), h)
-    else:
+    cross = 0.0
+    if rho != 0.0 and not _eta_flat(model):
         paths0 = _paths_from_rate(model0, k, res0, 401)
-    uppers.append(("zero_corr_paths", lambda_functional(model, paths0).total))
-    uppers.append(("scaled_asian", asian.value / (1.0 - rho * rho)))
+        dg, dh, eta_m, _, sig_m, _, v_m = _midpoint_pieces(model, paths0.g, paths0.h, paths0.dt)
+        cross = float(np.sum(dg * dh / (eta_m * np.sqrt(v_m) * sig_m)) * paths0.dt)
+    g0, h0 = res0.g_cost, res0.h_cost
+    uppers.append(("zero_corr_paths", (g0 - rho * cross + rho * rho * h0) / (1.0 - rho * rho) + h0))
+
+    z_pivot = k / float(model.eta.value_log(0.0)) ** 2
+    uppers.append(("scaled_asian", asian_rate_j(model.sigma, model.v0, z_pivot).value / (1.0 - rho * rho)))
 
     try:
         uppers.append(("corr_path", rate_upper_corr_path(model, k)))
@@ -438,24 +440,23 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
     direct transcription when G is not invertible on the needed range.  The
     map's table is widened with the strike: |w_a| stays below 2 |log(K / A0)|
     at the models tried, up to the table's largest half-width MAX_SPAN."""
-    if not 0 < k < math.inf:
-        raise ValueError("strike must be positive and finite")
-    a0 = forward_variance_limit(model)
-    if abs(k - a0) <= _ATM_REL_TOL * a0:
+    x = log_moneyness(model, k)
+    if x == 0.0:
         return RateResult(0.0, "corr_path_asian", z_star=k)
 
-    mapper = _CoupledMap(model, rho_eff, 2.0 * abs(math.log(k / a0)) + 1.0)
+    a0 = forward_variance_limit(model)
+    mapper = _CoupledMap(model, rho_eff, 2.0 * abs(x) + 1.0)
     window = mapper.monotone_window()
     with count_kernel_calls() as kernel_calls:
         found = None if window is None else _coupled_asian(mapper, a0, k / a0, window)
     if found is None:
-        return _h_only_direct(model, k, mapper)
+        return _h_only_direct(model, k, x, mapper)
     value, diagnostics = found
     diagnostics.update(rho_eff=rho_eff, kernel_calls=kernel_calls[0])
     return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
 
 
-def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult:
+def _h_only_direct(model: LsvModel, k: float, x: float, mapper: _CoupledMap) -> RateResult:
     """Direct transcription of the h-only problem (non-invertible payoff map).
 
     The payoff map may be locally decreasing, so the sign of the excursion
@@ -465,7 +466,6 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult
     """
     t = np.linspace(0.0, 1.0, 401)
     dt = t[1] - t[0]
-    x_eff = math.log(k / forward_variance_limit(model))
 
     def pieces(h_int):
         h = np.concatenate(([0.0], h_int))
@@ -486,7 +486,7 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult
         return _to_nodes(0.5 * m_h - s_h, 0.5 * m_h + s_h) + lam * grad_c, c, grad_c
 
     solutions, failures = [], []
-    for scale in (x_eff, -x_eff):
+    for scale in (x, -x):
         try:
             h_int, lam, diag = _newton_kkt(lagrangian_grad, (scale * 1.5 * (2.0 * t - t * t))[1:], 0.0, 1, k)
         except NumericsError as exc:  # no convergence, or the map table was left
@@ -506,7 +506,7 @@ def _h_only_direct(model: LsvModel, k: float, mapper: _CoupledMap) -> RateResult
         z_star=k,
         lagrange=lam,
         h_cost=value,
-        diagnostics={"x": x_eff, **diag, "fallback": True},
+        diagnostics={"x": x, **diag, "fallback": True},
         paths=paths,
     )
 
@@ -624,14 +624,12 @@ def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
     """
     if abs(model.rho) >= 1.0:
         raise ValueError("rate_numeric requires |rho| < 1")
-    if not 0 < k < math.inf:
-        raise ValueError("strike must be positive and finite")
 
-    x = math.log(k / forward_variance_limit(model))
+    x = log_moneyness(model, k)
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
     log_v0 = math.log(model.v0)
-    if abs(x) <= 1e-14:
+    if x == 0.0:
         paths = PathPair(t, np.full(n, log_s0), np.full(n, log_v0))
         return RateResult(0.0, "numeric_transcription", z_star=model.v0, lagrange=0.0, paths=paths)
 
@@ -671,6 +669,6 @@ def rate_by_method(model: LsvModel, k: float, method: str) -> RateResult | Bound
     if method == "bounds":
         return rate_bounds_rho(model, k)
     if method == "expansion":
-        x = math.log(k / forward_variance_limit(model))
-        return RateResult(atm_mod.rate_expansion(model, x), "expansion", diagnostics={"x": x})
+        x = log_moneyness(model, k)
+        return RateResult(atm_mod.atm_expansion(model).rate(x), "expansion", diagnostics={"x": x})
     raise ValueError("rate method must be one of closed|bounds|numeric|expansion")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DegenerateEtaError, InfeasibleStrikeError
-from .model import LsvModel, SigmaSpec, forward_variance_limit
+from .model import ATM_REL_TOL, LsvModel, SigmaSpec, log_moneyness
 from .numerics import (
     Bracket,
     bracket_root,
@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 CONST_ETA_REL_TOL = 1e-12
-_ATM_REL_TOL = 1e-13
 
 
 def _eta_flat(model: LsvModel) -> bool:
@@ -160,7 +159,7 @@ def asian_rate_general(sig_log: Callable, zr: float) -> AsianRateSolution:
     """
     if zr <= 0:
         raise ValueError("zr must be positive")
-    if abs(zr - 1.0) <= _ATM_REL_TOL:
+    if abs(zr - 1.0) <= ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm")
 
     above = zr > 1.0
@@ -198,7 +197,7 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
     if sigma0 <= 0 or v0 <= 0 or z <= 0:
         raise ValueError("inputs must be positive")
     zr = z / v0
-    if abs(zr - 1.0) <= _ATM_REL_TOL:
+    if abs(zr - 1.0) <= ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm", const_param=0.0)
 
     param, alpha = _const_sigma_root(zr)
@@ -429,13 +428,10 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
-    if not 0 < k < math.inf:
-        raise ValueError("strike must be positive and finite")
 
-    fv0 = forward_variance_limit(model)
-    x = math.log(k / fv0)
+    x = log_moneyness(model, k)
     side = "call" if x > 0 else "put"
-    if abs(x) <= 1e-14:
+    if x == 0.0:
         return RateResult(
             0.0,
             "closed_zero_rho",
@@ -492,10 +488,7 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
             raise InfeasibleStrikeError(
                 f"no feasible budget brackets the minimizer at K = {k}; it sits where eta turns flat"
             )
-        if a_far == a_near:  # the pivot is at V0 to the Asian solve's precision
-            a_star = a_near
-        else:
-            a_star = find_root(slope, Bracket(min(a_far, a_near), max(a_far, a_near)), tol=1e-12)
+        a_star = find_root(slope, Bracket(min(a_far, a_near), max(a_far, a_near)), tol=1e-12)
         _, z_star, sol, (g_end, g_cost, lam, _) = legs[a_star]
         diagnostics = {
             "x": x,
@@ -592,10 +585,12 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
 
     diag = res.diagnostics
     h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t)
+    u_g = math.log(res.g_endpoint / model.s0)
+    if u_g == 0.0:  # the budget sits at the pivot: the asset leg stays at S0
+        return PathPair(t, np.full(n, log_s0), h)
 
     # asset leg: Theta(gamma(t)) = (den / (sqrt2 K)) * int_0^t e^h ds
     eta = model.eta
-    u_g = math.log(res.g_endpoint / model.s0)
     _, den = _endpoint_integrals(model, u_g)
     m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
 

@@ -11,13 +11,12 @@ from typing import Optional
 from scipy.special import ndtr
 
 from .errors import ArbitrageError, PrecisionWarning
-from .model import LsvModel, forward_variance_limit
+from .model import LsvModel, log_moneyness
 from .atm import atm_expansion
 from .rate_general import rate_by_method
 
 __all__ = [
     "SmilePoint",
-    "SmileCurve",
     "black_price",
     "implied_vol",
     "asymptotic_smile",
@@ -35,7 +34,7 @@ class SmilePoint:
 
     ``sigma_v`` is the zero-maturity implied volatility of the variance
     option (None for interval-only methods); ``lo``/``hi`` bound it when the
-    rate is only known to within bounds.
+    rate is only known to within bounds (both the ATM level at the money).
     """
 
     strike: float
@@ -44,15 +43,6 @@ class SmilePoint:
     method: str
     lo: Optional[float] = None
     hi: Optional[float] = None
-    price: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SmileCurve:
-    points: tuple[SmilePoint, ...]
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 def black_price(f: float, k: float, sigma: float, t: float, r: float = 0.0, flag: str = "call") -> float:
@@ -144,15 +134,14 @@ def asymptotic_smile(model: LsvModel, k: float, rate_method: str = "closed") -> 
     Methods (``rate_by_method``): "closed" (rho = 0 closed form), "numeric"
     (direct transcription; the exact reduction at rho = +-1), "expansion"
     (small-x polynomial, valid for small |x| only), "bounds" (interval).
-    At the money every method returns the same limit sqrt(D/3).
+    At the money (``log_moneyness`` 0) every method returns the ATM level of
+    ``linear_smile_coeffs``; "bounds" as the interval lo = hi.
     """
-    if not 0 < k < math.inf:
-        raise ValueError("strike must be positive and finite")
-    fv0 = forward_variance_limit(model)
-    x = math.log(k / fv0)
-    if abs(x) <= 1e-14:
-        exp = atm_expansion(model)
-        sig = math.sqrt(1.0 / (2.0 * exp.A))
+    x = log_moneyness(model, k)
+    if x == 0.0:
+        sig = linear_smile_coeffs(model)[0]
+        if rate_method == "bounds":
+            return SmilePoint(strike=k, x=0.0, sigma_v=None, method="bounds", lo=sig, hi=sig)
         return SmilePoint(strike=k, x=0.0, sigma_v=sig, method=rate_method)
 
     res = rate_by_method(model, k, rate_method)
@@ -166,20 +155,12 @@ def asymptotic_smile(model: LsvModel, k: float, rate_method: str = "closed") -> 
 
 
 def linear_smile_coeffs(model: LsvModel) -> tuple[float, float]:
-    """(ATM level, ATM skew) of the zero-maturity smile in log-moneyness."""
+    """(ATM level, ATM skew) of the zero-maturity smile in log-moneyness:
+    Sigma = |x| / sqrt(2 I) with I = A x^2 + B x^3 expands as
+    Sigma_ATM (1 - B x / (2 A)), Sigma_ATM = 1 / sqrt(2 A)."""
     exp = atm_expansion(model)
-    _, eta1, _ = model.eta.log_coeffs()
-    sig0, sig1, _ = model.sigma.log_coeffs()
-    sig_atm = math.sqrt(exp.D / 3.0)
-    numerator = (
-        sig0**4
-        + 2.0 * sig0**3 * (3.0 * sig1 + 7.0 * eta1 * model.rho * math.sqrt(model.v0))
-        + exp.beta2 * sig0**2
-        + exp.beta1 * sig0
-        + exp.beta0
-    )
-    s_v = numerator / (10.0 * math.sqrt(3.0) * exp.D**1.5)
-    return sig_atm, s_v
+    sig_atm = 1.0 / math.sqrt(2.0 * exp.A)
+    return sig_atm, -exp.B / (2.0 * exp.A) * sig_atm
 
 
 def linear_smile(model: LsvModel, x: float) -> float:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varsmile import (
     ConstantEta,
@@ -14,9 +16,9 @@ from varsmile import (
     atm_expansion,
     atm_price_limit,
     expansion_paths,
+    forward_variance_limit,
     lambda_functional,
     linear_smile_coeffs,
-    rate_expansion,
 )
 from varsmile.errors import DegenerateModelError
 
@@ -65,11 +67,11 @@ class TestExpansionCoefficients:
 
 class TestRateExpansion:
     def test_zero_at_atm(self, tanh_model):
-        assert rate_expansion(tanh_model, 0.0) == 0.0
+        assert atm_expansion(tanh_model).rate(0.0) == 0.0
 
     def test_stochastic_vol_spot_value(self):
         # A x^2 + B x^3 = 3/8 * 0.01 - (3 * 2 / 80) * 0.001 with sigma0 = 2
-        got = rate_expansion(sv_model(2.0), 0.1)
+        got = atm_expansion(sv_model(2.0)).rate(0.1)
         assert abs(got - (0.00375 - 0.000075)) < 1e-15
 
     def test_against_closed_form(self, tanh_model):
@@ -78,7 +80,7 @@ class TestRateExpansion:
         x = 0.05
         k = 0.1 * math.exp(x)
         exact = rate_zero_rho(tanh_model, k).value
-        approx = rate_expansion(tanh_model, x)
+        approx = atm_expansion(tanh_model).rate(x)
         assert abs(approx - exact) <= 20.0 * abs(x) ** 4  # O(x^4) remainder
 
 
@@ -198,3 +200,49 @@ def test_sigma_atm_consistency(tanh_model):
         exp = atm_expansion(m)
         sig_atm, _ = linear_smile_coeffs(m)
         assert abs(sig_atm - math.sqrt(1.0 / (2.0 * exp.A))) < 1e-15
+
+
+def paper_linear_smile(model):
+    """The paper's explicit ATM level sqrt(D/3) and skew, a sigma0-polynomial
+    over 10 sqrt(3) D^(3/2); the oracle for ``linear_smile_coeffs``."""
+    eta0, eta1, eta2 = model.eta.log_coeffs()
+    sig0, sig1, _ = model.sigma.log_coeffs()
+    rho, v0 = model.rho, model.v0
+    sv = math.sqrt(v0)
+    d = sig0**2 + 4.0 * rho * sig0 * sv * eta1 + 4.0 * eta1**2 * v0
+    beta0 = 16.0 * eta1**2 * v0**2 * (eta1**2 + 6.0 * eta0 * eta2)
+    beta1 = 8.0 * eta1 * rho * v0 * (3.0 * eta1 * rho * sig1 + 7.0 * eta1**2 * sv + 12.0 * eta0 * eta2 * sv)
+    beta2 = 4.0 * (6.0 * eta1 * rho * sig1 * sv + 6.0 * eta0 * eta2 * rho**2 * v0 + eta1**2 * (5.0 + 7.0 * rho**2) * v0)
+    numerator = (
+        sig0**4 + 2.0 * sig0**3 * (3.0 * sig1 + 7.0 * eta1 * rho * sv) + beta2 * sig0**2 + beta1 * sig0 + beta0
+    )
+    return math.sqrt(d / 3.0), numerator / (10.0 * math.sqrt(3.0) * d**1.5), d
+
+
+_ETAS = st.one_of(
+    st.builds(TanhEta, st.floats(0.5, 2.0), st.floats(-0.6, 0.6), st.floats(-1.0, 1.0)),
+    st.builds(
+        lambda c0, c1, c2: LogPolyEta((c0, c1, c2), 0.1 * c0, 10.0 * c0),
+        st.floats(0.5, 2.0), st.floats(-0.6, 0.6), st.floats(-0.3, 0.3),
+    ),
+)
+_SIGMAS = st.one_of(
+    st.builds(ConstantSigma, st.floats(0.1, 3.0)),
+    st.builds(lambda s0, s1: LogPolySigma(s0, s1, 0.0, 0.05 * s0, 20.0 * s0), st.floats(0.1, 3.0), st.floats(-1.0, 1.0)),
+)
+_MODELS = st.builds(
+    lambda eta, sigma, rho, v0: LsvModel(s0=1.0, v0=v0, rho=rho, eta=eta, sigma=sigma),
+    _ETAS, _SIGMAS, st.floats(-1.0, 1.0), st.floats(0.01, 1.0),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_MODELS)
+def test_atm_constants_against_paper_formulas(model):
+    sig_ref, skew_ref, d = paper_linear_smile(model)
+    assume(d > 1e-10)
+    sig_atm, s_v = linear_smile_coeffs(model)
+    assert abs(sig_atm - sig_ref) <= 1e-13 * sig_ref
+    assert abs(s_v - skew_ref) <= 1e-13 * sig_ref
+    limit = forward_variance_limit(model) * math.sqrt(d / (6.0 * math.pi))
+    assert abs(atm_price_limit(model) - limit) <= 1e-15 * limit

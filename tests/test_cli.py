@@ -82,6 +82,12 @@ class TestRate:
         assert set(payload["upper_candidates"]) == {"scaled_zero_corr", "zero_corr_paths", "scaled_asian", "corr_path"}
         assert payload["lower"] <= payload["best_upper"]
 
+    def test_bounds_ordered_at_rho_zero(self, capsys):
+        code, out, _ = run(["rate", "--model", str(MODEL), "--x", "2", "--method", "bounds"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lower"] <= payload["best_upper"]
+
     def test_numeric_method_routes_perfect_corr(self, capsys, tmp_path):
         m = tmp_path / "m.json"
         data = json.loads(MODEL.read_text())
@@ -106,6 +112,12 @@ class TestSmileCmd:
         mid = lines[3].split(",")
         assert float(mid[1]) == 0.0
         assert abs(float(mid[2]) - 1.1552777443829976) < 1e-9
+
+    def test_closed_inside_the_atm_band(self, capsys):
+        code, out, _ = run(["smile", "--model", str(MODEL), "--x=5e-14", "--method", "closed"], capsys)
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[1]) == 0.0 and abs(float(row[2]) - 1.1552777443829976) < 1e-9
 
     def test_bounds_interval_columns(self, capsys, tmp_path):
         model2 = tmp_path / "m.json"
@@ -182,6 +194,15 @@ class TestErrorPaths:
         code, _, err = run(["rate", "--model", str(bad), "--k", "0.12"], capsys)
         assert code == 2
         assert "eta" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    def test_malformed_model_value_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        data = json.loads(MODEL.read_text())
+        data["eta"]["f1"] = None
+        bad.write_text(json.dumps(data))
+        code, _, err = run(["rate", "--model", str(bad), "--k", "0.12"], capsys)
+        assert code == 2
+        assert "f1" in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_unknown_model_key_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -134,6 +134,11 @@ class TestValidate:
         assert not rep.valid
         assert any("eta" in e for e in rep.errors)
 
+    def test_eta_zero_at_spot_reported_with_a_strike(self):
+        rep = validate(make(LogPolyEta((0.0, -0.5), 0.0, 1.0)), strike=0.1)
+        assert not rep.valid and rep.moneyness is None
+        assert any("strike 0.1" in e for e in rep.errors)
+
     def test_increasing_eta_warns(self):
         rep = validate(make(TanhEta(1.0, 0.3, 0.0)))
         assert rep.valid
@@ -198,6 +203,48 @@ class TestJson:
 
         assert _model_hash(replace(tanh_model, mu=0.2)) != _model_hash(tanh_model)
         assert _model_hash(replace(tanh_model, mu=0.0)) == _model_hash(tanh_model)
+
+    @pytest.mark.parametrize(
+        "part, change, key",
+        [
+            ("eta", {"type": "tanh", "f1": -0.1}, "f0"),
+            ("sigma", {"type": "logpoly", "sigma1": 0.5}, "sigma0"),
+            ("eta", {"type": "tanh", "f0": 1.0, "f1": None}, "f1"),
+            ("eta", {"type": "tanh", "f0": 1.0, "f1": "-0.1"}, "f1"),
+            ("eta", {"type": "logpoly", "coeffs": 3, "clamp_lo": 0.5, "clamp_hi": 2.0}, "coeffs"),
+            ("eta", {"type": "logpoly", "coeffs": [1.0, None], "clamp_lo": 0.5, "clamp_hi": 2.0}, "coeffs"),
+            ("eta", 5, "eta"),
+            ("sigma", [2.0], "sigma"),
+            ("sigma", {"sigma0": 2.0}, "type"),
+            (None, {"s0": None}, "s0"),
+            (None, {"rho": True}, "rho"),
+        ],
+    )
+    def test_malformed_value_names_key(self, tanh_model, part, change, key):
+        d = model_to_dict(tanh_model)
+        if part is None:
+            d.update(change)
+        else:
+            d[part] = change
+        with pytest.raises(ValueError, match=key):
+            model_from_dict(d)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="object"):
+            model_from_dict([1.0, 0.1])
+
+    def test_defaults_from_the_dataclass(self, tanh_model):
+        d = model_to_dict(tanh_model)
+        d["eta"] = {"type": "tanh", "f0": 1, "f1": -0.1}
+        d["sigma"] = {"type": "logpoly", "sigma0": 2}
+        m = model_from_dict(d)
+        assert m.eta == TanhEta(1.0, -0.1, 0.0)
+        assert m.sigma == LogPolySigma(2.0)
+        assert m.sigma.sigma1 == 0.0 and m.sigma.clamp_lo == 1e-4 and m.sigma.clamp_hi == 1e4
+        assert all(type(v) is float for v in model_to_dict(m)["eta"].values() if v != "tanh")
+        from varsmile.cli import _model_hash
+
+        assert _model_hash(m) == "63252e7b0dd60bf1"  # the hash this file had before defaults moved
 
     def test_callable_drift_rejected(self, tanh_model):
         with pytest.raises(ValueError, match="callable"):

@@ -127,9 +127,16 @@ class TestBounds:
             assert abs(got - want) <= 1e-12 * want
 
     def test_one_rate_solve_per_call(self, tanh_model, monkeypatch):
-        m = tanh_model.with_rho(0.7)
+        rho = 0.7
+        m = tanh_model.with_rho(rho)
         k = 0.1 * math.exp(0.2)
-        paths_bound = lambda_functional(m, optimal_paths_zero_rho(tanh_model, k)).total
+        # the action on the rho = 0 paths with their exact leg costs: the cross
+        # term C = int a b dt read off the midpoint actions at rho and at 0
+        paths = optimal_paths_zero_rho(tanh_model, k)
+        res0 = rate_zero_rho(tanh_model, k)
+        lv, lv0 = lambda_functional(m, paths), lambda_functional(tanh_model, paths)
+        cross = (lv0.g_cost + rho * rho * lv0.h_cost - (1.0 - rho * rho) * lv.g_cost) / rho
+        paths_bound = (res0.g_cost - rho * cross + rho * rho * res0.h_cost) / (1.0 - rho * rho) + res0.h_cost
         solve = rate_zero.rate_zero_rho
         calls = []
 
@@ -142,6 +149,24 @@ class TestBounds:
         b = rate_bounds_rho(m, k)
         assert len(calls) == 1
         assert dict(b.upper_candidates)["zero_corr_paths"] == paths_bound
+
+    @pytest.mark.parametrize("x", [0.01, -0.01, 0.1, -0.1, 1.0, -1.0, 2.0])
+    @pytest.mark.parametrize("model", ["tanh", "kinked"])
+    def test_ordered_at_rho_zero(self, tanh_model, model, x):
+        # at rho = 0 the action on the rho = 0 paths is I0 itself, not a
+        # discretized action below it
+        m = tanh_model if model == "tanh" else KINKED
+        k = forward_variance_limit(m) * math.exp(x)
+        b = rate_bounds_rho(m, k)
+        i0 = rate_zero_rho(m, k).value
+        assert dict(b.upper_candidates)["zero_corr_paths"] == i0
+        assert b.lower <= b.best_upper
+
+    @pytest.mark.parametrize("x", [1e-12, -1e-12])
+    def test_just_outside_the_atm_band(self, tanh_model, x):
+        # the rho = 0 budget sits at the pivot, so its asset leg stays at S0
+        b = rate_bounds_rho(tanh_model.with_rho(0.7), 0.1 * math.exp(x))
+        assert 0.0 < b.lower <= b.best_upper
 
     def test_corr_path_past_the_table_is_dropped(self, monkeypatch):
         # with the table held to |log(v/V0)| <= 4, this put's excursion (about 4.3) leaves it

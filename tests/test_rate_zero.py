@@ -204,10 +204,10 @@ class TestRateZeroRho:
     def test_atm_zero(self, tanh_model):
         res = rate_zero_rho(tanh_model, 0.1)
         assert res.value == 0.0
-        # past the ATM cut-off, but the pivot budget is V0 to the Asian
-        # solve's precision: the bracket in alpha is the single point 0
+        # inside the ATM band |K / F_V(0) - 1| <= 1e-13, which the Asian
+        # solve at the pivot budget shares
         res = rate_zero_rho(tanh_model, 0.1 * math.exp(5e-14))
-        assert res.value == 0.0 and res.z_star == 0.1 * math.exp(5e-14)
+        assert res.value == 0.0 and res.z_star == tanh_model.v0 and res.diagnostics["side"] == "atm"
 
     def test_requires_rho_zero(self, tanh_model):
         with pytest.raises(ValueError):

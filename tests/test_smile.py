@@ -12,11 +12,14 @@ from varsmile import (
     LsvModel,
     asymptotic_smile,
     black_price,
+    forward_variance_limit,
     implied_vol,
     linear_smile,
     linear_smile_coeffs,
+    log_moneyness,
     rate_by_method,
     rate_perfect_corr,
+    validate,
 )
 from varsmile.errors import ArbitrageError, PrecisionWarning
 
@@ -153,14 +156,31 @@ class TestAsymptoticSmile:
             asymptotic_smile(tanh_model, 0.11, rate_method="magic")
 
 
-def test_smile_curve_container(tanh_model):
-    from varsmile import SmileCurve
+class TestAtmBand:
+    @pytest.mark.parametrize("x", [0.0, 5e-14, -5e-14])
+    def test_every_method_returns_the_atm_level(self, tanh_model, x):
+        k = forward_variance_limit(tanh_model) * math.exp(x)
+        assert log_moneyness(tanh_model, k) == 0.0 and validate(tanh_model, k).moneyness == "atm"
+        sig = linear_smile_coeffs(tanh_model)[0]
+        for method in ("closed", "expansion", "numeric"):
+            pt = asymptotic_smile(tanh_model, k, rate_method=method)
+            assert (pt.x, pt.sigma_v, pt.lo, pt.hi) == (0.0, sig, None, None)
+        pt = asymptotic_smile(tanh_model, k, rate_method="bounds")
+        assert (pt.x, pt.sigma_v, pt.lo, pt.hi) == (0.0, None, sig, sig)
 
-    pts = tuple(
-        asymptotic_smile(tanh_model, k, rate_method="expansion") for k in (0.095, 0.1, 0.105)
-    )
-    curve = SmileCurve(points=pts)
-    assert [p.strike for p in curve] == [0.095, 0.1, 0.105]
+    @pytest.mark.parametrize("x", [2e-13, -2e-13])
+    def test_just_outside_the_band(self, tanh_model, x):
+        # the strike decision and the Asian solve at the pivot agree: no zero rate off the money
+        k = forward_variance_limit(tanh_model) * math.exp(x)
+        assert log_moneyness(tanh_model, k) != 0.0
+        assert validate(tanh_model, k).moneyness == ("otm_call" if x > 0 else "otm_put")
+        pt = asymptotic_smile(tanh_model, k, rate_method="closed")
+        assert math.isfinite(pt.sigma_v) and pt.sigma_v > 0.0
+
+    @pytest.mark.parametrize("k", [0.0, -0.1, math.inf, math.nan])
+    def test_log_moneyness_rejects_bad_strikes(self, tanh_model, k):
+        with pytest.raises(ValueError, match="finite"):
+            log_moneyness(tanh_model, k)
 
 
 class TestLinearSmile:
