@@ -22,7 +22,7 @@ from . import mc as mc_mod
 from . import smile as smile_mod
 from .errors import NumericsError
 from .model import LsvModel, load_model, model_to_dict, validate, forward_variance_limit
-from .rate_general import rate_by_method
+from .rate_general import RATE_METHODS, rate_by_method
 
 _SKEW_NOTE = (
     "note: rho=0 skew from the closed-form expression is reported; a commonly "
@@ -248,13 +248,11 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="varsmile", description="Variance-option asymptotics and Monte Carlo")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mc_opts=False, method=None):
+    def common(sp, mc_opts=False, method=False):
         sp.add_argument("--model", required=True, help="model JSON file")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         if method:
-            sp.add_argument(
-                "--method", default=method[0], choices=method, help="rate computation method"
-            )
+            sp.add_argument("--method", default=RATE_METHODS[0], choices=RATE_METHODS, help="rate method")
         if mc_opts:
             sp.add_argument("--T", type=float, default=None, help="maturity in years")
             sp.add_argument("--paths", type=int, default=100_000)
@@ -262,13 +260,13 @@ def _build_parser() -> _Parser:
             sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("rate", help="rate function at one or more strikes")
-    common(sp, method=("closed", "bounds", "numeric", "expansion"))
+    common(sp, method=True)
     sp.add_argument("--k", default=None, help="strike (variance units) or lo:hi:n")
     sp.add_argument("--x", default=None, help="log-moneyness or lo:hi:n")
     sp.set_defaults(func=_cmd_rate)
 
     sp = sub.add_parser("smile", help="asymptotic implied-vol smile CSV")
-    common(sp, method=("closed", "bounds", "numeric", "expansion"))
+    common(sp, method=True)
     sp.add_argument("--k", default=None)
     sp.add_argument("--x", default=None)
     sp.set_defaults(func=_cmd_smile)

@@ -11,6 +11,7 @@ inside the hypotheses of the asymptotic formulas.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -28,6 +29,7 @@ __all__ = [
     "ValidationReport",
     "eta_eval",
     "sigma_eval",
+    "clamp_points",
     "forward_variance_limit",
     "ATM_REL_TOL",
     "log_moneyness",
@@ -283,6 +285,17 @@ class LsvModel:
         if callable(self.mu):
             return self.mu(v)
         return np.full_like(np.asarray(v, dtype=float), float(self.mu))
+
+
+@functools.cache
+def clamp_points(spec) -> tuple[float, ...]:
+    """Sorted log coordinates (u for eta, w for sigma) where a ``logpoly``
+    family meets a clamp, its kinks; () for the tanh and constant families."""
+    if not isinstance(spec, (LogPolyEta, LogPolySigma)):
+        return ()
+    c = spec.coeffs if isinstance(spec, LogPolyEta) else (spec.sigma0, spec.sigma1, spec.sigma2)
+    roots = [np.polynomial.polynomial.polyroots((c[0] - lvl, *c[1:])) for lvl in (spec.clamp_lo, spec.clamp_hi)]
+    return tuple(sorted(float(r.real) for r in np.concatenate(roots) if r.imag == 0.0))
 
 
 def _eval_at_level(spec, level0: float, x, what: str):

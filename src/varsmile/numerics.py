@@ -42,6 +42,7 @@ __all__ = [
 REL_TOL = 1e-10
 ABS_TOL = 1e-13
 MAX_PANELS = 200
+_EPS = sys.float_info.epsilon
 
 _GL_N = 10
 _X_N, _W_N = np.polynomial.legendre.leggauss(_GL_N)
@@ -62,7 +63,7 @@ _RULES[_GL_N:_PROBE, 2:] = [
     for j, xj in enumerate(_X_2N)
 ]
 
-# per-context counter of kernel calls, set by ``count_kernel_calls``
+# per-context counter of kernel calls and passes, set by ``count_kernel_calls``
 _KERNEL_CALLS: ContextVar[list | None] = ContextVar("varsmile_kernel_calls", default=None)
 
 
@@ -80,12 +81,12 @@ class Bracket:
 
 @contextmanager
 def count_kernel_calls():
-    """Count ``integrate_sqrt_singular`` calls made in this context.
+    """Count ``integrate_sqrt_singular`` calls and their passes in this context.
 
-    Yields a one-element list holding the count; calls made inside a nested
-    counter are added to the enclosing one when the nested block ends.
+    Yields a list [calls, passes]; counts made inside a nested counter are
+    added to the enclosing one when the nested block ends.
     """
-    counter = [0]
+    counter = [0, 0]
     token = _KERNEL_CALLS.set(counter)
     try:
         yield counter
@@ -94,9 +95,10 @@ def count_kernel_calls():
         outer = _KERNEL_CALLS.get()
         if outer is not None:
             outer[0] += counter[0]
+            outer[1] += counter[1]
 
 
-def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, max_panels: int = MAX_PANELS):
+def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, breaks=()):
     """Integrate f on [a, b] where f may blow up like 1/sqrt(distance) at one end.
 
     ``singular_at`` is "a" or "b".  ``f`` is called as f(y, d), with y a
@@ -112,9 +114,11 @@ def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, m
     disagreement also counts how far the integrand, probed 1e-6 half-widths
     inside each panel end other than the singular point, is from the 2n-node
     interpolant (a kink nearer an end than any node is otherwise missed by
-    both rules).
+    both rules).  The starting panels end at the ``breaks`` (kinks of f) in
+    (a, b).  A panel narrower in y than 16 eps max(|a|, |b|) is accepted, as a
+    kink known to about an ulp cannot be isolated further.
     Raises AccuracyError, with the estimate and the summed disagreement of
-    the open panels, when more than ``max_panels`` panels are needed.
+    the open panels, when more than MAX_PANELS panels are needed.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration endpoints must be finite")
@@ -124,9 +128,8 @@ def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, m
         return 0.0
     if a > b:
         raise ValueError("requires a < b")
-    counter = _KERNEL_CALLS.get()
-    if counter is not None:
-        counter[0] += 1
+    counter = _KERNEL_CALLS.get() or [0, 0]
+    counter[0] += 1
 
     end, sign = (b, -1.0) if singular_at == "b" else (a, 1.0)
 
@@ -135,11 +138,16 @@ def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, m
         return 2.0 * u * f(end + sign * d, d)
 
     width = math.sqrt(b - a)
-    left = np.array([0.0])
-    half = np.array([0.5 * width])
+    cuts = [math.sqrt(abs(p - end)) for p in breaks if a < p < b]  # break p sits at u = sqrt(|p - end|)
+    if cuts:
+        cuts = np.unique([0.0, *cuts, width])
+        left, half = cuts[:-1], 0.5 * np.diff(cuts)
+    else:
+        left, half = np.array([0.0]), np.array([0.5 * width])
     done = 0.0
-    n_panels = 1
+    n_panels = left.size
     while True:
+        counter[1] += 1
         x = (left + half)[:, None] + half[:, None] * _NODES
         # the panel at the singular point (always first) gets no probe there:
         # it is moved onto a node and its term dropped
@@ -158,15 +166,16 @@ def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, m
         total = done + i_2n.sum(axis=-1)
         allowed = np.maximum(ABS_TOL, REL_TOL * np.abs(total))[:, None] * (2.0 * half / width)
         ok = (err <= allowed).all(axis=0)
-        if ok.all():
+        # a panel below the rounding floor is accepted; 4 half (left + half) is its width in y
+        if ok.all() or (ok := ok | (4.0 * half * (left + half) < 16.0 * _EPS * max(abs(a), abs(b)))).all():
             return float(total[0]) if scalar else total
         done = done + i_2n[:, ok].sum(axis=-1)
         bad = ~ok
         n_panels += int(bad.sum())
-        if n_panels > max_panels:
+        if n_panels > MAX_PANELS:
             bound = err[:, bad].sum(axis=-1)
             raise AccuracyError(
-                f"{n_panels} panels needed, budget {max_panels}",
+                f"{n_panels} panels needed, budget {MAX_PANELS}",
                 estimate=float(total[0]) if scalar else total,
                 error_bound=float(bound[0]) if scalar else bound,
             )

@@ -24,8 +24,8 @@ from scipy.optimize import minimize_scalar
 
 from . import atm as atm_mod
 from .errors import ConvergenceError, NumericsError, TableRangeError
-from .model import LsvModel, forward_variance_limit, log_moneyness
-from .numerics import MAX_PANELS, Bracket, count_kernel_calls, find_root, integrate_sqrt_singular
+from .model import LsvModel, clamp_points, forward_variance_limit, log_moneyness
+from .numerics import Bracket, count_kernel_calls, find_root, integrate_sqrt_singular
 from .paths import PathPair
 from .rate_zero import (
     _SEED_STRETCH,
@@ -47,7 +47,10 @@ __all__ = [
     "rate_upper_corr_path",
     "rate_numeric",
     "rate_by_method",
+    "RATE_METHODS",
 ]
+
+RATE_METHODS = ("closed", "bounds", "numeric", "expansion")  # of ``rate_by_method``; the first is the default
 
 
 class LambdaValue(NamedTuple):
@@ -381,8 +384,8 @@ def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float):
         sig, r = mapper.model.sigma.value_log(s * t), np.sqrt(gap)
         return np.array([1.0 / (sig * r), r / sig])
 
-    # the kernel isolates a kink on the path by bisection: within 1e-9 of t_a, that takes 200-800 panels
-    f, g = integrate_sqrt_singular(fg, 0.0, t_a, "b", max_panels=4 * MAX_PANELS if kinks else MAX_PANELS)
+    breaks = (*kinks, *(s * w for w in clamp_points(mapper.model.sigma)))
+    f, g = integrate_sqrt_singular(fg, 0.0, t_a, "b", breaks)
     return e_a, float(f), float(g)
 
 
@@ -436,8 +439,8 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window):
 def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
     """inf of the variance-leg energy subject to int G(e^h) dt = K: an Asian
     problem in the payoff level (``_coupled_asian``, with plain-JSON diagnostics
-    ``alpha``, ``branch``, ``rho_eff``, ``w_a`` and ``kernel_calls``), or a
-    direct transcription when G is not invertible on the needed range.  The
+    ``alpha``, ``branch``, ``rho_eff``, ``w_a``, ``kernel_calls``, ``kernel_passes``),
+    or a direct transcription when G is not invertible on the needed range.  The
     map's table is widened with the strike: |w_a| stays below 2 |log(K / A0)|
     at the models tried, up to the table's largest half-width MAX_SPAN."""
     x = log_moneyness(model, k)
@@ -447,12 +450,12 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
     a0 = forward_variance_limit(model)
     mapper = _CoupledMap(model, rho_eff, 2.0 * abs(x) + 1.0)
     window = mapper.monotone_window()
-    with count_kernel_calls() as kernel_calls:
+    with count_kernel_calls() as counts:
         found = None if window is None else _coupled_asian(mapper, a0, k / a0, window)
     if found is None:
         return _h_only_direct(model, k, x, mapper)
     value, diagnostics = found
-    diagnostics.update(rho_eff=rho_eff, kernel_calls=kernel_calls[0])
+    diagnostics.update(rho_eff=rho_eff, kernel_calls=counts[0], kernel_passes=counts[1])
     return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
 
 
@@ -671,4 +674,4 @@ def rate_by_method(model: LsvModel, k: float, method: str) -> RateResult | Bound
     if method == "expansion":
         x = log_moneyness(model, k)
         return RateResult(atm_mod.atm_expansion(model).rate(x), "expansion", diagnostics={"x": x})
-    raise ValueError("rate method must be one of closed|bounds|numeric|expansion")
+    raise ValueError(f"rate method must be one of {'|'.join(RATE_METHODS)}, got {method!r}")

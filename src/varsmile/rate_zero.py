@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import DegenerateEtaError, InfeasibleStrikeError
-from .model import ATM_REL_TOL, LsvModel, SigmaSpec, log_moneyness
+from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness
 from .numerics import (
     Bracket,
     bracket_root,
@@ -42,7 +42,6 @@ __all__ = [
     "RateResult",
     "asian_rate_j",
     "asian_rate_j_const",
-    "asian_rate_general",
     "solve_g_endpoint",
     "rate_zero_rho",
     "optimal_paths_zero_rho",
@@ -101,30 +100,32 @@ class RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _fg_above(sig_log: Callable, alpha: float):
-    """Endpoint integrals for the z > level0 branch.
-
-    F = int_0^a dy / (sig(y) sqrt(e^a - e^y)),  G = int_0^a sqrt(e^a - e^y) / sig(y) dy,
-    with e^a - e^y = e^y expm1(d) on the exact distance d = a - y.
+def _fg_integrand(sigma: SigmaSpec, above: bool):
+    """Integrand rows (F, G) of the Asian endpoint integrals in the log
+    excursion y, on the z > level0 (``above``) or z < level0 branch, and its
+    breaks, sigma's clamp points in y.  Above, F = int_0^a dy / (sig(y)
+    sqrt(e^a - e^y)) and G = int_0^a sqrt(e^a - e^y) / sig(y) dy, with
+    e^a - e^y = e^y expm1(d) on the exact distance d = a - y; below, sig(-y)
+    replaces sig(y) and the factors e^(-+y/2) leave the integrals as e^(+-a/2).
     """
+    sg = 1.0 if above else -1.0
 
     def fg(y, d):
-        s, r = sig_log(y), np.sqrt(np.expm1(d))
-        return np.array([np.exp(-0.5 * y) / (s * r), np.exp(0.5 * y) * r / s])
-
-    f, g = integrate_sqrt_singular(fg, 0.0, alpha, "b")
-    return float(f), float(g)
-
-
-def _fg_below(sig_log: Callable, alpha: float):
-    """Endpoint integrals for the z < level0 branch (log excursion downward)."""
-    ea = math.exp(0.5 * alpha)
-
-    def fg(y, d):
-        s, r = sig_log(-y), np.sqrt(np.expm1(d))
+        s, r = sigma.value_log(sg * y), np.sqrt(np.expm1(d))
+        if above:
+            return np.array([np.exp(-0.5 * y) / (s * r), np.exp(0.5 * y) * r / s])
         return np.array([1.0 / (s * r), r / s])
 
-    f, g = integrate_sqrt_singular(fg, 0.0, alpha, "b")
+    return fg, tuple(sg * w for w in clamp_points(sigma))
+
+
+def _fg(sigma: SigmaSpec, alpha: float, above: bool):
+    """Endpoint integrals F, G at the terminal log excursion alpha."""
+    fg, breaks = _fg_integrand(sigma, above)
+    f, g = integrate_sqrt_singular(fg, 0.0, alpha, "b", breaks)
+    if above:
+        return float(f), float(g)
+    ea = math.exp(0.5 * alpha)
     return ea * float(f), float(g) / ea
 
 
@@ -147,28 +148,26 @@ def _const_sigma_root(zr: float) -> tuple[float, float]:
 _SEED_STRETCH = 1.1
 
 
-def asian_rate_general(sig_log: Callable, zr: float) -> AsianRateSolution:
-    """Rate of the h-only problem with constraint (1/level0) int e^h dt = zr.
+def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
+    """J(V0, z): the variance-leg rate, the least energy of h with
+    (1/V0) int e^h dt = z/V0, by quadrature plus root finding.
 
-    ``sig_log(y)`` must return the (positive) volatility coefficients at an
-    array of log offsets y from the starting level (J(V0, z) passes
-    sigma).  The root in the terminal log excursion alpha is
-    bracketed from |log zr| upward, with the first probe just past the
-    constant vol-of-vol root, so the probe does not run far beyond the root
-    (across a clamp kink, say) when sigma varies slowly.
+    The root in the terminal log excursion alpha is bracketed from |log(z/V0)|
+    upward, with the first probe just past the constant vol-of-vol root, so it
+    does not run far past the root (across a clamp kink, say) when sigma varies slowly.
     """
-    if zr <= 0:
-        raise ValueError("zr must be positive")
+    if v0 <= 0 or z <= 0:
+        raise ValueError("v0 and z must be positive")
+    zr = z / v0
     if abs(zr - 1.0) <= ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm")
 
     above = zr > 1.0
-    fg = _fg_above if above else _fg_below
     seen = {}  # find_root re-evaluates the ends bracket_root returns
 
     def phi(alpha):
         if alpha not in seen:
-            seen[alpha] = fg(sig_log, alpha)
+            seen[alpha] = _fg(sigma, alpha, above)
         f, g = seen[alpha]
         return (math.exp(alpha) - zr if above else zr - math.exp(-alpha)) - g / f
 
@@ -177,13 +176,6 @@ def asian_rate_general(sig_log: Callable, zr: float) -> AsianRateSolution:
     alpha = find_root(phi, bracket_root(phi, lo, lo + _SEED_STRETCH * (alpha_c - lo)), tol=1e-13)
     f, g = seen[alpha]
     return AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
-
-
-def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
-    """J(V0, z): the variance-leg rate, by quadrature plus root finding."""
-    if v0 <= 0 or z <= 0:
-        raise ValueError("v0 and z must be positive")
-    return asian_rate_general(sigma.value_log, z / v0)
 
 
 def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
@@ -221,11 +213,19 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
 # ---------------------------------------------------------------------------
 
 
-def _eta_sq_gap(eta, u, u_g: float, e_g: float, dist):
-    """eta^2 at u_g minus eta^2 at u for u_g < 0, the reverse for u_g > 0,
-    given the exact distance dist = |u_g - u|; no cancellation as u -> u_g."""
+def _endpoint_integrand(eta, u_g: float):
+    """Integrand rows (num, den) of the endpoint equation at u, given dist = |u_g - u|."""
+    e_g = eta.value_log(u_g)
     sgn = 1.0 if u_g > 0 else -1.0
-    return sgn * eta.diff_log(u, u_g, delta=-sgn * dist) * (eta.value_log(u) + e_g)
+
+    def num_den(u, dist):
+        # eta^2(u_g) - eta^2(u), negated for u_g > 0: no cancellation as u -> u_g
+        e = eta.value_log(u)
+        gap = sgn * eta.diff_log(u, u_g, delta=-sgn * dist) * (e + e_g)
+        root = np.sqrt(np.maximum(gap, 5e-324))
+        return np.array([1.0 / (e * root), e / root])
+
+    return num_den
 
 
 def _endpoint_integrals(model: LsvModel, u_g: float):
@@ -235,16 +235,9 @@ def _endpoint_integrals(model: LsvModel, u_g: float):
     solution.  u_g < 0 is the call geometry (eta^2(G) > eta^2(x) on the way),
     u_g > 0 the put geometry.  Both come from one kernel call.
     """
-    eta = model.eta
-    e_g = eta.value_log(u_g)
-
-    def num_den(u, dist):
-        e = eta.value_log(u)
-        root = np.sqrt(np.maximum(_eta_sq_gap(eta, u, u_g, e_g, dist), 5e-324))
-        return np.array([1.0 / (e * root), e / root])
-
     lo, hi, singular = (u_g, 0.0, "a") if u_g < 0 else (0.0, u_g, "b")
-    num, den = integrate_sqrt_singular(num_den, lo, hi, singular)
+    num_den = _endpoint_integrand(model.eta, u_g)
+    num, den = integrate_sqrt_singular(num_den, lo, hi, singular, clamp_points(model.eta))
     return float(num), float(den)
 
 
@@ -385,7 +378,7 @@ def _variance_leg(model: LsvModel, alpha: float, above: bool):
     """
     if alpha == 0.0:
         return model.v0, AsianRateSolution(0.0, "atm")
-    f, g = (_fg_above if above else _fg_below)(model.sigma.value_log, alpha)
+    f, g = _fg(model.sigma, alpha, above)
     z = model.v0 * (math.exp(alpha) - g / f if above else math.exp(-alpha) + g / f)
     return z, AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
@@ -423,8 +416,9 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     brackets the root, InfeasibleStrikeError is raised.
 
     The diagnostics are plain JSON: the variance leg's ``alpha``, ``branch``,
-    ``f_value``, ``g_value``, and the counts ``derivative_evals`` and
-    ``kernel_calls`` (quadrature kernel calls made by this rate).
+    ``f_value``, ``g_value``, and the counts ``derivative_evals``,
+    ``kernel_calls`` and ``kernel_passes`` (quadrature kernel calls made by
+    this rate, and their passes).
     """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
@@ -443,7 +437,7 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
 
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
-    with count_kernel_calls() as kernel_calls:
+    with count_kernel_calls() as counts:
         pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
         if _eta_flat(model):
             return RateResult(
@@ -457,7 +451,8 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
                     "constant_eta": True,
                     **_asian_fields(pivot),
                     "derivative_evals": 0,
-                    "kernel_calls": kernel_calls[0],
+                    "kernel_calls": counts[0],
+                    "kernel_passes": counts[1],
                 },
             )
 
@@ -495,7 +490,8 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
             "side": side,
             **_asian_fields(sol),
             "derivative_evals": evals[0],
-            "kernel_calls": kernel_calls[0],
+            "kernel_calls": counts[0],
+            "kernel_passes": counts[1],
         }
     return RateResult(
         g_cost + sol.value,
@@ -514,18 +510,20 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_map(integrand, upper: float, m: int = 160):
+def _cumulative_map(integrand, upper: float, breaks, m: int = 160):
     """Cumulative integral of ``integrand`` on [0, upper] at m + 1 nodes
     clustered toward ``upper``, where the integrand may be singular.
 
     ``integrand(y, d)`` is vectorized, with d the exact distance upper - y.
     Each panel is mapped onto [0, 1] and becomes one row of a single kernel
-    call, singular at 1 (harmless where the integrand is smooth).
-    Returns (nodes, cumulative values).
+    call, singular at 1 (harmless where the integrand is smooth).  Panels also end
+    at the ``breaks`` (kinks), not returned as nodes: an interpolant through a
+    kink node was measured no more accurate.  Returns (nodes, cumulative values).
     """
     j = np.arange(m + 1)
-    nodes = upper * (1.0 - (1.0 - j / m) ** 2)
-    nodes[0], nodes[-1] = 0.0, upper
+    grid = upper * (1.0 - (1.0 - j / m) ** 2)
+    grid[0], grid[-1] = 0.0, upper
+    nodes = np.union1d(grid, [p for p in breaks if 0.0 < p < upper])
     width = np.diff(nodes)[:, None]
     gap = (upper - nodes[1:])[:, None]
 
@@ -533,9 +531,9 @@ def _cumulative_map(integrand, upper: float, m: int = 160):
         d = gap + e * width
         return width * integrand(upper - d, d)
 
-    cum = np.zeros(m + 1)
+    cum = np.zeros(nodes.size)
     cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 0.0, 1.0, "b"))
-    return nodes, cum
+    return grid, cum[np.isin(nodes, grid)]
 
 
 def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.ndarray):
@@ -544,17 +542,8 @@ def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.
     log_v0 = math.log(v0)
     if branch == "atm":
         return np.full(t.size, log_v0)
-    if branch == "above":
-
-        def kern(y, d):
-            return np.exp(-0.5 * y) / (sigma.value_log(y) * np.sqrt(np.expm1(d)))
-
-    else:
-
-        def kern(y, d):
-            return 1.0 / (sigma.value_log(-y) * np.sqrt(np.expm1(d)))
-
-    w_nodes, p_cum = _cumulative_map(kern, alpha)
+    fg, breaks = _fg_integrand(sigma, branch == "above")
+    w_nodes, p_cum = _cumulative_map(lambda y, d: fg(y, d)[0], alpha, breaks)
     w = PchipInterpolator(p_cum, w_nodes)(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
     h = log_v0 + (w if branch == "above" else -w)
     h[0] = log_v0
@@ -589,20 +578,15 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
     if u_g == 0.0:  # the budget sits at the pivot: the asset leg stays at S0
         return PathPair(t, np.full(n, log_s0), h)
 
-    # asset leg: Theta(gamma(t)) = (den / (sqrt2 K)) * int_0^t e^h ds
-    eta = model.eta
+    # asset leg: Theta(gamma(t)) = (den / K) * int_0^t e^h ds, Theta the cumulative num integral
     _, den = _endpoint_integrals(model, u_g)
     m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
 
-    e_g = eta.value_log(u_g)
     sgn = 1.0 if u_g > 0 else -1.0
-
-    def theta_kern(s, d):
-        gap = _eta_sq_gap(eta, sgn * s, u_g, e_g, d)
-        return 1.0 / (eta.value_log(sgn * s) * np.sqrt(2.0 * np.maximum(gap, 5e-324)))
-
-    s_nodes, theta_cum = _cumulative_map(theta_kern, abs(u_g))
-    rhs = (den / math.sqrt(2.0) / k) * m_t
+    num_den = _endpoint_integrand(model.eta, u_g)
+    breaks = [sgn * p for p in clamp_points(model.eta)]
+    s_nodes, theta_cum = _cumulative_map(lambda s, d: num_den(sgn * s, d)[0], abs(u_g), breaks)
+    rhs = (den / k) * m_t
     gamma = PchipInterpolator(theta_cum, s_nodes)(np.clip(rhs, 0.0, theta_cum[-1]))
     g = log_s0 + sgn * gamma
     g[0] = log_s0

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from .errors import ArbitrageError, PrecisionWarning
 from .model import LsvModel, log_moneyness
 from .atm import atm_expansion
-from .rate_general import rate_by_method
+from .rate_general import RATE_METHODS, rate_by_method
 
 __all__ = [
     "SmilePoint",
@@ -137,6 +137,8 @@ def asymptotic_smile(model: LsvModel, k: float, rate_method: str = "closed") -> 
     At the money (``log_moneyness`` 0) every method returns the ATM level of
     ``linear_smile_coeffs``; "bounds" as the interval lo = hi.
     """
+    if rate_method not in RATE_METHODS:
+        raise ValueError(f"rate method must be one of {'|'.join(RATE_METHODS)}, got {rate_method!r}")
     x = log_moneyness(model, k)
     if x == 0.0:
         sig = linear_smile_coeffs(model)[0]

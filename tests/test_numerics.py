@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from varsmile import LogPolyEta, TanhEta
+from varsmile import LogPolyEta, TanhEta, numerics
 from varsmile.errors import AccuracyError, BracketError
 from varsmile.numerics import (
     Bracket,
@@ -67,11 +67,20 @@ class TestIntegrateSqrtSingular:
         val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(d), 0.0, 1.0, "b")
         assert abs(val - 2.0) < 1e-12
 
-    def test_budget_exhausted(self):
+    def test_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_PANELS", 2)
         with pytest.raises(AccuracyError) as exc:
-            integrate_sqrt_singular(lambda y, d: np.sin(200.0 / (y + 0.01)), 0.0, 1.0, "a", max_panels=2)
+            integrate_sqrt_singular(lambda y, d: np.sin(200.0 / (y + 0.01)), 0.0, 1.0, "a")
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error_bound >= 0
+
+    def test_kink_as_break_single_pass(self):
+        c = 0.3  # |y - c| / sqrt(1 - y) on [0, 1] integrates to 8/3 a^(3/2) - 2a + 2/3, a = 1 - c
+        for breaks in ((c,), ()):
+            with numerics.count_kernel_calls() as counts:
+                val = integrate_sqrt_singular(lambda y, d: np.abs(y - c) / np.sqrt(d), 0.0, 1.0, "b", breaks)
+            assert abs(val - (8.0 / 3.0 * 0.7**1.5 - 1.4 + 2.0 / 3.0)) <= 1e-12
+            assert counts[0] == 1 and (counts[1] == 1 if breaks else counts[1] > 2)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from varsmile import (
     rate_upper_corr_path,
     rate_zero_rho,
 )
-from varsmile import rate_general, rate_zero
+from varsmile import numerics, rate_general, rate_zero
 from varsmile.errors import ConvergenceError, NumericsError, TableRangeError
 from varsmile.rate_general import _CoupledMap, _coupled_endpoint, _h_only_rate, _lagrangian_grad, constraint_integral
 
@@ -366,10 +366,12 @@ class TestPerfectCorr:
         assert oracle is not None
         assert abs(res.value - oracle) <= 1e-3 * oracle
 
-    @pytest.mark.parametrize("sign, x", [(1, 0.15), (-1, -0.15), (1, -0.15), (-1, 0.15)])
-    def test_kinked_kernel_calls_single_pass(self, monkeypatch, sign, x):
-        """Each kernel call of the w-route takes one pass (10 + 20 Gauss
-        nodes and 2 edge probes) at the closed_kinked strikes."""
+    @pytest.mark.parametrize("rho, x", [(1, 0.15), (-1, -0.15), (1, -0.15), (-1, 0.15)]
+                             + [(rho, x) for rho in (0, 1, -1, 0.7) for x in (0.3, -0.3, 0.5, -0.5)])
+    def test_kinked_kernel_calls_single_pass(self, monkeypatch, rho, x):
+        """Each kernel call of rate_zero_rho (rho 0), rate_perfect_corr (+-1) and rate_bounds_rho
+        takes one pass: the w-route's have one panel (10 + 20 Gauss nodes and 2 edge probes) at the
+        closed_kinked strikes, and past them the clamp points are panel breaks."""
         kernel = rate_general.integrate_sqrt_singular
         points = []
 
@@ -385,10 +387,15 @@ class TestPerfectCorr:
             return out
 
         monkeypatch.setattr(rate_general, "integrate_sqrt_singular", counted)
-        m = KINKED.with_rho(float(sign))
-        res = rate_perfect_corr(m, forward_variance_limit(m) * math.exp(x), sign)
-        assert points == [32] * len(points)
-        assert len(points) == res.diagnostics["kernel_calls"] <= 7
+        m = KINKED.with_rho(float(rho))
+        k = forward_variance_limit(m) * math.exp(x)
+        with numerics.count_kernel_calls() as counts:
+            res = rate_bounds_rho(m, k) if rho == 0.7 else rate_zero_rho(m, k) if rho == 0 else rate_perfect_corr(m, k, rho)
+        diag = getattr(res, "diagnostics", {"kernel_calls": counts[0], "kernel_passes": counts[1]})
+        assert diag["kernel_passes"] == diag["kernel_calls"] == counts[1] == counts[0]
+        if abs(x) == 0.15:
+            assert points == [32] * len(points)
+            assert len(points) == diag["kernel_calls"] <= 7
 
     def test_diagnostics_json_serializable(self):
         for m, rho_eff, x in ((TANH.with_rho(1.0), 1.0, 0.15), (KINKED.with_rho(-1.0), -1.0, -0.15),
@@ -398,7 +405,7 @@ class TestPerfectCorr:
             if abs(rho_eff) == 1.0:
                 assert rate_perfect_corr(m, a0 * math.exp(x), int(rho_eff)).diagnostics == res.diagnostics
             diag = json.loads(json.dumps(res.diagnostics))
-            assert set(diag) == {"alpha", "branch", "rho_eff", "w_a", "kernel_calls"}
+            assert set(diag) == {"alpha", "branch", "rho_eff", "w_a", "kernel_calls", "kernel_passes"}
             assert diag["branch"] == ("above" if x > 0 else "below") and diag["rho_eff"] == rho_eff
             assert 0 < diag["kernel_calls"] <= 7
             # alpha is the log excursion of the payoff level at the terminal log variance w_a

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -25,13 +24,11 @@ from varsmile import (
 )
 from varsmile.errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
 from varsmile.model import eta_eval
-from varsmile.numerics import integrate_sqrt_singular
 from varsmile.rate_zero import (
     _budget_legs,
     _endpoint_integrals,
     _g_leg_cost,
     _variance_leg,
-    asian_rate_general,
 )
 
 # eta 1 - 0.3u clamped to [0.85, 1.15] (flat beyond |u| = 0.5) and a clamped
@@ -46,7 +43,7 @@ KINKED = LsvModel(
 
 
 def _fg_reference(sig, alpha, above, kinks):
-    """F and G of the Asian root condition (see ``asian_rate_general``) by
+    """F and G of the Asian root condition (see ``asian_rate_j``) by
     QUADPACK, split at the kinks.  The piece ending at the singular point
     y = alpha uses the QAWS rule with the weights (alpha - y)^(-1/2) for F
     and (alpha - y)^(1/2) for G."""
@@ -134,7 +131,7 @@ class TestAsianRate:
     def test_general_solves_past_sigma_clamp(self, zr):
         # sigma = 2 + 0.5 w meets its clamps at w = +-0.3, inside the
         # excursion on either branch
-        sol = asian_rate_general(KINKED.sigma.value_log, zr)
+        sol = asian_rate_j(KINKED.sigma, 1.0, zr)
         above = zr > 1.0
         assert sol.branch == ("above" if above else "below")
         assert sol.alpha > 0.3
@@ -145,7 +142,7 @@ class TestAsianRate:
 
     @pytest.mark.parametrize("zr", [0.5, 0.9, 1.1, 3.0])
     def test_general_matches_const_shortcut(self, zr):
-        sol = asian_rate_general(ConstantSigma(2.0).value_log, zr)
+        sol = asian_rate_j(ConstantSigma(2.0), 1.0, zr)
         ref = asian_rate_j_const(2.0, 1.0, zr)
         assert sol.branch == ref.branch
         assert abs(sol.value - ref.value) <= 1e-12 * ref.value
@@ -335,8 +332,7 @@ class TestRateZeroRho:
             assert diag["derivative_evals"] >= (0 if m is const else 2)
 
     def test_kernel_budget_surfaces(self, tanh_model, monkeypatch):
-        monkeypatch.setattr("varsmile.rate_zero.integrate_sqrt_singular",
-                            functools.partial(integrate_sqrt_singular, max_panels=1))
+        monkeypatch.setattr("varsmile.numerics.MAX_PANELS", 1)
         with pytest.raises(AccuracyError):
             rate_zero_rho(tanh_model, 0.12)
 

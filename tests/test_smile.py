@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from varsmile import (
     ConstantEta,
     ConstantSigma,
+    LogPolyEta,
+    LogPolySigma,
     LsvModel,
     asymptotic_smile,
     black_price,
@@ -154,6 +156,10 @@ class TestAsymptoticSmile:
     def test_bad_method(self, tanh_model):
         with pytest.raises(ValueError):
             asymptotic_smile(tanh_model, 0.11, rate_method="magic")
+        # at the money too, on perfbench/models/kinked.json
+        kinked = LsvModel(1.0, 0.1, 0.0, LogPolyEta((1.0, -0.3), 0.85, 1.15), LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15))
+        with pytest.raises(ValueError, match="magic"):
+            asymptotic_smile(kinked, forward_variance_limit(kinked), rate_method="magic")
 
 
 class TestAtmBand:
