@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import CubicHermiteSpline, PPoly
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
@@ -242,15 +242,17 @@ def _newton_kkt(lagrangian_grad, z, lam: float, bw: int, k: float):
 
 
 class _CoupledMap:
-    """Precomputed primitives for the coupled-path construction.
+    """Precomputed primitives for the coupled-path construction, in the log
+    variance w = log(v / V0).
 
     Tabulates Phi_V(w) = sqrt(V0) int_0^w e^{w'/2}/sigma(w') dw' over the
     log-variance table |w| <= span, clipped to [W_SPAN, MAX_SPAN], and the
     inverse of Phi_S(u) = int_0^u du'/eta(u') over the log-asset range that
-    rho_eff Phi_V reaches, on uniform grids of node spacing STEP through 0,
-    as cubic Hermite interpolants of the values and exact slopes at the
-    nodes.  They give vectorized F(v), the effective payoff map
-    G(v) = v eta^2(F(v)), and G' from the tables' own slope.
+    rho_eff Phi_V reaches, as cubic Hermite interpolants of the values and
+    exact slopes at the nodes of a ``_grid``: STEP apart through 0, with a
+    node on each clamp point, so no table segment holds a kink.  They give
+    vectorized log F(w), the payoff level G(V0 e^w), G(v) = v eta^2(F(v)),
+    and its w-derivative from the tables' own slope.
     """
 
     W_SPAN, MAX_SPAN = 4.0, 10.0
@@ -260,7 +262,7 @@ class _CoupledMap:
     def __init__(self, model: LsvModel, rho_eff: float, span: float = W_SPAN):
         self.model, self.rho_eff, self.v0 = model, rho_eff, model.v0
 
-        self.w = self._grid(min(max(span, self.W_SPAN), self.MAX_SPAN))
+        self.w = self._grid(min(max(span, self.W_SPAN), self.MAX_SPAN), clamp_points(model.sigma))
         dphi_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
         phi_v = self._cumulative(dphi_v, self.w)
         self._phi_v = CubicHermiteSpline(self.w, phi_v, dphi_v(self.w))
@@ -268,74 +270,84 @@ class _CoupledMap:
         # asset-side span must cover the image of rho * Phi_V: Phi_S grows at
         # least like u / eta_max, so u_span = |Phi_V|_max eta_max suffices
         reach = abs(rho_eff) * float(np.max(np.abs(phi_v)))
-        u = self._grid(max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0))
-        phi_s, e_u = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u), model.eta.value_log(u)
-        self._phi_s_inv = CubicHermiteSpline(phi_s, u, e_u)
+        u = self._grid(max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0), clamp_points(model.eta))
+        phi_s = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u)
+        self._phi_s_inv = CubicHermiteSpline(phi_s, u, model.eta.value_log(u))
         self._phi_s_range = (phi_s[0], phi_s[-1])
 
-        # G' jumps where F crosses a clamp point of eta: a u-table segment whose end nodes
-        # differ in clamp state brackets one in Phi_S, and so in w (``kinks``)
-        at = (e_u <= model.eta.clamp_lo) | (e_u >= model.eta.clamp_hi)
-        j = np.flatnonzero(at[1:] != at[:-1])
-        lvl, w = (rho_eff * phi_v, self.w) if rho_eff > 0 else (rho_eff * phi_v[::-1], self.w[::-1])
-        ends = np.sort(np.interp(np.stack((phi_s[j], phi_s[j + 1])), lvl, w), axis=0).T
-        reached = (phi_s[j + 1] > lvl[0]) & (phi_s[j] < lvl[-1])
-        self._kink_brackets = np.clip(ends[reached] + [-self.STEP, self.STEP], w.min(), w.max())
-        self._kinks = {}
+        # G' jumps where the tabulated F crosses a clamp point of eta, a u node j:
+        # at the root of rho_eff Phi_V(w) = Phi_S(u_j) on the one w segment holding it
+        self._kinks = []
+        if rho_eff != 0.0:
+            for level in phi_s[np.isin(u, clamp_points(model.eta))] / rho_eff:
+                i = int(np.searchsorted(phi_v, level)) - 1
+                if 0 <= i < phi_v.size - 1:
+                    seg = PPoly(self._phi_v.c[:, i : i + 1], self.w[i : i + 2])
+                    self._kinks.extend(float(r) for r in seg.solve(level, extrapolate=False))
 
     @classmethod
-    def _grid(cls, span: float):
-        """Nodes STEP apart from -span to span (rounded out), 0 in the middle."""
+    def _grid(cls, span: float, clamps=()):
+        """Nodes STEP apart from -span to span (rounded out), 0 among them,
+        and one on each clamp point inside: a node other than 0 within
+        STEP/4 of a clamp point gives way to it."""
         n = math.ceil(span / cls.STEP - 1e-9)
-        return cls.STEP * np.arange(-n, n + 1)
+        grid = cls.STEP * np.arange(-n, n + 1)
+        c = np.array([p for p in clamps if grid[0] <= p <= grid[-1] and p != 0.0])
+        if c.size:
+            near = n + np.rint(c / cls.STEP).astype(int)  # only the nearest node can be within STEP/4
+            near = near[(np.abs(grid[near] - c) < 0.25 * cls.STEP) & (near != n)]
+            grid = np.unique(np.concatenate((np.delete(grid, near), c)))
+        return grid
 
     @classmethod
     def _cumulative(cls, fn, grid):
         """Cumulative integral along a ``_grid``, summed outward from its
-        middle node 0 (where it is exactly 0); Gauss-Legendre per segment."""
-        half = 0.5 * cls.STEP
-        nodes = (grid[:-1] + half)[:, None] + half * cls._GL_NODES
+        node 0 (where it is exactly 0); Gauss-Legendre per segment."""
+        half = 0.5 * np.diff(grid)
+        nodes = (grid[:-1] + half)[:, None] + half[:, None] * cls._GL_NODES
         seg = half * (fn(nodes.ravel()).reshape(nodes.shape) @ cls._GL_WEIGHTS)
-        mid = grid.size // 2
+        mid = int(np.searchsorted(grid, 0.0))
         out = np.zeros(grid.size)
         out[mid + 1 :] = np.cumsum(seg[mid:])
         out[:mid] = -np.cumsum(seg[mid - 1 :: -1])[::-1]
         return out
 
-    def _coords(self, x):
-        """(w, rho_eff Phi_V(w)) at w = log(x / V0); Phi_S^{-1} of the latter is log(F(x) / S0)."""
-        w = np.log(np.asarray(x, dtype=float) / self.v0)
-        if np.any(np.abs(w) > self.w[-1]):
-            raise TableRangeError(f"variance level outside the coupled-map table |log(v/V0)| <= {self.w[-1]:g}")
+    def _coords(self, w):
+        """(w, rho_eff Phi_V(w)) at log variance(s) w; Phi_S^{-1} of the latter is log(F / S0)."""
+        w = np.asarray(w, dtype=float)
+        if np.any(w < self.w[0]) or np.any(w > self.w[-1]):
+            raise TableRangeError(f"log variance outside the coupled-map table [{self.w[0]:g}, {self.w[-1]:g}]")
         rhs = self.rho_eff * self._phi_v(w)
         if np.any(rhs < self._phi_s_range[0]) or np.any(rhs > self._phi_s_range[1]):
             raise NumericsError("coupled-map primitive out of range (clamp saturation)")
         return w, rhs
 
-    def f_of_x(self, x):
-        """Asset level(s) F(x) at variance level(s) x."""
-        return self.model.s0 * np.exp(self._phi_s_inv(self._coords(x)[1]))
+    def log_f(self, w):
+        """log F at log variance(s) w."""
+        return math.log(self.model.s0) + self._phi_s_inv(self._coords(w)[1])
 
-    def payoff_factor(self, x):
-        """G(x) = x * eta^2(F(x))."""
-        e = self.model.eta.value_log(self._phi_s_inv(self._coords(x)[1]))
-        return x * e * e
+    def level(self, w):
+        """The payoff level G(V0 e^w) = V0 e^w eta^2(F)."""
+        w, rhs = self._coords(w)
+        e = self.model.eta.value_log(self._phi_s_inv(rhs))
+        return self.v0 * np.exp(w) * e * e
 
-    def payoff_factor_deriv(self, x):
-        """G'(x) = eta^2(F) + 2 eta(F) Xi(F) du/dw, Xi the log-derivative of eta at
-        F, with the tables' own slope du/dw = rho_eff (Phi_S^{-1})' Phi_V' (not
-        eta(F) rho_eff sqrt(x) / sigma(x)): the derivative of ``payoff_factor``."""
-        w, rhs = self._coords(x)
+    def dlevel(self, w):
+        """dG/dw = v G'(v) at v = V0 e^w, G' = eta^2(F) + 2 eta(F) Xi(F) du/dw with
+        Xi the log-derivative of eta at F and the tables' own slope
+        du/dw = rho_eff (Phi_S^{-1})' Phi_V' (not eta(F) rho_eff sqrt(v) / sigma):
+        the derivative of ``level``."""
+        w, rhs = self._coords(w)
         u, eta = self._phi_s_inv(rhs), self.model.eta
-        e = eta.value_log(u)
-        return e * (e + 2.0 * eta.dvalue_log(u) * self.rho_eff * self._phi_s_inv(rhs, 1) * self._phi_v(w, 1))
+        e, du_dw = eta.value_log(u), self.rho_eff * self._phi_s_inv(rhs, 1) * self._phi_v(w, 1)
+        return self.v0 * np.exp(w) * (e * (e + 2.0 * eta.dvalue_log(u) * du_dw))
 
     def monotone_window(self):
         """(w_lo, w_hi): the widest run of inner table nodes around 0 on which
         G' > 0, or None if G' <= 0 at V0."""
         w = self.w[1:-1]
-        down = np.flatnonzero(self.payoff_factor_deriv(self.v0 * np.exp(w)) <= 0.0)
-        mid = w.size // 2
+        down = np.flatnonzero(self.dlevel(w) <= 0.0)
+        mid = int(np.searchsorted(w, 0.0))
         if mid in down:
             return None
         below, above = down[down < mid], down[down > mid]
@@ -343,23 +355,12 @@ class _CoupledMap:
 
     def kinks(self, s: float, t_hi: float):
         """The distances t = s w in (0, t_hi), ascending, at which the tabulated
-        F(V0 e^w) crosses a clamp point of eta, so G' jumps; each is bisected
-        to rounding on the tables the first time it is asked for."""
-        eta = self.model.eta
-        for i, (lo, hi) in enumerate(self._kink_brackets):
-            if i not in self._kinks and min(s * lo, s * hi) < t_hi and max(s * lo, s * hi) > 0.0:
-                for _ in range(7):  # 256^7 subdivisions of the bracket reach rounding
-                    grid = np.linspace(lo, hi, 257)
-                    e = eta.value_log(self._phi_s_inv(self.rho_eff * self._phi_v(grid)))
-                    at = (e <= eta.clamp_lo) | (e >= eta.clamp_hi)
-                    j = max(int(np.argmax(at != at[0])), 1)
-                    lo, hi = grid[j - 1], grid[j]
-                self._kinks[i] = 0.5 * (lo + hi)
-        return sorted(s * w for w in self._kinks.values() if 0.0 < s * w < t_hi)
+        F(V0 e^w) crosses a clamp point of eta, so G' jumps."""
+        return sorted(s * w for w in self._kinks if 0.0 < s * w < t_hi)
 
 
 # Integrand nodes this near (in w) to w_a take the payoff gap G(v_a) - G(v) from
-# a Gauss rule on v G'(v), split where G' jumps; the plain difference cancels.
+# a Gauss rule on dG/dw, split where G' jumps; the plain difference cancels.
 _NEAR = 1e-3
 _NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(4)
 
@@ -368,8 +369,8 @@ def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float):
     """(G(v_a) / A0, F, G) at the terminal log variance w_a: the Asian
     endpoint integrals in w, F = int dw / (sigma(w) sqrt(D)) and
     G = int sqrt(D) / sigma(w) dw over [0, w_a], D = |G(v_a) - G(v)| / A0."""
-    s, t_a, v0 = math.copysign(1.0, w_a), abs(w_a), mapper.v0
-    level = lambda w: mapper.payoff_factor(v0 * np.exp(w)) / a0
+    s, t_a = math.copysign(1.0, w_a), abs(w_a)
+    level = lambda w: mapper.level(w) / a0
     e_a = float(level(w_a))
     kinks = mapper.kinks(s, t_a)
 
@@ -379,8 +380,8 @@ def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float):
         ends = [d[near], *(np.clip(t_a - k, 0.0, d[near]) for k in kinks), 0.0]
         gap[near] = 0.0
         for p, q in zip(ends[:-1], ends[1:]):
-            vn = v0 * np.exp(s * (t_a - (q + 0.5 * (p - q))[:, None] - 0.5 * (p - q)[:, None] * _NEAR_X))
-            gap[near] += 0.5 * (p - q) * ((vn * mapper.payoff_factor_deriv(vn)) @ _NEAR_W) / a0
+            wn = s * (t_a - (q + 0.5 * (p - q))[:, None] - 0.5 * (p - q)[:, None] * _NEAR_X)
+            gap[near] += 0.5 * (p - q) * (mapper.dlevel(wn) @ _NEAR_W) / a0
         sig, r = mapper.model.sigma.value_log(s * t), np.sqrt(gap)
         return np.array([1.0 / (sig * r), r / sig])
 
@@ -414,10 +415,10 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window):
     nodes = mapper.w[(mapper.w >= 0.0) & (mapper.w <= edge)]
     lo = abs(math.log(zr))
     probe = lo + _SEED_STRETCH * (_const_sigma_root(zr)[1] - lo)
-    hi = float(np.interp(probe, s * np.log(mapper.payoff_factor(mapper.v0 * np.exp(s * nodes)) / a0), nodes))
+    hi = float(np.interp(probe, s * np.log(mapper.level(s * nodes) / a0), nodes))
     while phi(hi) < 0.0:
         if hi == edge:
-            if edge == mapper.w[-2]:
+            if edge == s * mapper.w[-2 if s > 0 else 1]:
                 raise TableRangeError(f"excursion leaves the coupled-map table |log(v/V0)| <= {edge:g}")
             return None  # it leaves the monotone window
         hi = min(2.0 * hi, edge)
@@ -473,18 +474,15 @@ def _h_only_direct(model: LsvModel, k: float, x: float, mapper: _CoupledMap) -> 
     def pieces(h_int):
         h = np.concatenate(([0.0], h_int))
         hm = 0.5 * (h[1:] + h[:-1])
-        v = model.v0 * np.exp(hm)
-        sig = model.sigma.value_log(hm)
-        dsig = model.sigma.dvalue_log(hm)
-        return h, np.diff(h) / dt, v, sig, dsig
+        return h, np.diff(h) / dt, hm, model.sigma.value_log(hm), model.sigma.dvalue_log(hm)
 
     def lagrangian_grad(h_int, lam):
-        _, dh, v, sig, dsig = pieces(h_int)
-        c = float(np.sum(mapper.payoff_factor(v)) * dt) - k
+        _, dh, hm, sig, dsig = pieces(h_int)
+        c = float(np.sum(mapper.level(hm)) * dt) - k
         b = dh / sig
         s_h = b / sig
         m_h = -dt * b * b * dsig / sig
-        c_h = 0.5 * dt * mapper.payoff_factor_deriv(v) * v
+        c_h = 0.5 * dt * mapper.dlevel(hm)
         grad_c = _to_nodes(c_h, c_h)
         return _to_nodes(0.5 * m_h - s_h, 0.5 * m_h + s_h) + lam * grad_c, c, grad_c
 
@@ -495,14 +493,14 @@ def _h_only_direct(model: LsvModel, k: float, x: float, mapper: _CoupledMap) -> 
         except NumericsError as exc:  # no convergence, or the map table was left
             failures.append(exc)
             continue
-        h, dh, v, sig, dsig = pieces(h_int)
-        force = -dh * dh * dsig / sig**3 + lam * mapper.payoff_factor_deriv(v) * v
+        h, dh, hm, sig, dsig = pieces(h_int)
+        force = -dh * dh * dsig / sig**3 + lam * mapper.dlevel(hm)
         diag["el_residual"] = _el_max(dt, (dh / sig**2, force))
         solutions.append((0.5 * float(np.sum((dh / sig) ** 2)) * dt, h, lam, diag))
     if not solutions:
         raise failures[0]
     value, h, lam, diag = min(solutions, key=lambda s: s[0])
-    paths = PathPair(t, np.log(mapper.f_of_x(model.v0 * np.exp(h))), math.log(model.v0) + h)
+    paths = PathPair(t, mapper.log_f(h), math.log(model.v0) + h)
     return RateResult(
         value,
         "corr_path_direct",
@@ -633,7 +631,7 @@ def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
     log_s0 = math.log(model.s0)
     log_v0 = math.log(model.v0)
     if x == 0.0:
-        paths = PathPair(t, np.full(n, log_s0), np.full(n, log_v0))
+        paths = PathPair.constant(log_s0, log_v0, n)
         return RateResult(0.0, "numeric_transcription", z_star=model.v0, lagrange=0.0, paths=paths)
 
     base = atm_mod.expansion_paths(model, x, n=n, order=2)

@@ -254,11 +254,12 @@ def _plateau_edge(eta, inside: float, outside: float) -> float:
             inside = mid
 
 
-def _solve_u_g(model: LsvModel, z: float, k: float, side: str, seen: dict | None = None):
+def _solve_u_g(model: LsvModel, z: float, k: float, seen: dict | None = None):
     """Root u_G = log(G/S0) of the ratio equation num/den = z/K, with the
-    den integral at the root.
+    den integral at the root, for z off the pivot K/eta(S0)^2.
 
-    The search for a sign change moves away from S0 and stops at the first
+    G lies below S0 when z/K < 1/eta(S0)^2 and above it otherwise.  The
+    search for a sign change moves away from S0 and stops at the first
     point where eta turns flat: past it the integrals diverge, so a target
     not reached there is infeasible.  ``seen`` maps u_G to its endpoint
     integrals; solves for one model may share it, and its points then
@@ -267,26 +268,7 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, seen: dict | None
     eta0 = float(model.eta.value_log(0.0))
     target = z / k
     limit = 1.0 / eta0**2
-
-    if side == "call":
-        if target > limit * (1.0 + 1e-12):
-            raise InfeasibleStrikeError(
-                f"call-side endpoint needs z/K <= 1/eta(S0)^2; got {target} > {limit}"
-            )
-        if target >= limit * (1.0 - 1e-13):
-            return 0.0, 0.0
-        sign = -1.0
-    elif side == "put":
-        if target < limit * (1.0 - 1e-12):
-            raise InfeasibleStrikeError(
-                f"put-side endpoint needs z/K >= 1/eta(S0)^2; got {target} < {limit}"
-            )
-        if target <= limit * (1.0 + 1e-13):
-            return 0.0, 0.0
-        sign = 1.0
-    else:
-        raise ValueError("side must be 'call' or 'put'")
-
+    sign = -1.0 if target < limit else 1.0
     seen = {} if seen is None else seen
 
     def psi(u_g):
@@ -333,14 +315,14 @@ def _solve_u_g(model: LsvModel, z: float, k: float, side: str, seen: dict | None
     return u_g, seen[u_g][1]
 
 
-def solve_g_endpoint(model: LsvModel, z: float, k: float, side: str) -> float:
-    """Terminal asset level G of the zero-correlation asset-leg solution."""
+def solve_g_endpoint(model: LsvModel, z: float, k: float) -> float:
+    """Terminal asset level G of the zero-correlation asset-leg solution at
+    budget z; its branch follows from z against K/eta(S0)^2 (``_g_leg_cost``)."""
     if z <= 0 or k <= 0:
         raise ValueError("z and K must be positive")
     if _eta_flat(model):
         raise DegenerateEtaError("constant eta: endpoint equation is degenerate, use J(V0, K/eta0^2)")
-    u_g, _ = _solve_u_g(model, z, k, side)
-    return model.s0 * math.exp(u_g)
+    return _g_leg_cost(model, z, k)[0]
 
 
 def _g_leg_cost(model: LsvModel, z: float, k: float, seen: dict | None = None):
@@ -354,13 +336,12 @@ def _g_leg_cost(model: LsvModel, z: float, k: float, seen: dict | None = None):
     z_pivot = k / eta0**2
     if abs(z - z_pivot) <= 1e-13 * z_pivot:
         return model.s0, 0.0, 0.0, eta0
-    side = "call" if z < z_pivot else "put"
-    u_g, den = _solve_u_g(model, z, k, side, seen)
+    u_g, den = _solve_u_g(model, z, k, seen)
     eta_g = float(model.eta.value_log(u_g))
     gap = eta_g**2 * z - k
-    # gap >= 0 on the call branch and <= 0 on the put branch by construction.
+    # gap >= 0 on the call branch (z below the pivot) and <= 0 above it by construction.
     cost = den * den * abs(gap) / (2.0 * k * k)
-    lam = -den * den / (2.0 * k * k) if side == "call" else den * den / (2.0 * k * k)
+    lam = -den * den / (2.0 * k * k) if z < z_pivot else den * den / (2.0 * k * k)
     return model.s0 * math.exp(u_g), cost, lam, eta_g
 
 
@@ -570,7 +551,7 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
     if res.value == 0.0:
-        return PathPair(t, np.full(n, log_s0), np.full(n, math.log(model.v0)))
+        return PathPair.constant(log_s0, math.log(model.v0), n)
 
     diag = res.diagnostics
     h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t)

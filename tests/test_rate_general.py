@@ -29,6 +29,7 @@ from varsmile import (
 )
 from varsmile import numerics, rate_general, rate_zero
 from varsmile.errors import ConvergenceError, NumericsError, TableRangeError
+from varsmile.model import clamp_points
 from varsmile.rate_general import _CoupledMap, _coupled_endpoint, _h_only_rate, _lagrangian_grad, constraint_integral
 
 # perfbench/models/kinked.json: eta 1 - 0.3u clamped to [0.85, 1.15] (kinks
@@ -188,15 +189,36 @@ class TestBounds:
 
 
 class TestFMap:
+    @pytest.mark.parametrize("sigma", [LogPolySigma(-0.95, 200.0, 0.0, 1.85, 2.15),
+                                       LogPolySigma(2.0, 0.5, 0.0, 1.9995, 2.001),
+                                       LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.17)],
+                             ids=["two_in_one_cell", "next_to_zero", "off_node"])
+    def test_table_nodes_on_clamp_points(self, sigma):
+        """Each sigma clamp point is a node of the w table: 0.014 and 0.0155
+        share the cell (2, 3) STEP, -0.001 and 0.002 lie within STEP/2 of 0.
+        Node 0 stays, the nodes increase, and no other node lies within STEP/4
+        of a clamp point."""
+        m = LsvModel(s0=1.0, v0=0.1, rho=1.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=sigma)
+        w, clamps = _CoupledMap(m, 1.0).w, clamp_points(sigma)
+        assert set(clamps) <= set(w) and 0.0 in w and np.all(np.diff(w) > 0.0)
+        others = w[~np.isin(w, (0.0, *clamps))]
+        assert np.min(np.abs(others[:, None] - np.array(clamps))) >= 0.25 * _CoupledMap.STEP
+
+    @pytest.mark.parametrize("rho_eff", [1.0, -1.0, 0.7])
+    def test_smooth_model_has_no_kinks(self, rho_eff):
+        # tanh eta has no clamp point, though far out on the widest table tanh(u) rounds to +-1
+        mapper = _CoupledMap(TANH, rho_eff, _CoupledMap.MAX_SPAN)
+        assert mapper.kinks(1.0, math.inf) == mapper.kinks(-1.0, math.inf) == []
+
     def test_identity_points(self):
         m = const_model(rho=1.0)
-        assert _CoupledMap(m, 0.7).f_of_x([m.v0])[0] == m.s0
-        assert _CoupledMap(m, 0.0).f_of_x([0.4])[0] == m.s0
+        assert math.exp(_CoupledMap(m, 0.7).log_f([0.0])[0]) == m.s0
+        assert math.exp(_CoupledMap(m, 0.0).log_f([math.log(4.0)])[0]) == m.s0
 
     def test_constant_closed_form(self):
         m = const_model(rho=1.0)
         for rho_eff, v in ((1.0, 0.4), (-0.6, 0.05), (0.3, 0.2)):
-            got = _CoupledMap(m, rho_eff).f_of_x([v])[0]
+            got = math.exp(_CoupledMap(m, rho_eff).log_f([math.log(v / m.v0)])[0])
             expect = m.s0 * math.exp(2.0 * 1.0 * rho_eff * (math.sqrt(v) - math.sqrt(0.1)) / 2.0)
             assert abs(got - expect) < 1e-12 * expect
 
@@ -218,7 +240,7 @@ class TestFMap:
                 u = brentq(lambda u: primitive(lambda y: 1.0 / model.eta.value_log(y), u, u_kinks) - rho_eff * phi_v,
                            -10.0, 10.0, xtol=1e-15, rtol=1e-15)
                 expect = model.s0 * math.exp(u)
-                assert abs(mapper.f_of_x([model.v0 * math.exp(w)])[0] - expect) <= 1e-12 * expect
+                assert abs(math.exp(mapper.log_f([w])[0]) - expect) <= 1e-12 * expect
 
 
 def h_only_oracle(model, k, rho_eff, n=201):
@@ -256,12 +278,11 @@ def h_only_oracle(model, k, rho_eff, n=201):
 
     def con(h_int):
         _, hm, _ = pieces(h_int)
-        return float(np.sum(mapper.payoff_factor(model.v0 * np.exp(hm))) * dt) - k
+        return float(np.sum(mapper.level(hm)) * dt) - k
 
     def con_jac(h_int):
         _, hm, _ = pieces(h_int)
-        v = model.v0 * np.exp(hm)
-        gd = np.asarray(mapper.payoff_factor_deriv(v)) * v * dt
+        gd = np.asarray(mapper.dlevel(hm)) * dt
         return scatter(np.zeros_like(gd), gd, len(h_int))
 
     box = _CoupledMap.W_SPAN - 0.5  # keep midpoints inside the map's table
@@ -308,7 +329,7 @@ class TestPerfectCorr:
         m = KINKED.with_rho(1.0)
         a0 = forward_variance_limit(m)
         mapper = _CoupledMap(m, 1.0)
-        w_kink = brentq(lambda w: math.log(mapper.f_of_x([m.v0 * math.exp(w)])[0]) - 0.5, 1.0, 3.0, xtol=1e-15)
+        w_kink = brentq(lambda w: mapper.log_f(w) - 0.5, 1.0, 3.0, xtol=1e-15)
         got = _coupled_endpoint(mapper, a0, w_kink + delta)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
         ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta)
@@ -318,10 +339,9 @@ class TestPerfectCorr:
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     @pytest.mark.parametrize("delta", [1e-5, 1e-4, 5e-4])
     def test_endpoint_integrals_past_an_off_node_sigma_clamp(self, monkeypatch, rho, delta):
-        """A sigma clamp between table nodes (w = 0.34) bends the tabulated G
-        inside one table segment; the Gauss rule for the payoff gap follows the
-        tables' own slope there, so the kernel converges.  The tables are only
-        about 1e-7 accurate across such a segment."""
+        """A sigma clamp off the uniform nodes (w = 0.34) is a table node of
+        its own, so no table segment holds the kink and the endpoint integrals
+        just past it agree with half-spacing tables to 1e-11."""
         m = LsvModel(s0=1.0, v0=0.1, rho=rho, eta=TanhEta(1.0, -0.1, 0.0),
                      sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.17))
         a0 = forward_variance_limit(m)
@@ -329,7 +349,12 @@ class TestPerfectCorr:
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
         ref = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta)
         for a, b in zip(got, ref):
-            assert abs(a - b) <= 1e-6 * b
+            assert abs(a - b) <= 1e-11 * b
+
+    def test_smooth_far_strike_kernel_calls(self):
+        m = TANH.with_rho(-1.0)
+        res = rate_perfect_corr(m, forward_variance_limit(m) * math.exp(6.5), -1)
+        assert res.method == "perfect_corr" and res.diagnostics["kernel_calls"] <= 10
 
     def test_atm_zero(self):
         m = LsvModel(s0=1.0, v0=0.1, rho=1.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=ConstantSigma(2.0))
@@ -409,7 +434,7 @@ class TestPerfectCorr:
             assert diag["branch"] == ("above" if x > 0 else "below") and diag["rho_eff"] == rho_eff
             assert 0 < diag["kernel_calls"] <= 7
             # alpha is the log excursion of the payoff level at the terminal log variance w_a
-            g_a = _CoupledMap(m, rho_eff).payoff_factor(m.v0 * math.exp(diag["w_a"]))
+            g_a = _CoupledMap(m, rho_eff).level(diag["w_a"])
             assert abs(abs(math.log(g_a / a0)) - diag["alpha"]) <= 1e-12
 
     @pytest.mark.parametrize("model", [TANH, KINKED], ids=["tanh", "kinked"])
@@ -476,8 +501,8 @@ class TestPerfectCorr:
         mapper = _CoupledMap(m, rho)
         (kink,) = mapper.kinks(1.0, 3.0)
         t_a = kink + delta
-        level = lambda w: float(mapper.payoff_factor(m.v0 * math.exp(w))) / a0
-        slope = lambda w: m.v0 * math.exp(w) * float(mapper.payoff_factor_deriv(m.v0 * math.exp(w))) / a0
+        level = lambda w: float(mapper.level(w)) / a0
+        slope = lambda w: float(mapper.dlevel(w)) / a0
         sig = lambda w: float(m.sigma.value_log(w))
         e_a = level(t_a)
         x8, w8 = np.polynomial.legendre.leggauss(8)

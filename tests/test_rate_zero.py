@@ -164,7 +164,7 @@ class TestAsianRate:
 class TestGEndpoint:
     def test_limit_is_spot(self, tanh_model):
         k = 0.12
-        g = solve_g_endpoint(tanh_model, k / 1.0**2, k, "call")
+        g = solve_g_endpoint(tanh_model, k / 1.0**2, k)
         assert abs(g - tanh_model.s0) < 1e-9
 
     def test_grid_scan_oracle(self, tanh_model):
@@ -176,24 +176,24 @@ class TestGEndpoint:
 
         ug = bisect(psi, -1.0, -1e-9, iters=60)
         assert abs(math.exp(ug) - 0.7189838915023) < 1e-9
-        g = solve_g_endpoint(tanh_model, z, k, "call")
+        g = solve_g_endpoint(tanh_model, z, k)
         assert abs(g - math.exp(ug)) < 1e-9
 
     def test_constant_eta_degenerate(self):
         m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=ConstantEta(1.0), sigma=ConstantSigma(2.0))
         with pytest.raises(DegenerateEtaError):
-            solve_g_endpoint(m, 0.11, 0.12, "call")
+            solve_g_endpoint(m, 0.11, 0.12)
 
     def test_search_stops_where_eta_turns_flat(self):
         # past u = -0.5 eta sits on its clamp and the endpoint integrals diverge
         k = forward_variance_limit(KINKED) * math.exp(0.25)
         with pytest.raises(InfeasibleStrikeError, match="turns flat"):
-            solve_g_endpoint(KINKED, KINKED.v0, k, "call")
-        g = solve_g_endpoint(KINKED, 0.95 * k, k, "call")  # eta(S0) = 1: the pivot is z = K
+            solve_g_endpoint(KINKED, KINKED.v0, k)
+        g = solve_g_endpoint(KINKED, 0.95 * k, k)  # eta(S0) = 1: the pivot is z = K
         assert math.exp(-0.5) < g < KINKED.s0
 
     def test_put_side(self, tanh_model):
-        g = solve_g_endpoint(tanh_model, 0.085, 0.08, "put")
+        g = solve_g_endpoint(tanh_model, 0.085, 0.08)
         assert g > tanh_model.s0
 
 
