@@ -12,9 +12,12 @@ and ``src/``.  For every workload the script runs ``perfbench/run.py
 the host's speed falls on both alike.  The JSON it writes holds,
 per workload and end-to-end metric of ``BENCHMARK.json``, the median and
 interquartile range (IQR) of each side, the change's wins over the k pairs,
-and the gain of the medians over the parent's IQR; and, once, the host's
-core count and the ``src/`` line count of each checkout.  Standard library
-only.
+and the gain of the medians over the parent's IQR.  The metrics of
+``run.py`` are wall times put on a reference host speed by its speed probe;
+the raw wall times it prints beside them (its ``wall <metric>`` lines) get
+the same summary under ``wall``, so a gain can be told from a shift of the
+probe.  Once per report it records the host's core count and the ``src/``
+line count of each checkout.  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"]}
+    wall = {parts[1]: float(parts[2]) for parts in map(str.split, lines) if len(parts) == 4 and parts[0] == "wall"}
+    return {"metrics": metrics, "wall": wall, "attempted": result["attempted"], "failed": result["failed"]}
 
 
 def summary(values: list[float]) -> dict:
@@ -48,9 +53,10 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "iqr": q3 - q1, "runs": values}
 
 
-def compare(parent: list[dict], change: list[dict], metric: str, lower_is_better: bool) -> dict:
-    p = [r["metrics"][metric] for r in parent]
-    c = [r["metrics"][metric] for r in change]
+def compare(parent: list[dict], change: list[dict], metric: str, lower_is_better: bool,
+            key: str = "metrics") -> dict:
+    p = [r[key][metric] for r in parent]
+    c = [r[key][metric] for r in change]
     sign = 1.0 if lower_is_better else -1.0
     ps, cs = summary(p), summary(c)
     gain = sign * (ps["median"] - cs["median"])
@@ -98,7 +104,10 @@ def main(argv=None) -> int:
         entry = {side: {"failed": sum(r["failed"] for r in rs), "attempted": sum(r["attempted"] for r in rs)}
                  for side, rs in runs.items()}
         for m in spec["end_to_end"]:
-            entry[m["name"]] = compare(runs["parent"], runs["change"], m["name"], m["better"] == "lower")
+            lower = m["better"] == "lower"
+            entry[m["name"]] = compare(runs["parent"], runs["change"], m["name"], lower)
+            if all(m["name"] in r["wall"] for rs in runs.values() for r in rs):
+                entry[m["name"]]["wall"] = compare(runs["parent"], runs["change"], m["name"], lower, "wall")
         report["workloads"][workload] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # keep finished workloads
     return 0

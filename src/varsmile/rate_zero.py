@@ -4,17 +4,27 @@ With rho = 0 the two-dimensional path problem splits: given the variance
 leg's time budget z = integral of e^h, the asset leg's optimal cost is a
 closed form driven by a terminal level G solving a ratio-of-integrals
 equation, and the variance leg is the Asian-option rate J(V0, z).  The
-rate function is the scalar infimum over z of the sum.  It is found as the
-root of the objective's derivative, which the envelope theorem gives from
-the asset leg's multiplier and the variance leg's endpoint integral F.  The
-root is sought in the variance leg's terminal log excursion alpha rather
-than in z: one pair of endpoint integrals F, G at alpha fixes z, J and F
-without an Asian root solve.  The one Asian solve left (at the pivot budget
-K/eta(S0)^2) brackets its root from the constant vol-of-vol root, which
-depends only on z/V0; the asset-leg solves reuse each other's endpoint
-integrals as brackets.  Integrals over one interval (F and G; the two
-endpoint integrals; all panels of a cumulative time map) share one call of
-the vectorized kernel ``integrate_sqrt_singular``.
+rate function is the scalar infimum over z of the sum, where the
+objective's derivative vanishes; the envelope theorem gives it from the
+asset leg's multiplier and the variance leg's endpoint integral F.
+
+The minimizer is solved as one Newton system in two unknowns: the
+variance leg's terminal log excursion alpha, which fixes z, J and F from
+one pair of endpoint integrals without an Asian root solve, and the asset
+endpoint u_G = log(G/S0).  The two equations are the endpoint equation at
+the budget alpha fixes and the vanishing derivative.  The expansion around
+the money seeds both unknowns, a finite-difference Jacobian starts the
+iteration and secant updates carry it; a step that would cross alpha = 0
+or u_G = 0 is cut short.  A root is accepted only with a certificate (z
+between V0 and the pivot K/eta(S0)^2, u_G on its branch's side and off any
+eta plateau, every value finite, the residual within the stopping
+tolerances' share).  Otherwise the bracketed
+route runs: a root in alpha between V0 and the pivot, whose single Asian
+solve (at the pivot) brackets its root from the constant vol-of-vol root,
+with each evaluation solving u_G by a bracketed root that reuses the
+endpoint integrals of the earlier ones.  Integrals over one interval (F and
+G; the two endpoint integrals; all panels of a cumulative time map) share
+one call of the vectorized kernel ``integrate_sqrt_singular``.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import DegenerateEtaError, InfeasibleStrikeError
+from .atm import atm_expansion
+from .errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
 from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness
 from .numerics import (
     Bracket,
@@ -254,6 +265,13 @@ def _plateau_edge(eta, inside: float, outside: float) -> float:
             inside = mid
 
 
+# Largest |u_G| an endpoint solve probes and largest alpha the Newton route
+# steps to: past it eta or sigma is taken as saturated.
+_LOG_CAP = 40.0
+# Steps of at most these sizes end the roots in alpha and in u_G, on both routes.
+_ALPHA_TOL, _U_TOL = 1e-12, 1e-13
+
+
 def _solve_u_g(model: LsvModel, z: float, k: float, seen: dict | None = None):
     """Root u_G = log(G/S0) of the ratio equation num/den = z/K, with the
     den integral at the root, for z off the pivot K/eta(S0)^2.
@@ -295,6 +313,10 @@ def _solve_u_g(model: LsvModel, z: float, k: float, seen: dict | None = None):
     if u is None:
         u = 2.0 * u_prev if u_prev else sign * 0.25
     while True:
+        if abs(u) > _LOG_CAP:
+            raise InfeasibleStrikeError(
+                f"no endpoint level G reaches z/K = {target} (eta saturated)"
+            )
         if model.eta.dvalue_log(u) == 0.0:
             u = _plateau_edge(model.eta, u_prev, u)
             if f_near * psi(u) > 0.0:
@@ -306,12 +328,8 @@ def _solve_u_g(model: LsvModel, z: float, k: float, seen: dict | None = None):
             break
         u_prev = u
         u = 2.0 * u
-        if abs(u) > 40.0:
-            raise InfeasibleStrikeError(
-                f"no endpoint level G reaches z/K = {target} (eta saturated)"
-            )
     lo, hi = (u, u_prev) if u < u_prev else (u_prev, u)
-    u_g = find_root(psi, Bracket(lo, hi), tol=1e-13)
+    u_g = find_root(psi, Bracket(lo, hi), tol=_U_TOL)
     return u_g, seen[u_g][1]
 
 
@@ -336,12 +354,18 @@ def _g_leg_cost(model: LsvModel, z: float, k: float, seen: dict | None = None):
     z_pivot = k / eta0**2
     if abs(z - z_pivot) <= 1e-13 * z_pivot:
         return model.s0, 0.0, 0.0, eta0
-    u_g, den = _solve_u_g(model, z, k, seen)
+    return _asset_leg(model, z, k, *_solve_u_g(model, z, k, seen))
+
+
+def _asset_leg(model: LsvModel, z: float, k: float, u_g: float, den: float):
+    """The tuple of ``_g_leg_cost`` from the endpoint u_G = log(G/S0) at
+    budget z and the den integral there; u_G < 0 (z below the pivot) is the
+    call geometry."""
     eta_g = float(model.eta.value_log(u_g))
     gap = eta_g**2 * z - k
-    # gap >= 0 on the call branch (z below the pivot) and <= 0 above it by construction.
+    # gap >= 0 on the call branch (u_G < 0) and <= 0 on the put branch by construction.
     cost = den * den * abs(gap) / (2.0 * k * k)
-    lam = -den * den / (2.0 * k * k) if z < z_pivot else den * den / (2.0 * k * k)
+    lam = -den * den / (2.0 * k * k) if u_g < 0.0 else den * den / (2.0 * k * k)
     return model.s0 * math.exp(u_g), cost, lam, eta_g
 
 
@@ -378,28 +402,192 @@ def _budget_legs(model: LsvModel, k: float, z: float, sol: AsianRateSolution, se
     return leg[2] * leg[3] ** 2 + (dj if sol.branch == "above" else -dj), z, sol, leg
 
 
+# The Newton route takes at most this many steps before it falls back to the
+# bracketed route; its Jacobian starts from differences at this relative step.
+_NEWTON_STEPS = 12
+_FD_REL_STEP = 1e-6
+
+
+class _NewtonFailure(Exception):
+    """The Newton route cannot certify a root; the message says why."""
+
+
+def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
+    """Stationary point of the rho = 0 objective as the root of two equations
+    in the variance leg's terminal log excursion alpha and the asset leg's
+    endpoint u_G = log(G/S0):
+
+        E1:  z(alpha) / K = num(u_G) / den(u_G)
+        E2:  log(F(alpha) / sqrt(V0)) = log(den(u_G) eta(u_G) / K)
+
+    E1 is the endpoint equation at the budget z that alpha fixes
+    (``_variance_leg``); E2 is the vanishing slope
+    lam eta(G)^2 + F^2 / (2 V0) (minus below V0) of ``_budget_legs``, in logs.
+    Each equation is an alpha part minus a u_G part, so one evaluation is one
+    ``_fg`` call and one ``_endpoint_integrals`` call, and each Jacobian
+    column is a secant in its own variable: Broyden's secant condition, kept
+    column by column.  The seed is the second-order expansion of both
+    endpoints at t = 1 (``atm.atm_expansion``), with u_G's first-order term
+    alone where the second order puts it on the other side of S0; the first
+    columns are differences at one point moved toward the money.  A step
+    that would cross alpha = 0 or u_G = 0 is cut to half the way there.  The
+    point that a step of at most 1e-12 in alpha and 1e-13 in u_G reaches is
+    evaluated and, with the certificate of ``rate_zero_rho`` and a residual
+    no larger than those tolerances times the first differences' slopes,
+    returned as (z, Asian solution, ``_asset_leg`` tuple, evaluations);
+    otherwise _NewtonFailure is raised.
+    """
+    above = z_pivot > model.v0
+    exp = atm_expansion(model)
+    alpha = abs(x * float(exp.h1(1.0)) + x * x * float(exp.h2(1.0)))
+    sign = -1.0 if above else 1.0
+    u = x * float(exp.g1(1.0)) + x * x * float(exp.g2(1.0))
+    if sign * u <= 0.0:  # far from the money the x^2 term can outgrow the first
+        u = x * float(exp.g1(1.0))
+    sqrt_v0 = math.sqrt(model.v0)
+
+    def variance_part(a):
+        if not 0.0 < a <= _LOG_CAP:
+            raise _NewtonFailure(f"alpha = {a!r} left (0, {_LOG_CAP}]")
+        z, sol = _variance_leg(model, a, above)
+        return np.array([z / k, math.log(sol.f_value / sqrt_v0)]), (z, sol)
+
+    def asset_part(u_g):
+        if not 0.0 < sign * u_g <= _LOG_CAP or model.eta.dvalue_log(u_g) == 0.0:
+            raise _NewtonFailure(f"u_G = {u_g!r} left 0 < {sign:+.0f} u_G <= {_LOG_CAP} off eta's plateaus")
+        num, den = _endpoint_integrals(model, u_g)
+        return np.array([num / den, math.log(den * float(model.eta.value_log(u_g)) / k)]), den
+
+    # E = a_val - u_val; the differences step toward the money, inside the domain
+    a_val, h_leg = variance_part(alpha)
+    u_val, den = asset_part(u)
+    da, du = _FD_REL_STEP * alpha, _FD_REL_STEP * u
+    col_a = (a_val - variance_part(alpha - da)[0]) / da
+    col_u = (asset_part(u - du)[0] - u_val) / du
+    # the residual the stopping tolerances allow, through the slopes that the
+    # differences measure (the secant updates do not enter it)
+    allowed = np.abs(col_a) * _ALPHA_TOL + np.abs(col_u) * _U_TOL
+    evals = 2
+    for _ in range(_NEWTON_STEPS):
+        r = a_val - u_val
+        det = float(col_a[0] * col_u[1] - col_u[0] * col_a[1])
+        step_a = float(col_u[0] * r[1] - col_u[1] * r[0]) / det if det else math.nan
+        step_u = float(col_a[1] * r[0] - col_a[0] * r[1]) / det if det else math.nan
+        if not (math.isfinite(step_a) and math.isfinite(step_u)):
+            raise _NewtonFailure(f"non-finite step at alpha = {alpha!r}, u_G = {u!r}")
+        # a step past alpha = 0 or u_G = 0 is cut to go half the way there
+        cut = 1.0
+        for value, step in ((alpha, step_a), (u, step_u)):
+            if value * step < 0.0 and abs(step) >= abs(value):
+                cut = min(cut, 0.5 * abs(value / step))
+        step_a, step_u = cut * step_a, cut * step_u
+        alpha, u = alpha + step_a, u + step_u
+        a_new, h_leg = variance_part(alpha)
+        u_new, den = asset_part(u)
+        evals += 1
+        if abs(step_a) <= _ALPHA_TOL and abs(step_u) <= _U_TOL:
+            # the certificate; asset_part has checked u_G's side, cap and plateau
+            residual = np.abs(a_new - u_new)
+            if np.any(residual > allowed):
+                raise _NewtonFailure(f"residual {residual.tolist()} exceeds {allowed.tolist()} at the root")
+            z, sol = h_leg
+            leg = _asset_leg(model, z, k, u, den)
+            if not min(model.v0, z_pivot) < z < max(model.v0, z_pivot):
+                raise _NewtonFailure(f"z = {z!r} not strictly between V0 and the pivot {z_pivot!r}")
+            if not all(map(math.isfinite, (z, sol.value, sol.f_value, sol.g_value, den, *leg))):
+                raise _NewtonFailure("non-finite value at the root")
+            return z, sol, leg, evals
+        # a secant over a step shorter than the first difference's is mostly rounding
+        if abs(step_a) > da:
+            col_a = (a_new - a_val) / step_a
+        if abs(step_u) > abs(du):
+            col_u = (u_val - u_new) / step_u
+        a_val, u_val = a_new, u_new
+    raise _NewtonFailure(f"no convergence in {_NEWTON_STEPS} steps")
+
+
+def _bracketed_root(model: LsvModel, k: float, z_pivot: float):
+    """The same stationary point by nested bracketed roots: (z, Asian
+    solution, ``_g_leg_cost`` tuple, slope evaluations).
+
+    The root of the objective's slope (``_budget_legs``) is bracketed in
+    alpha between 0 (z = V0, where dJ = 0) and the alpha of the pivot
+    ``z_pivot`` = K/eta(S0)^2, where the asset cost and its multiplier
+    vanish; one Asian solve gives that alpha.  Each slope evaluation solves
+    u_G by ``_solve_u_g``, sharing its endpoint integrals with the earlier
+    solves.
+    When the endpoint solve is infeasible at V0 (eta turns flat first), that
+    end moves toward the pivot until it is feasible; if no feasible budget
+    brackets the root, InfeasibleStrikeError is raised.
+    """
+    pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
+    above = z_pivot > model.v0
+    endpoint = {}  # endpoint integrals by u_G, shared by the asset-leg solves
+    legs = {pivot.alpha: _budget_legs(model, k, z_pivot, pivot)}
+    evals = [1]
+
+    def slope(alpha):  # d/dz at the budget that alpha fixes
+        if alpha not in legs:
+            evals[0] += 1
+            z, sol = _variance_leg(model, alpha, above)
+            legs[alpha] = _budget_legs(model, k, z, sol, endpoint)
+        return legs[alpha][0]
+
+    # a_near keeps the pivot's sign; a_far starts at V0 (alpha = 0) and
+    # moves toward a_near while its endpoint solve is infeasible (a_bad).
+    a_near, a_far, a_bad = pivot.alpha, 0.0, None
+    for _ in range(60):
+        try:
+            if slope(a_far) * slope(a_near) <= 0.0 or a_bad is None:
+                break
+            a_near = a_far  # feasible but past the root: it lies nearer a_bad
+        except InfeasibleStrikeError:
+            a_bad = a_far
+        a_far = 0.5 * (a_bad + a_near)
+    else:
+        raise InfeasibleStrikeError(
+            f"no feasible budget brackets the minimizer at K = {k}; it sits where eta turns flat"
+        )
+    a_star = find_root(slope, Bracket(min(a_far, a_near), max(a_far, a_near)), tol=_ALPHA_TOL)
+    _, z_star, sol, leg = legs[a_star]
+    return z_star, sol, leg, evals[0]
+
+
 def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     """Closed-form rate function at rho = 0: the infimum over the variance
     budget z of the asset-leg cost plus J(V0, z).
 
     By the envelope theorem the objective's derivative is
     lam eta(G)^2 + F^2 / (2 V0) above V0 (minus below), from quantities the
-    two leg solves already return (``_budget_legs``).  Its root is found in
-    the variance leg's terminal log excursion alpha, which fixes z, J and F
-    from one endpoint-integral call (``_variance_leg``), so no evaluation
-    solves an Asian root.  The bracket is [0, alpha at the pivot
-    K/eta(S0)^2]: alpha = 0 is z = V0, where dJ = 0, and at the pivot the
-    asset cost and its multiplier vanish; one seeded Asian solve gives the
-    pivot's alpha.  The asset-leg solves share their endpoint integrals, so
-    each starts from the points earlier solves bracketed it with.  When the
-    endpoint solve is infeasible at V0 (eta turns flat first), that end
-    moves toward the pivot until it is feasible; if no feasible budget
-    brackets the root, InfeasibleStrikeError is raised.
+    two leg solves return (``_budget_legs``).  The minimizer is solved as one
+    Newton system in the variance leg's terminal log excursion alpha and
+    the asset endpoint u_G = log(G/S0) (``_newton_root``): E1 is the
+    endpoint equation z(alpha) = K num(u_G)/den(u_G), E2 the vanishing
+    derivative.  The seed is the expansion around the money at t = 1,
+    alpha0 = |x h1(1) + x^2 h2(1)| and u0 = x g1(1) + x^2 g2(1), or x g1(1)
+    where the x^2 term puts u0 on the wrong side of S0; the Jacobian starts
+    from finite differences and is updated by secants, and a step that
+    would cross alpha = 0 or u_G = 0 goes half the way there.  A root is
+    accepted only with a certificate: z* strictly between V0 and the pivot
+    K/eta(S0)^2, u_G < 0 above V0 and > 0 below, |u_G| <= 40, eta not flat
+    at u_G, every value finite, and each equation's residual at most the
+    stopping tolerances times the slopes of the first differences.
+    Otherwise (no convergence in 12 steps, a step out of that domain, a
+    non-finite step, or an InfeasibleStrikeError or AccuracyError on the
+    way) the bracketed route runs (``_bracketed_root``): a root in alpha
+    between 0 (z = V0) and the alpha of the pivot, which one seeded Asian
+    solve gives, with each evaluation solving u_G by a bracketed root.  It
+    raises InfeasibleStrikeError when no feasible budget brackets the root.
+    z*, J, F, G, u_G, the cost and lam all come from the final evaluation,
+    by the arithmetic of ``_variance_leg`` and ``_asset_leg``.
 
-    The diagnostics are plain JSON: the variance leg's ``alpha``, ``branch``,
-    ``f_value``, ``g_value``, and the counts ``derivative_evals``,
-    ``kernel_calls`` and ``kernel_passes`` (quadrature kernel calls made by
-    this rate, and their passes).
+    The diagnostics are plain JSON: the variance leg's ``alpha``,
+    ``branch``, ``f_value``, ``g_value``; ``route`` ("newton" or
+    "bracketed") and ``fallback`` (None, or why the Newton route gave up);
+    ``derivative_evals`` (evaluations of the (alpha, u_G) system on the
+    Newton route, of the slope on the bracketed one); ``kernel_calls`` and
+    ``kernel_passes`` (quadrature kernel calls made by this rate, a failed
+    Newton attempt's included, and their passes).
     """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
@@ -419,8 +607,8 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
     with count_kernel_calls() as counts:
-        pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
         if _eta_flat(model):
+            pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
             return RateResult(
                 pivot.value,
                 "closed_zero_rho",
@@ -437,40 +625,20 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
                 },
             )
 
-        above = z_pivot > model.v0
-        endpoint = {}  # endpoint integrals by u_G, shared by the asset-leg solves
-        legs = {pivot.alpha: _budget_legs(model, k, z_pivot, pivot)}
-        evals = [1]
-
-        def slope(alpha):  # d/dz at the budget that alpha fixes
-            if alpha not in legs:
-                evals[0] += 1
-                z, sol = _variance_leg(model, alpha, above)
-                legs[alpha] = _budget_legs(model, k, z, sol, endpoint)
-            return legs[alpha][0]
-
-        # a_near keeps the pivot's sign; a_far starts at V0 (alpha = 0) and
-        # moves toward a_near while its endpoint solve is infeasible (a_bad).
-        a_near, a_far, a_bad = pivot.alpha, 0.0, None
-        for _ in range(60):
-            try:
-                if slope(a_far) * slope(a_near) <= 0.0 or a_bad is None:
-                    break
-                a_near = a_far  # feasible but past the root: it lies nearer a_bad
-            except InfeasibleStrikeError:
-                a_bad = a_far
-            a_far = 0.5 * (a_bad + a_near)
-        else:
-            raise InfeasibleStrikeError(
-                f"no feasible budget brackets the minimizer at K = {k}; it sits where eta turns flat"
-            )
-        a_star = find_root(slope, Bracket(min(a_far, a_near), max(a_far, a_near)), tol=1e-12)
-        _, z_star, sol, (g_end, g_cost, lam, _) = legs[a_star]
+        route, fallback = "newton", None
+        try:
+            z_star, sol, leg, evals = _newton_root(model, k, x, z_pivot)
+        except (_NewtonFailure, InfeasibleStrikeError, AccuracyError) as exc:
+            route, fallback = "bracketed", f"{type(exc).__name__}: {exc}"
+            z_star, sol, leg, evals = _bracketed_root(model, k, z_pivot)
+        g_end, g_cost, lam, _ = leg
         diagnostics = {
             "x": x,
             "side": side,
             **_asian_fields(sol),
-            "derivative_evals": evals[0],
+            "route": route,
+            "fallback": fallback,
+            "derivative_evals": evals,
             "kernel_calls": counts[0],
             "kernel_passes": counts[1],
         }

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from varsmile import (
 from varsmile.errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
 from varsmile.model import eta_eval
 from varsmile.rate_zero import (
+    _bracketed_root,
     _budget_legs,
     _endpoint_integrals,
     _g_leg_cost,
@@ -196,6 +199,28 @@ class TestGEndpoint:
         g = solve_g_endpoint(tanh_model, 0.085, 0.08)
         assert g > tanh_model.s0
 
+    @pytest.mark.parametrize("route", ["newton", "bracketed"])
+    def test_search_stays_inside_the_cap(self, tanh_model, route, monkeypatch):
+        # at x = 3 the bracketed route's later u_G searches start from the
+        # points of earlier ones; their first probe doubles the farthest
+        # known point and must not pass |u_G| = 40, where cosh overflows in
+        # eta's slope (a RuntimeWarning) and tanh reads as a plateau
+        if route == "bracketed":
+            monkeypatch.setattr("varsmile.rate_zero._NEWTON_STEPS", 0)
+        probes = []
+
+        def recorded(model, u_g):
+            probes.append(u_g)
+            return _endpoint_integrals(model, u_g)
+
+        monkeypatch.setattr("varsmile.rate_zero._endpoint_integrals", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = rate_zero_rho(tanh_model, forward_variance_limit(tanh_model) * math.exp(3.0))
+        assert res.diagnostics["route"] == route
+        assert max(abs(u) for u in probes) <= 40.0
+        assert abs(res.value - 2.2575826696791093) <= 1e-12 * res.value
+
 
 class TestRateZeroRho:
     def test_atm_zero(self, tanh_model):
@@ -317,7 +342,8 @@ class TestRateZeroRho:
     @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
     @pytest.mark.parametrize("x", [0.15, -0.15, 0.3, -0.3])
     def test_kernel_call_budget(self, tanh_model, kinked, x):
-        # no leg solve starts cold: about 30-45 kernel calls per strike here
+        # no leg solve starts cold: the bracketed route takes about 30-45
+        # kernel calls per strike here, the Newton route 10-16
         m = KINKED if kinked else tanh_model
         res = rate_zero_rho(m, forward_variance_limit(m) * math.exp(x))
         assert res.diagnostics["kernel_calls"] <= 65
@@ -330,8 +356,13 @@ class TestRateZeroRho:
             assert diag["alpha"] > 0 and diag["f_value"] > 0 and diag["g_value"] > 0
             assert diag["kernel_calls"] > 0
             assert diag["derivative_evals"] >= (0 if m is const else 2)
+            assert diag.get("route") == (None if m is const else "newton")
 
     def test_kernel_budget_surfaces(self, tanh_model, monkeypatch):
+        # every kernel call of the Newton route is single-pass here, so a
+        # one-panel budget binds only on the bracketed route, where the
+        # error must surface and not be caught as a fallback
+        monkeypatch.setattr("varsmile.rate_zero._NEWTON_STEPS", 0)
         monkeypatch.setattr("varsmile.numerics.MAX_PANELS", 1)
         with pytest.raises(AccuracyError):
             rate_zero_rho(tanh_model, 0.12)
@@ -343,6 +374,147 @@ class TestRateZeroRho:
         expect = asian_rate_j(m.sigma, 0.1, k / 1.2**2).value
         assert abs(res.value - expect) < 1e-12
         assert res.diagnostics.get("constant_eta")
+
+
+def _drawn_models(n=20, seed=2024):
+    """Fixed-seed models with rho = 0: tanh or clamped logpoly eta, constant
+    or clamped logpoly sigma, decreasing eta at S0."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            eta = TanhEta(f0=1.0, f1=-rng.uniform(0.05, 0.4), x0=rng.uniform(-0.2, 0.2))
+        else:
+            eta = LogPolyEta((1.0, -rng.uniform(0.1, 0.5), rng.uniform(-0.1, 0.1)),
+                             rng.uniform(0.6, 0.9), rng.uniform(1.1, 1.5))
+        if rng.random() < 0.5:
+            sigma = ConstantSigma(rng.uniform(0.5, 3.0))
+        else:
+            s0 = rng.uniform(0.8, 2.5)
+            sigma = LogPolySigma(s0, rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1),
+                                 s0 * rng.uniform(0.7, 0.95), s0 * rng.uniform(1.05, 1.4))
+        models.append(LsvModel(s0=1.0, v0=rng.uniform(0.04, 0.2), rho=0.0, eta=eta, sigma=sigma))
+    return models
+
+
+def _bracketed(model, k):
+    """The bracketed route's (z*, Asian solution, asset-leg tuple) at strike k."""
+    return _bracketed_root(model, k, k / float(model.eta.value_log(0.0)) ** 2)[:3]
+
+
+class TestNewtonRoute:
+    SWEEP_X = [s * v for v in (1e-4, 1e-3, 0.01, 0.05, 0.15, 0.3, 0.45, 0.6) for s in (1.0, -1.0)]
+
+    def test_routes_agree(self, tanh_model, monkeypatch):
+        # The bracketed route stops at absolute tolerances (1e-12 in alpha,
+        # 1e-13 in u_G), which near the money leave an error of order
+        # 1e-13 / |x| relative in its rate (up to 4e-10 at |x| = 1e-4); the
+        # Newton route evaluates one more step, past those tolerances.
+        models = {"tanh": tanh_model, "kinked": KINKED}
+        models.update((f"drawn{i}", m) for i, m in enumerate(_drawn_models()))
+        newton = {}
+        for name, m in models.items():
+            f0 = forward_variance_limit(m)
+            for x in self.SWEEP_X:
+                try:
+                    newton[name, x] = rate_zero_rho(m, f0 * math.exp(x))
+                except InfeasibleStrikeError:
+                    newton[name, x] = None
+        monkeypatch.setattr("varsmile.rate_zero._NEWTON_STEPS", 0)
+        for (name, x), res in newton.items():
+            m = models[name]
+            k = forward_variance_limit(m) * math.exp(x)
+            if res is None:
+                with pytest.raises(InfeasibleStrikeError):
+                    rate_zero_rho(m, k)
+                continue
+            diag = res.diagnostics
+            if diag["route"] == "bracketed":
+                assert diag["fallback"]
+                assert not (name in ("tanh", "kinked") and abs(x) <= 0.3), (name, x, diag["fallback"])
+            else:
+                assert diag["route"] == "newton" and diag["fallback"] is None
+            ref = rate_zero_rho(m, k)
+            assert ref.diagnostics["route"] == "bracketed"
+            assert abs(res.value - ref.value) <= (1e-12 + 1e-13 / abs(x)) * ref.value, (name, x)
+            assert abs(res.z_star - ref.z_star) <= 1e-10, (name, x)
+            assert abs(res.g_endpoint - ref.g_endpoint) <= 1e-10, (name, x)
+
+    @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
+    @pytest.mark.parametrize("x", [0.15, -0.15, 0.3, -0.3])
+    def test_newton_kernel_calls(self, tanh_model, kinked, x):
+        m = KINKED if kinked else tanh_model
+        res = rate_zero_rho(m, forward_variance_limit(m) * math.exp(x))
+        assert res.diagnostics["route"] == "newton"
+        assert res.diagnostics["kernel_calls"] <= 16
+
+    def test_mean_kernel_calls_on_a_smile(self, tanh_model):
+        # 21 strikes across |x| < 0.3: about 36 kernel calls each on the bracketed route
+        f0 = forward_variance_limit(tanh_model)
+        xs = [-0.3 + 0.6 * (i + 0.3) / 21 for i in range(21)]
+        calls = [rate_zero_rho(tanh_model, f0 * math.exp(x)).diagnostics["kernel_calls"] for x in xs]
+        assert sum(calls) / len(calls) <= 14
+
+    @pytest.mark.parametrize("x", [-1.5, -2.0, -3.0, 1.5, 3.0])
+    def test_wide_strikes_take_the_newton_route(self, tanh_model, x):
+        # on the put side the seed's x^2 term puts u_G on the call side from
+        # about x = -1.5, and a full first step from u_G's first-order seed
+        # crosses u_G = 0; both fell back before
+        k = forward_variance_limit(tanh_model) * math.exp(x)
+        res = rate_zero_rho(tanh_model, k)
+        assert res.diagnostics["route"] == "newton"
+        z, sol, (g_end, g_cost, lam, _) = _bracketed(tanh_model, k)
+        assert abs(res.value - (g_cost + sol.value)) <= 1e-12 * res.value
+        assert abs(res.z_star - z) <= 1e-10 and abs(res.g_endpoint - g_end) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "name, x, cap0",
+        [("drawn7", 3.0, False), ("tanh", 0.15, True), ("kinked", 0.15, True)],
+        ids=["drawn7-3", "tanh0.15-cap0", "kinked0.15-cap0"],
+    )
+    def test_fallback_is_the_bracketed_result(self, tanh_model, name, x, cap0, monkeypatch):
+        # drawn model 7 at x = 3: no convergence in 12 steps; otherwise a
+        # step cap of 0 leaves the Newton route no step to converge in
+        m = {"tanh": tanh_model, "kinked": KINKED}.get(name) or _drawn_models()[7]
+        if cap0:
+            monkeypatch.setattr("varsmile.rate_zero._NEWTON_STEPS", 0)
+        k = forward_variance_limit(m) * math.exp(x)
+        res = rate_zero_rho(m, k)
+        assert res.diagnostics["route"] == "bracketed"
+        assert res.diagnostics["fallback"].startswith("_NewtonFailure")
+        z, sol, (g_end, g_cost, lam, _) = _bracketed(m, k)
+        assert (res.value, res.z_star, res.g_endpoint, res.lagrange) == (g_cost + sol.value, z, g_end, lam)
+        assert (res.g_cost, res.h_cost, res.diagnostics["alpha"]) == (g_cost, sol.value, sol.alpha)
+
+    def test_kernel_error_inside_newton_falls_back(self, tanh_model, monkeypatch):
+        # an AccuracyError on the Newton route's first endpoint call
+        calls = []
+
+        def failing_once(model, u_g):
+            calls.append(u_g)
+            if len(calls) == 1:
+                raise AccuracyError("forced", estimate=0.0, error_bound=1.0)
+            return _endpoint_integrals(model, u_g)
+
+        monkeypatch.setattr("varsmile.rate_zero._endpoint_integrals", failing_once)
+        k = forward_variance_limit(tanh_model) * math.exp(0.15)
+        res = rate_zero_rho(tanh_model, k)
+        assert res.diagnostics["route"] == "bracketed"
+        assert res.diagnostics["fallback"].startswith("AccuracyError")
+        z, sol, (g_end, g_cost, lam, _) = _bracketed(tanh_model, k)
+        assert (res.value, res.z_star, res.g_endpoint) == (g_cost + sol.value, z, g_end)
+
+    def test_bits_do_not_depend_on_call_order(self, tanh_model):
+        f0 = forward_variance_limit(tanh_model)
+        strikes = [(m, f0 * math.exp(x)) for m in (tanh_model, KINKED) for x in (0.3, -0.05, 0.15, -0.3)]
+
+        def run(order):
+            return {i: (r.value, r.z_star, r.g_endpoint, r.lagrange, r.diagnostics)
+                    for i in order for r in [rate_zero_rho(*strikes[i])]}
+
+        forward = run(range(len(strikes)))
+        assert run(reversed(range(len(strikes)))) == forward
+        assert run(range(len(strikes))) == forward
 
 
 class TestOptimalPaths:
