@@ -7,9 +7,9 @@ Usage:
 Builds the first ``closed_smooth`` pass that ``perfbench/run.py`` would run
 for the seed, from CHECKOUT's own ``src/`` and ``perfbench/``, and solves the
 rho = 0 rate at the strike of each ``closed`` smile op.  Prints one JSON
-list of ``{"x", "kernel_calls", "route"}`` rows, ``route`` being null where
-the rate does not report one.  Run it on two checkouts to compare their
-kernel calls per strike.
+list of ``{"x", "kernel_calls", "asset_branch"}`` rows, ``asset_branch``
+being null where the rate does not report one.  Run it on two checkouts to
+compare their kernel calls per strike.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         if op.kind == "closed":
             x = op.inputs["x"]
             diag = vs.rate_zero_rho(ctx.model, ctx.fv0 * math.exp(x)).diagnostics
-            rows.append({"x": x, "kernel_calls": diag["kernel_calls"], "route": diag.get("route")})
+            rows.append({"x": x, "kernel_calls": diag["kernel_calls"], "asset_branch": diag.get("asset_branch")})
     print(json.dumps(rows))
     return 0
 

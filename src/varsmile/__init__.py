@@ -25,7 +25,6 @@ from .rate_zero import (
     asian_rate_j_const,
     optimal_paths_zero_rho,
     rate_zero_rho,
-    solve_g_endpoint,
 )
 from .rate_general import (
     BoundsResult,

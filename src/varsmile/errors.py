@@ -38,10 +38,6 @@ class TableRangeError(NumericsError):
     """A level left the range of a precomputed table."""
 
 
-class InfeasibleStrikeError(NumericsError):
-    """No terminal asset level solves the endpoint equation for the given (z, K)."""
-
-
 class DegenerateModelError(ValueError):
     """Model parameters make an expansion or limit formula undefined."""
 

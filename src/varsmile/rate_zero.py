@@ -14,17 +14,15 @@ one pair of endpoint integrals without an Asian root solve, and the asset
 endpoint u_G = log(G/S0).  The two equations are the endpoint equation at
 the budget alpha fixes and the vanishing derivative.  The expansion around
 the money seeds both unknowns, a finite-difference Jacobian starts the
-iteration and secant updates carry it; a step that would cross alpha = 0
-or u_G = 0 is cut short.  A root is accepted only with a certificate (z
-between V0 and the pivot K/eta(S0)^2, u_G on its branch's side and off any
-eta plateau, every value finite, the residual within the stopping
-tolerances' share).  Otherwise the bracketed
-route runs: a root in alpha between V0 and the pivot, whose single Asian
-solve (at the pivot) brackets its root from the constant vol-of-vol root,
-with each evaluation solving u_G by a bracketed root that reuses the
-endpoint integrals of the earlier ones.  Integrals over one interval (F and
-G; the two endpoint integrals; all panels of a cumulative time map) share
-one call of the vectorized kernel ``integrate_sqrt_singular``.
+iteration and secant updates carry it; a step that would cross alpha = 0,
+u_G = 0 or the plateau edge u_c is cut short.  On a clamped eta the
+budget can lie past what any free endpoint meets: the asset path then
+arrives at u_c, where eta turns flat, and stays there at a closed cost
+(the plateau branch), and the iteration goes on in alpha alone.  A root
+is accepted only with a certificate, and ConvergenceError says why when
+there is none.  Integrals over one interval (F and G; the two endpoint
+integrals; all panels of a cumulative time map) share one call of the
+vectorized kernel ``integrate_sqrt_singular``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .atm import atm_expansion
-from .errors import AccuracyError, DegenerateEtaError, InfeasibleStrikeError
+from .errors import ConvergenceError, DegenerateEtaError
 from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness
 from .numerics import (
     Bracket,
@@ -53,7 +51,6 @@ __all__ = [
     "RateResult",
     "asian_rate_j",
     "asian_rate_j_const",
-    "solve_g_endpoint",
     "rate_zero_rho",
     "optimal_paths_zero_rho",
 ]
@@ -224,148 +221,69 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
 # ---------------------------------------------------------------------------
 
 
-def _endpoint_integrand(eta, u_g: float):
-    """Integrand rows (num, den) of the endpoint equation at u, given dist = |u_g - u|."""
+def _endpoint_integrand(eta, u_g: float, gap_sign: float):
+    """Integrand rows (num, den) of the endpoint equation at u, given dist =
+    |u_g - u|.  The gap under the roots is gap_sign (eta^2(u) - eta^2(u_g)),
+    positive on the path: gap_sign is -1 in the call geometry, where eta
+    rises from eta(S0) toward eta(G), and +1 in the put geometry."""
     e_g = eta.value_log(u_g)
-    sgn = 1.0 if u_g > 0 else -1.0
+    side = 1.0 if u_g > 0 else -1.0
 
     def num_den(u, dist):
-        # eta^2(u_g) - eta^2(u), negated for u_g > 0: no cancellation as u -> u_g
+        # formed as a difference with the exact u - u_g: no cancellation as u -> u_g
         e = eta.value_log(u)
-        gap = sgn * eta.diff_log(u, u_g, delta=-sgn * dist) * (e + e_g)
+        gap = gap_sign * eta.diff_log(u, u_g, delta=-side * dist) * (e + e_g)
         root = np.sqrt(np.maximum(gap, 5e-324))
         return np.array([1.0 / (e * root), e / root])
 
     return num_den
 
 
-def _endpoint_integrals(model: LsvModel, u_g: float):
+def _endpoint_integrals(model: LsvModel, u_g: float, gap_sign: float):
     """The two integrals of the endpoint equation, on [min(u_g,0), max(u_g,0)].
 
     Returned positively oriented; their ratio num/den equals z/K at the
-    solution.  u_g < 0 is the call geometry (eta^2(G) > eta^2(x) on the way),
-    u_g > 0 the put geometry.  Both come from one kernel call.
+    solution.  Both come from one kernel call.
     """
     lo, hi, singular = (u_g, 0.0, "a") if u_g < 0 else (0.0, u_g, "b")
-    num_den = _endpoint_integrand(model.eta, u_g)
+    num_den = _endpoint_integrand(model.eta, u_g, gap_sign)
     num, den = integrate_sqrt_singular(num_den, lo, hi, singular, clamp_points(model.eta))
     return float(num), float(den)
 
 
-def _plateau_edge(eta, inside: float, outside: float) -> float:
-    """Last point before eta turns flat (sits on a clamp), between ``inside``
-    where it is not flat and ``outside`` where it is; by bisection."""
-    while True:
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            return inside
-        if eta.dvalue_log(mid) == 0.0:
-            outside = mid
-        else:
-            inside = mid
+def _flat_edge(eta, side: float) -> Optional[float]:
+    """The plateau edge u_c on the side ``side`` of S0: the last point before
+    the nearest clamp point there, where eta turns flat, if eta is monotone
+    from S0 to it.  None otherwise: with no clamp point (tanh) or past an
+    interior extremum of eta, the free endpoint reaches every feasible budget."""
+    ahead = [p for p in clamp_points(eta) if p * side > 0.0]
+    if not ahead:
+        return None
+    u_c = min(ahead, key=abs)
+    poly = np.polynomial.polynomial
+    slope = poly.polyder(eta.coeffs)
+    if any(t.imag == 0.0 and 0.0 < t.real / u_c < 1.0 for t in poly.polyroots(slope)):
+        return None
+    # one Newton step takes the root to an ulp or so, then ulps toward S0 leave the flat
+    u_c -= float(poly.polyval(u_c, eta.coeffs) - eta.value_log(u_c)) / float(poly.polyval(u_c, slope))
+    while eta.dvalue_log(u_c) == 0.0:
+        u_c = float(np.nextafter(u_c, 0.0))
+    return u_c
 
 
-# Largest |u_G| an endpoint solve probes and largest alpha the Newton route
-# steps to: past it eta or sigma is taken as saturated.
-_LOG_CAP = 40.0
-# Steps of at most these sizes end the roots in alpha and in u_G, on both routes.
-_ALPHA_TOL, _U_TOL = 1e-12, 1e-13
+def _asset_leg(model: LsvModel, z: float, k: float, u_g: float, gap_sign: float, speed: float, scale: float):
+    """Asset-leg tuple (G, cost, lam, eta(G)) at budget z and endpoint u_G.
 
-
-def _solve_u_g(model: LsvModel, z: float, k: float, seen: dict | None = None):
-    """Root u_G = log(G/S0) of the ratio equation num/den = z/K, with the
-    den integral at the root, for z off the pivot K/eta(S0)^2.
-
-    G lies below S0 when z/K < 1/eta(S0)^2 and above it otherwise.  The
-    search for a sign change moves away from S0 and stops at the first
-    point where eta turns flat: past it the integrals diverge, so a target
-    not reached there is infeasible.  ``seen`` maps u_G to its endpoint
-    integrals; solves for one model may share it, and its points then
-    narrow the search.
+    The optimal path runs at the speed constant sqrt(2 |lam|) = speed /
+    scale: den / K on the free branch, with den the endpoint integral at
+    u_G, and |eta_c^2 num_c - den_c| / |eta_c^2 z - K| on the plateau branch
+    (u_G = u_c).  The cost is |lam| |eta(G)^2 z - K| and lam has the sign of
+    the gap, negative in the call geometry.
     """
-    eta0 = float(model.eta.value_log(0.0))
-    target = z / k
-    limit = 1.0 / eta0**2
-    sign = -1.0 if target < limit else 1.0
-    seen = {} if seen is None else seen
-
-    def psi(u_g):
-        if u_g == 0.0:
-            return limit - target  # num/den -> 1/eta(S0)^2 as u_g -> 0
-        if u_g not in seen:
-            seen[u_g] = _endpoint_integrals(model, u_g)
-        num, den = seen[u_g]
-        return num / den - target
-
-    # psi has the sign of (limit - target) at u_g = 0 and crosses zero as
-    # |u_g| grows.  Start from the last known point before the crossing and
-    # the first known one past it; without the latter, expand until psi
-    # crosses, eta turns flat or it saturates.
-    u_prev = 0.0
-    f_near = psi(u_prev)
-    u = None
-    for v in sorted((v for v in seen if v * sign > 0.0), key=abs):
-        if f_near * psi(v) > 0.0:
-            u_prev = v
-        else:
-            u = v
-            break
-    if u is None:
-        u = 2.0 * u_prev if u_prev else sign * 0.25
-    while True:
-        if abs(u) > _LOG_CAP:
-            raise InfeasibleStrikeError(
-                f"no endpoint level G reaches z/K = {target} (eta saturated)"
-            )
-        if model.eta.dvalue_log(u) == 0.0:
-            u = _plateau_edge(model.eta, u_prev, u)
-            if f_near * psi(u) > 0.0:
-                raise InfeasibleStrikeError(
-                    f"no endpoint level G reaches z/K = {target} before eta turns flat at u = {u:.6g}"
-                )
-            break
-        if f_near * psi(u) <= 0.0:
-            break
-        u_prev = u
-        u = 2.0 * u
-    lo, hi = (u, u_prev) if u < u_prev else (u_prev, u)
-    u_g = find_root(psi, Bracket(lo, hi), tol=_U_TOL)
-    return u_g, seen[u_g][1]
-
-
-def solve_g_endpoint(model: LsvModel, z: float, k: float) -> float:
-    """Terminal asset level G of the zero-correlation asset-leg solution at
-    budget z; its branch follows from z against K/eta(S0)^2 (``_g_leg_cost``)."""
-    if z <= 0 or k <= 0:
-        raise ValueError("z and K must be positive")
-    if _eta_flat(model):
-        raise DegenerateEtaError("constant eta: endpoint equation is degenerate, use J(V0, K/eta0^2)")
-    return _g_leg_cost(model, z, k)[0]
-
-
-def _g_leg_cost(model: LsvModel, z: float, k: float, seen: dict | None = None):
-    """Asset-leg cost at budget z: (G, cost, lagrange, eta(G)).
-
-    The formula branch is fixed by z against K/eta(S0)^2, not by the option
-    side: below it the asset path must raise eta (call geometry), above it
-    must lower eta.
-    """
-    eta0 = float(model.eta.value_log(0.0))
-    z_pivot = k / eta0**2
-    if abs(z - z_pivot) <= 1e-13 * z_pivot:
-        return model.s0, 0.0, 0.0, eta0
-    return _asset_leg(model, z, k, *_solve_u_g(model, z, k, seen))
-
-
-def _asset_leg(model: LsvModel, z: float, k: float, u_g: float, den: float):
-    """The tuple of ``_g_leg_cost`` from the endpoint u_G = log(G/S0) at
-    budget z and the den integral there; u_G < 0 (z below the pivot) is the
-    call geometry."""
     eta_g = float(model.eta.value_log(u_g))
     gap = eta_g**2 * z - k
-    # gap >= 0 on the call branch (u_G < 0) and <= 0 on the put branch by construction.
-    cost = den * den * abs(gap) / (2.0 * k * k)
-    lam = -den * den / (2.0 * k * k) if u_g < 0.0 else den * den / (2.0 * k * k)
+    cost = speed * speed * abs(gap) / (2.0 * scale * scale)
+    lam = gap_sign * speed * speed / (2.0 * scale * scale)
     return model.s0 * math.exp(u_g), cost, lam, eta_g
 
 
@@ -388,28 +306,17 @@ def _variance_leg(model: LsvModel, alpha: float, above: bool):
     return z, AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
 
-def _budget_legs(model: LsvModel, k: float, z: float, sol: AsianRateSolution, seen: dict | None = None):
-    """Both legs at variance budget z, given the variance leg's solution
-    there: (d/dz of the objective, z, ``sol``, the asset-leg tuple of
-    ``_g_leg_cost``).  ``seen`` is passed on to ``_solve_u_g``.
-
-    The derivative is lam eta(G)^2 + F^2 / (2 V0) on the above branch and
-    lam eta(G)^2 - F^2 / (2 V0) below (envelope theorem: only the explicit
-    z-dependence of each leg's Lagrangian counts).
-    """
-    leg = _g_leg_cost(model, z, k, seen)
-    dj = sol.f_value**2 / (2.0 * model.v0)
-    return leg[2] * leg[3] ** 2 + (dj if sol.branch == "above" else -dj), z, sol, leg
-
-
-# The Newton route takes at most this many steps before it falls back to the
-# bracketed route; its Jacobian starts from differences at this relative step.
-_NEWTON_STEPS = 12
+# Largest alpha and |u_G| the iteration steps to: past it eta or sigma is
+# taken as saturated.
+_LOG_CAP = 40.0
+# Steps of at most these sizes end the iteration in alpha and in u_G.
+_ALPHA_TOL, _U_TOL = 1e-12, 1e-13
+# The iteration takes at most this many steps (the slowest strike of the
+# measured sweeps, drawn model 7 of the tests at x = 3, takes 15, and a
+# plateau strike at sigma = 0.03 takes 19); its Jacobian starts from
+# differences at this relative step.
+_NEWTON_STEPS = 24
 _FD_REL_STEP = 1e-6
-
-
-class _NewtonFailure(Exception):
-    """The Newton route cannot certify a root; the message says why."""
 
 
 def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
@@ -421,65 +328,128 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
         E2:  log(F(alpha) / sqrt(V0)) = log(den(u_G) eta(u_G) / K)
 
     E1 is the endpoint equation at the budget z that alpha fixes
-    (``_variance_leg``); E2 is the vanishing slope
-    lam eta(G)^2 + F^2 / (2 V0) (minus below V0) of ``_budget_legs``, in logs.
-    Each equation is an alpha part minus a u_G part, so one evaluation is one
+    (``_variance_leg``); E2 is the vanishing slope lam eta(G)^2 + F^2 / (2 V0)
+    (minus below V0) of the objective, in logs (envelope theorem).  Each
+    equation is an alpha part minus a u_G part, so one evaluation is one
     ``_fg`` call and one ``_endpoint_integrals`` call, and each Jacobian
     column is a secant in its own variable: Broyden's secant condition, kept
-    column by column.  The seed is the second-order expansion of both
-    endpoints at t = 1 (``atm.atm_expansion``), with u_G's first-order term
-    alone where the second order puts it on the other side of S0; the first
-    columns are differences at one point moved toward the money.  A step
-    that would cross alpha = 0 or u_G = 0 is cut to half the way there.  The
-    point that a step of at most 1e-12 in alpha and 1e-13 in u_G reaches is
-    evaluated and, with the certificate of ``rate_zero_rho`` and a residual
-    no larger than those tolerances times the first differences' slopes,
-    returned as (z, Asian solution, ``_asset_leg`` tuple, evaluations);
-    otherwise _NewtonFailure is raised.
+    column by column.  u_G lies on the side of S0 where eta rises (call
+    geometry, z below the pivot) or falls (put geometry): the sign of eta's
+    slope at S0 fixes it once.  The seed is the second-order expansion of
+    both endpoints at t = 1 (``atm.atm_expansion``), with u_G's first-order
+    term alone where the second order puts it on the other side of S0; the
+    first columns are differences at one point moved toward the money.
+
+    A step that would cross alpha = 0, u_G = 0 or the plateau edge u_c
+    (``_flat_edge``) is cut to half the way there.  But when a step heads
+    past u_c and the alpha column predicts z/K past num_c/den_c, the endpoint
+    integrals at u_c, no free endpoint meets the budget: the asset path
+    arrives at u_c before the end and stays there.  u_G is then fixed at u_c,
+    and the one equation in alpha left is E2 with the plateau cost
+    C(z) = (eta_c^2 num_c - den_c)^2 / (2 |eta_c^2 z - K|):
+
+        E2':  F(alpha) / sqrt(V0) = eta_c |eta_c^2 num_c - den_c| / |eta_c^2 z - K|
+
+    solved by secant steps from the alpha column, with |eta_c^2 z - K|
+    taken to the left side: there E2' is smooth where C blows up and has no
+    root past it.  The point that a step of at most 1e-12 in alpha and 1e-13
+    in u_G reaches is evaluated and accepted with a certificate: z between
+    V0 and the pivot, on the plateau branch z/K between 1/eta_c^2 and
+    num_c/den_c, every value finite and each residual no larger than those
+    tolerances times the first differences' slopes.  Returns (z, Asian
+    solution, ``_asset_leg`` tuple, evaluations, asset branch "free" or
+    "plateau"); any other outcome raises ConvergenceError, with the last
+    (alpha, u_G) and both residuals.
     """
     above = z_pivot > model.v0
+    gap_sign = -1.0 if above else 1.0
+    side = gap_sign if model.eta.log_coeffs()[1] < 0.0 else -gap_sign
+    nearest = min((p for p in clamp_points(model.eta) if p * side > 0.0), key=abs, default=None)
+    edge = None  # (u_c, num_c, den_c) once u_G heads to the nearest clamp point; () if eta turns first
+
+    def plateau_edge():
+        nonlocal edge
+        if edge is None:
+            u_c = _flat_edge(model.eta, side)
+            edge = () if u_c is None else (u_c, *_endpoint_integrals(model, u_c, gap_sign))
+        return edge
+
     exp = atm_expansion(model)
     alpha = abs(x * float(exp.h1(1.0)) + x * x * float(exp.h2(1.0)))
-    sign = -1.0 if above else 1.0
     u = x * float(exp.g1(1.0)) + x * x * float(exp.g2(1.0))
-    if sign * u <= 0.0:  # far from the money the x^2 term can outgrow the first
+    if side * u <= 0.0:  # far from the money the x^2 term can outgrow the first
         u = x * float(exp.g1(1.0))
+    if nearest is not None and side * (u - nearest) >= 0.0 and plateau_edge():
+        u = 0.5 * edge[0]  # a seed past the plateau edge goes half the way there
     sqrt_v0 = math.sqrt(model.v0)
+    r = np.full(2, math.nan)
+
+    def fail(reason):
+        return ConvergenceError(
+            f"rate_zero_rho at K = {k!r}: {reason}",
+            best=(alpha, u),
+            diagnostics={"alpha": alpha, "u_g": u, "residuals": r.tolist()},
+        )
 
     def variance_part(a):
         if not 0.0 < a <= _LOG_CAP:
-            raise _NewtonFailure(f"alpha = {a!r} left (0, {_LOG_CAP}]")
+            raise fail(f"alpha = {a!r} left (0, {_LOG_CAP}]")
         z, sol = _variance_leg(model, a, above)
         return np.array([z / k, math.log(sol.f_value / sqrt_v0)]), (z, sol)
 
     def asset_part(u_g):
-        if not 0.0 < sign * u_g <= _LOG_CAP or model.eta.dvalue_log(u_g) == 0.0:
-            raise _NewtonFailure(f"u_G = {u_g!r} left 0 < {sign:+.0f} u_G <= {_LOG_CAP} off eta's plateaus")
-        num, den = _endpoint_integrals(model, u_g)
+        if not 0.0 < side * u_g <= _LOG_CAP or model.eta.dvalue_log(u_g) == 0.0:
+            raise fail(f"u_G = {u_g!r} left 0 < {side:+.0f} u_G <= {_LOG_CAP} off eta's plateaus")
+        num, den = _endpoint_integrals(model, u_g, gap_sign)
         return np.array([num / den, math.log(den * float(model.eta.value_log(u_g)) / k)]), den
 
-    # E = a_val - u_val; the differences step toward the money, inside the domain
+    def certified(z, sol, den, leg):
+        # next to the money z can round past the pivot by an ulp or so
+        past_pivot = abs(z - model.v0) > abs(z_pivot - model.v0) + 4.0 * math.ulp(z_pivot)
+        if not 0.0 < (z - model.v0) / (z_pivot - model.v0) or past_pivot:
+            raise fail(f"z = {z!r} not between V0 (excluded) and the pivot {z_pivot!r}")
+        if not all(map(math.isfinite, (z, sol.value, sol.f_value, sol.g_value, den, *leg))):
+            raise fail("non-finite value at the root")
+        return leg
+
+    # E = a_val - u_val; the differences step toward the money, inside the
+    # domain, and go half the way there where a relative step is lost in
+    # rounding (next to the money)
     a_val, h_leg = variance_part(alpha)
     u_val, den = asset_part(u)
-    da, du = _FD_REL_STEP * alpha, _FD_REL_STEP * u
-    col_a = (a_val - variance_part(alpha - da)[0]) / da
-    col_u = (asset_part(u - du)[0] - u_val) / du
+    for rel in (_FD_REL_STEP, 0.5):
+        da, du = rel * alpha, rel * u
+        col_a = (a_val - variance_part(alpha - da)[0]) / da
+        col_u = (asset_part(u - du)[0] - u_val) / du
+        if np.all(col_a) and np.all(col_u):
+            break
     # the residual the stopping tolerances allow, through the slopes that the
     # differences measure (the secant updates do not enter it)
-    allowed = np.abs(col_a) * _ALPHA_TOL + np.abs(col_u) * _U_TOL
-    evals = 2
-    for _ in range(_NEWTON_STEPS):
+    slope_a = np.abs(col_a)
+    allowed = slope_a * _ALPHA_TOL + np.abs(col_u) * _U_TOL
+    evals, steps = 2, 0
+    while steps < _NEWTON_STEPS:
+        steps += 1
         r = a_val - u_val
         det = float(col_a[0] * col_u[1] - col_u[0] * col_a[1])
-        step_a = float(col_u[0] * r[1] - col_u[1] * r[0]) / det if det else math.nan
-        step_u = float(col_a[1] * r[0] - col_a[0] * r[1]) / det if det else math.nan
+        if det:
+            step_a = float(col_u[0] * r[1] - col_u[1] * r[0]) / det
+            step_u = float(col_a[1] * r[0] - col_a[0] * r[1]) / det
+        else:  # next to the money the Jacobian can be all rounding: no step from an exact root
+            step_a = step_u = math.nan if r.any() else 0.0
         if not (math.isfinite(step_a) and math.isfinite(step_u)):
-            raise _NewtonFailure(f"non-finite step at alpha = {alpha!r}, u_G = {u!r}")
-        # a step past alpha = 0 or u_G = 0 is cut to go half the way there
+            raise fail("non-finite step")
+        barriers = [(-alpha, step_a), (-u, step_u)]
+        if nearest is not None and side * (u + step_u - nearest) >= 0.0 and plateau_edge():
+            u_c, num_c, den_c = edge
+            if gap_sign * (a_val[0] + col_a[0] * step_a - num_c / den_c) >= 0.0:
+                break  # the step takes z/K past the edge's ratio: the plateau branch
+            barriers.append((u_c - u, step_u))
+        # a step past a barrier is cut to go half the way there
         cut = 1.0
-        for value, step in ((alpha, step_a), (u, step_u)):
-            if value * step < 0.0 and abs(step) >= abs(value):
-                cut = min(cut, 0.5 * abs(value / step))
+        for gap, step in barriers:
+            if gap * step > 0.0 and abs(step) >= abs(gap):
+                cut = min(cut, 0.5 * abs(gap / step))
         step_a, step_u = cut * step_a, cut * step_u
         alpha, u = alpha + step_a, u + step_u
         a_new, h_leg = variance_part(alpha)
@@ -487,107 +457,79 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
         evals += 1
         if abs(step_a) <= _ALPHA_TOL and abs(step_u) <= _U_TOL:
             # the certificate; asset_part has checked u_G's side, cap and plateau
-            residual = np.abs(a_new - u_new)
-            if np.any(residual > allowed):
-                raise _NewtonFailure(f"residual {residual.tolist()} exceeds {allowed.tolist()} at the root")
+            r = a_new - u_new
+            if np.any(np.abs(r) > allowed):
+                raise fail(f"residual {np.abs(r).tolist()} exceeds {allowed.tolist()} at the root")
             z, sol = h_leg
-            leg = _asset_leg(model, z, k, u, den)
-            if not min(model.v0, z_pivot) < z < max(model.v0, z_pivot):
-                raise _NewtonFailure(f"z = {z!r} not strictly between V0 and the pivot {z_pivot!r}")
-            if not all(map(math.isfinite, (z, sol.value, sol.f_value, sol.g_value, den, *leg))):
-                raise _NewtonFailure("non-finite value at the root")
-            return z, sol, leg, evals
+            return z, sol, certified(z, sol, den, _asset_leg(model, z, k, u, gap_sign, den, k)), evals, "free"
         # a secant over a step shorter than the first difference's is mostly rounding
         if abs(step_a) > da:
             col_a = (a_new - a_val) / step_a
         if abs(step_u) > abs(du):
             col_u = (u_val - u_new) / step_u
         a_val, u_val = a_new, u_new
-    raise _NewtonFailure(f"no convergence in {_NEWTON_STEPS} steps")
-
-
-def _bracketed_root(model: LsvModel, k: float, z_pivot: float):
-    """The same stationary point by nested bracketed roots: (z, Asian
-    solution, ``_g_leg_cost`` tuple, slope evaluations).
-
-    The root of the objective's slope (``_budget_legs``) is bracketed in
-    alpha between 0 (z = V0, where dJ = 0) and the alpha of the pivot
-    ``z_pivot`` = K/eta(S0)^2, where the asset cost and its multiplier
-    vanish; one Asian solve gives that alpha.  Each slope evaluation solves
-    u_G by ``_solve_u_g``, sharing its endpoint integrals with the earlier
-    solves.
-    When the endpoint solve is infeasible at V0 (eta turns flat first), that
-    end moves toward the pivot until it is feasible; if no feasible budget
-    brackets the root, InfeasibleStrikeError is raised.
-    """
-    pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
-    above = z_pivot > model.v0
-    endpoint = {}  # endpoint integrals by u_G, shared by the asset-leg solves
-    legs = {pivot.alpha: _budget_legs(model, k, z_pivot, pivot)}
-    evals = [1]
-
-    def slope(alpha):  # d/dz at the budget that alpha fixes
-        if alpha not in legs:
-            evals[0] += 1
-            z, sol = _variance_leg(model, alpha, above)
-            legs[alpha] = _budget_legs(model, k, z, sol, endpoint)
-        return legs[alpha][0]
-
-    # a_near keeps the pivot's sign; a_far starts at V0 (alpha = 0) and
-    # moves toward a_near while its endpoint solve is infeasible (a_bad).
-    a_near, a_far, a_bad = pivot.alpha, 0.0, None
-    for _ in range(60):
-        try:
-            if slope(a_far) * slope(a_near) <= 0.0 or a_bad is None:
-                break
-            a_near = a_far  # feasible but past the root: it lies nearer a_bad
-        except InfeasibleStrikeError:
-            a_bad = a_far
-        a_far = 0.5 * (a_bad + a_near)
     else:
-        raise InfeasibleStrikeError(
-            f"no feasible budget brackets the minimizer at K = {k}; it sits where eta turns flat"
-        )
-    a_star = find_root(slope, Bracket(min(a_far, a_near), max(a_far, a_near)), tol=_ALPHA_TOL)
-    _, z_star, sol, leg = legs[a_star]
-    return z_star, sol, leg, evals[0]
+        raise fail(f"no convergence in {_NEWTON_STEPS} steps")
+
+    # plateau branch: u_G = u_c, and E2' in alpha alone, in the form
+    # (F / sqrt(V0)) w K / (eta_c |eta_c^2 num_c - den_c|) = 1 with
+    # w = |eta_c^2 z/K - 1|, signed positive where a path meets K
+    u = u_c
+    eta_c = float(model.eta.value_log(u_c))
+    flat = abs(eta_c**2 * num_c - den_c)
+
+    def plateau(a_val, col):
+        """Residual of E2', its slope in alpha through the alpha column, and w."""
+        scale = math.exp(a_val[1]) * k / (eta_c * flat)
+        w = gap_sign * (1.0 - eta_c**2 * a_val[0])
+        return scale * w - 1.0, scale * (w * col[1] - gap_sign * eta_c**2 * col[0]), w
+
+    res, slope, w = plateau(a_val, col_a)
+    while steps < _NEWTON_STEPS:
+        steps += 1
+        r = np.array([0.0, res])
+        step = -res / slope
+        if w <= 0.0:  # no path meets K at this budget: aim midway into the plateau's budgets
+            step = (0.5 * (1.0 / eta_c**2 + num_c / den_c) - a_val[0]) / col_a[0]
+        if -step >= alpha:  # a step past alpha = 0 goes half the way there
+            step = -0.5 * alpha
+        alpha += step
+        a_new, h_leg = variance_part(alpha)
+        res_new, _, w = plateau(a_new, col_a)
+        evals += 1
+        if abs(step) <= _ALPHA_TOL:
+            r = np.array([0.0, res_new])
+            # the slope through the first differences, with both terms counted positive
+            bound = abs(plateau(a_new, (-gap_sign * slope_a[0], slope_a[1]))[1]) * _ALPHA_TOL
+            if abs(res_new) > bound:
+                raise fail(f"plateau residual {abs(res_new)!r} exceeds {bound!r} at the root")
+            if not (w > 0.0 and gap_sign * (a_new[0] - num_c / den_c) >= 0.0):
+                raise fail(f"plateau root z/K = {a_new[0]!r} outside [{1.0 / eta_c**2!r}, {num_c / den_c!r}]")
+            z, sol = h_leg
+            leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(eta_c**2 * z - k))
+            return z, sol, certified(z, sol, flat, leg), evals, "plateau"
+        if abs(step) > da:
+            col_a, slope = (a_new - a_val) / step, (res_new - res) / step
+        a_val, res = a_new, res_new
+    raise fail(f"no convergence in {_NEWTON_STEPS} steps")
 
 
 def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     """Closed-form rate function at rho = 0: the infimum over the variance
     budget z of the asset-leg cost plus J(V0, z).
 
-    By the envelope theorem the objective's derivative is
-    lam eta(G)^2 + F^2 / (2 V0) above V0 (minus below), from quantities the
-    two leg solves return (``_budget_legs``).  The minimizer is solved as one
-    Newton system in the variance leg's terminal log excursion alpha and
-    the asset endpoint u_G = log(G/S0) (``_newton_root``): E1 is the
-    endpoint equation z(alpha) = K num(u_G)/den(u_G), E2 the vanishing
-    derivative.  The seed is the expansion around the money at t = 1,
-    alpha0 = |x h1(1) + x^2 h2(1)| and u0 = x g1(1) + x^2 g2(1), or x g1(1)
-    where the x^2 term puts u0 on the wrong side of S0; the Jacobian starts
-    from finite differences and is updated by secants, and a step that
-    would cross alpha = 0 or u_G = 0 goes half the way there.  A root is
-    accepted only with a certificate: z* strictly between V0 and the pivot
-    K/eta(S0)^2, u_G < 0 above V0 and > 0 below, |u_G| <= 40, eta not flat
-    at u_G, every value finite, and each equation's residual at most the
-    stopping tolerances times the slopes of the first differences.
-    Otherwise (no convergence in 12 steps, a step out of that domain, a
-    non-finite step, or an InfeasibleStrikeError or AccuracyError on the
-    way) the bracketed route runs (``_bracketed_root``): a root in alpha
-    between 0 (z = V0) and the alpha of the pivot, which one seeded Asian
-    solve gives, with each evaluation solving u_G by a bracketed root.  It
-    raises InfeasibleStrikeError when no feasible budget brackets the root.
-    z*, J, F, G, u_G, the cost and lam all come from the final evaluation,
-    by the arithmetic of ``_variance_leg`` and ``_asset_leg``.
+    The minimizer is the stationary point that ``_newton_root`` solves, with
+    the asset leg on its free or its plateau branch; z*, J, F, G, the cost
+    and lam all come from its final evaluation.  A strike it cannot certify
+    raises ConvergenceError, and an AccuracyError of the quadrature kernel
+    passes through.  Where eta is constant or flat at S0 the rate is
+    J(V0, K/eta(S0)^2).
 
     The diagnostics are plain JSON: the variance leg's ``alpha``,
-    ``branch``, ``f_value``, ``g_value``; ``route`` ("newton" or
-    "bracketed") and ``fallback`` (None, or why the Newton route gave up);
-    ``derivative_evals`` (evaluations of the (alpha, u_G) system on the
-    Newton route, of the slope on the bracketed one); ``kernel_calls`` and
-    ``kernel_passes`` (quadrature kernel calls made by this rate, a failed
-    Newton attempt's included, and their passes).
+    ``branch``, ``f_value``, ``g_value``; the asset leg's ``asset_branch``
+    ("free" or "plateau"), or ``constant_eta``; ``derivative_evals``
+    (evaluations of the system); ``kernel_calls`` and ``kernel_passes``
+    (quadrature kernel calls made by this rate and their passes).
     """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
@@ -608,36 +550,16 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
 
     with count_kernel_calls() as counts:
         if _eta_flat(model):
-            pivot = asian_rate_j(model.sigma, model.v0, z_pivot)
-            return RateResult(
-                pivot.value,
-                "closed_zero_rho",
-                z_star=z_pivot,
-                h_cost=pivot.value,
-                diagnostics={
-                    "x": x,
-                    "side": side,
-                    "constant_eta": True,
-                    **_asian_fields(pivot),
-                    "derivative_evals": 0,
-                    "kernel_calls": counts[0],
-                    "kernel_passes": counts[1],
-                },
-            )
-
-        route, fallback = "newton", None
-        try:
-            z_star, sol, leg, evals = _newton_root(model, k, x, z_pivot)
-        except (_NewtonFailure, InfeasibleStrikeError, AccuracyError) as exc:
-            route, fallback = "bracketed", f"{type(exc).__name__}: {exc}"
-            z_star, sol, leg, evals = _bracketed_root(model, k, z_pivot)
-        g_end, g_cost, lam, _ = leg
+            z_star, sol = z_pivot, asian_rate_j(model.sigma, model.v0, z_pivot)
+            g_end, g_cost, lam, evals, leg_fields = None, 0.0, None, 0, {"constant_eta": True}
+        else:
+            z_star, sol, (g_end, g_cost, lam, _), evals, asset_branch = _newton_root(model, k, x, z_pivot)
+            leg_fields = {"asset_branch": asset_branch}
         diagnostics = {
             "x": x,
             "side": side,
             **_asian_fields(sol),
-            "route": route,
-            "fallback": fallback,
+            **leg_fields,
             "derivative_evals": evals,
             "kernel_calls": counts[0],
             "kernel_passes": counts[1],
@@ -726,16 +648,19 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
     u_g = math.log(res.g_endpoint / model.s0)
     if u_g == 0.0:  # the budget sits at the pivot: the asset leg stays at S0
         return PathPair(t, np.full(n, log_s0), h)
+    if diag["asset_branch"] == "plateau":  # G sits on the edge, which the log of G may miss by an ulp
+        u_g = _flat_edge(model.eta, math.copysign(1.0, u_g))
 
-    # asset leg: Theta(gamma(t)) = (den / K) * int_0^t e^h ds, Theta the cumulative num integral
-    _, den = _endpoint_integrals(model, u_g)
+    # asset leg: Theta(gamma(t)) = sqrt(2 |lam|) int_0^t e^h ds, Theta the
+    # cumulative num integral; on the plateau branch Theta reaches num_c
+    # before t = 1, and the clip holds the path at u_c from there
     m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
 
     sgn = 1.0 if u_g > 0 else -1.0
-    num_den = _endpoint_integrand(model.eta, u_g)
+    num_den = _endpoint_integrand(model.eta, u_g, math.copysign(1.0, res.lagrange))
     breaks = [sgn * p for p in clamp_points(model.eta)]
     s_nodes, theta_cum = _cumulative_map(lambda s, d: num_den(sgn * s, d)[0], abs(u_g), breaks)
-    rhs = (den / k) * m_t
+    rhs = math.sqrt(2.0 * abs(res.lagrange)) * m_t
     gamma = PchipInterpolator(theta_cum, s_nodes)(np.clip(rhs, 0.0, theta_cum[-1]))
     g = log_s0 + sgn * gamma
     g[0] = log_s0

@@ -149,7 +149,8 @@ class TestBounds:
         monkeypatch.setattr(rate_general, "rate_zero_rho", counted)
         b = rate_bounds_rho(m, k)
         assert len(calls) == 1
-        assert dict(b.upper_candidates)["zero_corr_paths"] == paths_bound
+        # the cross term rounds differently there: a few ulps apart
+        assert abs(dict(b.upper_candidates)["zero_corr_paths"] - paths_bound) <= 4.0 * math.ulp(paths_bound)
 
     @pytest.mark.parametrize("x", [0.01, -0.01, 0.1, -0.1, 1.0, -1.0, 2.0])
     @pytest.mark.parametrize("model", ["tanh", "kinked"])
