@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Kernel calls of each closed-form smile strike in closed_smooth's first pass.
+"""Kernel calls of each rate op in the first closed_smooth and closed_kinked passes.
 
 Usage:
     python3 scripts/smile_kernel_calls.py CHECKOUT [--seed 1]
 
-Builds the first ``closed_smooth`` pass that ``perfbench/run.py`` would run
-for the seed, from CHECKOUT's own ``src/`` and ``perfbench/``, and solves the
-rho = 0 rate at the strike of each ``closed`` smile op.  Prints one JSON
-list of ``{"x", "kernel_calls", "asset_branch"}`` rows, ``asset_branch``
-being null where the rate does not report one.  Run it on two checkouts to
-compare their kernel calls per strike.
+Builds the first ``closed_smooth`` and ``closed_kinked`` passes that
+``perfbench/run.py`` would run for the seed, from CHECKOUT's own ``src/`` and
+``perfbench/``.  For each ``closed`` smile op it solves the rho = 0 rate at
+the op's strike and reports that rate's ``kernel_calls`` and
+``asset_branch`` (null where the rate does not report one); each
+``perfect_corr`` and ``bounds`` op is run as the pass runs it, its quadrature
+kernel calls counted by ``numerics.count_kernel_calls``.  Prints one JSON
+list of ``{"workload", "kind", "x", "rho", "kernel_calls", "asset_branch"}``
+rows (``rho`` null for ``closed``).  Run it on two checkouts to compare their
+kernel calls per op.
 """
 
 from __future__ import annotations
@@ -31,15 +35,23 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import varsmile as vs
     import workloads
+    from varsmile.numerics import count_kernel_calls
 
-    w = workloads.WORKLOADS["closed_smooth"]
-    ctx = workloads.setup(w, root)
     rows = []
-    for op in workloads.pass_ops(w, ctx, args.seed, 0):
-        if op.kind == "closed":
-            x = op.inputs["x"]
-            diag = vs.rate_zero_rho(ctx.model, ctx.fv0 * math.exp(x)).diagnostics
-            rows.append({"x": x, "kernel_calls": diag["kernel_calls"], "asset_branch": diag.get("asset_branch")})
+    for name in ("closed_smooth", "closed_kinked"):
+        w = workloads.WORKLOADS[name]
+        ctx = workloads.setup(w, root)
+        for op in workloads.pass_ops(w, ctx, args.seed, 0):
+            row = {"workload": name, "kind": op.kind, "x": op.inputs["x"], "rho": op.inputs.get("rho"),
+                   "asset_branch": None}
+            if op.kind == "closed":
+                diag = vs.rate_zero_rho(ctx.model, ctx.fv0 * math.exp(op.inputs["x"])).diagnostics
+                row.update(kernel_calls=diag["kernel_calls"], asset_branch=diag.get("asset_branch"))
+            else:
+                with count_kernel_calls() as counts:
+                    op.call()
+                row["kernel_calls"] = counts[0]
+            rows.append(row)
     print(json.dumps(rows))
     return 0
 

@@ -135,9 +135,9 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     v0 = model.v0
     mirror = cfg.antithetic
     shape = (2 if mirror else 1, m)
-    # constant vol-of-vol s and numeric mu: the variance increment is the
-    # scalar drift_v plus (s z) sqrt(dt), scaled once per block, written in dw
-    hoist = model.sigma.is_constant and not callable(model.mu)
+    # constant vol-of-vol s: the variance increment is the scalar drift_v
+    # plus (s z) sqrt(dt), scaled once per block, written in dw
+    hoist = model.sigma.is_constant
     if hoist:
         s = float(model.sigma.value_log(0.0))
         drift_v = (float(model.mu) - 0.5 * s * s) * dt
@@ -171,8 +171,7 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
                 np.subtract(drift_v, z, out=dw[1])
         else:
             sig = model.sigma.value_log(wv)
-            mu = np.asarray(model.mu_eval(v), dtype=float)
-            dw = (mu - 0.5 * sig * sig) * dt
+            dw = (model.mu - 0.5 * sig * sig) * dt
             noise = (sig * z) * sqdt
             dw[0] += noise[0]
             if mirror:

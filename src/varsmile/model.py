@@ -1,7 +1,7 @@
 """Local-stochastic volatility model inputs.
 
 The asset follows dS/S = (r - q) dt + eta(S) sqrt(V) dB and the variance
-dV/V = mu(V) dt + sigma(V) dZ with corr(B, Z) = rho.  The leverage function
+dV/V = mu dt + sigma(V) dZ with corr(B, Z) = rho.  The leverage function
 eta and the vol-of-vol sigma are parametric families evaluated in log
 coordinates: eta as a function of u = log(S/S0), sigma as a function of
 w = log(V/V0).  All families are bounded away from 0 and infinity (the
@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -268,7 +268,7 @@ class LsvModel:
     sigma: SigmaSpec
     r: float = 0.0
     q: float = 0.0
-    mu: Union[float, Callable] = 0.0
+    mu: float = 0.0
 
     def __post_init__(self):
         if not (self.s0 > 0 and math.isfinite(self.s0)):
@@ -277,14 +277,11 @@ class LsvModel:
             raise ValueError("v0 must be positive and finite")
         if not (abs(self.rho) <= 1.0):
             raise ValueError(f"|rho| <= 1 required, got {self.rho}")
+        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be a finite number, got {self.mu!r}")
 
     def with_rho(self, rho: float) -> "LsvModel":
         return replace(self, rho=rho)
-
-    def mu_eval(self, v):
-        if callable(self.mu):
-            return self.mu(v)
-        return np.full_like(np.asarray(v, dtype=float), float(self.mu))
 
 
 @functools.cache
@@ -463,8 +460,6 @@ def model_from_dict(d: dict) -> LsvModel:
 def model_to_dict(model: LsvModel) -> dict:
     """JSON form of the model; a zero drift is left out, so files written
     before the drift was serialized keep their content and hash."""
-    if callable(model.mu):
-        raise ValueError("a callable drift mu cannot be written to a model file")
     out = {"s0": model.s0, "v0": model.v0, "rho": model.rho, "r": model.r, "q": model.q}
     for name, spec in (("eta", model.eta), ("sigma", model.sigma)):
         out[name] = {"type": _TYPE_NAMES[type(spec)], **asdict(spec)}

@@ -1,12 +1,12 @@
 """Correlated-case rate machinery.
 
 The action being minimized weighs the asset and variance path energies with
-a rho cross term.  It has no closed form off rho = 0, so this module offers:
-analytic sandwich bounds, the exact perfect-correlation reduction to a
-one-dimensional problem, an h-only upper bound for intermediate rho, and a
-direct transcription of the full problem.  The transcription solves its KKT
-conditions by Newton's method: the midpoint action couples only adjacent
-nodes, so the Lagrangian Hessian is banded and is built from a few coloured
+a rho cross term.  It has no closed form off rho = 0, so this module offers
+analytic sandwich bounds; the exact perfect-correlation rate and the
+correlated-path upper bound for intermediate rho, both from one h-only
+problem, an Asian problem in the payoff level G(v) = v eta^2(F(v)), monotone
+or not; and a direct transcription of the full problem, whose KKT system
+Newton's method solves with a banded Lagrangian Hessian from a few coloured
 central differences of the analytic gradient.  The solution is
 cross-checked against the continuous stationarity conditions.
 """
@@ -165,78 +165,6 @@ def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
 
 
 # ---------------------------------------------------------------------------
-# Banded Newton-KKT solve shared by both direct transcriptions
-# ---------------------------------------------------------------------------
-
-_NEWTON_MAX_ITER = 20
-_KKT_TOL = 1e-12  # on max |grad L|, unless its rounding floor is higher
-_CONSTRAINT_TOL = 1e-12  # on |C - K|, relative to K
-_FD_STEP = 1e-5  # central-difference step for the Hessian columns
-_EPS = float(np.finfo(float).eps)
-
-
-def _to_nodes(left, right):
-    """Interior-node gradient from per-interval partials: interval i adds
-    ``left[i]`` to node i and ``right[i]`` to node i + 1; node 0 is pinned."""
-    out = right.copy()
-    out[:-1] += left[1:]
-    return out
-
-
-def _newton_kkt(lagrangian_grad, z, lam: float, bw: int, k: float):
-    """Newton iteration on the KKT system of min f(z) subject to C(z) = K.
-
-    ``lagrangian_grad(z, lam)`` returns (grad f + lam grad C, C - K, grad C).
-    The Lagrangian Hessian H is banded with half-bandwidth ``bw``, so 2 bw + 1
-    colour groups of central differences of the gradient give all of it
-    (Curtis, Powell & Reid 1974).  Each step solves [H a; a^T 0] with
-    a = grad C by one banded solve for two right-hand sides and a scalar
-    Schur complement for the multiplier.
-
-    Returns (z, lam, diagnostics); raises ConvergenceError carrying both
-    residuals when the tolerances are not met within ``_NEWTON_MAX_ITER``.
-    """
-    width = 2 * bw + 1
-    rows = np.arange(z.size)
-    # Hessian column j = i + off[c][i] is the one of colour c in row i's band
-    offsets = [(c - rows + bw) % width - bw for c in range(width)]
-    kkt_tol = _KKT_TOL
-    evals = 0
-    for it in range(_NEWTON_MAX_ITER + 1):
-        grad, c, a = lagrangian_grad(z, lam)
-        evals += 1
-        diag = {
-            "newton_iters": it,
-            "grad_evals": evals,
-            "kkt_residual": float(np.max(np.abs(grad))),
-            "constraint_residual": float(c),
-        }
-        if diag["kkt_residual"] < kkt_tol and abs(c) < _CONSTRAINT_TOL * k:
-            return z, lam, diag
-        if it == _NEWTON_MAX_ITER or not math.isfinite(diag["kkt_residual"] + c):
-            break
-        band = np.zeros((width, z.size))
-        for colour, off in enumerate(offsets):
-            step = np.where(rows % width == colour, _FD_STEP, 0.0)
-            col = (lagrangian_grad(z + step, lam)[0] - lagrangian_grad(z - step, lam)[0]) / (2.0 * _FD_STEP)
-            ok = (rows + off >= 0) & (rows + off < z.size)
-            band[bw - off[ok], (rows + off)[ok]] = col[ok]
-        evals += 2 * width
-        # grad L is not computable more finely than curvature times the rounding of z
-        kkt_tol = max(_KKT_TOL, _EPS * float(np.max(np.abs(band[bw]))) * float(np.max(np.abs(z))))
-        y = solve_banded((bw, bw), band, np.column_stack((-grad, a)))
-        dlam = (a @ y[:, 0] + c) / (a @ y[:, 1])
-        z = z + y[:, 0] - dlam * y[:, 1]
-        lam += dlam
-    raise ConvergenceError(
-        f"Newton-KKT stopped after {diag['newton_iters']} iterations: "
-        f"max|grad L| {diag['kkt_residual']:.3e}, |C - K| {abs(c):.3e}",
-        best=z,
-        diagnostics=diag,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Path-coupling map and perfect correlation
 # ---------------------------------------------------------------------------
 
@@ -342,17 +270,6 @@ class _CoupledMap:
         e, du_dw = eta.value_log(u), self.rho_eff * self._phi_s_inv(rhs, 1) * self._phi_v(w, 1)
         return self.v0 * np.exp(w) * (e * (e + 2.0 * eta.dvalue_log(u) * du_dw))
 
-    def monotone_window(self):
-        """(w_lo, w_hi): the widest run of inner table nodes around 0 on which
-        G' > 0, or None if G' <= 0 at V0."""
-        w = self.w[1:-1]
-        down = np.flatnonzero(self.dlevel(w) <= 0.0)
-        mid = int(np.searchsorted(w, 0.0))
-        if mid in down:
-            return None
-        below, above = down[down < mid], down[down > mid]
-        return (w[below[-1] + 1] if below.size else w[0], w[above[0] - 1] if above.size else w[-1])
-
     def kinks(self, s: float, t_hi: float):
         """The distances t = s w in (0, t_hi), ascending, at which the tabulated
         F(V0 e^w) crosses a clamp point of eta, so G' jumps."""
@@ -363,153 +280,157 @@ class _CoupledMap:
 # a Gauss rule on dG/dw, split where G' jumps; the plain difference cancels.
 _NEAR = 1e-3
 _NEAR_X, _NEAR_W = np.polynomial.legendre.leggauss(4)
+# The root condition is not evaluated this near (in w) to an extremum of G or to
+# a record start, where the endpoint integrand turns from 1/sqrt(d) toward 1/d.
+_GUARD = 1e-6
 
 
-def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float):
-    """(G(v_a) / A0, F, G) at the terminal log variance w_a: the Asian
-    endpoint integrals in w, F = int dw / (sigma(w) sqrt(D)) and
-    G = int sqrt(D) / sigma(w) dw over [0, w_a], D = |G(v_a) - G(v)| / A0."""
-    s, t_a = math.copysign(1.0, w_a), abs(w_a)
+def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float, b: float, extrema=()):
+    """(G(v_a) / A0, F, G) at the terminal log variance w_a on the branch b: the
+    Asian endpoint integrals in w, F = int dw / (sigma(w) sqrt(D)) and
+    G = int sqrt(D) / sigma(w) dw over [0, w_a], D = b (G(v_a) - G(v)) / A0.
+    The |w| of earlier extrema of G, where D dips toward 0, are kernel breaks."""
+    d, t_a = math.copysign(1.0, w_a), abs(w_a)
     level = lambda w: mapper.level(w) / a0
     e_a = float(level(w_a))
-    kinks = mapper.kinks(s, t_a)
+    kinks = mapper.kinks(d, t_a)
 
-    def fg(t, d):  # t = |w| on [0, t_a], d = t_a - t
-        gap = s * (e_a - level(s * t))
-        near = d < _NEAR
-        ends = [d[near], *(np.clip(t_a - k, 0.0, d[near]) for k in kinks), 0.0]
+    def fg(t, dist):  # t = |w| on [0, t_a], dist = t_a - t
+        gap = b * (e_a - level(d * t))
+        near = dist < _NEAR
+        ends = [dist[near], *(np.clip(t_a - k, 0.0, dist[near]) for k in kinks), 0.0]
         gap[near] = 0.0
         for p, q in zip(ends[:-1], ends[1:]):
-            wn = s * (t_a - (q + 0.5 * (p - q))[:, None] - 0.5 * (p - q)[:, None] * _NEAR_X)
-            gap[near] += 0.5 * (p - q) * (mapper.dlevel(wn) @ _NEAR_W) / a0
-        sig, r = mapper.model.sigma.value_log(s * t), np.sqrt(gap)
+            wn = d * (t_a - (q + 0.5 * (p - q))[:, None] - 0.5 * (p - q)[:, None] * _NEAR_X)
+            gap[near] += b * d * 0.5 * (p - q) * (mapper.dlevel(wn) @ _NEAR_W) / a0
+        sig, r = mapper.model.sigma.value_log(d * t), np.sqrt(gap)
         return np.array([1.0 / (sig * r), r / sig])
 
-    breaks = (*kinks, *(s * w for w in clamp_points(mapper.model.sigma)))
+    breaks = (*kinks, *extrema, *(d * w for w in clamp_points(mapper.model.sigma)))
     f, g = integrate_sqrt_singular(fg, 0.0, t_a, "b", breaks)
     return e_a, float(f), float(g)
 
 
-def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float, window):
+def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float):
     """The h-only problem as an Asian problem in the payoff level A = G(v),
     solved in the log variance w = log(v / V0): (rate, diagnostics).
 
     With sigma_hat the Asian coefficient in y = log(A / A0),
     dy / sigma_hat(y) = dw / sigma(w), so the endpoint integrals need G, not
-    its inverse (``_coupled_endpoint``).  The root runs in |w_a|, from a seed
-    whose log(G / A0) is the Asian seed probe, read off the table; None if it
-    leaves ``window``, where G is increasing.  Just past a kink of G the root
-    condition, smooth in the square root of the distance to it, can dip back
-    below zero (a fold with three roots); there the least rate is taken.
-    """
-    s = 1.0 if zr > 1.0 else -1.0  # G increases, so w_a has the sign of log zr
-    seen = {0.0: (1.0, 1.0, 0.0)}  # at w_a = 0, D vanishes and G/F with it
+    its inverse (``_coupled_endpoint``).  The optimal path ends at zero speed:
+    (w' / sigma)^2 = 2 |lam| b (G(v_a) - G(v)), b = +1 above A0 and -1 below,
+    so w is monotone and w_a is a strict running record of b G.  In each
+    direction the records at the table nodes form runs, from the money or
+    from where b G passes the last record (a root on one segment) to an
+    extremum M (a bounded search on the two segments around it).  The root
+    condition b (G(v_a) / A0 - zr) - G / F starts at or below 0 on a run and
+    tends to b M - b zr at its end, where F diverges: the first run with
+    b M > b zr holds the root, the runs before it cost no kernel call and
+    their extrema are kernel breaks.  The least rate of the two directions
+    is taken; TableRangeError if neither has a root on the table.
 
-    def phi(t_a):  # the Asian root condition at |w_a| = t_a
-        if t_a not in seen:
-            seen[t_a] = _coupled_endpoint(mapper, a0, s * t_a)
-        e_a, f, g = seen[t_a]
-        return s * (e_a - zr) - g / f
-
-    edge = window[1] if s > 0 else -window[0]
-    nodes = mapper.w[(mapper.w >= 0.0) & (mapper.w <= edge)]
+    In a run the root runs in |w_a| from a seed whose log(G / A0) is the
+    Asian seed probe, doubling away from the run's start, at nodes at least
+    _GUARD from its ends; a sign change between an end and its nearest node
+    is chased by halving toward the end, until NumericsError at _GUARD.  Past
+    a kink of G the root condition, smooth in the square root of the distance
+    to it, can dip back below zero (a fold with three roots): the least rate
+    is taken."""
+    b = 1.0 if zr > 1.0 else -1.0
     lo = abs(math.log(zr))
     probe = lo + _SEED_STRETCH * (_const_sigma_root(zr)[1] - lo)
-    hi = float(np.interp(probe, s * np.log(mapper.level(s * nodes) / a0), nodes))
-    while phi(hi) < 0.0:
-        if hi == edge:
-            if edge == s * mapper.w[-2 if s > 0 else 1]:
-                raise TableRangeError(f"excursion leaves the coupled-map table |log(v/V0)| <= {edge:g}")
-            return None  # it leaves the monotone window
-        hi = min(2.0 * hi, edge)
-    kinks = mapper.kinks(s, hi)
-    points = [0.0]
-    for a, b in zip(kinks, kinks[1:] + [hi]):
-        points.append(a)
-        if phi(a) > 0.0:  # a dip below zero just past a, if any, sits at phi's least value
-            r = minimize_scalar(lambda r: phi(a + r * r), bounds=(0.0, math.sqrt(b - a)), method="bounded").x
-            points.append(min(a + r * r, b))
-    points.append(hi)
-    roots = [find_root(phi, Bracket(p, q), tol=1e-13)
-             for p, q in zip(points[:-1], points[1:]) if (phi(p) < 0.0) != (phi(q) < 0.0)]
-    t_a = min(roots, key=lambda t: seen[t][1] * seen[t][2])
-    e_a, f, g = seen[t_a]
-    return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if s > 0 else "below", "w_a": s * t_a}
+
+    def solve(d, start, nodes, xp, ext, extrema):
+        """The run's (rate, diagnostics); None if its root lies past the table (ext None)."""
+        seen = {0.0: (1.0, 1.0, 0.0)}  # at w_a = 0, D vanishes and G/F with it
+
+        def phi(t_a):  # the Asian root condition at |w_a| = t_a
+            if t_a not in seen:
+                seen[t_a] = _coupled_endpoint(mapper, a0, d * t_a, b, extrema)
+            e_a, f, g = seen[t_a]
+            return b * (e_a - zr) - g / f
+
+        def toward(t, end, what):
+            if abs(end - t) <= 2.0 * _GUARD:
+                raise NumericsError(f"coupled Asian root within {_GUARD:g} of {what} at |log(v/V0)| = {end!r}")
+            return 0.5 * (t + end)
+
+        hi = float(np.interp(probe, xp, nodes))  # xp: b log(G / A0) at the nodes
+        while phi(hi) < 0.0:
+            if hi < nodes[-1]:
+                hi = min(start + 2.0 * (hi - start), nodes[-1])
+            elif ext is None:
+                return None
+            else:
+                hi = toward(hi, ext, "an extremum of G")
+        lo_t = nodes[0]  # the money itself, where phi < 0, on the run from it
+        while phi(lo_t) >= 0.0:
+            lo_t = toward(lo_t, start, "a record start of G")
+        kinks = [c for c in mapper.kinks(d, hi) if c > lo_t]
+        points = [lo_t]
+        for a, c in zip(kinks, kinks[1:] + [hi]):
+            points.append(a)
+            if phi(a) > 0.0:  # a dip below zero just past a, if any, sits at phi's least value
+                r = minimize_scalar(lambda r: phi(a + r * r), bounds=(0.0, math.sqrt(c - a)), method="bounded").x
+                points.append(min(a + r * r, c))
+        points.append(hi)
+        roots = [find_root(phi, Bracket(p, q), tol=1e-13)
+                 for p, q in zip(points[:-1], points[1:]) if (phi(p) < 0.0) != (phi(q) < 0.0)]
+        t_a = min(roots, key=lambda t: seen[t][1] * seen[t][2])
+        e_a, f, g = seen[t_a]
+        return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if b > 0 else "below", "w_a": d * t_a}
+
+    w = mapper.w[1:-1]
+    mid = int(np.searchsorted(w, 0.0))
+    bg_w = b * mapper.level(w) / a0
+    found = []
+    for d in (b, -b):
+        t, bg = (w[mid:], bg_w[mid:]) if d > 0 else (-w[mid::-1], bg_w[mid::-1])
+        neg_bg = lambda s: -b * float(mapper.level(d * s)) / a0  # -b G / A0 at |w| = s
+        new = np.flatnonzero(bg[1:] > np.maximum.accumulate(bg)[:-1]) + 1  # nodes that set a record
+        top, extrema = bg[0], []
+        for run in np.split(new, np.flatnonzero(np.diff(new) > 1) + 1):
+            run = run[bg[run] > top]  # the refined record can pass a node's
+            if not run.size:
+                continue
+            i, j = run[0], run[-1]
+            start = 0.0 if i == 1 else find_root(lambda s: top + neg_bg(s), Bracket(t[i - 1], t[i]), tol=1e-15)
+            ext, m = None, bg[j]  # a run to the table's end has no extremum on it
+            if j < t.size - 1:
+                opt = minimize_scalar(neg_bg, bounds=t[[j - 1, j + 1]], method="bounded", options={"xatol": 1e-10})
+                ext, m = (opt.x, -opt.fun) if -opt.fun > m else (t[j], m)
+            if m > b * zr:
+                at = np.arange(0 if start == 0.0 else i, j + 1)
+                at = at[(t[at] >= start + (_GUARD if start else 0.0)) & (ext is None or t[at] <= ext - _GUARD)]
+                if not at.size:
+                    raise NumericsError(f"record run of G from |log(v/V0)| = {start!r} too short for its guards")
+                found.append(solve(d, start, t[at], b * np.log(b * bg[at]), ext, tuple(extrema)))
+                break
+            if ext is None:
+                break
+            top = m
+            extrema.append(ext)
+    if not (found := [r for r in found if r is not None]):
+        raise TableRangeError(f"no excursion inside the coupled-map table |log(v/V0)| <= {mapper.w[-2]:g} meets K")
+    return min(found, key=lambda r: r[0])
 
 
 def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
-    """inf of the variance-leg energy subject to int G(e^h) dt = K: an Asian
-    problem in the payoff level (``_coupled_asian``, with plain-JSON diagnostics
-    ``alpha``, ``branch``, ``rho_eff``, ``w_a``, ``kernel_calls``, ``kernel_passes``),
-    or a direct transcription when G is not invertible on the needed range.  The
-    map's table is widened with the strike: |w_a| stays below 2 |log(K / A0)|
-    at the models tried, up to the table's largest half-width MAX_SPAN."""
+    """inf of the variance-leg energy subject to int G(e^h) dt = K, G monotone
+    or not, by its one route ``_coupled_asian``; plain-JSON diagnostics
+    ``alpha``, ``branch``, ``rho_eff``, ``w_a``, ``kernel_calls``,
+    ``kernel_passes``.  The map's table is widened with the strike: |w_a| stays
+    below 2 |log(K / A0)| at the models tried, up to its half-width MAX_SPAN."""
     x = log_moneyness(model, k)
     if x == 0.0:
         return RateResult(0.0, "corr_path_asian", z_star=k)
 
     a0 = forward_variance_limit(model)
     mapper = _CoupledMap(model, rho_eff, 2.0 * abs(x) + 1.0)
-    window = mapper.monotone_window()
     with count_kernel_calls() as counts:
-        found = None if window is None else _coupled_asian(mapper, a0, k / a0, window)
-    if found is None:
-        return _h_only_direct(model, k, x, mapper)
-    value, diagnostics = found
+        value, diagnostics = _coupled_asian(mapper, a0, k / a0)
     diagnostics.update(rho_eff=rho_eff, kernel_calls=counts[0], kernel_passes=counts[1])
     return RateResult(value, "corr_path_asian", z_star=k, h_cost=value, diagnostics=diagnostics)
-
-
-def _h_only_direct(model: LsvModel, k: float, x: float, mapper: _CoupledMap) -> RateResult:
-    """Direct transcription of the h-only problem (non-invertible payoff map).
-
-    The payoff map may be locally decreasing, so the sign of the excursion
-    that meets the constraint is not known a priori; Newton-KKT solves are
-    started on both sides and the lower-cost converged solution wins.  A
-    path that leaves the coupled-map table raises NumericsError.
-    """
-    t = np.linspace(0.0, 1.0, 401)
-    dt = t[1] - t[0]
-
-    def pieces(h_int):
-        h = np.concatenate(([0.0], h_int))
-        hm = 0.5 * (h[1:] + h[:-1])
-        return h, np.diff(h) / dt, hm, model.sigma.value_log(hm), model.sigma.dvalue_log(hm)
-
-    def lagrangian_grad(h_int, lam):
-        _, dh, hm, sig, dsig = pieces(h_int)
-        c = float(np.sum(mapper.level(hm)) * dt) - k
-        b = dh / sig
-        s_h = b / sig
-        m_h = -dt * b * b * dsig / sig
-        c_h = 0.5 * dt * mapper.dlevel(hm)
-        grad_c = _to_nodes(c_h, c_h)
-        return _to_nodes(0.5 * m_h - s_h, 0.5 * m_h + s_h) + lam * grad_c, c, grad_c
-
-    solutions, failures = [], []
-    for scale in (x, -x):
-        try:
-            h_int, lam, diag = _newton_kkt(lagrangian_grad, (scale * 1.5 * (2.0 * t - t * t))[1:], 0.0, 1, k)
-        except NumericsError as exc:  # no convergence, or the map table was left
-            failures.append(exc)
-            continue
-        h, dh, hm, sig, dsig = pieces(h_int)
-        force = -dh * dh * dsig / sig**3 + lam * mapper.dlevel(hm)
-        diag["el_residual"] = _el_max(dt, (dh / sig**2, force))
-        solutions.append((0.5 * float(np.sum((dh / sig) ** 2)) * dt, h, lam, diag))
-    if not solutions:
-        raise failures[0]
-    value, h, lam, diag = min(solutions, key=lambda s: s[0])
-    paths = PathPair(t, mapper.log_f(h), math.log(model.v0) + h)
-    return RateResult(
-        value,
-        "corr_path_direct",
-        z_star=k,
-        lagrange=lam,
-        h_cost=value,
-        diagnostics={"x": x, **diag, "fallback": True},
-        paths=paths,
-    )
 
 
 def rate_perfect_corr(model: LsvModel, k: float, sign: int) -> RateResult:
@@ -518,8 +439,7 @@ def rate_perfect_corr(model: LsvModel, k: float, sign: int) -> RateResult:
         raise ValueError("sign must be +1 or -1")
     if model.rho != float(sign):
         raise ValueError(f"model.rho must equal {sign} for the perfect-correlation rate")
-    res = _h_only_rate(model, k, float(sign))
-    return replace(res, method="perfect_corr" if res.method == "corr_path_asian" else "perfect_corr_direct")
+    return replace(_h_only_rate(model, k, float(sign)), method="perfect_corr")
 
 
 def rate_upper_corr_path(model: LsvModel, k: float) -> float:
@@ -532,6 +452,75 @@ def rate_upper_corr_path(model: LsvModel, k: float) -> float:
 # ---------------------------------------------------------------------------
 # Direct transcription of the full two-dimensional problem
 # ---------------------------------------------------------------------------
+
+_NEWTON_MAX_ITER = 20
+_KKT_TOL = 1e-12  # on max |grad L|, unless its rounding floor is higher
+_CONSTRAINT_TOL = 1e-12  # on |C - K|, relative to K
+_FD_STEP = 1e-5  # central-difference step for the Hessian columns
+_BW = 3  # half-bandwidth of the Lagrangian Hessian in the interleaved (g, h) unknowns
+_EPS = float(np.finfo(float).eps)
+
+
+def _to_nodes(left, right):
+    """Interior-node gradient from per-interval partials: interval i adds
+    ``left[i]`` to node i and ``right[i]`` to node i + 1; node 0 is pinned."""
+    out = right.copy()
+    out[:-1] += left[1:]
+    return out
+
+
+def _newton_kkt(lagrangian_grad, z, k: float):
+    """Newton iteration on the KKT system of min f(z) subject to C(z) = K,
+    from z and a zero multiplier.
+
+    ``lagrangian_grad(z, lam)`` returns (grad f + lam grad C, C - K, grad C).
+    The Lagrangian Hessian H is banded with half-bandwidth ``_BW``, so
+    2 _BW + 1 colour groups of central differences of the gradient give all
+    of it (Curtis, Powell & Reid 1974).  Each step solves [H a; a^T 0] with
+    a = grad C by one banded solve for two right-hand sides and a scalar
+    Schur complement for the multiplier.
+
+    Returns (z, lam, diagnostics); raises ConvergenceError carrying both
+    residuals when the tolerances are not met within ``_NEWTON_MAX_ITER``.
+    """
+    bw, width, lam = _BW, 2 * _BW + 1, 0.0
+    rows = np.arange(z.size)
+    # Hessian column j = i + off[c][i] is the one of colour c in row i's band
+    offsets = [(c - rows + bw) % width - bw for c in range(width)]
+    kkt_tol = _KKT_TOL
+    evals = 0
+    for it in range(_NEWTON_MAX_ITER + 1):
+        grad, c, a = lagrangian_grad(z, lam)
+        evals += 1
+        diag = {
+            "newton_iters": it,
+            "grad_evals": evals,
+            "kkt_residual": float(np.max(np.abs(grad))),
+            "constraint_residual": float(c),
+        }
+        if diag["kkt_residual"] < kkt_tol and abs(c) < _CONSTRAINT_TOL * k:
+            return z, lam, diag
+        if it == _NEWTON_MAX_ITER or not math.isfinite(diag["kkt_residual"] + c):
+            break
+        band = np.zeros((width, z.size))
+        for colour, off in enumerate(offsets):
+            step = np.where(rows % width == colour, _FD_STEP, 0.0)
+            col = (lagrangian_grad(z + step, lam)[0] - lagrangian_grad(z - step, lam)[0]) / (2.0 * _FD_STEP)
+            ok = (rows + off >= 0) & (rows + off < z.size)
+            band[bw - off[ok], (rows + off)[ok]] = col[ok]
+        evals += 2 * width
+        # grad L is not computable more finely than curvature times the rounding of z
+        kkt_tol = max(_KKT_TOL, _EPS * float(np.max(np.abs(band[bw]))) * float(np.max(np.abs(z))))
+        y = solve_banded((bw, bw), band, np.column_stack((-grad, a)))
+        dlam = (a @ y[:, 0] + c) / (a @ y[:, 1])
+        z = z + y[:, 0] - dlam * y[:, 1]
+        lam += dlam
+    raise ConvergenceError(
+        f"Newton-KKT stopped after {diag['newton_iters']} iterations: "
+        f"max|grad L| {diag['kkt_residual']:.3e}, |C - K| {abs(c):.3e}",
+        best=z,
+        diagnostics=diag,
+    )
 
 
 def _lagrangian_grad(model: LsvModel, k: float, n: int):
@@ -579,13 +568,6 @@ def _lagrangian_grad(model: LsvModel, k: float, n: int):
     return compute
 
 
-def _el_max(dt: float, *pairs) -> float:
-    """Scaled max-norm of d/dt momentum - force over (momentum, force) pairs
-    given at interval midpoints."""
-    resid = max(float(np.max(np.abs(np.diff(p) / dt - 0.5 * (f[1:] + f[:-1])))) for p, f in pairs)
-    return resid / max(1.0, *(float(np.max(np.abs(f))) for _, f in pairs))
-
-
 def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
     """Max-norm residual of the continuous stationarity conditions on the
     discrete paths (central differences of the momenta); diagnostic only."""
@@ -610,7 +592,9 @@ def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
         + rho * 0.5 * dg * dh / (one_m * eta_m * sqrt_v * sig_m)
         + lam * v_m * eta_m**2
     )
-    return _el_max(dt, (p_g, rhs_g), (p_h, rhs_h))
+    pairs = ((p_g, rhs_g), (p_h, rhs_h))
+    resid = max(float(np.max(np.abs(np.diff(p) / dt - 0.5 * (f[1:] + f[:-1])))) for p, f in pairs)
+    return resid / max(1.0, *(float(np.max(np.abs(f))) for _, f in pairs))
 
 
 def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
@@ -636,7 +620,7 @@ def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
 
     base = atm_mod.expansion_paths(model, x, n=n, order=2)
     z0 = np.column_stack((base.g[1:], base.h[1:])).ravel()
-    z, lam, diag = _newton_kkt(_lagrangian_grad(model, k, n), z0, 0.0, 3, k)
+    z, lam, diag = _newton_kkt(_lagrangian_grad(model, k, n), z0, k)
     paths = PathPair(t, np.concatenate(([log_s0], z[0::2])), np.concatenate(([log_v0], z[1::2])))
 
     lv = lambda_functional(model, paths)

@@ -336,9 +336,10 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     column by column.  u_G lies on the side of S0 where eta rises (call
     geometry, z below the pivot) or falls (put geometry): the sign of eta's
     slope at S0 fixes it once.  The seed is the second-order expansion of
-    both endpoints at t = 1 (``atm.atm_expansion``), with u_G's first-order
-    term alone where the second order puts it on the other side of S0; the
-    first columns are differences at one point moved toward the money.
+    both endpoints at t = 1 (``atm.atm_expansion``), with the first-order term
+    alone where the second order puts u_G on the other side of S0, or is more
+    than half alpha's first order (and can cancel it); the first columns are
+    differences at one point moved toward the money.
 
     A step that would cross alpha = 0, u_G = 0 or the plateau edge u_c
     (``_flat_edge``) is cut to half the way there.  But when a step heads
@@ -375,7 +376,8 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
         return edge
 
     exp = atm_expansion(model)
-    alpha = abs(x * float(exp.h1(1.0)) + x * x * float(exp.h2(1.0)))
+    a1, a2 = x * float(exp.h1(1.0)), x * x * float(exp.h2(1.0))
+    alpha = abs(a1 + a2) if abs(a2) <= 0.5 * abs(a1) else abs(a1)  # far out a2 can cancel a1
     u = x * float(exp.g1(1.0)) + x * x * float(exp.g2(1.0))
     if side * u <= 0.0:  # far from the money the x^2 term can outgrow the first
         u = x * float(exp.g1(1.0))

@@ -114,11 +114,10 @@ def _reference_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         v = v0 * np.exp(wv)
         eta = model.eta.value_log(us)
         sig = model.sigma.value_log(wv)
-        mu = np.asarray(model.mu_eval(v), dtype=float)
         ev = eta * eta * v
         acc += ev * dt
         us += drift_s - 0.5 * ev * dt + eta * np.sqrt(v) * (rho * ez + root * ew) * sqdt
-        wv += (mu - 0.5 * sig * sig) * dt + sig * ez * sqdt
+        wv += (model.mu - 0.5 * sig * sig) * dt + sig * ez * sqdt
         if sample_stride is not None and (i + 1) % sample_stride == 0:
             caps[(i + 1) // sample_stride] = us
     rv = acc / cfg.maturity
@@ -160,13 +159,13 @@ class TestBitPin:
     # 2348 streams: one full chunk and a partial one; 70 steps: a partial block
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("rho", [0.0, 0.7, -0.7])
-    @pytest.mark.parametrize("case", ["tanh", "kinked", "tanh_mu", "tanh_mu_callable", "flat_logpoly_sigma"])
+    @pytest.mark.parametrize("case", ["tanh", "kinked", "tanh_mu", "kinked_mu", "flat_logpoly_sigma"])
     def test_matches_reference_loop(self, tanh_model, monkeypatch, case, rho, antithetic):
         model = {
             "tanh": tanh_model,  # constant sigma, mu = 0
             "kinked": KINKED,  # clamped logpoly eta and sigma
             "tanh_mu": replace(tanh_model, mu=0.4),
-            "tanh_mu_callable": replace(tanh_model, mu=lambda v: 0.3 - 2.0 * v),
+            "kinked_mu": replace(KINKED, mu=-0.6),  # a drift in the per-step sigma branch
             # a constant LogPolySigma; 1.7 is not a power of 2, so (s z) sqrt(dt) rounds
             "flat_logpoly_sigma": replace(tanh_model, sigma=LogPolySigma(1.7, 0.0)),
         }[case].with_rho(rho)
@@ -239,14 +238,10 @@ class TestPricing:
         # eta == 1 and constant drift mu: E[RV] = V0 (e^{mu T} - 1)/(mu T)
         mu, t = 0.5, 1.0 / 12.0
         expect = 0.1 * (math.exp(mu * t) - 1.0) / (mu * t)
-        for drift in (mu, lambda v: np.full_like(np.asarray(v, dtype=float), mu)):
-            m = LsvModel(
-                s0=1.0, v0=0.1, rho=0.0, eta=ConstantEta(1.0),
-                sigma=ConstantSigma(2.0), mu=drift,
-            )
-            cfg = McConfig(n_paths=40_000, n_steps=100, seed=31, maturity=t)
-            _, _, fwd = mc_price(m, 0.1, cfg)
-            assert abs(fwd.mean - expect) <= 3.0 * fwd.stderr
+        m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=ConstantEta(1.0), sigma=ConstantSigma(2.0), mu=mu)
+        cfg = McConfig(n_paths=40_000, n_steps=100, seed=31, maturity=t)
+        _, _, fwd = mc_price(m, 0.1, cfg)
+        assert abs(fwd.mean - expect) <= 3.0 * fwd.stderr
 
     def test_flat_leverage_forward_near_limit(self):
         # eta == 1: V is a martingale and the scheme preserves that exactly,

@@ -247,8 +247,10 @@ class TestJson:
         assert _model_hash(m) == "63252e7b0dd60bf1"  # the hash this file had before defaults moved
 
     def test_callable_drift_rejected(self, tanh_model):
-        with pytest.raises(ValueError, match="callable"):
-            model_to_dict(replace(tanh_model, mu=lambda v: 0.1 * v))
+        # a drift that a model file cannot hold is refused when the model is made
+        for mu in (lambda v: 0.1 * v, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu must be a finite number"):
+                replace(tanh_model, mu=mu)
 
 
 class TestSigmaEval:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from varsmile import (
     ConstantEta,
@@ -244,66 +244,64 @@ class TestFMap:
                 assert abs(math.exp(mapper.log_f([w])[0]) - expect) <= 1e-12 * expect
 
 
-def h_only_oracle(model, k, rho_eff, n=201):
-    """Independent 1-D transcription of the coupled-path problem: an SQP
-    solve with an explicit equality constraint, a different algorithm from
-    the production Asian-reduction and augmented-Lagrangian routes.
-    n = 201 keeps the O(n^3) SQP iterations affordable; its discretization
-    bias is well inside the comparison tolerances."""
-    mapper = _CoupledMap(model, rho_eff)
-    t = np.linspace(0.0, 1.0, n)
-    dt = t[1] - t[0]
-    x_eff = math.log(k / forward_variance_limit(model))
+def h_only_oracle(model, k, rho_eff, w_a):
+    """Richardson value (4 I_801 - I_401) / 3 of a direct transcription of the
+    h-only problem: min sum (dh / sigma)^2 dt / 2 over midpoints subject to
+    sum G(hm) dt = K, a different formulation from the production Asian
+    reduction, solved by ``_newton_kkt`` on a test-side Lagrangian.  Each I_n
+    is the least converged action from h = +-1.5 x (2t - t^2), or from
+    w_a (2t - t^2) where neither start converges."""
+    x = math.log(k / forward_variance_limit(model))
+    mapper = _CoupledMap(model, rho_eff, 2.0 * abs(x) + 1.0)
 
-    def pieces(h_int):
-        h = np.concatenate(([0.0], h_int))
-        return h, 0.5 * (h[1:] + h[:-1]), np.diff(h) / dt
+    def action(n, end):
+        t = np.linspace(0.0, 1.0, n)
+        dt = t[1] - t[0]
 
-    def scatter(d_dh, d_hm, m):
-        g = np.zeros(m + 1)
-        np.add.at(g, np.arange(m), -d_dh / dt + 0.5 * d_hm)
-        np.add.at(g, np.arange(1, m + 1), d_dh / dt + 0.5 * d_hm)
-        return g[1:]
+        def pieces(h_int):
+            h = np.concatenate(([0.0], h_int))
+            hm = 0.5 * (h[1:] + h[:-1])
+            return hm, model.sigma.value_log(hm), np.diff(h) / dt
 
-    def energy(h_int):
-        _, hm, dh = pieces(h_int)
-        q = 1.0 / model.sigma.value_log(hm)
-        return 0.5 * float(np.sum((dh * q) ** 2)) * dt
+        def lagrangian_grad(h_int, lam):
+            hm, sig, dh = pieces(h_int)
+            slope = dh / sig**2  # an interval energy's derivative in its right node, via the slope
+            mid = -dt * dh * dh * model.sigma.dvalue_log(hm) / sig**3
+            c_mid = 0.5 * dt * mapper.dlevel(hm)  # each end's share of d(sum G(hm) dt)/d(hm)
+            grad_c, grad_f = np.zeros(n), np.zeros(n)
+            np.add.at(grad_c, np.arange(n - 1), c_mid)
+            np.add.at(grad_c, np.arange(1, n), c_mid)
+            np.add.at(grad_f, np.arange(n - 1), 0.5 * mid - slope)
+            np.add.at(grad_f, np.arange(1, n), 0.5 * mid + slope)
+            c = float(np.sum(mapper.level(hm)) * dt) - k
+            return grad_f[1:] + lam * grad_c[1:], c, grad_c[1:]
 
-    def energy_jac(h_int):
-        _, hm, dh = pieces(h_int)
-        sig = model.sigma.value_log(hm)
-        q = 1.0 / sig
-        dsig = np.asarray(model.sigma.dvalue_log(hm))
-        return scatter(dh * q * q * dt, -dh * dh * q * q * (dsig / sig) * dt, len(h_int))
+        h_int = rate_general._newton_kkt(lagrangian_grad, (end * (2.0 * t - t * t))[1:], k)[0]
+        _, sig, dh = pieces(h_int)
+        return 0.5 * float(np.sum((dh / sig) ** 2)) * dt
 
-    def con(h_int):
-        _, hm, _ = pieces(h_int)
-        return float(np.sum(mapper.level(hm)) * dt) - k
+    def least(n):
+        for ends in ((1.5 * x, -1.5 * x), (w_a,)):
+            values = []
+            for end in ends:
+                try:
+                    values.append(action(n, end))
+                except NumericsError:  # no convergence, or the path left the map's table
+                    pass
+            if values:
+                return min(values)
+        raise AssertionError(f"no start of the h-only transcription converges at n = {n}")
 
-    def con_jac(h_int):
-        _, hm, _ = pieces(h_int)
-        gd = np.asarray(mapper.dlevel(hm)) * dt
-        return scatter(np.zeros_like(gd), gd, len(h_int))
+    return (4.0 * least(801) - least(401)) / 3.0
 
-    box = _CoupledMap.W_SPAN - 0.5  # keep midpoints inside the map's table
-    best = None
-    for scale in (x_eff, -x_eff):
-        h0 = (scale * 1.5 * (2 * t - t * t))[1:]
-        res = minimize(
-            energy,
-            h0,
-            jac=energy_jac,
-            method="SLSQP",
-            bounds=[(-box, box)] * (n - 1),
-            constraints=[{"type": "eq", "fun": con, "jac": con_jac}],
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        if abs(con(res.x)) < 1e-7 * k:
-            val = energy(res.x)
-            if best is None or val < best:
-                best = val
-    return best
+
+# model 40 of test_rate_zero._drawn_models(60, 7): clamped logpoly eta, so G
+# kinks where F crosses a clamp point
+DRAWN40 = LsvModel(s0=1.0, v0=0.19013595344642606, rho=0.0,
+                   eta=LogPolyEta((1.0, -0.3801669786186471, -0.08210755843063847), 0.6172579537322839,
+                                  1.3752822285394193),
+                   sigma=ConstantSigma(0.6810352368079762))
+NONMONOTONE = LsvModel(s0=1.0, v0=0.25, rho=1.0, eta=TanhEta(1.0, -0.4, 0.0), sigma=ConstantSigma(0.25))
 
 
 class TestPerfectCorr:
@@ -331,9 +329,9 @@ class TestPerfectCorr:
         a0 = forward_variance_limit(m)
         mapper = _CoupledMap(m, 1.0)
         w_kink = brentq(lambda w: mapper.log_f(w) - 0.5, 1.0, 3.0, xtol=1e-15)
-        got = _coupled_endpoint(mapper, a0, w_kink + delta)
+        got = _coupled_endpoint(mapper, a0, w_kink + delta, 1.0)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
-        ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta)
+        ref = _coupled_endpoint(_CoupledMap(m, 1.0), a0, w_kink + delta, 1.0)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-10 * b
 
@@ -346,9 +344,9 @@ class TestPerfectCorr:
         m = LsvModel(s0=1.0, v0=0.1, rho=rho, eta=TanhEta(1.0, -0.1, 0.0),
                      sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.17))
         a0 = forward_variance_limit(m)
-        got = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta)
+        got = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta, 1.0)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
-        ref = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta)
+        ref = _coupled_endpoint(_CoupledMap(m, rho), a0, 0.34 + delta, 1.0)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-11 * b
 
@@ -370,27 +368,55 @@ class TestPerfectCorr:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_tanh_vs_direct_oracle(self, sign):
-        m = LsvModel(s0=1.0, v0=0.1, rho=float(sign), eta=TanhEta(1.0, -0.1, 0.0),
-                     sigma=ConstantSigma(2.0))
+        m = TANH.with_rho(float(sign))
         k = forward_variance_limit(m) * math.exp(0.1)
         res = rate_perfect_corr(m, k, sign)
-        oracle = h_only_oracle(m, k, float(sign))
-        assert oracle is not None
-        assert abs(res.value - oracle) <= 2e-4 * max(oracle, 1e-12) + 1e-8
+        oracle = h_only_oracle(m, k, float(sign), res.diagnostics["w_a"])
+        assert abs(res.value - oracle) <= 1e-9 * oracle
 
-    def test_nonmonotone_payoff_falls_back(self):
-        m = LsvModel(s0=1.0, v0=0.25, rho=1.0, eta=TanhEta(1.0, -0.4, 0.0),
-                     sigma=ConstantSigma(0.25))
-        assert _CoupledMap(m, 1.0).monotone_window() is None
-        k = forward_variance_limit(m) * math.exp(-0.1)
+    @pytest.mark.parametrize("x, w_a_sign", [(0.05, -1), (-0.05, 1), (0.1, 1), (-0.1, 1), (0.3, 1), (-0.3, -1)])
+    def test_nonmonotone_payoff(self, x, w_a_sign):
+        """G falls from the money (G' < 0 at V0), so the calls' paths either
+        run down in w to the left extremum of G, at 1.10387 A0, or pass it by
+        and run up the far right branch past the record start where G
+        regains A0: the rate jumps in K between x = 0.05 and 0.1."""
+        m = NONMONOTONE
+        mapper = _CoupledMap(m, 1.0)
+        assert mapper.dlevel(0.0) < 0.0
+        k = forward_variance_limit(m) * math.exp(x)
         res = rate_perfect_corr(m, k, 1)
-        assert res.method == "perfect_corr_direct"
-        assert res.diagnostics.get("fallback")
-        assert res.diagnostics["kkt_residual"] < 1e-11
+        assert res.method == "perfect_corr" and math.copysign(1.0, res.diagnostics["w_a"]) == w_a_sign
         json.dumps(res.diagnostics)
-        oracle = h_only_oracle(m, k, 1.0)
-        assert oracle is not None
-        assert abs(res.value - oracle) <= 1e-3 * oracle
+        oracle = h_only_oracle(m, k, 1.0, res.diagnostics["w_a"])
+        assert abs(res.value - oracle) <= 1e-9 * oracle
+
+    def test_root_next_to_an_extremum(self):
+        """Calls just below the left extremum of G (1.10388 A0 at w = -0.28475)
+        have their root past the last table node before it (w = -0.28125),
+        found by halving toward the extremum.  The root nears it like
+        exp(-c / (1.10388 - K / A0)); once it lies within _GUARD of it,
+        NumericsError names the extremum."""
+        a0 = forward_variance_limit(NONMONOTONE)
+        res = rate_perfect_corr(NONMONOTONE, a0 * math.exp(0.0935), 1)
+        assert -0.28476 < res.diagnostics["w_a"] < -0.28125
+        with pytest.raises(NumericsError, match="extremum of G"):
+            rate_perfect_corr(NONMONOTONE, a0 * math.exp(0.095), 1)
+
+    @pytest.mark.parametrize("rho, x", [(rho, x) for rho in (1.0, 0.7) for x in (0.3, 0.6, 1.0, 2.0)])
+    def test_kinked_payoff_vs_direct_oracle(self, rho, x):
+        """On drawn model 40 the transcription used to take these strikes (the
+        route's first probe left the window where G rises), and at rho = 0.7,
+        x = 1 it left the map's table.  Where the path crosses the kink of G
+        (w = 1.205 at rho = 1, 1.560 at rho = 0.7) the transcription's midpoint
+        rule is not smooth in dt, and its Richardson value scatters by up to
+        1.4e-6 around the rate (measured; at n = 1601/3201 by 7e-8); off the
+        kink it agrees to 1e-12."""
+        m = DRAWN40.with_rho(rho)
+        k = forward_variance_limit(m) * math.exp(x)
+        res = _h_only_rate(m, k, rho)
+        crosses = abs(res.diagnostics["w_a"]) > _CoupledMap(m, rho).kinks(1.0, math.inf)[0]
+        oracle = h_only_oracle(m, k, rho, res.diagnostics["w_a"])
+        assert abs(res.value - oracle) <= (2e-6 if crosses else 1e-9) * oracle
 
     @pytest.mark.parametrize("rho, x", [(1, 0.15), (-1, -0.15), (1, -0.15), (-1, 0.15)]
                              + [(rho, x) for rho in (0, 1, -1, 0.7) for x in (0.3, -0.3, 0.5, -0.5)])
@@ -464,10 +490,9 @@ class TestPerfectCorr:
         fine = rate_perfect_corr(m, k, int(rho)).value
         assert abs(coarse.value - fine) <= 1e-11 * fine
 
-    def test_excursion_past_table_raises(self, monkeypatch):
+    def test_excursion_past_table_raises(self):
         # the terminal excursion is about 1.9 |x| here: x = -6 needs |log(v/V0)| near 11
         m = KINKED.with_rho(1.0)
-        monkeypatch.setattr(rate_general, "_h_only_direct", lambda *a: pytest.fail("transcribed past the table"))
         with pytest.raises(TableRangeError, match="coupled-map table"):
             rate_perfect_corr(m, forward_variance_limit(m) * math.exp(-6.0), 1)
 
@@ -481,11 +506,11 @@ class TestPerfectCorr:
         (w_kink,) = mapper.kinks(1.0, 3.0)
 
         def phi(t):
-            e_a, f, g = _coupled_endpoint(mapper, a0, t)
+            e_a, f, g = _coupled_endpoint(mapper, a0, t, 1.0)
             return e_a - zr - g / f
 
         roots = [brentq(phi, a, b, xtol=1e-15) for a, b in ((2.0, w_kink), (w_kink + 1e-6, 2.09), (2.09, 2.2))]
-        rates = [0.5 * math.prod(_coupled_endpoint(mapper, a0, t)[1:]) for t in roots]
+        rates = [0.5 * math.prod(_coupled_endpoint(mapper, a0, t, 1.0)[1:]) for t in roots]
         assert rates[2] < rates[0] - 1e-6 and rates[2] < rates[1]
         res = rate_perfect_corr(m, a0 * zr, 1)
         assert abs(res.diagnostics["w_a"] - roots[2]) <= 1e-12
@@ -518,7 +543,7 @@ class TestPerfectCorr:
         f += integral(lambda u: 2.0 / (sig(t_a - u * u) * math.sqrt(gap_over_u2(u))), delta)
         g = integral(lambda u: 2.0 * u * math.sqrt(e_a - level(kink - u * u)) / sig(kink - u * u), kink)
         g += integral(lambda u: 2.0 * u * u * math.sqrt(gap_over_u2(u)) / sig(t_a - u * u), delta)
-        _, f_got, g_got = _coupled_endpoint(mapper, a0, t_a)
+        _, f_got, g_got = _coupled_endpoint(mapper, a0, t_a, 1.0)
         assert abs(f_got - f) <= 1e-10 * f
         assert abs(g_got - g) <= 1e-10 * g
 
@@ -531,10 +556,10 @@ class TestPerfectCorr:
         m = KINKED.with_rho(rho)
         a0 = forward_variance_limit(m)
         mapper = _CoupledMap(m, rho)
-        got = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta)
+        got = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, 1.0)
         monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
         mapper = _CoupledMap(m, rho)
-        ref = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta)
+        ref = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, 1.0)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-11 * b
 

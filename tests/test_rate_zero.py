@@ -543,22 +543,34 @@ class TestNewtonRoute:
         assert abs(res.z_star - z) <= 1e-5 * z
 
     @pytest.mark.parametrize(
-        "seed, index, x, expect, calls",
+        "seed, index, x, expect, calls, branch",
         [
-            # the slowest strike measured: 15 steps
-            ((20, 2024), 7, 3.0, 16.8862404057449, 34),
+            # alpha's seed would cancel to 0.33 here (first order 5.5, root 4.5)
+            # at x = 4; from x = 3 the first order seeds it
+            ((20, 2024), 7, 3.0, 16.8862404057449, 20, "free"),
+            ((20, 2024), 7, 3.5, 22.504676220267772, 20, "free"),
+            ((20, 2024), 7, 4.0, 28.922385997715025, 22, "free"),
+            ((20, 2024), 7, 5.0, 44.11704362675941, 22, "free"),
+            ((60, 7), 38, 5.0, 24.367572435378897, 22, "free"),
+            ((60, 7), 39, 5.0, 24.5554331840219, 20, "free"),
             # a full step lands on the plateau past u_c = 0.42, while the root lies inside
-            ((60, 7), 14, -3.0, 58.05239548198993, 19),
+            ((60, 7), 14, -3.0, 58.05239548198993, 19, "free"),
+            # the plateau branch, against _reference_rate
+            ((60, 7), 14, 5.0, 32.94725507293748, 11, "plateau"),
+            ((60, 7), 20, 5.0, 23.20634502211056, 11, "plateau"),
+            ((60, 7), 53, 4.0, 12.775899148278617, 12, "plateau"),
+            ((60, 7), 53, 5.0, 19.736276149737435, 12, "plateau"),
         ],
-        ids=["drawn7-3", "plateau-edge-cut"],
+        ids=["drawn7-3", "drawn7-3.5", "drawn7-4", "drawn7-5", "seed7-38-5", "seed7-39-5", "plateau-edge-cut",
+             "seed7-14-5", "seed7-20-5", "seed7-53-4", "seed7-53-5"],
     )
-    def test_slow_strikes_converge(self, seed, index, x, expect, calls):
-        # the values that three nested bracketed roots gave
+    def test_slow_strikes_converge(self, seed, index, x, expect, calls, branch):
+        # free: the values that three nested bracketed roots gave
         m = _drawn_models(*seed)[index]
         res = rate_zero_rho(m, forward_variance_limit(m) * math.exp(x))
         assert abs(res.value - expect) <= 1e-12 * expect
         assert res.diagnostics["kernel_calls"] == calls
-        assert res.diagnostics["asset_branch"] == "free"
+        assert res.diagnostics["asset_branch"] == branch
 
     def test_failure_raises_convergence_error(self, tanh_model, monkeypatch):
         # a strike the step cap does not let converge raises with the last
