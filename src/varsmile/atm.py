@@ -196,17 +196,12 @@ def atm_expansion(model: LsvModel) -> AtmExpansion:
     )
 
 
-def expansion_paths(model: LsvModel, x: float, n: int = 401, order: int = 2) -> PathPair:
-    """Optimal paths truncated at first or second order in x."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+def expansion_paths(model: LsvModel, x: float, n: int = 401) -> PathPair:
+    """Optimal paths truncated at second order in x, on n uniform nodes."""
     exp = atm_expansion(model)
     t = np.linspace(0.0, 1.0, n)
-    g = x * exp.g1(t)
-    h = x * exp.h1(t)
-    if order == 2:
-        g = g + x * x * exp.g2(t)
-        h = h + x * x * exp.h2(t)
+    g = x * exp.g1(t) + x * x * exp.g2(t)
+    h = x * exp.h1(t) + x * x * exp.h2(t)
     return PathPair(t, math.log(model.s0) + g, math.log(model.v0) + h)
 
 

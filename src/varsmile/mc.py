@@ -2,7 +2,7 @@
 
 Log-coordinate Euler stepping (exact for the constant vol-of-vol variance
 leg), left-endpoint accumulation of the realized-variance integral and joint
-antithetic variates.
+antithetic variates: each stream of normals drives a path and its mirror.
 
 Streams are split into fixed chunks of ``_CHUNK_STREAMS``.  Each chunk reads
 one Philox generator keyed by (seed, chunk index on that fixed grid), step
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import LsvModel, forward_variance_limit
+from .model import LsvModel, log_moneyness
 from .smile import _vega, implied_vol
 
 __all__ = [
@@ -41,19 +41,20 @@ _STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation controls; immutable so runs can echo it verbatim."""
+    """Simulation controls; immutable so runs can echo it verbatim.
+
+    ``n_paths`` counts paths, two per antithetic pair."""
 
     n_paths: int = 100_000
     n_steps: int = 2000
     seed: int = 0
     maturity: float = 1.0 / 12.0
-    antithetic: bool = True
 
     def __post_init__(self):
-        if self.antithetic and self.n_paths % 2 != 0:
-            raise ValueError("antithetic sampling needs an even n_paths")
+        if self.n_paths % 2 != 0:
+            raise ValueError("antithetic pairs need an even n_paths")
         if self.n_streams < 2:
-            raise ValueError("a standard error needs at least 2 independent streams (4 paths with antithetic)")
+            raise ValueError("a standard error needs at least 2 independent streams (4 paths)")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not self.maturity > 0:
@@ -61,7 +62,7 @@ class McConfig:
 
     @property
     def n_streams(self) -> int:
-        return self.n_paths // 2 if self.antithetic else self.n_paths
+        return self.n_paths // 2
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,17 @@ class McEstimate:
             raise ValueError("estimate must be finite with nonnegative stderr")
 
 
-def _estimate(samples: np.ndarray, cfg: McConfig, half: Optional[np.ndarray]) -> McEstimate:
-    """Mean and standard error over independent samples: the antithetic pair
-    means (written into ``half``, which is None without antithetic), else the
-    samples themselves."""
-    if cfg.antithetic:
-        # (a + b) * 0.5 rounds as the (a + b) / 2 of a length-2 mean does,
-        # without numpy's slow reduction along a short axis
-        pairs = np.add(samples[0::2], samples[1::2], out=half)
-        pairs *= 0.5
-    else:
-        pairs = samples
+def _estimate(samples: np.ndarray, cfg: McConfig, half: np.ndarray) -> McEstimate:
+    """Mean and standard error over the independent antithetic pair means,
+    written into ``half``."""
+    # (a + b) * 0.5 rounds as the (a + b) / 2 of a length-2 mean does,
+    # without numpy's slow reduction along a short axis
+    pairs = np.add(samples[0::2], samples[1::2], out=half)
+    pairs *= 0.5
     n = pairs.size
     mean = float(np.mean(pairs))
     stderr = float(np.std(pairs, ddof=1) / math.sqrt(n))
     return McEstimate(mean=mean, stderr=stderr, n_effective=n, seed=cfg.seed, config=cfg)
-
-
-def _work_buffers(rv: np.ndarray, cfg: McConfig):
-    """The payoff array and the pair-mean array that a strike sweep reuses."""
-    return np.empty_like(rv), (np.empty(cfg.n_streams) if cfg.antithetic else None)
 
 
 def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf: np.ndarray, half):
@@ -116,7 +108,7 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     """Simulate streams [lo, hi) of the chunk starting at ``lo``; writes into
     disjoint output slices.
 
-    Row 0 of the ``(rows, m)`` state follows the drawn normals ``(z, w)``, row
+    Row 0 of the ``(2, m)`` state follows the drawn normals ``(z, w)``, row
     1 (antithetic) their negation.  Each drawn block is mixed once, in place:
     ``w`` becomes the spot noise ``rho z + root w``.  Row 1's noise is the
     exact negation of row 0's, so row 1 subtracts the noise term that row 0
@@ -133,8 +125,7 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     sqdt = math.sqrt(dt)
     drift_s = (model.r - model.q) * dt
     v0 = model.v0
-    mirror = cfg.antithetic
-    shape = (2 if mirror else 1, m)
+    shape = (2, m)
     # constant vol-of-vol s: the variance increment is the scalar drift_v
     # plus (s z) sqrt(dt), scaled once per block, written in dw
     hoist = model.sigma.is_constant
@@ -167,15 +158,13 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         # dw = (mu - 0.5 sig sig) dt +- (sig z) sqrt(dt)
         if hoist:
             np.add(z, drift_v, out=dw[0])
-            if mirror:
-                np.subtract(drift_v, z, out=dw[1])
+            np.subtract(drift_v, z, out=dw[1])
         else:
             sig = model.sigma.value_log(wv)
             dw = (model.mu - 0.5 * sig * sig) * dt
             noise = (sig * z) * sqdt
             dw[0] += noise[0]
-            if mirror:
-                dw[1] -= noise[1]
+            dw[1] -= noise[1]
 
         # acc += ev dt;  us += drift_s - 0.5 (ev dt) +- ((eta sqrt(v)) x) sqrt(dt)
         np.multiply(eta, eta, out=ev)
@@ -189,25 +178,19 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         ev *= 0.5
         np.subtract(drift_s, ev, out=ev)
         ev[0] += v[0]
-        if mirror:
-            ev[1] -= v[1]
+        ev[1] -= v[1]
         us += ev
         wv += dw
         if sample_stride is not None and (i + 1) % sample_stride == 0:
             caps[(i + 1) // sample_stride] = us
 
     rv = acc / cfg.maturity
-    if cfg.antithetic:
-        # interleave so path 2j / 2j+1 are the antithetic pair of stream j
-        rv_out[2 * lo : 2 * hi : 2] = rv[0]
-        rv_out[2 * lo + 1 : 2 * hi : 2] = rv[1]
-        if sample_stride is not None:
-            logs_out[2 * lo : 2 * hi : 2] = caps[:, 0, :].T
-            logs_out[2 * lo + 1 : 2 * hi : 2] = caps[:, 1, :].T
-    else:
-        rv_out[lo:hi] = rv[0]
-        if sample_stride is not None:
-            logs_out[lo:hi] = caps[:, 0, :].T
+    # interleave so path 2j / 2j+1 are the antithetic pair of stream j
+    rv_out[2 * lo : 2 * hi : 2] = rv[0]
+    rv_out[2 * lo + 1 : 2 * hi : 2] = rv[1]
+    if sample_stride is not None:
+        logs_out[2 * lo : 2 * hi : 2] = caps[:, 0, :].T
+        logs_out[2 * lo + 1 : 2 * hi : 2] = caps[:, 1, :].T
 
 
 def _simulate_core(model: LsvModel, cfg: McConfig, sample_stride=None):
@@ -249,7 +232,7 @@ def mc_price(
         raise ValueError("strike must be nonnegative and finite")
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
-    buf, half = _work_buffers(rv, cfg)
+    buf, half = np.empty_like(rv), np.empty(cfg.n_streams)
     call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
     forward = _estimate(rv, cfg, half)
     return call, put, forward
@@ -292,19 +275,18 @@ def mc_smile(
     Strikes whose OTM price is within 3 standard errors of zero are flagged
     unreliable.  ``samples`` short-circuits the simulation: one value per
     path of ``cfg``, from this model (a length mismatch raises ValueError).
+    Each row's ``x`` is ``log_moneyness``, taken before any simulation.
     """
     strikes = [float(k) for k in strikes]
-    if not all(0 < k < math.inf for k in strikes):
-        raise ValueError("strikes must be positive and finite")
+    xs = [log_moneyness(model, k) for k in strikes]
     cfg = replace(cfg, maturity=float(t))
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)
-    buf, half = _work_buffers(rv, cfg)
+    buf, half = np.empty_like(rv), np.empty(cfg.n_streams)
     forward = _estimate(rv, cfg, half)
-    fv0 = forward_variance_limit(model)
 
     rows = []
-    for k in strikes:
+    for k, x in zip(strikes, xs):
         call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
         side = "call" if k >= forward.mean else "put"
         px = call if side == "call" else put
@@ -318,7 +300,7 @@ def mc_smile(
         rows.append(
             McSmileRow(
                 strike=k,
-                x=math.log(k / fv0),
+                x=x,
                 call=call.mean,
                 call_se=call.stderr,
                 put=put.mean,

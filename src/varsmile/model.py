@@ -28,7 +28,6 @@ __all__ = [
     "LsvModel",
     "ValidationReport",
     "eta_eval",
-    "sigma_eval",
     "clamp_points",
     "forward_variance_limit",
     "ATM_REL_TOL",
@@ -80,13 +79,11 @@ class TanhEta:
         c2 = math.cosh(self.x0) ** 2
         return (self.f0 - self.f1 * t0, self.f1 / c2, self.f1 * t0 / c2)
 
-    def diff_log(self, u1, u2, delta=None):
+    def diff_log(self, u1, u2, delta):
         # tanh(a) - tanh(b) = sinh(a - b) / (cosh(a) cosh(b)): no cancellation
         # when u1 -> u2, which the singular quadratures rely on.  ``delta``
-        # supplies u1 - u2 exactly when the caller knows it better than the
+        # supplies u1 - u2 exactly, as the caller knows it better than the
         # subtraction does.
-        if delta is None:
-            delta = u1 - u2
         return (
             self.f1
             * np.sinh(delta)
@@ -129,11 +126,9 @@ class LogPolyEta:
         c = self.coeffs + (0.0, 0.0, 0.0)
         return _clamped_coeffs(self, c[0], c[1], c[2])
 
-    def diff_log(self, u1, u2, delta=None):
+    def diff_log(self, u1, u2, delta):
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
-        if delta is None:
-            delta = u1 - u2
         r1, r2 = self._raw(u1), self._raw(u2)
         inside = (
             (r1 > self.clamp_lo) & (r1 < self.clamp_hi)
@@ -173,9 +168,6 @@ class ConstantEta:
 
     def log_coeffs(self) -> tuple[float, float, float]:
         return (self.eta0, 0.0, 0.0)
-
-    def diff_log(self, u1, u2, delta=None):
-        return np.zeros_like(np.asarray(u1, dtype=float) + np.asarray(u2, dtype=float))
 
 
 EtaSpec = Union[TanhEta, LogPolyEta, ConstantEta]
@@ -277,8 +269,10 @@ class LsvModel:
             raise ValueError("v0 must be positive and finite")
         if not (abs(self.rho) <= 1.0):
             raise ValueError(f"|rho| <= 1 required, got {self.rho}")
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be a finite number, got {self.mu!r}")
+        for key in ("r", "q", "mu"):
+            value = getattr(self, key)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
 
     def with_rho(self, rho: float) -> "LsvModel":
         return replace(self, rho=rho)
@@ -295,22 +289,13 @@ def clamp_points(spec) -> tuple[float, ...]:
     return tuple(sorted(float(r.real) for r in np.concatenate(roots) if r.imag == 0.0))
 
 
-def _eval_at_level(spec, level0: float, x, what: str):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError(f"{what} must be positive")
-    out = spec.value_log(np.log(x / level0))
-    return float(out) if out.ndim == 0 else out
-
-
 def eta_eval(model: LsvModel, s):
     """Clamped local volatility at asset price(s) s > 0."""
-    return _eval_at_level(model.eta, model.s0, s, "asset price")
-
-
-def sigma_eval(model: LsvModel, v):
-    """Clamped vol-of-vol at variance level(s) v > 0."""
-    return _eval_at_level(model.sigma, model.v0, v, "variance")
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0.0):
+        raise ValueError("asset price must be positive")
+    out = model.eta.value_log(np.log(s / model.s0))
+    return float(out) if out.ndim == 0 else out
 
 
 def forward_variance_limit(model: LsvModel) -> float:
@@ -345,15 +330,14 @@ class ValidationReport:
     valid: bool
     errors: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-    moneyness: str | None = None
 
 
-def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
-    """Check the standing assumptions numerically; classify moneyness.
+def validate(model: LsvModel) -> ValidationReport:
+    """Check the standing assumptions numerically.
 
     Violations are collected, not raised, so one call reports everything.
     Non-monotone non-constant leverage only warns: none of the implemented
-    formulas use the inverse of eta.
+    formulas use the inverse of eta.  A strike is judged by ``log_moneyness``.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -379,21 +363,7 @@ def validate(model: LsvModel, strike: float | None = None) -> ValidationReport:
         elif np.any(deltas > 1e-15):
             warnings.append("eta is increasing; the usual leverage effect assumes decreasing eta")
 
-    moneyness = None
-    if strike is not None:
-        try:
-            x = log_moneyness(model, strike)
-        except (ValueError, ZeroDivisionError) as exc:  # the latter at eta(S0) = 0
-            errors.append(f"strike {strike} not classified: {exc}")
-        else:
-            moneyness = "atm" if x == 0.0 else "otm_call" if x > 0.0 else "otm_put"
-
-    return ValidationReport(
-        valid=not errors,
-        errors=tuple(errors),
-        warnings=tuple(warnings),
-        moneyness=moneyness,
-    )
+    return ValidationReport(valid=not errors, errors=tuple(errors), warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

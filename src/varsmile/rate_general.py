@@ -28,9 +28,8 @@ from .model import LsvModel, clamp_points, forward_variance_limit, log_moneyness
 from .numerics import Bracket, count_kernel_calls, find_root, integrate_sqrt_singular
 from .paths import PathPair
 from .rate_zero import (
-    _SEED_STRETCH,
     RateResult,
-    _const_sigma_root,
+    _asian_seed,
     _eta_flat,
     _paths_from_rate,
     asian_rate_j,
@@ -337,8 +336,7 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float):
     to it, can dip back below zero (a fold with three roots): the least rate
     is taken."""
     b = 1.0 if zr > 1.0 else -1.0
-    lo = abs(math.log(zr))
-    probe = lo + _SEED_STRETCH * (_const_sigma_root(zr)[1] - lo)
+    probe = _asian_seed(zr)
 
     def solve(d, start, nodes, xp, ext, extrema):
         """The run's (rate, diagnostics); None if its root lies past the table (ext None)."""
@@ -618,7 +616,7 @@ def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
         paths = PathPair.constant(log_s0, log_v0, n)
         return RateResult(0.0, "numeric_transcription", z_star=model.v0, lagrange=0.0, paths=paths)
 
-    base = atm_mod.expansion_paths(model, x, n=n, order=2)
+    base = atm_mod.expansion_paths(model, x, n=n)
     z0 = np.column_stack((base.g[1:], base.h[1:])).ravel()
     z, lam, diag = _newton_kkt(_lagrangian_grad(model, k, n), z0, k)
     paths = PathPair(t, np.concatenate(([log_s0], z[0::2])), np.concatenate(([log_v0], z[1::2])))

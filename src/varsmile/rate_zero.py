@@ -151,9 +151,12 @@ def _const_sigma_root(zr: float) -> tuple[float, float]:
     return xi, -2.0 * math.log(math.cos(xi))
 
 
-# The first bracket probe of the general Asian root sits this factor of the
-# constant vol-of-vol root's distance from the lower bound.
-_SEED_STRETCH = 1.1
+def _asian_seed(zr: float) -> float:
+    """First probe of the Asian root in the terminal log excursion alpha at
+    budget ratio zr: just past the constant vol-of-vol root, 1.1 times its
+    distance from the lower bound |log zr|."""
+    lo = abs(math.log(zr))
+    return lo + 1.1 * (_const_sigma_root(zr)[1] - lo)
 
 
 def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
@@ -180,8 +183,7 @@ def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
         return (math.exp(alpha) - zr if above else zr - math.exp(-alpha)) - g / f
 
     lo = abs(math.log(zr))  # e^alpha >= zr (above) or e^-alpha <= zr (below) at the root
-    _, alpha_c = _const_sigma_root(zr)
-    alpha = find_root(phi, bracket_root(phi, lo, lo + _SEED_STRETCH * (alpha_c - lo)), tol=1e-13)
+    alpha = find_root(phi, bracket_root(phi, lo, _asian_seed(zr)), tol=1e-13)
     f, g = seen[alpha]
     return AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 

@@ -169,7 +169,7 @@ def test_c08_expansion_consistency(tanh_model):
         exp = atm_expansion(m)
         xs = (0.02, 0.01, 0.005)
         resid = [
-            abs(lambda_functional(m, expansion_paths(m, x, n=801, order=2)).total - exp.rate(x))
+            abs(lambda_functional(m, expansion_paths(m, x, n=801)).total - exp.rate(x))
             for x in xs
         ]
         slope = float(np.polyfit(np.log(xs), np.log(resid), 1)[0])

@@ -139,13 +139,12 @@ class TestExpansionPaths:
         assert abs(v2 - 0.5) < 1e-10
 
     def test_paths_object(self, tanh_model):
-        p1 = expansion_paths(tanh_model, 0.05, n=101, order=1)
-        p2 = expansion_paths(tanh_model, 0.05, n=101, order=2)
-        assert p1.n == 101
-        assert p1.g[0] == math.log(tanh_model.s0)
-        assert not np.array_equal(p1.g, p2.g)
-        with pytest.raises(ValueError):
-            expansion_paths(tanh_model, 0.05, order=3)
+        exp = atm_expansion(tanh_model)
+        p2 = expansion_paths(tanh_model, 0.05, n=101)
+        assert p2.n == 101
+        assert p2.g[0] == math.log(tanh_model.s0)
+        g1 = math.log(tanh_model.s0) + 0.05 * exp.g1(p2.t)  # the first-order path
+        assert not np.array_equal(g1, p2.g)
 
     @pytest.mark.parametrize("rho", [0.0, 0.7, -0.7])
     def test_action_consistency_slope(self, tanh_model, rho):
@@ -154,7 +153,7 @@ class TestExpansionPaths:
         xs = (0.02, 0.01, 0.005)
         resid = []
         for x in xs:
-            paths = expansion_paths(m, x, n=801, order=2)
+            paths = expansion_paths(m, x, n=801)
             resid.append(abs(lambda_functional(m, paths).total - exp.rate(x)))
         slope = np.polyfit(np.log(xs), np.log(resid), 1)[0]
         assert slope >= 3.7

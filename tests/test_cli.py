@@ -204,6 +204,17 @@ class TestErrorPaths:
         assert code == 2
         assert "f1" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    @pytest.mark.parametrize("key", ["r", "q"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_exit_2(self, capsys, tmp_path, key, value):
+        bad = tmp_path / "bad.json"
+        data = json.loads(MODEL.read_text())
+        data[key] = value
+        bad.write_text(json.dumps(data))
+        code, _, err = run(["mc", "--model", str(bad), "--k", "0.1", "--paths", "4", "--steps", "1"], capsys)
+        assert code == 2
+        assert f"{key} must be a finite number" in json.loads(err.strip().splitlines()[-1])["message"]
+
     def test_unknown_model_key_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         data = json.loads(MODEL.read_text())

@@ -34,7 +34,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(n_paths=1)
         with pytest.raises(ValueError):
-            McConfig(n_paths=101, antithetic=True)
+            McConfig(n_paths=101)  # paths come in antithetic pairs
         with pytest.raises(ValueError):
             McConfig(n_steps=0)
         with pytest.raises(ValueError):
@@ -44,14 +44,10 @@ class TestConfig:
         # one antithetic pair leaves no standard error (ddof=1)
         with pytest.raises(ValueError, match="2 independent streams"):
             McConfig(n_paths=2)
-        with pytest.raises(ValueError, match="2 independent streams"):
-            McConfig(n_paths=1, antithetic=False)
         assert McConfig(n_paths=4).n_streams == 2
-        assert McConfig(n_paths=2, antithetic=False).n_streams == 2
 
     def test_streams(self):
         assert McConfig(n_paths=100).n_streams == 50
-        assert McConfig(n_paths=100, antithetic=False).n_streams == 100
 
 
 class TestDeterminism:
@@ -78,11 +74,11 @@ class TestDrawLayout:
         assert np.array_equal(rv, rv_ref)
         assert np.array_equal(logs, logs_ref)
 
-    @pytest.mark.parametrize("antithetic, small, large", [(True, 8192, 12288), (False, 4096, 6144)])
-    def test_full_chunks_nested(self, tanh_model, antithetic, small, large):
-        a = simulate_realized_variance(tanh_model, small_cfg(n_paths=small, n_steps=5, antithetic=antithetic))
-        b = simulate_realized_variance(tanh_model, small_cfg(n_paths=large, n_steps=5, antithetic=antithetic))
-        assert np.array_equal(a, b[:small])
+    def test_full_chunks_nested(self, tanh_model):
+        # 8192 paths are 4096 streams, two full chunks; 12288 adds a third chunk
+        a = simulate_realized_variance(tanh_model, small_cfg(n_paths=8192, n_steps=5))
+        b = simulate_realized_variance(tanh_model, small_cfg(n_paths=12288, n_steps=5))
+        assert np.array_equal(a, b[:8192])
 
 
 # References for the bit pins below: the plain Euler step loop with per-step
@@ -98,8 +94,8 @@ def _reference_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     sqdt = math.sqrt(dt)
     drift_s = (model.r - model.q) * dt
     v0 = model.v0
-    signs = np.array([1.0, -1.0] if cfg.antithetic else [1.0])[:, None]
-    shape = (signs.shape[0], m)
+    signs = np.array([1.0, -1.0])[:, None]
+    shape = (2, m)
     us = np.zeros(shape)
     wv = np.zeros(shape)
     acc = np.zeros(shape)
@@ -121,16 +117,11 @@ def _reference_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
         if sample_stride is not None and (i + 1) % sample_stride == 0:
             caps[(i + 1) // sample_stride] = us
     rv = acc / cfg.maturity
-    if cfg.antithetic:
-        rv_out[2 * lo : 2 * hi : 2] = rv[0]
-        rv_out[2 * lo + 1 : 2 * hi : 2] = rv[1]
-        if sample_stride is not None:
-            logs_out[2 * lo : 2 * hi : 2] = caps[:, 0, :].T
-            logs_out[2 * lo + 1 : 2 * hi : 2] = caps[:, 1, :].T
-    else:
-        rv_out[lo:hi] = rv[0]
-        if sample_stride is not None:
-            logs_out[lo:hi] = caps[:, 0, :].T
+    rv_out[2 * lo : 2 * hi : 2] = rv[0]
+    rv_out[2 * lo + 1 : 2 * hi : 2] = rv[1]
+    if sample_stride is not None:
+        logs_out[2 * lo : 2 * hi : 2] = caps[:, 0, :].T
+        logs_out[2 * lo + 1 : 2 * hi : 2] = caps[:, 1, :].T
 
 
 def _reference_simulate(model, cfg, sample_stride):
@@ -144,7 +135,7 @@ def _reference_simulate(model, cfg, sample_stride):
 
 
 def _reference_estimate(samples, cfg, half=None):
-    pairs = samples.reshape(-1, 2).mean(axis=1) if cfg.antithetic else samples
+    pairs = samples.reshape(-1, 2).mean(axis=1)
     n = pairs.size
     return mc.McEstimate(
         mean=float(np.mean(pairs)),
@@ -157,10 +148,9 @@ def _reference_estimate(samples, cfg, half=None):
 
 class TestBitPin:
     # 2348 streams: one full chunk and a partial one; 70 steps: a partial block
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("rho", [0.0, 0.7, -0.7])
     @pytest.mark.parametrize("case", ["tanh", "kinked", "tanh_mu", "kinked_mu", "flat_logpoly_sigma"])
-    def test_matches_reference_loop(self, tanh_model, monkeypatch, case, rho, antithetic):
+    def test_matches_reference_loop(self, tanh_model, monkeypatch, case, rho):
         model = {
             "tanh": tanh_model,  # constant sigma, mu = 0
             "kinked": KINKED,  # clamped logpoly eta and sigma
@@ -171,8 +161,7 @@ class TestBitPin:
         }[case].with_rho(rho)
         streams, steps = mc._CHUNK_STREAMS + 300, 70
         assert steps % mc._STEP_BLOCK != 0
-        cfg = McConfig(n_paths=streams * (2 if antithetic else 1), n_steps=steps, seed=17,
-                       maturity=1.0 / 12.0, antithetic=antithetic)
+        cfg = McConfig(n_paths=2 * streams, n_steps=steps, seed=17, maturity=1.0 / 12.0)
 
         rv, logs = mc._simulate_core(model, cfg, sample_stride=7)
         rv_ref, logs_ref = _reference_simulate(model, cfg, sample_stride=7)
@@ -263,12 +252,14 @@ class TestSmile:
     def test_smile_rows(self, tanh_model):
         cfg = small_cfg(n_paths=20_000)
         f0 = forward_variance_limit(tanh_model)
-        strikes = [f0 * math.exp(x) for x in (-0.3, 0.0, 0.3)]
+        # the last strike is inside the ATM band, where x is log_moneyness's exact 0
+        strikes = [f0 * math.exp(x) for x in (-0.3, 0.0, 0.3)] + [f0 * (1.0 + 1e-14)]
         sm = mc_smile(tanh_model, strikes, 1.0 / 252.0, cfg)
-        assert len(sm.rows) == 3
+        assert len(sm.rows) == 4
         assert sm.maturity == 1.0 / 252.0
         xs = [r.x for r in sm]
         assert abs(xs[0] + 0.3) < 1e-12 and abs(xs[2] - 0.3) < 1e-12
+        assert math.log(strikes[3] / f0) != 0.0 and xs[3] == 0.0
         assert all(math.isfinite(r.ivol) or not r.reliable for r in sm)
 
     def test_deep_strike_unreliable(self, tanh_model):
@@ -277,8 +268,9 @@ class TestSmile:
         sm = mc_smile(tanh_model, [f0 * math.exp(2.5)], 1.0 / 252.0, cfg)
         assert not sm.rows[0].reliable
 
-    def test_rejects_bad_strikes(self, tanh_model):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_strikes(self, tanh_model, monkeypatch):
+        monkeypatch.setattr(mc, "_simulate_core", None)  # the strikes are checked before any simulation
+        with pytest.raises(ValueError, match="positive and finite"):
             mc_smile(tanh_model, [0.1, -0.1], 1.0 / 12.0, small_cfg())
 
     @pytest.mark.parametrize("k", [math.inf, math.nan])

@@ -14,11 +14,12 @@ from varsmile import (
     TanhEta,
     eta_eval,
     forward_variance_limit,
+    log_moneyness,
     model_from_dict,
     model_to_dict,
     validate,
 )
-from varsmile.model import load_model, save_model, sigma_eval
+from varsmile.model import load_model, save_model
 
 
 def make(eta, sigma=None, rho=0.0, v0=0.1):
@@ -113,31 +114,20 @@ class TestForwardVarianceLimit:
 
 
 class TestValidate:
+    # validate judges the model; log_moneyness makes the strike decision
     def test_otm_call(self, tanh_model):
-        rep = validate(tanh_model, strike=0.12)
-        assert rep.valid and rep.moneyness == "otm_call"
+        assert validate(tanh_model).valid and log_moneyness(tanh_model, 0.12) > 0.0
 
     def test_atm(self, tanh_model):
-        rep = validate(tanh_model, strike=0.1)
-        assert rep.valid and rep.moneyness == "atm"
+        assert log_moneyness(tanh_model, 0.1) == 0.0
 
     def test_otm_put(self, tanh_model):
-        assert validate(tanh_model, strike=0.05).moneyness == "otm_put"
-
-    @pytest.mark.parametrize("k", [0.0, math.inf, math.nan])
-    def test_strike_not_positive_and_finite(self, tanh_model, k):
-        rep = validate(tanh_model, strike=k)
-        assert not rep.valid and rep.moneyness is None
+        assert log_moneyness(tanh_model, 0.05) < 0.0
 
     def test_eta_not_positive(self):
         rep = validate(make(TanhEta(1.0, -1.5, 0.0)))
         assert not rep.valid
         assert any("eta" in e for e in rep.errors)
-
-    def test_eta_zero_at_spot_reported_with_a_strike(self):
-        rep = validate(make(LogPolyEta((0.0, -0.5), 0.0, 1.0)), strike=0.1)
-        assert not rep.valid and rep.moneyness is None
-        assert any("strike 0.1" in e for e in rep.errors)
 
     def test_increasing_eta_warns(self):
         rep = validate(make(TanhEta(1.0, 0.3, 0.0)))
@@ -246,6 +236,15 @@ class TestJson:
 
         assert _model_hash(m) == "63252e7b0dd60bf1"  # the hash this file had before defaults moved
 
+    @pytest.mark.parametrize("key", ["r", "q"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, tanh_model, tmp_path, key, value):
+        # json.load accepts the NaN and Infinity literals that json.dumps writes
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**model_to_dict(tanh_model), key: value}))
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            load_model(path)
+
     def test_callable_drift_rejected(self, tanh_model):
         # a drift that a model file cannot hold is refused when the model is made
         for mu in (lambda v: 0.1 * v, math.nan, math.inf):
@@ -253,25 +252,11 @@ class TestJson:
                 replace(tanh_model, mu=mu)
 
 
-class TestSigmaEval:
-    def test_constant(self, tanh_model):
-        assert sigma_eval(tanh_model, 0.5) == 2.0
-
-    def test_logpoly_clamps(self):
-        m = make(ConstantEta(1.0), LogPolySigma(1.0, -2.0, 0.0, clamp_lo=0.2, clamp_hi=3.0))
-        assert sigma_eval(m, m.v0 * math.e**5) == 0.2
-        assert sigma_eval(m, m.v0 * math.e**-5) == 3.0
-
-    def test_rejects_nonpositive(self, tanh_model):
-        with pytest.raises(ValueError):
-            sigma_eval(tanh_model, 0.0)
-
-
 def test_exact_diff_identity():
     eta = TanhEta(1.0, -0.1, 0.3)
     u1, u2 = 0.123456, 0.123455
     direct = float(eta.value_log(u1) - eta.value_log(u2))
-    stable = float(eta.diff_log(u1, u2))
+    stable = float(eta.diff_log(u1, u2, u1 - u2))
     assert abs(direct - stable) < 1e-12
     # and at tiny separation the stable form stays proportional to delta
     d = 1e-14
@@ -282,7 +267,7 @@ def test_exact_diff_identity_logpoly():
     eta = LogPolyEta((1.0, -0.15, 0.02, 0.005), clamp_lo=0.3, clamp_hi=2.0)
     for u1, u2 in ((0.4, 0.1), (-0.2, -0.200001), (0.7, 0.7)):
         direct = float(eta.value_log(u1) - eta.value_log(u2))
-        stable = float(eta.diff_log(u1, u2))
+        stable = float(eta.diff_log(u1, u2, u1 - u2))
         assert abs(direct - stable) < 1e-12
     d = 1e-13
     assert abs(float(eta.diff_log(0.3, 0.3 - d, delta=d)) / d - float(eta.dvalue_log(0.3))) < 1e-5
