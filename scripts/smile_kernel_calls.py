@@ -10,10 +10,12 @@ Builds the first ``closed_smooth`` and ``closed_kinked`` passes that
 the op's strike and reports that rate's ``kernel_calls`` and
 ``asset_branch`` (null where the rate does not report one); each
 ``perfect_corr`` and ``bounds`` op is run as the pass runs it, its quadrature
-kernel calls counted by ``numerics.count_kernel_calls``.  Prints one JSON
-list of ``{"workload", "kind", "x", "rho", "kernel_calls", "asset_branch"}``
-rows (``rho`` null for ``closed``).  Run it on two checkouts to compare their
-kernel calls per op.
+kernel calls counted by ``numerics.count_kernel_calls``.  Each row's
+``value`` is the op's result as ``repr``: the rate, or ``[lower,
+best_upper]`` for ``bounds``.  Prints one JSON list of ``{"workload",
+"kind", "x", "rho", "kernel_calls", "asset_branch", "value"}`` rows (``rho``
+null for ``closed``).  Run it on two checkouts to compare their kernel calls
+and their rates, bit for bit, per op.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ def main(argv=None) -> int:
             row = {"workload": name, "kind": op.kind, "x": op.inputs["x"], "rho": op.inputs.get("rho"),
                    "asset_branch": None}
             if op.kind == "closed":
-                diag = vs.rate_zero_rho(ctx.model, ctx.fv0 * math.exp(op.inputs["x"])).diagnostics
-                row.update(kernel_calls=diag["kernel_calls"], asset_branch=diag.get("asset_branch"))
+                res = vs.rate_zero_rho(ctx.model, ctx.fv0 * math.exp(op.inputs["x"]))
+                row.update(kernel_calls=res.diagnostics["kernel_calls"],
+                           asset_branch=res.diagnostics.get("asset_branch"))
             else:
                 with count_kernel_calls() as counts:
-                    op.call()
+                    res = op.call()
                 row["kernel_calls"] = counts[0]
+            row["value"] = [repr(res.lower), repr(res.best_upper)] if op.kind == "bounds" else repr(res.value)
             rows.append(row)
     print(json.dumps(rows))
     return 0

@@ -274,11 +274,14 @@ def mc_smile(
     is inverted; its standard error maps to the vol through the Black vega.
     Strikes whose OTM price is within 3 standard errors of zero are flagged
     unreliable.  ``samples`` short-circuits the simulation: one value per
-    path of ``cfg``, from this model (a length mismatch raises ValueError).
+    path of ``cfg``, from this model, at ``t == cfg.maturity`` (a length or
+    maturity mismatch raises ValueError).
     Each row's ``x`` is ``log_moneyness``, taken before any simulation.
     """
     strikes = [float(k) for k in strikes]
     xs = [log_moneyness(model, k) for k in strikes]
+    if samples is not None and t != cfg.maturity:
+        raise ValueError(f"samples were simulated at maturity {cfg.maturity}, not t = {t}")
     cfg = replace(cfg, maturity=float(t))
     rv = _checked_samples(model, cfg, samples)
     disc = math.exp(-model.r * cfg.maturity)

@@ -7,6 +7,10 @@ coordinates: eta as a function of u = log(S/S0), sigma as a function of
 w = log(V/V0).  All families are bounded away from 0 and infinity (the
 bounds are explicit clamps), which keeps every model representable here
 inside the hypotheses of the asymptotic formulas.
+
+Each shape has one implementation: the ``logpoly`` eta and sigma share
+``_ClampedPoly``, the ``constant`` ones ``_Constant``; each public class keeps
+its own fields, which are the keys of the model file.
 """
 
 from __future__ import annotations
@@ -91,8 +95,67 @@ class TanhEta:
         )
 
 
+def _horner(u, c):
+    """sum_k c[k] u^k by Horner's rule, in numpy ``polyval``'s operation
+    order (so its bits) without its argument handling."""
+    out = c[-1] + u * 0
+    for ck in c[-2::-1]:
+        out = ck + out * u
+    return out
+
+
+class _ClampedPoly:
+    """A polynomial ``coeffs`` (ascending powers) in the log coordinate,
+    clipped to [clamp_lo, clamp_hi]: the ``logpoly`` eta and sigma."""
+
+    @property
+    def is_constant(self) -> bool:
+        return all(c == 0.0 for c in self.coeffs[1:]) or self.clamp_lo == self.clamp_hi
+
+    def value_log(self, u):
+        return np.clip(_horner(np.asarray(u, dtype=float), self.coeffs), self.clamp_lo, self.clamp_hi)
+
+    def dvalue_log(self, u):
+        u, c = np.asarray(u, dtype=float), self.coeffs
+        raw = _horner(u, c)
+        d = _horner(u, [k * c[k] for k in range(1, len(c))] or [0.0])
+        inside = (raw > self.clamp_lo) & (raw < self.clamp_hi)
+        return np.where(inside, d, 0.0)
+
+    def log_coeffs(self) -> tuple[float, float, float]:
+        """Expansion at 0: the raw coefficients when c0 is strictly inside
+        the clamps, else those of the flat piece."""
+        c0, c1, c2 = (*self.coeffs, 0.0, 0.0)[:3]
+        if self.clamp_lo < c0 < self.clamp_hi:
+            return (c0, c1, c2)
+        return (float(self.value_log(0.0)), 0.0, 0.0)
+
+
+class _Constant:
+    """A constant family: ``level`` everywhere, and both clamps."""
+
+    is_constant = True
+
+    @property
+    def clamp_lo(self) -> float:
+        return self.level
+
+    @property
+    def clamp_hi(self) -> float:
+        return self.level
+
+    def value_log(self, u):
+        return np.full_like(np.asarray(u, dtype=float), self.level)
+
+    def dvalue_log(self, u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
+    def log_coeffs(self) -> tuple[float, float, float]:
+        return (self.level, 0.0, 0.0)
+
+
 @dataclass(frozen=True)
-class LogPolyEta:
+class LogPolyEta(_ClampedPoly):
     """Polynomial in log(S/S0), clipped to [clamp_lo, clamp_hi]."""
 
     coeffs: tuple[float, ...]
@@ -104,32 +167,10 @@ class LogPolyEta:
             raise ValueError("need at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
-    @property
-    def is_constant(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs[1:]) or self.clamp_lo == self.clamp_hi
-
-    def _raw(self, u):
-        return np.polynomial.polynomial.polyval(u, self.coeffs)
-
-    def value_log(self, u):
-        return np.clip(self._raw(u), self.clamp_lo, self.clamp_hi)
-
-    def dvalue_log(self, u):
-        raw = self._raw(u)
-        d = np.polynomial.polynomial.polyval(
-            u, [k * c for k, c in enumerate(self.coeffs)][1:] or [0.0]
-        )
-        inside = (raw > self.clamp_lo) & (raw < self.clamp_hi)
-        return np.where(inside, d, 0.0)
-
-    def log_coeffs(self) -> tuple[float, float, float]:
-        c = self.coeffs + (0.0, 0.0, 0.0)
-        return _clamped_coeffs(self, c[0], c[1], c[2])
-
     def diff_log(self, u1, u2, delta):
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
-        r1, r2 = self._raw(u1), self._raw(u2)
+        r1, r2 = _horner(u1, self.coeffs), _horner(u2, self.coeffs)
         inside = (
             (r1 > self.clamp_lo) & (r1 < self.clamp_hi)
             & (r2 > self.clamp_lo) & (r2 < self.clamp_hi)
@@ -147,38 +188,15 @@ class LogPolyEta:
 
 
 @dataclass(frozen=True)
-class ConstantEta:
+class ConstantEta(_Constant):
     eta0: float
 
     @property
-    def clamp_lo(self) -> float:
+    def level(self) -> float:
         return self.eta0
-
-    @property
-    def clamp_hi(self) -> float:
-        return self.eta0
-
-    is_constant = True
-
-    def value_log(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.eta0)
-
-    def dvalue_log(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    def log_coeffs(self) -> tuple[float, float, float]:
-        return (self.eta0, 0.0, 0.0)
 
 
 EtaSpec = Union[TanhEta, LogPolyEta, ConstantEta]
-
-
-def _clamped_coeffs(spec, c0: float, c1: float, c2: float) -> tuple[float, float, float]:
-    """Expansion at 0 of a clipped polynomial with raw coefficients c0, c1, c2:
-    the raw ones strictly inside the clamps, else those of the flat piece."""
-    if spec.clamp_lo < c0 < spec.clamp_hi:
-        return (c0, c1, c2)
-    return (float(spec.value_log(0.0)), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +205,16 @@ def _clamped_coeffs(spec, c0: float, c1: float, c2: float) -> tuple[float, float
 
 
 @dataclass(frozen=True)
-class ConstantSigma:
+class ConstantSigma(_Constant):
     sigma0: float
 
     @property
-    def clamp_lo(self) -> float:
+    def level(self) -> float:
         return self.sigma0
-
-    @property
-    def clamp_hi(self) -> float:
-        return self.sigma0
-
-    is_constant = True
-
-    def value_log(self, w):
-        return np.full_like(np.asarray(w, dtype=float), self.sigma0)
-
-    def dvalue_log(self, w):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    def log_coeffs(self) -> tuple[float, float, float]:
-        return (self.sigma0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class LogPolySigma:
+class LogPolySigma(_ClampedPoly):
     """sigma0 + sigma1 w + sigma2 w^2 in w = log(V/V0), clipped."""
 
     sigma0: float
@@ -221,24 +224,8 @@ class LogPolySigma:
     clamp_hi: float = 1e4
 
     @property
-    def is_constant(self) -> bool:
-        return (self.sigma1 == 0.0 and self.sigma2 == 0.0) or self.clamp_lo == self.clamp_hi
-
-    def _raw(self, w):
-        w = np.asarray(w, dtype=float)
-        return self.sigma0 + self.sigma1 * w + self.sigma2 * w * w
-
-    def value_log(self, w):
-        return np.clip(self._raw(w), self.clamp_lo, self.clamp_hi)
-
-    def dvalue_log(self, w):
-        raw = self._raw(w)
-        w = np.asarray(w, dtype=float)
-        inside = (raw > self.clamp_lo) & (raw < self.clamp_hi)
-        return np.where(inside, self.sigma1 + 2.0 * self.sigma2 * w, 0.0)
-
-    def log_coeffs(self) -> tuple[float, float, float]:
-        return _clamped_coeffs(self, self.sigma0, self.sigma1, self.sigma2)
+    def coeffs(self) -> tuple[float, float, float]:
+        return (self.sigma0, self.sigma1, self.sigma2)
 
 
 SigmaSpec = Union[ConstantSigma, LogPolySigma]
@@ -282,9 +269,9 @@ class LsvModel:
 def clamp_points(spec) -> tuple[float, ...]:
     """Sorted log coordinates (u for eta, w for sigma) where a ``logpoly``
     family meets a clamp, its kinks; () for the tanh and constant families."""
-    if not isinstance(spec, (LogPolyEta, LogPolySigma)):
+    if not isinstance(spec, _ClampedPoly):
         return ()
-    c = spec.coeffs if isinstance(spec, LogPolyEta) else (spec.sigma0, spec.sigma1, spec.sigma2)
+    c = spec.coeffs
     roots = [np.polynomial.polynomial.polyroots((c[0] - lvl, *c[1:])) for lvl in (spec.clamp_lo, spec.clamp_hi)]
     return tuple(sorted(float(r.real) for r in np.concatenate(roots) if r.imag == 0.0))
 
@@ -311,7 +298,7 @@ ATM_REL_TOL = 1e-13
 
 def log_moneyness(model: LsvModel, k: float) -> float:
     """x = log(K / F_V(0)) of a strike 0 < K < inf; exactly 0.0 inside the
-    ATM band ``ATM_REL_TOL``.
+    ATM band ``ATM_REL_TOL``.  A model with eta(S0) <= 0 raises ValueError.
 
     The band test forms K / F_V(0) as the Asian solve forms z / V0 at the
     pivot budget z = K / eta(S0)^2, rounding included, so a strike outside
@@ -320,6 +307,8 @@ def log_moneyness(model: LsvModel, k: float) -> float:
     if not 0 < k < math.inf:
         raise ValueError(f"strike must be positive and finite, got {k}")
     eta0 = float(model.eta.value_log(0.0))
+    if not eta0 > 0.0:
+        raise ValueError(f"eta(S0) must be positive, got {eta0}")
     if abs(k / eta0**2 / model.v0 - 1.0) <= ATM_REL_TOL:
         return 0.0
     return math.log(k / forward_variance_limit(model))

@@ -43,6 +43,7 @@ REL_TOL = 1e-10
 ABS_TOL = 1e-13
 MAX_PANELS = 200
 _EPS = sys.float_info.epsilon
+_MAX_EXPANSIONS = 60  # bracket_root's doublings before it gives up
 
 _GL_N = 10
 _X_N, _W_N = np.polynomial.legendre.leggauss(_GL_N)
@@ -199,13 +200,13 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=4 * sys.float_info.epsilon)
 
 
-def bracket_root(f: Callable[[float], float], lo: float, hi: float, max_expansions: int = 60) -> Bracket:
-    """Double [lo, hi] at ``hi`` until f changes sign."""
+def bracket_root(f: Callable[[float], float], lo: float, hi: float) -> Bracket:
+    """Double [lo, hi] at ``hi`` until f changes sign, ``_MAX_EXPANSIONS`` times at most."""
     flo = f(lo)
     fhi = f(hi)
     n = 0
     while flo * fhi > 0:
-        if n >= max_expansions:
+        if n >= _MAX_EXPANSIONS:
             raise BracketError(f"no sign change after {n} expansions (last [{lo}, {hi}])")
         hi = lo + (hi - lo) * 2.0
         fhi = f(hi)

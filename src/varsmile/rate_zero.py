@@ -585,9 +585,12 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_map(integrand, upper: float, breaks, m: int = 160):
-    """Cumulative integral of ``integrand`` on [0, upper] at m + 1 nodes
-    clustered toward ``upper``, where the integrand may be singular.
+_MAP_STEPS = 160
+
+
+def _cumulative_map(integrand, upper: float, breaks):
+    """Cumulative integral of ``integrand`` on [0, upper] at ``_MAP_STEPS + 1``
+    nodes clustered toward ``upper``, where the integrand may be singular.
 
     ``integrand(y, d)`` is vectorized, with d the exact distance upper - y.
     Each panel is mapped onto [0, 1] and becomes one row of a single kernel
@@ -595,8 +598,8 @@ def _cumulative_map(integrand, upper: float, breaks, m: int = 160):
     at the ``breaks`` (kinks), not returned as nodes: an interpolant through a
     kink node was measured no more accurate.  Returns (nodes, cumulative values).
     """
-    j = np.arange(m + 1)
-    grid = upper * (1.0 - (1.0 - j / m) ** 2)
+    j = np.arange(_MAP_STEPS + 1)
+    grid = upper * (1.0 - (1.0 - j / _MAP_STEPS) ** 2)
     grid[0], grid[-1] = 0.0, upper
     nodes = np.union1d(grid, [p for p in breaks if 0.0 < p < upper])
     width = np.diff(nodes)[:, None]

@@ -288,6 +288,13 @@ class TestSmile:
         with pytest.raises(ValueError, match="samples"):
             mc_price(tanh_model, 0.1, cfg, samples=short)
 
+    def test_rejects_samples_of_other_maturity(self, tanh_model):
+        # samples simulated at T = 1/12 once priced at t = 1/252: ivol 5.25 at x = 0.05, not 1.15
+        cfg = small_cfg(n_paths=200, n_steps=10)
+        rv = simulate_realized_variance(tanh_model, cfg)
+        with pytest.raises(ValueError, match="maturity"):
+            mc_smile(tanh_model, [0.1], 1.0 / 252.0, cfg, samples=rv)
+
 
 class TestDiscreteDiagnostic:
     def test_divisibility(self, tanh_model):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varsmile import (
     ConstantEta,
@@ -19,7 +21,7 @@ from varsmile import (
     model_to_dict,
     validate,
 )
-from varsmile.model import load_model, save_model
+from varsmile.model import clamp_points, load_model, save_model
 
 
 def make(eta, sigma=None, rho=0.0, v0=0.1):
@@ -94,6 +96,42 @@ class TestLogCoeffs:
         assert abs(e0 - f(0.0)) < 1e-12
         assert abs(e1 - d1) <= 1e-6 * max(1.0, abs(d1))
         assert abs(e2 - 0.5 * d2) <= 1e-6 * max(1.0, abs(d2))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _coef(a):
+    # 0, or at least 1e-3 in size: a slope of 1e-311 puts the clamp points
+    # past the float range
+    return st.one_of(st.just(0.0), st.floats(1e-3, a), st.floats(-a, -1e-3))
+
+
+class TestSharedShapes:
+    """The eta and sigma of one shape are one implementation: equal
+    parameters give bit-identical values."""
+
+    U = np.linspace(-4.0, 4.0, 161)
+
+    def _same(self, a, b):
+        for u in (self.U, 0.0, 1.5):
+            assert _bits(a.value_log(u)) == _bits(b.value_log(u))
+            assert _bits(a.dvalue_log(u)) == _bits(b.dvalue_log(u))
+        assert _bits(a.log_coeffs()) == _bits(b.log_coeffs())
+        assert a.is_constant == b.is_constant
+        assert _bits(clamp_points(a)) == _bits(clamp_points(b))
+
+    @given(_coef(3.0), _coef(2.0), _coef(1.0), st.floats(0.01, 2.0), st.floats(0.0, 3.0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_logpoly(self, c0, c1, c2, lo, width):
+        hi = lo + width
+        self._same(LogPolyEta((c0, c1, c2), lo, hi), LogPolySigma(c0, c1, c2, lo, hi))
+
+    @given(st.floats(0.01, 5.0))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_constant(self, c):
+        self._same(ConstantEta(c), ConstantSigma(c))
 
 
 class TestForwardVarianceLimit:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from varsmile import (
     LogPolyEta,
     LogPolySigma,
     LsvModel,
+    McConfig,
     asymptotic_smile,
     black_price,
     forward_variance_limit,
@@ -21,7 +23,9 @@ from varsmile import (
     log_moneyness,
     rate_by_method,
     rate_perfect_corr,
+    rate_zero_rho,
 )
+from varsmile import mc
 from varsmile.errors import ArbitrageError, PrecisionWarning
 
 
@@ -186,6 +190,18 @@ class TestAtmBand:
     def test_log_moneyness_rejects_bad_strikes(self, tanh_model, k):
         with pytest.raises(ValueError, match="finite"):
             log_moneyness(tanh_model, k)
+
+    # eta(S0) = 0 divides by zero, and eta(S0) = -1 squares to a plausible F_V(0)
+    @pytest.mark.parametrize("eta", [LogPolyEta((0.0, -0.5), 0.0, 1.0), LogPolyEta((-1.0, -0.5), -2.0, 1.0)])
+    def test_eta_at_spot_not_positive_rejected(self, tanh_model, eta, monkeypatch):
+        m = replace(tanh_model, eta=eta)
+        with pytest.raises(ValueError, match=r"eta\(S0\)"):
+            log_moneyness(m, 0.1)
+        with pytest.raises(ValueError, match=r"eta\(S0\)"):
+            rate_zero_rho(m, 0.1)
+        monkeypatch.setattr(mc, "_simulate_core", None)  # refused before any simulation
+        with pytest.raises(ValueError, match=r"eta\(S0\)"):
+            mc.mc_smile(m, [0.1], 1.0 / 12.0, McConfig(n_paths=100, n_steps=10, seed=1, maturity=1.0 / 12.0))
 
 
 class TestLinearSmile:
