@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .model import LsvModel, log_moneyness
-from .smile import _vega, implied_vol
+from .smile import implied_vol
 
 __all__ = [
     "McConfig",
@@ -57,8 +57,8 @@ class McConfig:
             raise ValueError("a standard error needs at least 2 independent streams (4 paths)")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not self.maturity > 0:
-            raise ValueError("maturity must be positive")
+        if not (self.maturity > 0 and math.isfinite(self.maturity)):
+            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
 
     @property
     def n_streams(self) -> int:
@@ -76,6 +76,13 @@ class McEstimate:
     def __post_init__(self):
         if not (math.isfinite(self.mean) and self.stderr >= 0):
             raise ValueError("estimate must be finite with nonnegative stderr")
+
+
+def _vega(f: float, k: float, sigma: float, t: float, r: float) -> float:
+    """Black vega of the variance option."""
+    st = sigma * math.sqrt(t)
+    d1 = (math.log(f / k) + 0.5 * st * st) / st
+    return math.exp(-r * t) * f * math.sqrt(t) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
 
 
 def _estimate(samples: np.ndarray, cfg: McConfig, half: np.ndarray) -> McEstimate:

@@ -265,6 +265,17 @@ class LsvModel:
         return replace(self, rho=rho)
 
 
+def real_roots(c) -> list[float]:
+    """Finite real roots of sum_k c[k] u^k.  A leading coefficient whose
+    companion-matrix entries c[k] / c[-1] overflow (or that is 0) is dropped
+    first: its roots lie past the float range."""
+    c = list(c)
+    with np.errstate(all="ignore"):
+        while len(c) > 1 and not np.isfinite(np.divide(c[:-1], c[-1])).all():
+            c.pop()
+    return [float(r.real) for r in np.polynomial.polynomial.polyroots(c) if r.imag == 0.0 and math.isfinite(r.real)]
+
+
 @functools.cache
 def clamp_points(spec) -> tuple[float, ...]:
     """Sorted log coordinates (u for eta, w for sigma) where a ``logpoly``
@@ -272,8 +283,7 @@ def clamp_points(spec) -> tuple[float, ...]:
     if not isinstance(spec, _ClampedPoly):
         return ()
     c = spec.coeffs
-    roots = [np.polynomial.polynomial.polyroots((c[0] - lvl, *c[1:])) for lvl in (spec.clamp_lo, spec.clamp_hi)]
-    return tuple(sorted(float(r.real) for r in np.concatenate(roots) if r.imag == 0.0))
+    return tuple(sorted(r for lvl in (spec.clamp_lo, spec.clamp_hi) for r in real_roots((c[0] - lvl, *c[1:]))))
 
 
 def eta_eval(model: LsvModel, s):

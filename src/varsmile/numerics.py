@@ -1,14 +1,15 @@
 """Shared numerical kernel: singular quadrature and bracketed root finding.
 
 Every integral in the rate-function machinery has an inverse square-root
-singularity at one endpoint.  ``integrate_sqrt_singular`` removes it
-exactly by the substitution u = sqrt(b - y) (mirrored for the left
-endpoint) and integrates the smooth transformed integrand with a
-vectorized adaptive Gauss-Legendre rule: each pass evaluates an n-point and
-a 2n-point rule on every active panel in one integrand call, keeps the
-panels where the two agree to their share of the tolerance and bisects the
-rest.  Integrands are numpy-vectorized and may return several rows, so
-integrals over the same interval share one evaluation.
+singularity at one endpoint.  ``integrate_sqrt_singular`` integrates on
+[0, b] toward the singular end b (callers mirror a singularity at 0 onto
+it), removes it exactly by the substitution u = sqrt(b - y) and integrates
+the smooth transformed integrand with a vectorized adaptive Gauss-Legendre
+rule: each pass evaluates an n-point and a 2n-point rule on every active
+panel in one integrand call, keeps the panels where the two agree to their
+share of the tolerance and bisects the rest.  Integrands are
+numpy-vectorized and may return several rows, so integrals over the same
+interval share one evaluation.
 
 The accuracy is fixed here, not by callers: every integral is accepted at
 max(ABS_TOL, REL_TOL |integral|) within MAX_PANELS panels.
@@ -99,47 +100,42 @@ def count_kernel_calls():
             outer[1] += counter[1]
 
 
-def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, breaks=()):
-    """Integrate f on [a, b] where f may blow up like 1/sqrt(distance) at one end.
+def integrate_sqrt_singular(f: Callable, b: float, breaks=()):
+    """Integrate f on [0, b] where f may blow up like 1/sqrt(b - y) at b.
 
-    ``singular_at`` is "a" or "b".  ``f`` is called as f(y, d), with y a
-    1-D array of points and d the exact distance of each to the singular
-    end (forming b - y inside f would cancel catastrophically near it); it
-    returns an array of the same length, or an (m, len) array of m
-    integrands, and the result is a float, or an array of m integrals.  The
-    singular endpoint is removed by substitution before the panels see the
-    integrand, and no rule evaluates a panel's endpoints.
+    ``f`` is called as f(y, d), with y a 1-D array of points and d the exact
+    distance b - y of each (forming b - y inside f would cancel
+    catastrophically near b); it returns an array of the same length, or an
+    (m, len) array of m integrands, and the result is a float, or an array
+    of m integrals.  A singularity at the lower end is integrated by
+    mirroring the integrand onto [0, b].  The singular endpoint is removed by
+    substitution before the panels see the integrand, and no rule evaluates
+    a panel's endpoints.
 
     A panel is accepted when the n- and 2n-point rules agree to within its
     width's share of max(ABS_TOL, REL_TOL * |integral|), for every row; the
     disagreement also counts how far the integrand, probed 1e-6 half-widths
-    inside each panel end other than the singular point, is from the 2n-node
-    interpolant (a kink nearer an end than any node is otherwise missed by
-    both rules).  The starting panels end at the ``breaks`` (kinks of f) in
-    (a, b).  A panel narrower in y than 16 eps max(|a|, |b|) is accepted, as a
-    kink known to about an ulp cannot be isolated further.
+    inside each panel end other than b, is from the 2n-node interpolant (a
+    kink nearer an end than any node is otherwise missed by both rules).
+    The starting panels end at the ``breaks`` (kinks of f) in (0, b).  A
+    panel narrower in y than 16 eps |b| is accepted, as a kink known to
+    about an ulp cannot be isolated further.
     Raises AccuracyError, with the estimate and the summed disagreement of
     the open panels, when more than MAX_PANELS panels are needed.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration endpoints must be finite")
-    if singular_at not in ("a", "b"):
-        raise ValueError("singular_at must be 'a' or 'b'")
-    if a == b:
+    if not (0.0 <= b < math.inf):
+        raise ValueError(f"requires a finite b >= 0, got {b}")
+    if b == 0.0:
         return 0.0
-    if a > b:
-        raise ValueError("requires a < b")
     counter = _KERNEL_CALLS.get() or [0, 0]
     counter[0] += 1
 
-    end, sign = (b, -1.0) if singular_at == "b" else (a, 1.0)
-
     def g(u):
         d = u * u
-        return 2.0 * u * f(end + sign * d, d)
+        return 2.0 * u * f(b - d, d)
 
-    width = math.sqrt(b - a)
-    cuts = [math.sqrt(abs(p - end)) for p in breaks if a < p < b]  # break p sits at u = sqrt(|p - end|)
+    width = math.sqrt(b)
+    cuts = [math.sqrt(b - p) for p in breaks if 0.0 < p < b]  # break p sits at u = sqrt(b - p)
     if cuts:
         cuts = np.unique([0.0, *cuts, width])
         left, half = cuts[:-1], 0.5 * np.diff(cuts)
@@ -168,7 +164,7 @@ def integrate_sqrt_singular(f: Callable, a: float, b: float, singular_at: str, b
         allowed = np.maximum(ABS_TOL, REL_TOL * np.abs(total))[:, None] * (2.0 * half / width)
         ok = (err <= allowed).all(axis=0)
         # a panel below the rounding floor is accepted; 4 half (left + half) is its width in y
-        if ok.all() or (ok := ok | (4.0 * half * (left + half) < 16.0 * _EPS * max(abs(a), abs(b)))).all():
+        if ok.all() or (ok := ok | (4.0 * half * (left + half) < 16.0 * _EPS * b)).all():
             return float(total[0]) if scalar else total
         done = done + i_2n[:, ok].sum(axis=-1)
         bad = ~ok

@@ -306,7 +306,7 @@ def _coupled_endpoint(mapper: _CoupledMap, a0: float, w_a: float, b: float, extr
         return np.array([1.0 / (sig * r), r / sig])
 
     breaks = (*kinks, *extrema, *(d * w for w in clamp_points(mapper.model.sigma)))
-    f, g = integrate_sqrt_singular(fg, 0.0, t_a, "b", breaks)
+    f, g = integrate_sqrt_singular(fg, t_a, breaks)
     return e_a, float(f), float(g)
 
 

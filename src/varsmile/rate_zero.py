@@ -36,7 +36,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .atm import atm_expansion
 from .errors import ConvergenceError, DegenerateEtaError
-from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness
+from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness, real_roots
 from .numerics import (
     Bracket,
     bracket_root,
@@ -130,7 +130,7 @@ def _fg_integrand(sigma: SigmaSpec, above: bool):
 def _fg(sigma: SigmaSpec, alpha: float, above: bool):
     """Endpoint integrals F, G at the terminal log excursion alpha."""
     fg, breaks = _fg_integrand(sigma, above)
-    f, g = integrate_sqrt_singular(fg, 0.0, alpha, "b", breaks)
+    f, g = integrate_sqrt_singular(fg, alpha, breaks)
     if above:
         return float(f), float(g)
     ea = math.exp(0.5 * alpha)
@@ -224,32 +224,34 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
 
 
 def _endpoint_integrand(eta, u_g: float, gap_sign: float):
-    """Integrand rows (num, den) of the endpoint equation at u, given dist =
-    |u_g - u|.  The gap under the roots is gap_sign (eta^2(u) - eta^2(u_g)),
-    positive on the path: gap_sign is -1 in the call geometry, where eta
-    rises from eta(S0) toward eta(G), and +1 in the put geometry."""
+    """Integrand rows (num, den) of the endpoint equation in the distance
+    s = |u| from S0 on u_G's side, given dist = |u_g| - s = |u_g - u|, and
+    its breaks, eta's clamp points mirrored to that side.  The gap under the
+    roots is gap_sign (eta^2(u) - eta^2(u_g)), positive on the path:
+    gap_sign is -1 in the call geometry, where eta rises from eta(S0) toward
+    eta(G), and +1 in the put geometry."""
     e_g = eta.value_log(u_g)
     side = 1.0 if u_g > 0 else -1.0
 
-    def num_den(u, dist):
-        # formed as a difference with the exact u - u_g: no cancellation as u -> u_g
+    def num_den(s, dist):
+        u = side * s
         e = eta.value_log(u)
+        # formed as a difference with the exact u - u_g: no cancellation as u -> u_g
         gap = gap_sign * eta.diff_log(u, u_g, delta=-side * dist) * (e + e_g)
         root = np.sqrt(np.maximum(gap, 5e-324))
         return np.array([1.0 / (e * root), e / root])
 
-    return num_den
+    return num_den, tuple(side * p for p in clamp_points(eta))
 
 
 def _endpoint_integrals(model: LsvModel, u_g: float, gap_sign: float):
-    """The two integrals of the endpoint equation, on [min(u_g,0), max(u_g,0)].
+    """The two integrals of the endpoint equation between S0 and u_g.
 
     Returned positively oriented; their ratio num/den equals z/K at the
     solution.  Both come from one kernel call.
     """
-    lo, hi, singular = (u_g, 0.0, "a") if u_g < 0 else (0.0, u_g, "b")
-    num_den = _endpoint_integrand(model.eta, u_g, gap_sign)
-    num, den = integrate_sqrt_singular(num_den, lo, hi, singular, clamp_points(model.eta))
+    num_den, breaks = _endpoint_integrand(model.eta, u_g, gap_sign)
+    num, den = integrate_sqrt_singular(num_den, abs(u_g), breaks)
     return float(num), float(den)
 
 
@@ -264,7 +266,7 @@ def _flat_edge(eta, side: float) -> Optional[float]:
     u_c = min(ahead, key=abs)
     poly = np.polynomial.polynomial
     slope = poly.polyder(eta.coeffs)
-    if any(t.imag == 0.0 and 0.0 < t.real / u_c < 1.0 for t in poly.polyroots(slope)):
+    if any(0.0 < t / u_c < 1.0 for t in real_roots(slope)):
         return None
     # one Newton step takes the root to an ulp or so, then ulps toward S0 leave the flat
     u_c -= float(poly.polyval(u_c, eta.coeffs) - eta.value_log(u_c)) / float(poly.polyval(u_c, slope))
@@ -610,7 +612,7 @@ def _cumulative_map(integrand, upper: float, breaks):
         return width * integrand(upper - d, d)
 
     cum = np.zeros(nodes.size)
-    cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 0.0, 1.0, "b"))
+    cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 1.0))
     return grid, cum[np.isin(nodes, grid)]
 
 
@@ -663,13 +665,11 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
     # before t = 1, and the clip holds the path at u_c from there
     m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
 
-    sgn = 1.0 if u_g > 0 else -1.0
-    num_den = _endpoint_integrand(model.eta, u_g, math.copysign(1.0, res.lagrange))
-    breaks = [sgn * p for p in clamp_points(model.eta)]
-    s_nodes, theta_cum = _cumulative_map(lambda s, d: num_den(sgn * s, d)[0], abs(u_g), breaks)
+    num_den, breaks = _endpoint_integrand(model.eta, u_g, math.copysign(1.0, res.lagrange))
+    s_nodes, theta_cum = _cumulative_map(lambda s, d: num_den(s, d)[0], abs(u_g), breaks)
     rhs = math.sqrt(2.0 * abs(res.lagrange)) * m_t
     gamma = PchipInterpolator(theta_cum, s_nodes)(np.clip(rhs, 0.0, theta_cum[-1]))
-    g = log_s0 + sgn * gamma
+    g = log_s0 + (gamma if u_g > 0 else -gamma)
     g[0] = log_s0
 
     return PathPair(t, g, h)

@@ -13,6 +13,7 @@ from scipy.special import ndtr
 from .errors import ArbitrageError, PrecisionWarning
 from .model import LsvModel, log_moneyness
 from .atm import atm_expansion
+from .numerics import Bracket, find_root
 from .rate_general import RATE_METHODS, rate_by_method
 
 __all__ = [
@@ -60,21 +61,18 @@ def black_price(f: float, k: float, sigma: float, t: float, r: float = 0.0, flag
     raise ValueError("flag must be 'call' or 'put'")
 
 
-def _vega(f: float, k: float, sigma: float, t: float, r: float) -> float:
-    st = sigma * math.sqrt(t)
-    d1 = (math.log(f / k) + 0.5 * st * st) / st
-    return math.exp(-r * t) * f * math.sqrt(t) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-
-
 def implied_vol(price: float, f: float, k: float, t: float, r: float = 0.0, flag: str = "call") -> float:
-    """Invert the Black formula: bisection bracket then Newton polish.
+    """Invert the Black formula by Brent's method (``find_root``) on the
+    vol bracket [1e-8, 10].
 
-    Raises ArbitrageError outside the static band; warns (PrecisionWarning)
-    and returns the best vol when the price pins the bracket floor or vega
-    underflows.
+    Raises ValueError on a non-finite price and ArbitrageError outside the
+    static band; warns (PrecisionWarning) and returns the bracket floor when
+    the price is within roundoff of intrinsic.
     """
     if f <= 0 or k <= 0 or t <= 0:
         raise ValueError("f, k, t must be positive")
+    if not math.isfinite(price):
+        raise ValueError(f"price must be finite, got {price}")
     disc = math.exp(-r * t)
     if flag == "call":
         intrinsic, upper = disc * max(f - k, 0.0), disc * f
@@ -90,38 +88,13 @@ def implied_vol(price: float, f: float, k: float, t: float, r: float = 0.0, flag
     def diff(sig):
         return black_price(f, k, sig, t, r, flag) - price
 
-    lo, hi = _VOL_FLOOR, _VOL_CEIL
-    f_lo = diff(lo)
-    if f_lo >= -1e-14 * f:
+    if diff(_VOL_FLOOR) >= -1e-14 * f:
         # price within roundoff of intrinsic: the vol is pinned at the floor
         warnings.warn("price at or below the bracket-floor vol; returning floor", PrecisionWarning)
-        return lo
-    if diff(hi) < 0.0:
+        return _VOL_FLOOR
+    if diff(_VOL_CEIL) < 0.0:
         raise ValueError(f"implied vol above bracket ceiling {_VOL_CEIL}")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if diff(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
-    sigma = 0.5 * (lo + hi)
-
-    for _ in range(50):
-        err = diff(sigma)
-        if err == 0.0:
-            break
-        vega = _vega(f, k, sigma, t, r)
-        if vega < 1e-300:
-            warnings.warn("flat vega; implied vol at reduced precision", PrecisionWarning)
-            break
-        step = err / vega
-        sigma = min(max(sigma - step, _VOL_FLOOR), _VOL_CEIL)
-        if abs(step) <= 1e-12 * max(1.0, sigma):
-            break
-    return sigma
+    return find_root(diff, Bracket(_VOL_FLOOR, _VOL_CEIL), tol=1e-15)
 
 
 def _sigma_from_rate(x: float, rate: float) -> float:

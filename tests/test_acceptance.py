@@ -230,7 +230,7 @@ def test_c10_property_suites(tanh_model, tmp_path, capsys):
     # singular-quadrature exactness on analytic integrals
     poly = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.25, 0.1, 0.05])
     exact = float(poly.integ()(1.0) - poly.integ()(0.0))
-    assert abs(integrate_sqrt_singular(lambda y, d: poly(y), 0.0, 1.0, "b") - exact) <= 1e-12
-    assert abs(integrate_sqrt_singular(lambda y, d: 1.7 / np.sqrt(2.0 - y), 0.0, 2.0, "b")
+    assert abs(integrate_sqrt_singular(lambda y, d: poly(y), 1.0) - exact) <= 1e-12
+    assert abs(integrate_sqrt_singular(lambda y, d: 1.7 / np.sqrt(2.0 - y), 2.0)
                - 1.7 * 2.0 * math.sqrt(2.0)) <= 1e-12
     report(10, f"round trip worst {worst:.1e}; parity, determinism, quadrature exact")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,19 @@ class TestTable1:
 
 
 class TestRate:
+    def test_subnormal_leading_coefficient(self, capsys, tmp_path):
+        # a u^2 coefficient of 1e-310 gives the rates of the linear eta
+        payloads = []
+        for coeffs in ([1.0, -0.3, 1e-310], [1.0, -0.3]):
+            m = tmp_path / "m.json"
+            data = json.loads(MODEL.read_text())
+            data["eta"] = {"type": "logpoly", "coeffs": coeffs, "clamp_lo": 0.85, "clamp_hi": 1.15}
+            m.write_text(json.dumps(data))
+            code, out, _ = run(["rate", "--model", str(m), "--x", "0.1"], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert payloads[0] == payloads[1]
+
     def test_atm_zero(self, capsys):
         code, out, _ = run(["rate", "--model", str(MODEL), "--k", "0.1"], capsys)
         assert code == 0
@@ -214,6 +228,17 @@ class TestErrorPaths:
         code, _, err = run(["mc", "--model", str(bad), "--k", "0.1", "--paths", "4", "--steps", "1"], capsys)
         assert code == 2
         assert f"{key} must be a finite number" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    def test_non_finite_maturity_exit_2(self, capsys, monkeypatch):
+        def simulate(*_):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr("varsmile.mc.simulate_realized_variance", simulate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(["mc", "--model", str(MODEL), "--k", "0.1", "--T", "inf"], capsys)
+        assert code == 2
+        assert "maturity must be positive and finite" in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_unknown_model_key_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -39,6 +39,9 @@ class TestConfig:
             McConfig(n_steps=0)
         with pytest.raises(ValueError):
             McConfig(maturity=0.0)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                McConfig(maturity=t)
 
     def test_needs_two_streams(self):
         # one antithetic pair leaves no standard error (ddof=1)

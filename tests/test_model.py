@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varsmile import (
@@ -103,9 +103,8 @@ def _bits(x):
 
 
 def _coef(a):
-    # 0, or at least 1e-3 in size: a slope of 1e-311 puts the clamp points
-    # past the float range
-    return st.one_of(st.just(0.0), st.floats(1e-3, a), st.floats(-a, -1e-3))
+    # every float in [-a, a], subnormals included
+    return st.floats(-a, a)
 
 
 class TestSharedShapes:
@@ -123,6 +122,7 @@ class TestSharedShapes:
         assert _bits(clamp_points(a)) == _bits(clamp_points(b))
 
     @given(_coef(3.0), _coef(2.0), _coef(1.0), st.floats(0.01, 2.0), st.floats(0.0, 3.0))
+    @example(0.0, 2.2e-311, 0.0, 1.0, 0.0)  # clamp points past the float range
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_logpoly(self, c0, c1, c2, lo, width):
         hi = lo + width
@@ -132,6 +132,16 @@ class TestSharedShapes:
     @settings(max_examples=50, derandomize=True, deadline=None)
     def test_constant(self, c):
         self._same(ConstantEta(c), ConstantSigma(c))
+
+
+class TestClampPoints:
+    def test_roots_past_the_float_range_dropped(self):
+        # a slope of 2.2e-311 meets the clamps only past the float range
+        assert clamp_points(LogPolyEta((0.0, 2.2e-311, 0.0), 1.0, 1.0)) == ()
+        # a u^2 coefficient of 1e-310 adds a second root past it at each clamp
+        tiny = LogPolyEta((1.0, -0.3, 1e-310), 0.85, 1.15)
+        assert clamp_points(tiny) == clamp_points(LogPolyEta((1.0, -0.3), 0.85, 1.15))
+        assert np.allclose(clamp_points(tiny), (-0.5, 0.5), rtol=1e-15, atol=0.0)
 
 
 class TestForwardVarianceLimit:

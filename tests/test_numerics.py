@@ -30,15 +30,15 @@ def trapezoid_oracle_exp_singular():
 
 class TestIntegrateSqrtSingular:
     def test_inverse_sqrt_exact(self):
-        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(1.0 - y), 0.0, 1.0, "b")
+        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(1.0 - y), 1.0)
         assert abs(val - 2.0) < 1e-10
 
     def test_polynomial(self):
-        assert abs(integrate_sqrt_singular(lambda y, d: y, 0.0, 1.0, "b") - 0.5) < 1e-13
+        assert abs(integrate_sqrt_singular(lambda y, d: y, 1.0) - 0.5) < 1e-13
 
     def test_exp_singular_frozen(self):
         val = integrate_sqrt_singular(
-            lambda y, d: 1.0 / np.sqrt(math.e - np.exp(y)), 0.0, 1.0, "b"
+            lambda y, d: 1.0 / np.sqrt(math.e - np.exp(y)), 1.0
         )
         assert abs(val - INT_EXP_SINGULAR) < 1e-9
 
@@ -50,27 +50,33 @@ class TestIntegrateSqrtSingular:
     def test_polynomials_exact(self, coeffs):
         poly = np.polynomial.Polynomial(coeffs)
         exact = float(poly.integ()(2.0) - poly.integ()(0.5))
-        val = integrate_sqrt_singular(lambda y, d: poly(y), 0.5, 2.0, "b")
+        val = integrate_sqrt_singular(lambda y, d: poly(0.5 + y), 1.5)  # on [0.5, 2]
         assert abs(val - exact) < 1e-12
 
     @given(st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
     def test_scaled_inverse_sqrt_exact(self, c):
-        val = integrate_sqrt_singular(lambda y, d: c / np.sqrt(3.0 - y), 1.0, 3.0, "b")
+        val = integrate_sqrt_singular(lambda y, d: c / np.sqrt(2.0 - y), 2.0)  # c / sqrt(3 - y) on [1, 3]
         assert abs(val - c * 2.0 * math.sqrt(2.0)) < 1e-12
 
     def test_singular_at_a(self):
-        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(y), 0.0, 1.0, "a")
+        # dt / sqrt(t) on [0, 1], singular at the lower end: mirrored onto
+        # the kernel's [0, b] with t = b - y, which the kernel passes as d
+        def g(t):
+            return 1.0 / np.sqrt(t)
+
+        val = integrate_sqrt_singular(lambda y, d: g(d), 1.0)
         assert abs(val - 2.0) < 1e-12
 
     def test_pass_distance(self):
-        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(d), 0.0, 1.0, "b")
+        val = integrate_sqrt_singular(lambda y, d: 1.0 / np.sqrt(d), 1.0)
         assert abs(val - 2.0) < 1e-12
 
     def test_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_PANELS", 2)
         with pytest.raises(AccuracyError) as exc:
-            integrate_sqrt_singular(lambda y, d: np.sin(200.0 / (y + 0.01)), 0.0, 1.0, "a")
+            # sin(200 / (y + 0.01)) on [0, 1], mirrored: y = d
+            integrate_sqrt_singular(lambda y, d: np.sin(200.0 / (d + 0.01)), 1.0)
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error_bound >= 0
 
@@ -78,16 +84,15 @@ class TestIntegrateSqrtSingular:
         c = 0.3  # |y - c| / sqrt(1 - y) on [0, 1] integrates to 8/3 a^(3/2) - 2a + 2/3, a = 1 - c
         for breaks in ((c,), ()):
             with numerics.count_kernel_calls() as counts:
-                val = integrate_sqrt_singular(lambda y, d: np.abs(y - c) / np.sqrt(d), 0.0, 1.0, "b", breaks)
+                val = integrate_sqrt_singular(lambda y, d: np.abs(y - c) / np.sqrt(d), 1.0, breaks)
             assert abs(val - (8.0 / 3.0 * 0.7**1.5 - 1.4 + 2.0 / 3.0)) <= 1e-12
             assert counts[0] == 1 and (counts[1] == 1 if breaks else counts[1] > 2)
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            integrate_sqrt_singular(lambda y, d: y, 1.0, 0.0, "a")
-        with pytest.raises(ValueError):
-            integrate_sqrt_singular(lambda y, d: y, 0.0, 1.0, "middle")
-        assert integrate_sqrt_singular(lambda y, d: y, 1.0, 1.0, "a") == 0.0
+        for b in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrate_sqrt_singular(lambda y, d: y, b)
+        assert integrate_sqrt_singular(lambda y, d: y, 0.0) == 0.0
 
 
 tanh_etas = st.builds(
@@ -113,19 +118,20 @@ def _clamp_kinks(eta, a, b):
     return sorted(kinks)
 
 
-def _quadpack_reference(smooth, a, b, singular_at, kinks):
-    """int_a^b smooth(y) / sqrt(distance to the singular end) by QUADPACK,
-    split at the kinks; the piece at the singular end uses the QAWS rule,
-    which integrates smooth against the algebraic weight directly."""
+def _quadpack_reference(smooth, a, b, lower, kinks):
+    """int_a^b smooth(y) / sqrt(distance to the singular end, a if ``lower``
+    else b) by QUADPACK, split at the kinks; the piece at the singular end
+    uses the QAWS rule, which integrates smooth against the algebraic weight
+    directly."""
     cuts = [a, *kinks, b]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if singular_at == "a" and lo == a:
+        if lower and lo == a:
             val = quad(smooth, lo, hi, weight="alg", wvar=(-0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=500)[0]
-        elif singular_at == "b" and hi == b:
+        elif not lower and hi == b:
             val = quad(smooth, lo, hi, weight="alg", wvar=(0.0, -0.5), epsabs=0.0, epsrel=1e-13, limit=500)[0]
         else:
-            end = a if singular_at == "a" else b
+            end = a if lower else b
             val = quad(lambda y: smooth(y) / math.sqrt(abs(y - end)), lo, hi,
                        epsabs=0.0, epsrel=1e-13, limit=500)[0]
         total += val
@@ -134,13 +140,15 @@ def _quadpack_reference(smooth, a, b, singular_at, kinks):
 
 class TestKernelAgainstQuadpack:
     """The kernel against scipy's QUADPACK on eta-shaped integrands with an
-    inverse square-root endpoint singularity."""
+    inverse square-root singularity at either end of [a, b].  The kernel
+    integrates on [0, b - a] toward the singular end, so a singularity at a
+    is mirrored onto it: y = a + d, with d the distance the kernel passes."""
 
     @given(
         eta=st.one_of(tanh_etas, logpoly_etas),
         a=st.floats(-1.5, 1.0),
         width=st.floats(0.01, 2.0),
-        singular_at=st.sampled_from(["a", "b"]),
+        lower=st.booleans(),
         invert=st.booleans(),
     )
     # a kink 0.009 inside the regular end, nearer than any node of either rule
@@ -149,15 +157,17 @@ class TestKernelAgainstQuadpack:
                        0.7901922965746442, 1.3581204198006676),
         a=0.42984596319252644,
         width=1.5082228037848893,
-        singular_at="b",
+        lower=False,
         invert=True,
     )
+    # int_0^1 dy / sqrt(y) = 2, singular at the lower end
+    @example(eta=TanhEta(1.0, 0.0), a=0.0, width=1.0, lower=True, invert=False)
     @settings(max_examples=60, deadline=None)
-    def test_inverse_sqrt_weighted(self, eta, a, width, singular_at, invert):
+    def test_inverse_sqrt_weighted(self, eta, a, width, lower, invert):
         b = a + width
         smooth = (lambda y: 1.0 / eta.value_log(y)) if invert else eta.value_log
-        val = integrate_sqrt_singular(lambda y, d: smooth(y) / np.sqrt(d), a, b, singular_at)
-        ref = _quadpack_reference(lambda y: float(smooth(y)), a, b, singular_at, _clamp_kinks(eta, a, b))
+        val = integrate_sqrt_singular(lambda s, d: smooth(a + d if lower else b - d) / np.sqrt(d), width)
+        ref = _quadpack_reference(lambda y: float(smooth(y)), a, b, lower, _clamp_kinks(eta, a, b))
         assert abs(val - ref) <= 1e-10 * abs(ref)
 
 

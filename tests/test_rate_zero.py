@@ -283,6 +283,20 @@ class TestGEndpoint:
         g = rate_zero_rho(tanh_model, 0.08).g_endpoint
         assert g > tanh_model.s0
 
+    # |f1| from 0.01: a flatter eta takes the constant-eta shortcut, with no endpoint
+    @given(st.floats(0.8, 1.5), st.floats(0.01, 0.5), st.sampled_from([1.0, -1.0]), st.floats(0.01, 3.0))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_put_side_is_the_mirrored_call_side(self, f0, slope, gap_sign, a):
+        # the endpoint integrals run over the distance from S0: at -a they are
+        # those of the mirror image eta(-u) at a, bit for bit
+        f1 = gap_sign * slope  # gap_sign (eta^2(u) - eta^2(u_G)) > 0 on the path, on both sides
+
+        def model(eta):
+            return LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=eta, sigma=ConstantSigma(2.0))
+
+        put = _endpoint_integrals(model(TanhEta(f0, f1, 0.0)), -a, gap_sign)
+        assert put == _endpoint_integrals(model(TanhEta(f0, -f1, 0.0)), a, gap_sign)
+
     def test_search_stays_inside_the_cap(self, tanh_model, monkeypatch):
         # at x = 3 no u_G the iteration probes may pass |u_G| = 40, where
         # cosh overflows in eta's slope (a RuntimeWarning) and tanh reads as
@@ -448,6 +462,16 @@ class TestRateZeroRho:
         monkeypatch.setattr("varsmile.numerics.MAX_PANELS", 1)
         with pytest.raises(AccuracyError):
             rate_zero_rho(m, k)
+
+    @pytest.mark.parametrize("x", [0.15, -0.15, 0.6, -0.6, 1.5])
+    def test_subnormal_leading_coefficient(self, x):
+        # the u^2 coefficient 1e-310 meets each clamp a second time past the
+        # float range: the model is KINKED, bit for bit
+        m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=LogPolyEta((1.0, -0.3, 1e-310), 0.85, 1.15), sigma=KINKED.sigma)
+        k = forward_variance_limit(KINKED) * math.exp(x)
+        res, ref = rate_zero_rho(m, k), rate_zero_rho(KINKED, k)
+        assert (res.value, res.z_star, res.g_endpoint) == (ref.value, ref.z_star, ref.g_endpoint)
+        assert res.diagnostics == ref.diagnostics
 
     def test_constant_eta_shortcut(self):
         m = LsvModel(s0=2.0, v0=0.1, rho=0.0, eta=ConstantEta(1.2), sigma=ConstantSigma(2.0))

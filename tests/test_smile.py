@@ -94,6 +94,11 @@ class TestImpliedVol:
         assert any(issubclass(w.category, PrecisionWarning) for w in caught)
         assert vol <= 1e-6
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ValueError, match="finite"):
+            implied_vol(price, 0.1, 0.1, 1.0 / 12.0)
+
     def test_band_edges(self):
         with pytest.raises(ArbitrageError):
             implied_vol(0.1, 0.1, 0.12, 1.0, 0.0, "call")  # price = e^{-rT} F
