@@ -55,6 +55,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line of formatted values per row."""
+    return "\n".join([",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
 def _parse_grid(spec: str) -> list[float]:
     """lo:hi:n inclusive grid, or a single number."""
     parts = spec.split(":")
@@ -146,13 +151,9 @@ def _cmd_rate(args) -> int:
 def _cmd_smile(args) -> int:
     model = _load_checked(args.model)
     strikes = _strikes_from_args(model, args)
-    lines = ["K,x,sigma_v,method,lo,hi"]
-    for k in strikes:
-        pt = smile_mod.asymptotic_smile(model, k, rate_method=args.method)
-        lines.append(
-            ",".join(_fmt(v) for v in (pt.strike, pt.x, pt.sigma_v, pt.method, pt.lo, pt.hi))
-        )
-    _write(args.out, "\n".join(lines) + "\n")
+    points = (smile_mod.asymptotic_smile(model, k, rate_method=args.method) for k in strikes)
+    rows = ((pt.strike, pt.x, pt.sigma_v, pt.method, pt.lo, pt.hi) for pt in points)
+    _write(args.out, _csv(("K", "x", "sigma_v", "method", "lo", "hi"), rows))
     return 0
 
 
@@ -183,9 +184,7 @@ def _cmd_mc(args) -> int:
     sm = mc_mod.mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
     t2 = time.perf_counter()
     fields = ("strike", "x", "call", "call_se", "put", "put_se", "ivol", "ivol_se")
-    lines = ["K,x,call,call_se,put,put_se,ivol,ivol_se"]
-    lines += [",".join(_fmt(getattr(row, f)) for f in fields) for row in sm]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, _csv(("K", *fields[1:]), ([getattr(row, f) for f in fields] for row in sm)))
     meta = {
         "seed": cfg.seed,
         "config": asdict(cfg),
@@ -214,11 +213,7 @@ def _cmd_table1(args) -> int:
         rows.append(row)
 
     header = ["rho", "sigma_v_atm", "s_v"] + (["fv_mc", "fv_mc_se"] if args.mc else [])
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(h)) for h in header))
-    text = "\n".join(lines) + "\n" + _SKEW_NOTE + "\n"
-    _write(args.out, text)
+    _write(args.out, _csv(header, ([row.get(h) for h in header] for row in rows)) + _SKEW_NOTE + "\n")
     return 0
 
 
@@ -226,21 +221,15 @@ def _cmd_figures(args) -> int:
     model = _load_checked(args.model)
     cfg = _cfg_from_args(args, default_t=1.0 / 252.0)
     xs = _parse_grid(args.x) if args.x else list(np.linspace(-0.1, 0.1, 21))
-    lines = ["rho,T,K,x,mc_ivol,mc_ivol_se,lin_ivol,reliable"]
+    rows = []
     for rho in (-0.7, 0.0, 0.7):
         m = replace(model, rho=rho)
         fv0 = forward_variance_limit(m)
-        strikes = [fv0 * math.exp(x) for x in xs]
-        sm = mc_mod.mc_smile(m, strikes, cfg.maturity, cfg)
+        sm = mc_mod.mc_smile(m, [fv0 * math.exp(x) for x in xs], cfg.maturity, cfg)
         for row in sm:
             lin = smile_mod.linear_smile(m, row.x)
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (rho, cfg.maturity, row.strike, row.x, row.ivol, row.ivol_se, lin, row.reliable)
-                )
-            )
-    _write(args.out, "\n".join(lines) + "\n")
+            rows.append((rho, cfg.maturity, row.strike, row.x, row.ivol, row.ivol_se, lin, row.reliable))
+    _write(args.out, _csv(("rho", "T", "K", "x", "mc_ivol", "mc_ivol_se", "lin_ivol", "reliable"), rows))
     return 0
 
 
@@ -248,7 +237,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="varsmile", description="Variance-option asymptotics and Monte Carlo")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mc_opts=False, method=False):
+    def common(sp, mc_opts=False, method=False, strikes=False):
         sp.add_argument("--model", required=True, help="model JSON file")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         if method:
@@ -258,17 +247,16 @@ def _build_parser() -> _Parser:
             sp.add_argument("--paths", type=int, default=100_000)
             sp.add_argument("--steps", type=int, default=2000)
             sp.add_argument("--seed", type=int, default=0)
+        if strikes:
+            sp.add_argument("--k", default=None, help="strike (variance units) or lo:hi:n")
+            sp.add_argument("--x", default=None, help="log-moneyness or lo:hi:n")
 
     sp = sub.add_parser("rate", help="rate function at one or more strikes")
-    common(sp, method=True)
-    sp.add_argument("--k", default=None, help="strike (variance units) or lo:hi:n")
-    sp.add_argument("--x", default=None, help="log-moneyness or lo:hi:n")
+    common(sp, method=True, strikes=True)
     sp.set_defaults(func=_cmd_rate)
 
     sp = sub.add_parser("smile", help="asymptotic implied-vol smile CSV")
-    common(sp, method=True)
-    sp.add_argument("--k", default=None)
-    sp.add_argument("--x", default=None)
+    common(sp, method=True, strikes=True)
     sp.set_defaults(func=_cmd_smile)
 
     sp = sub.add_parser("atm", help="ATM constants: vol level, skew, sqrt(T) price limit")
@@ -276,9 +264,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_atm)
 
     sp = sub.add_parser("mc", help="Monte Carlo price/smile CSV with metadata JSON")
-    common(sp, mc_opts=True)
-    sp.add_argument("--k", default=None)
-    sp.add_argument("--x", default=None)
+    common(sp, mc_opts=True, strikes=True)
     sp.set_defaults(func=_cmd_mc)
 
     sp = sub.add_parser("table1", help="ATM level and skew for rho in {-0.7, 0, 0.7}")

@@ -43,7 +43,8 @@ _STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
 class McConfig:
     """Simulation controls; immutable so runs can echo it verbatim.
 
-    ``n_paths`` counts paths, two per antithetic pair."""
+    ``n_paths`` counts paths, two per antithetic pair.  ``seed`` is an
+    integer in [0, 2**63), the range the Philox key holds exactly."""
 
     n_paths: int = 100_000
     n_steps: int = 2000
@@ -59,6 +60,8 @@ class McConfig:
             raise ValueError("n_steps must be >= 1")
         if not (self.maturity > 0 and math.isfinite(self.maturity)):
             raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**63):
+            raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
 
     @property
     def n_streams(self) -> int:

@@ -182,18 +182,16 @@ def integrate_sqrt_singular(f: Callable, b: float, breaks=()):
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12) -> float:
-    """Bracketed root via Brent's method; never steps outside the bracket."""
-    flo = f(bracket.lo)
-    fhi = f(bracket.hi)
-    if flo == 0.0:
-        return bracket.lo
-    if fhi == 0.0:
-        return bracket.hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: f={flo:.6g}, {fhi:.6g}"
-        )
-    return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=4 * sys.float_info.epsilon)
+    """Bracketed root via Brent's method; never steps outside the bracket and
+    evaluates each end once (brentq does, returning an end where f is 0)."""
+    try:
+        return brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=4 * sys.float_info.epsilon)
+    except ValueError:
+        # the ends are evaluated again only to tell brentq's sign error from f's own
+        flo, fhi = f(bracket.lo), f(bracket.hi)
+        if flo * fhi > 0:
+            raise BracketError(f"no sign change on [{bracket.lo}, {bracket.hi}]: f={flo:.6g}, {fhi:.6g}") from None
+        raise
 
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float) -> Bracket:

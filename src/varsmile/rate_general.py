@@ -30,7 +30,6 @@ from .paths import PathPair
 from .rate_zero import (
     RateResult,
     _asian_seed,
-    _eta_flat,
     _paths_from_rate,
     asian_rate_j,
     rate_zero_rho,
@@ -130,8 +129,8 @@ def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
     correlated-path bound.  The action on the rho = 0 paths takes their exact
     leg costs g0 + h0 = I0 and sums only the cross term C = int a b dt on
     them: (g0 - rho C + rho^2 h0)/(1-rho^2) + h0, which is I0 at rho = 0.
-    The cross term drops out at rho = 0 and for flat eta (a = 0), and is
-    not summed there.
+    The cross term drops out at rho = 0 and for flat eta (a = 0; the rho = 0
+    rate reports it as ``constant_eta``), and is not summed there.
     """
     rho = model.rho
     if abs(rho) >= 1.0:
@@ -144,7 +143,7 @@ def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
     uppers: list[tuple[str, float]] = [("scaled_zero_corr", i0 / (1.0 - abs(rho)))]
 
     cross = 0.0
-    if rho != 0.0 and not _eta_flat(model):
+    if rho != 0.0 and "constant_eta" not in res0.diagnostics:
         paths0 = _paths_from_rate(model0, k, res0, 401)
         dg, dh, eta_m, _, sig_m, _, v_m = _midpoint_pieces(model, paths0.g, paths0.h, paths0.dt)
         cross = float(np.sum(dg * dh / (eta_m * np.sqrt(v_m) * sig_m)) * paths0.dt)

@@ -163,9 +163,10 @@ def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
     """J(V0, z): the variance-leg rate, the least energy of h with
     (1/V0) int e^h dt = z/V0, by quadrature plus root finding.
 
-    The root in the terminal log excursion alpha is bracketed from |log(z/V0)|
-    upward, with the first probe just past the constant vol-of-vol root, so it
-    does not run far past the root (across a clamp kink, say) when sigma varies slowly.
+    The root is the terminal log excursion alpha whose budget
+    (``_variance_leg``) is z.  It is bracketed from |log(z/V0)| upward, with
+    the first probe just past the constant vol-of-vol root, so it does not run
+    far past the root (across a clamp kink, say) when sigma varies slowly.
     """
     if v0 <= 0 or z <= 0:
         raise ValueError("v0 and z must be positive")
@@ -174,18 +175,17 @@ def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
         return AsianRateSolution(0.0, "atm")
 
     above = zr > 1.0
-    seen = {}  # find_root re-evaluates the ends bracket_root returns
+    sign = 1.0 if above else -1.0
+    seen = {}  # find_root evaluates again the ends bracket_root returns
 
     def phi(alpha):
         if alpha not in seen:
-            seen[alpha] = _fg(sigma, alpha, above)
-        f, g = seen[alpha]
-        return (math.exp(alpha) - zr if above else zr - math.exp(-alpha)) - g / f
+            seen[alpha] = _variance_leg(sigma, v0, alpha, above)
+        return sign * (seen[alpha][0] - z) / v0
 
     lo = abs(math.log(zr))  # e^alpha >= zr (above) or e^-alpha <= zr (below) at the root
     alpha = find_root(phi, bracket_root(phi, lo, _asian_seed(zr)), tol=1e-13)
-    f, g = seen[alpha]
-    return AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
+    return seen[alpha][1]
 
 
 def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
@@ -255,15 +255,11 @@ def _endpoint_integrals(model: LsvModel, u_g: float, gap_sign: float):
     return float(num), float(den)
 
 
-def _flat_edge(eta, side: float) -> Optional[float]:
-    """The plateau edge u_c on the side ``side`` of S0: the last point before
-    the nearest clamp point there, where eta turns flat, if eta is monotone
-    from S0 to it.  None otherwise: with no clamp point (tanh) or past an
-    interior extremum of eta, the free endpoint reaches every feasible budget."""
-    ahead = [p for p in clamp_points(eta) if p * side > 0.0]
-    if not ahead:
-        return None
-    u_c = min(ahead, key=abs)
+def _flat_edge(eta, u_c: float) -> Optional[float]:
+    """The plateau edge before the clamp point u_c, the nearest one on its
+    side of S0: the last point there before eta turns flat, if eta is
+    monotone from S0 to it.  None past an interior extremum of eta, where the
+    free endpoint reaches every feasible budget."""
     poly = np.polynomial.polynomial
     slope = poly.polyder(eta.coeffs)
     if any(0.0 < t / u_c < 1.0 for t in real_roots(slope)):
@@ -291,22 +287,16 @@ def _asset_leg(model: LsvModel, z: float, k: float, u_g: float, gap_sign: float,
     return model.s0 * math.exp(u_g), cost, lam, eta_g
 
 
-def _asian_fields(sol: AsianRateSolution) -> dict:
-    return {"alpha": sol.alpha, "branch": sol.branch, "f_value": sol.f_value, "g_value": sol.g_value}
-
-
-def _variance_leg(model: LsvModel, alpha: float, above: bool):
+def _variance_leg(sigma: SigmaSpec, v0: float, alpha: float, above: bool):
     """Budget z and Asian solution of the variance leg whose terminal log
-    excursion is ``alpha`` on the above (z > V0) or below branch.
+    excursion is ``alpha`` > 0 on the above (z > V0) or below branch.
 
     One endpoint-integral call gives F and G; the Asian root condition then
     fixes z = V0 (e^alpha - G/F) above and V0 (e^-alpha + G/F) below, with
     J = F G / 2.  No root is solved.
     """
-    if alpha == 0.0:
-        return model.v0, AsianRateSolution(0.0, "atm")
-    f, g = _fg(model.sigma, alpha, above)
-    z = model.v0 * (math.exp(alpha) - g / f if above else math.exp(-alpha) + g / f)
+    f, g = _fg(sigma, alpha, above)
+    z = v0 * (math.exp(alpha) - g / f if above else math.exp(-alpha) + g / f)
     return z, AsianRateSolution(0.5 * f * g, "above" if above else "below", alpha=alpha, f_value=f, g_value=g)
 
 
@@ -362,9 +352,9 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     V0 and the pivot, on the plateau branch z/K between 1/eta_c^2 and
     num_c/den_c, every value finite and each residual no larger than those
     tolerances times the first differences' slopes.  Returns (z, Asian
-    solution, ``_asset_leg`` tuple, evaluations, asset branch "free" or
-    "plateau"); any other outcome raises ConvergenceError, with the last
-    (alpha, u_G) and both residuals.
+    solution, ``_asset_leg`` tuple, u_G (u_c on the plateau branch),
+    evaluations, asset branch "free" or "plateau"); any other outcome raises
+    ConvergenceError, with the last (alpha, u_G) and both residuals.
     """
     above = z_pivot > model.v0
     gap_sign = -1.0 if above else 1.0
@@ -375,7 +365,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     def plateau_edge():
         nonlocal edge
         if edge is None:
-            u_c = _flat_edge(model.eta, side)
+            u_c = _flat_edge(model.eta, nearest)
             edge = () if u_c is None else (u_c, *_endpoint_integrals(model, u_c, gap_sign))
         return edge
 
@@ -400,7 +390,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     def variance_part(a):
         if not 0.0 < a <= _LOG_CAP:
             raise fail(f"alpha = {a!r} left (0, {_LOG_CAP}]")
-        z, sol = _variance_leg(model, a, above)
+        z, sol = _variance_leg(model.sigma, model.v0, a, above)
         return np.array([z / k, math.log(sol.f_value / sqrt_v0)]), (z, sol)
 
     def asset_part(u_g):
@@ -467,7 +457,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
             if np.any(np.abs(r) > allowed):
                 raise fail(f"residual {np.abs(r).tolist()} exceeds {allowed.tolist()} at the root")
             z, sol = h_leg
-            return z, sol, certified(z, sol, den, _asset_leg(model, z, k, u, gap_sign, den, k)), evals, "free"
+            return z, sol, certified(z, sol, den, _asset_leg(model, z, k, u, gap_sign, den, k)), u, evals, "free"
         # a secant over a step shorter than the first difference's is mostly rounding
         if abs(step_a) > da:
             col_a = (a_new - a_val) / step_a
@@ -513,7 +503,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
                 raise fail(f"plateau root z/K = {a_new[0]!r} outside [{1.0 / eta_c**2!r}, {num_c / den_c!r}]")
             z, sol = h_leg
             leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(eta_c**2 * z - k))
-            return z, sol, certified(z, sol, flat, leg), evals, "plateau"
+            return z, sol, certified(z, sol, flat, leg), u_c, evals, "plateau"
         if abs(step) > da:
             col_a, slope = (a_new - a_val) / step, (res_new - res) / step
         a_val, res = a_new, res_new
@@ -533,9 +523,11 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
 
     The diagnostics are plain JSON: the variance leg's ``alpha``,
     ``branch``, ``f_value``, ``g_value``; the asset leg's ``asset_branch``
-    ("free" or "plateau"), or ``constant_eta``; ``derivative_evals``
-    (evaluations of the system); ``kernel_calls`` and ``kernel_passes``
-    (quadrature kernel calls made by this rate and their passes).
+    ("free" or "plateau") and its endpoint ``u_g`` = log(G/S0) as solved
+    (the plateau edge u_c on that branch), or ``constant_eta``;
+    ``derivative_evals`` (evaluations of the system); ``kernel_calls`` and
+    ``kernel_passes`` (quadrature kernel calls made by this rate and their
+    passes).
     """
     if model.rho != 0.0:
         raise ValueError("rate_zero_rho requires a model with rho = 0")
@@ -559,12 +551,15 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
             z_star, sol = z_pivot, asian_rate_j(model.sigma, model.v0, z_pivot)
             g_end, g_cost, lam, evals, leg_fields = None, 0.0, None, 0, {"constant_eta": True}
         else:
-            z_star, sol, (g_end, g_cost, lam, _), evals, asset_branch = _newton_root(model, k, x, z_pivot)
-            leg_fields = {"asset_branch": asset_branch}
+            z_star, sol, (g_end, g_cost, lam, _), u_g, evals, asset_branch = _newton_root(model, k, x, z_pivot)
+            leg_fields = {"asset_branch": asset_branch, "u_g": u_g}
         diagnostics = {
             "x": x,
             "side": side,
-            **_asian_fields(sol),
+            "alpha": sol.alpha,
+            "branch": sol.branch,
+            "f_value": sol.f_value,
+            "g_value": sol.g_value,
             **leg_fields,
             "derivative_evals": evals,
             "kernel_calls": counts[0],
@@ -618,10 +613,8 @@ def _cumulative_map(integrand, upper: float, breaks):
 
 def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.ndarray):
     """Variance-leg path log V(t) of the Asian problem with terminal log
-    excursion ``alpha`` on ``branch``, by inverting t(w) = P(w)/P(alpha)."""
+    excursion ``alpha`` > 0 on ``branch``, by inverting t(w) = P(w)/P(alpha)."""
     log_v0 = math.log(v0)
-    if branch == "atm":
-        return np.full(t.size, log_v0)
     fg, breaks = _fg_integrand(sigma, branch == "above")
     w_nodes, p_cum = _cumulative_map(lambda y, d: fg(y, d)[0], alpha, breaks)
     w = PchipInterpolator(p_cum, w_nodes)(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
@@ -654,11 +647,7 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
 
     diag = res.diagnostics
     h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t)
-    u_g = math.log(res.g_endpoint / model.s0)
-    if u_g == 0.0:  # the budget sits at the pivot: the asset leg stays at S0
-        return PathPair(t, np.full(n, log_s0), h)
-    if diag["asset_branch"] == "plateau":  # G sits on the edge, which the log of G may miss by an ulp
-        u_g = _flat_edge(model.eta, math.copysign(1.0, u_g))
+    u_g = diag["u_g"]
 
     # asset leg: Theta(gamma(t)) = sqrt(2 |lam|) int_0^t e^h ds, Theta the
     # cumulative num integral; on the plateau branch Theta reaches num_c

@@ -240,6 +240,12 @@ class TestErrorPaths:
         assert code == 2
         assert "maturity must be positive and finite" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    def test_seed_past_the_philox_key_exit_2(self, capsys):
+        code, _, err = run(["mc", "--model", str(MODEL), "--k", "0.1", "--seed", "100000000000000000000000"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "seed must be an integer" in json.loads(err.strip().splitlines()[-1])["message"]
+
     def test_unknown_model_key_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         data = json.loads(MODEL.read_text())

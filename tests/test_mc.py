@@ -52,6 +52,17 @@ class TestConfig:
     def test_streams(self):
         assert McConfig(n_paths=100).n_streams == 50
 
+    @pytest.mark.parametrize("seed", [2**63, 2**64, -1, 1.5])
+    def test_seed_outside_the_philox_key(self, seed):
+        # above 2**63 - 1 numpy casts the key to float64 (2**63 and 2**63 + 1
+        # draw alike) or overflows; 1.5 would draw as 1
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*63\)"):
+            McConfig(seed=seed)
+
+    def test_largest_seed_simulates(self, tanh_model):
+        rv = simulate_realized_variance(tanh_model, McConfig(n_paths=8, n_steps=4, seed=2**63 - 1))
+        assert np.all(np.isfinite(rv)) and np.all(rv > 0)
+
 
 class TestDeterminism:
     def test_same_seed_bitwise(self, tanh_model):
@@ -264,6 +275,18 @@ class TestSmile:
         assert abs(xs[0] + 0.3) < 1e-12 and abs(xs[2] - 0.3) < 1e-12
         assert math.log(strikes[3] / f0) != 0.0 and xs[3] == 0.0
         assert all(math.isfinite(r.ivol) or not r.reliable for r in sm)
+
+    def test_implied_vol_failure_gives_nan_row(self, tanh_model):
+        # all samples 0 but one path in 400 at 1e4: no Black vol prices any
+        # of these strikes, so implied_vol raises and the row is NaN, unreliable
+        cfg = small_cfg(n_paths=4000)
+        samples = np.zeros(cfg.n_paths)
+        samples[::400] = 1e4
+        mean = float(np.mean(samples))
+        sm = mc_smile(tanh_model, [1.0001 * mean, 0.5 * mean, 2.0 * mean], cfg.maturity, cfg, samples=samples)
+        for row in sm:
+            assert math.isnan(row.ivol) and math.isnan(row.ivol_se) and not row.reliable
+            assert math.isfinite(row.call) and math.isfinite(row.put)
 
     def test_deep_strike_unreliable(self, tanh_model):
         cfg = small_cfg(n_paths=2000)

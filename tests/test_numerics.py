@@ -185,8 +185,31 @@ class TestFindRoot:
         assert abs(find_root(lambda x: x, Bracket(-1.0, 1.0))) < 1e-12
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError, match=r"no sign change on \[-1.0, 1.0\]: f=2, 2"):
             find_root(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
+
+    def test_ends_evaluated_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.tanh(x - 0.3)
+
+        find_root(f, Bracket(-1.0, 2.0))
+        assert calls.count(-1.0) == 1 and calls.count(2.0) == 1
+
+    def test_value_error_of_f_propagates(self):
+        # raised at an end, and inside the bracket (Brent's first secant step lands on 0.5)
+        with pytest.raises(ValueError, match="math domain error"):
+            find_root(lambda x: math.log(x - 1.0), Bracket(0.0, 2.0))
+
+        def f(x):
+            if 0.3 < x < 0.7:
+                raise ValueError("outside the domain of f")
+            return x - 0.5
+
+        with pytest.raises(ValueError, match="outside the domain of f"):
+            find_root(f, Bracket(-1.0, 1.0))
 
     @given(st.floats(-3.0, 3.0))
     @settings(max_examples=50, deadline=None)

@@ -30,7 +30,7 @@ from varsmile import (
 from varsmile.errors import AccuracyError, ConvergenceError, DegenerateEtaError
 from varsmile.model import clamp_points, eta_eval
 from varsmile.rate_general import constraint_integral
-from varsmile.rate_zero import _endpoint_integrals, _variance_leg
+from varsmile.rate_zero import _endpoint_integrals, _flat_edge, _variance_leg
 
 # eta 1 - 0.3u clamped to [0.85, 1.15] (flat beyond |u| = 0.5) and a clamped
 # linear vol-of-vol: kinks in both legs
@@ -150,14 +150,14 @@ def _reference_rate(model, k):
     edge = _edge(model, side)
     z_lo = k / float(model.eta.value_log(side * 40.0 if edge is None else edge)) ** 2
     if (z_lo - model.v0) * (z_lo - z_pivot) < 0.0:
-        a_lo = brentq(lambda a: _variance_leg(model, a, above)[0] - z_lo, 1e-300, a_hi, xtol=1e-15)
+        a_lo = brentq(lambda a: _variance_leg(model.sigma, model.v0, a, above)[0] - z_lo, 1e-300, a_hi, xtol=1e-15)
 
     def objective(a):
-        z, sol = _variance_leg(model, a, above)
+        z, sol = _variance_leg(model.sigma, model.v0, a, above)
         return _reference_asset_leg(model, k, z)[1] + sol.value
 
     best = minimize_scalar(objective, bounds=(a_lo, a_hi), method="bounded", options={"xatol": 1e-10})
-    return best.fun, _variance_leg(model, best.x, above)[0]
+    return best.fun, _variance_leg(model.sigma, model.v0, best.x, above)[0]
 
 
 class TestAsianRate:
@@ -419,7 +419,7 @@ class TestRateZeroRho:
 
         slopes = {}
         for ar in (0.97, 1.0, 1.03):
-            z, sol = _variance_leg(m, res.diagnostics["alpha"] * ar, above)
+            z, sol = _variance_leg(m.sigma, m.v0, res.diagnostics["alpha"] * ar, above)
             if ar == 1.0:
                 assert z == res.z_star and sol.value == res.h_cost
             _, _, lam, eta_g = _reference_asset_leg(m, k, z)
@@ -654,6 +654,25 @@ class TestPlateauBranch:
         for seq in (errors, misses):
             assert 3.5 < seq[0] / seq[1] < 4.5 and 3.5 < seq[1] / seq[2] < 4.5
         assert abs(errors[-1]) <= 1e-6 * res.value and abs(misses[-1]) <= 1e-6
+
+    def test_reports_solved_u_g(self):
+        # u_g is the endpoint as solved, plain JSON: the plateau edge next to
+        # the nearest clamp point, or a free endpoint with G = S0 e^u_g exactly
+        plateau = 0
+        for m in _drawn_models(60, 7):
+            f0 = forward_variance_limit(m)
+            for x in (0.05, 0.3, 0.6, 1.0, 1.5, 2.0, 3.0):
+                for res in (rate_zero_rho(m, f0 * math.exp(x)), rate_zero_rho(m, f0 * math.exp(-x))):
+                    u_g = res.diagnostics["u_g"]
+                    assert json.loads(json.dumps(res.diagnostics))["u_g"] == u_g
+                    if res.diagnostics["asset_branch"] == "plateau":
+                        plateau += 1
+                        u_c = _edge(m, math.copysign(1.0, u_g))
+                        assert u_g == _flat_edge(m.eta, u_c)
+                        assert abs(u_g - u_c) <= 1e-14 * abs(u_c) and m.eta.dvalue_log(u_g) != 0.0
+                    else:
+                        assert m.s0 * math.exp(u_g) == res.g_endpoint
+        assert plateau == 22
 
     @pytest.mark.parametrize("rho", [0.5, -0.5])
     def test_bounds_stay_ordered(self, rho):
