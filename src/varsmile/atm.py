@@ -202,7 +202,7 @@ def expansion_paths(model: LsvModel, x: float, n: int = 401) -> PathPair:
     t = np.linspace(0.0, 1.0, n)
     g = x * exp.g1(t) + x * x * exp.g2(t)
     h = x * exp.h1(t) + x * x * exp.h2(t)
-    return PathPair(t, math.log(model.s0) + g, math.log(model.v0) + h)
+    return PathPair(math.log(model.s0) + g, math.log(model.v0) + h)
 
 
 def atm_price_limit(model: LsvModel) -> float:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and the input check shared across the package."""
+
+import math
+
+
+def check_finite(positive: bool = False, **values: float) -> None:
+    """Raise ValueError naming the first of ``values`` not finite (or not positive, with ``positive``)."""
+    for name, value in values.items():
+        if not (0.0 if positive else -math.inf) < value < math.inf:
+            raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
 
 
 class NumericsError(Exception):

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import check_finite
 from .model import LsvModel, log_moneyness
 from .smile import implied_vol
 
@@ -43,8 +44,8 @@ _STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
 class McConfig:
     """Simulation controls; immutable so runs can echo it verbatim.
 
-    ``n_paths`` counts paths, two per antithetic pair.  ``seed`` is an
-    integer in [0, 2**63), the range the Philox key holds exactly."""
+    ``n_paths`` (two per antithetic pair), ``n_steps`` and ``seed`` are
+    integers, the seed in [0, 2**63), the range the Philox key holds exactly."""
 
     n_paths: int = 100_000
     n_steps: int = 2000
@@ -52,14 +53,13 @@ class McConfig:
     maturity: float = 1.0 / 12.0
 
     def __post_init__(self):
-        if self.n_paths % 2 != 0:
-            raise ValueError("antithetic pairs need an even n_paths")
+        if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths % 2 == 0):
+            raise ValueError(f"antithetic pairs need an even integer n_paths, got {self.n_paths!r}")
         if self.n_streams < 2:
             raise ValueError("a standard error needs at least 2 independent streams (4 paths)")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not (self.maturity > 0 and math.isfinite(self.maturity)):
-            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        check_finite(positive=True, maturity=self.maturity)
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**63):
             raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
 

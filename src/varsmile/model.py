@@ -23,6 +23,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import check_finite
+
 __all__ = [
     "TanhEta",
     "LogPolyEta",
@@ -250,10 +252,7 @@ class LsvModel:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not (self.s0 > 0 and math.isfinite(self.s0)):
-            raise ValueError("s0 must be positive and finite")
-        if not (self.v0 > 0 and math.isfinite(self.v0)):
-            raise ValueError("v0 must be positive and finite")
+        check_finite(positive=True, s0=self.s0, v0=self.v0)
         if not (abs(self.rho) <= 1.0):
             raise ValueError(f"|rho| <= 1 required, got {self.rho}")
         for key in ("r", "q", "mu"):
@@ -308,17 +307,17 @@ ATM_REL_TOL = 1e-13
 
 def log_moneyness(model: LsvModel, k: float) -> float:
     """x = log(K / F_V(0)) of a strike 0 < K < inf; exactly 0.0 inside the
-    ATM band ``ATM_REL_TOL``.  A model with eta(S0) <= 0 raises ValueError.
+    ATM band ``ATM_REL_TOL``.  A model with eta(S0) <= 0, or whose
+    F_V(0) = eta(S0)^2 V0 underflows to 0, raises ValueError.
 
     The band test forms K / F_V(0) as the Asian solve forms z / V0 at the
     pivot budget z = K / eta(S0)^2, rounding included, so a strike outside
     the band never meets an Asian solve that takes it for ATM.
     """
-    if not 0 < k < math.inf:
-        raise ValueError(f"strike must be positive and finite, got {k}")
+    check_finite(positive=True, strike=k)
     eta0 = float(model.eta.value_log(0.0))
-    if not eta0 > 0.0:
-        raise ValueError(f"eta(S0) must be positive, got {eta0}")
+    if not (eta0 > 0.0 and eta0**2 * model.v0 > 0.0):
+        raise ValueError(f"eta(S0) = {eta0!r} and F_V(0) = eta(S0)^2 V0 must be positive (V0 = {model.v0!r})")
     if abs(k / eta0**2 / model.v0 - 1.0) <= ATM_REL_TOL:
         return 0.0
     return math.log(k / forward_variance_limit(model))
@@ -350,6 +349,9 @@ def validate(model: LsvModel) -> ValidationReport:
     if not np.all(np.isfinite(sig_vals)) or float(np.min(sig_vals)) <= 0.0:
         errors.append("sigma not positive on the log grid")
 
+    eta0 = float(model.eta.value_log(0.0))
+    if not eta0 * eta0 * model.v0 > 0.0:  # eta0 * eta0 is inf where eta0**2 raises OverflowError
+        errors.append("F_V(0) = eta(S0)^2 V0 not positive")
     for name, spec in (("eta", model.eta), ("sigma", model.sigma)):
         lo, hi = spec.clamp_lo, spec.clamp_hi
         if not (0.0 < lo <= hi and math.isfinite(hi)):

@@ -7,8 +7,7 @@ correlated-path upper bound for intermediate rho, both from one h-only
 problem, an Asian problem in the payoff level G(v) = v eta^2(F(v)), monotone
 or not; and a direct transcription of the full problem, whose KKT system
 Newton's method solves with a banded Lagrangian Hessian from a few coloured
-central differences of the analytic gradient.  The solution is
-cross-checked against the continuous stationarity conditions.
+central differences of the analytic gradient.
 """
 
 from __future__ import annotations
@@ -101,12 +100,11 @@ def lambda_functional(model: LsvModel, paths: PathPair) -> LambdaValue:
     rho = model.rho
     if abs(rho) >= 1.0:
         raise ValueError("|rho| must be < 1; use rate_perfect_corr at |rho| = 1")
-    dt = paths.dt
-    dg, dh, eta_m, _, sig_m, _, v_m = _midpoint_pieces(model, paths.g, paths.h, dt)
+    dg, dh, eta_m, _, sig_m, _, v_m = _midpoint_pieces(model, paths.g, paths.h, paths.dt)
     a = dg / (eta_m * np.sqrt(v_m))
     b = dh / sig_m
-    g_cost = float(np.sum((a - rho * b) ** 2) * dt / (2.0 * (1.0 - rho * rho)))
-    h_cost = float(np.sum(b * b) * dt / 2.0)
+    g_cost = float(np.sum((a - rho * b) ** 2) * paths.dt / (2.0 * (1.0 - rho * rho)))
+    h_cost = float(np.sum(b * b) * paths.dt / 2.0)
     return LambdaValue(g_cost + h_cost, g_cost, h_cost)
 
 
@@ -144,7 +142,7 @@ def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
 
     cross = 0.0
     if rho != 0.0 and "constant_eta" not in res0.diagnostics:
-        paths0 = _paths_from_rate(model0, k, res0, 401)
+        paths0 = _paths_from_rate(model0, res0, 401)
         dg, dh, eta_m, _, sig_m, _, v_m = _midpoint_pieces(model, paths0.g, paths0.h, paths0.dt)
         cross = float(np.sum(dg * dh / (eta_m * np.sqrt(v_m) * sig_m)) * paths0.dt)
     g0, h0 = res0.g_cost, res0.h_cost
@@ -520,22 +518,22 @@ def _newton_kkt(lagrangian_grad, z, k: float):
     )
 
 
-def _lagrangian_grad(model: LsvModel, k: float, n: int):
+def _lagrangian_grad(model: LsvModel, k: float, seed: PathPair):
     """Gradient closure of the discrete Lagrangian Lambda + lam (C - K).
 
-    The unknowns are the interleaved interior log levels
-    z = (g_1, h_1, ..., g_{n-1}, h_{n-1}); node 0 is pinned at (log S0, log V0).
-    The closure maps (z, lam) to (grad L, C - K, grad C).
+    The unknowns are the interleaved interior log levels z = (g_1, h_1, ...,
+    g_{n-1}, h_{n-1}) on the grid of ``seed``, which pins node 0.
+    The closure maps (z, lam) to (grad L, C - K, grad C).  At an interior node
+    grad L is -dt times the discrete Euler-Lagrange residual: s_* are the
+    momenta, (m_* + 2 lam c_*) / dt the right-hand sides on the intervals.
     """
     rho = model.rho
     one_m = 1.0 - rho * rho
-    dt = 1.0 / (n - 1)
-    log_s0 = math.log(model.s0)
-    log_v0 = math.log(model.v0)
+    dt, g0, h0 = seed.dt, seed.g[:1], seed.h[:1]
 
     def compute(z, lam):
-        g = np.concatenate(([log_s0], z[0::2]))
-        h = np.concatenate(([log_v0], z[1::2]))
+        g = np.concatenate((g0, z[0::2]))
+        h = np.concatenate((h0, z[1::2]))
         dg, dh, eta_m, deta_m, sig_m, dsig_m, v_m = _midpoint_pieces(model, g, h, dt)
 
         p = 1.0 / (eta_m * np.sqrt(v_m))
@@ -554,8 +552,8 @@ def _lagrangian_grad(model: LsvModel, k: float, n: int):
         c_g = c_terms * deta_m / eta_m
         c_h = 0.5 * c_terms
 
-        grad_f = np.empty(2 * (n - 1))
-        grad_c = np.empty(2 * (n - 1))
+        grad_f = np.empty(z.size)
+        grad_c = np.empty(z.size)
         grad_f[0::2] = _to_nodes(0.5 * m_g - s_g, 0.5 * m_g + s_g)
         grad_f[1::2] = _to_nodes(0.5 * m_h - s_h, 0.5 * m_h + s_h)
         grad_c[0::2] = _to_nodes(c_g, c_g)
@@ -565,60 +563,24 @@ def _lagrangian_grad(model: LsvModel, k: float, n: int):
     return compute
 
 
-def _el_residual(model: LsvModel, paths: PathPair, lam: float) -> float:
-    """Max-norm residual of the continuous stationarity conditions on the
-    discrete paths (central differences of the momenta); diagnostic only."""
-    rho = model.rho
-    one_m = 1.0 - rho * rho
-    dt = paths.dt
-    dg, dh, eta_m, deta_m, sig_m, dsig_m, v_m = _midpoint_pieces(model, paths.g, paths.h, dt)
-    sqrt_v = np.sqrt(v_m)
-
-    p_g = dg / (one_m * eta_m**2 * v_m) - rho * dh / (one_m * eta_m * sqrt_v * sig_m)
-    p_h = dh / (one_m * sig_m**2) - rho * dg / (one_m * eta_m * sqrt_v * sig_m)
-
-    rhs_g = (
-        -(dg**2) * deta_m / (one_m * eta_m**3 * v_m)
-        + rho * dg * dh * deta_m / (one_m * eta_m**2 * sqrt_v * sig_m)
-        + 2.0 * lam * v_m * eta_m * deta_m
-    )
-    rhs_h = (
-        -0.5 * dg**2 / (one_m * eta_m**2 * v_m)
-        - dh**2 * dsig_m / (one_m * sig_m**3)
-        + rho * dg * dh * dsig_m / (one_m * eta_m * sqrt_v * sig_m**2)
-        + rho * 0.5 * dg * dh / (one_m * eta_m * sqrt_v * sig_m)
-        + lam * v_m * eta_m**2
-    )
-    pairs = ((p_g, rhs_g), (p_h, rhs_h))
-    resid = max(float(np.max(np.abs(np.diff(p) / dt - 0.5 * (f[1:] + f[:-1])))) for p, f in pairs)
-    return resid / max(1.0, *(float(np.max(np.abs(f))) for _, f in pairs))
-
-
 def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
     """Direct transcription of the full variational problem for |rho| < 1.
 
     Piecewise-linear paths on a uniform grid of n nodes and a midpoint-rule
-    action; the KKT conditions of the constrained minimization are solved by
-    the banded Newton iteration ``_newton_kkt`` (half-bandwidth 3 in the
-    interleaved (g, h) unknowns), started from the second-order small-x
-    expansion paths.  Raises ConvergenceError, with both residuals, if Newton
-    does not converge.
+    action; the KKT conditions are solved by the banded Newton iteration
+    ``_newton_kkt`` from the second-order small-x expansion paths (the
+    constant pair at the money, accepted at iteration 0), whose record the
+    diagnostics carry with x.  Raises ConvergenceError, with both residuals,
+    if Newton does not converge.
     """
     if abs(model.rho) >= 1.0:
         raise ValueError("rate_numeric requires |rho| < 1")
 
     x = log_moneyness(model, k)
-    t = np.linspace(0.0, 1.0, n)
-    log_s0 = math.log(model.s0)
-    log_v0 = math.log(model.v0)
-    if x == 0.0:
-        paths = PathPair.constant(log_s0, log_v0, n)
-        return RateResult(0.0, "numeric_transcription", z_star=model.v0, lagrange=0.0, paths=paths)
-
     base = atm_mod.expansion_paths(model, x, n=n)
     z0 = np.column_stack((base.g[1:], base.h[1:])).ravel()
-    z, lam, diag = _newton_kkt(_lagrangian_grad(model, k, n), z0, k)
-    paths = PathPair(t, np.concatenate(([log_s0], z[0::2])), np.concatenate(([log_v0], z[1::2])))
+    z, lam, diag = _newton_kkt(_lagrangian_grad(model, k, base), z0, k)
+    paths = PathPair(np.concatenate((base.g[:1], z[0::2])), np.concatenate((base.h[:1], z[1::2])))
 
     lv = lambda_functional(model, paths)
     return RateResult(
@@ -628,7 +590,7 @@ def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
         lagrange=lam,
         g_cost=lv.g_cost,
         h_cost=lv.h_cost,
-        diagnostics={"x": x, **diag, "el_residual": _el_residual(model, paths, lam)},
+        diagnostics={"x": x, **diag},
         paths=paths,
     )
 

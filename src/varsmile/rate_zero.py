@@ -35,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .atm import atm_expansion
-from .errors import ConvergenceError, DegenerateEtaError
+from .errors import ConvergenceError, DegenerateEtaError, check_finite
 from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness, real_roots
 from .numerics import (
     Bracket,
@@ -168,8 +168,7 @@ def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
     the first probe just past the constant vol-of-vol root, so it does not run
     far past the root (across a clamp kink, say) when sigma varies slowly.
     """
-    if v0 <= 0 or z <= 0:
-        raise ValueError("v0 and z must be positive")
+    check_finite(positive=True, v0=v0, z=z)
     zr = z / v0
     if abs(zr - 1.0) <= ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm")
@@ -196,8 +195,7 @@ def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
     [0, pi/2] solves sin(2 xi)/(2 xi) = z/V0 and J = 2 xi (tan xi - xi) / sigma0^2.
     Quadrature-free, used as the independent check of the general route.
     """
-    if sigma0 <= 0 or v0 <= 0 or z <= 0:
-        raise ValueError("inputs must be positive")
+    check_finite(positive=True, sigma0=sigma0, v0=v0, z=z)
     zr = z / v0
     if abs(zr - 1.0) <= ATM_REL_TOL:
         return AsianRateSolution(0.0, "atm", const_param=0.0)
@@ -635,10 +633,10 @@ def optimal_paths_zero_rho(model: LsvModel, k: float, n: int = 401) -> PathPair:
     if _eta_flat(model):
         raise DegenerateEtaError("optimal paths need non-constant eta")
 
-    return _paths_from_rate(model, k, rate_zero_rho(model, k), n)
+    return _paths_from_rate(model, rate_zero_rho(model, k), n)
 
 
-def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> PathPair:
+def _paths_from_rate(model: LsvModel, res: RateResult, n: int) -> PathPair:
     """The optimal paths of ``optimal_paths_zero_rho`` from its solved rate."""
     t = np.linspace(0.0, 1.0, n)
     log_s0 = math.log(model.s0)
@@ -661,4 +659,4 @@ def _paths_from_rate(model: LsvModel, k: float, res: RateResult, n: int) -> Path
     g = log_s0 + (gamma if u_g > 0 else -gamma)
     g[0] = log_s0
 
-    return PathPair(t, g, h)
+    return PathPair(g, h)

@@ -10,7 +10,7 @@ from typing import Optional
 
 from scipy.special import ndtr
 
-from .errors import ArbitrageError, PrecisionWarning
+from .errors import ArbitrageError, PrecisionWarning, check_finite
 from .model import LsvModel, log_moneyness
 from .atm import atm_expansion
 from .numerics import Bracket, find_root
@@ -48,8 +48,8 @@ class SmilePoint:
 
 def black_price(f: float, k: float, sigma: float, t: float, r: float = 0.0, flag: str = "call") -> float:
     """Black (forward) price of a call or put on the variance forward."""
-    if f <= 0 or k <= 0 or sigma <= 0 or t <= 0:
-        raise ValueError("f, k, sigma, t must all be positive")
+    check_finite(positive=True, f=f, k=k, sigma=sigma, t=t)
+    check_finite(r=r)
     st = sigma * math.sqrt(t)
     d1 = (math.log(f / k) + 0.5 * st * st) / st
     d2 = d1 - st
@@ -65,14 +65,12 @@ def implied_vol(price: float, f: float, k: float, t: float, r: float = 0.0, flag
     """Invert the Black formula by Brent's method (``find_root``) on the
     vol bracket [1e-8, 10].
 
-    Raises ValueError on a non-finite price and ArbitrageError outside the
+    Raises ValueError on a non-finite input and ArbitrageError outside the
     static band; warns (PrecisionWarning) and returns the bracket floor when
     the price is within roundoff of intrinsic.
     """
-    if f <= 0 or k <= 0 or t <= 0:
-        raise ValueError("f, k, t must be positive")
-    if not math.isfinite(price):
-        raise ValueError(f"price must be finite, got {price}")
+    check_finite(positive=True, f=f, k=k, t=t)
+    check_finite(price=price, r=r)
     disc = math.exp(-r * t)
     if flag == "call":
         intrinsic, upper = disc * max(f - k, 0.0), disc * f

@@ -42,6 +42,13 @@ class TestConfig:
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 McConfig(maturity=t)
+        # a float count passed these checks, then failed inside numpy
+        with pytest.raises(ValueError, match="even integer n_paths"):
+            McConfig(n_paths=10.0, n_steps=4)
+        for steps in (2.5, 4.0):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                McConfig(n_steps=steps)
+        assert McConfig(n_paths=np.int64(10), n_steps=np.int32(4)).n_streams == 5
 
     def test_needs_two_streams(self):
         # one antithetic pair leaves no standard error (ddof=1)

@@ -49,7 +49,7 @@ class TestLambdaFunctional:
 
     def test_rho_zero_split(self, tanh_model):
         t = np.linspace(0, 1, 401)
-        paths = PathPair(t, 0.0 - 0.05 * (2 * t - t * t), math.log(0.1) + 0.2 * (2 * t - t * t))
+        paths = PathPair(0.0 - 0.05 * (2 * t - t * t), math.log(0.1) + 0.2 * (2 * t - t * t))
         val = lambda_functional(tanh_model, paths)
         # manual midpoint evaluation of the two energies
         dt = t[1] - t[0]
@@ -73,7 +73,7 @@ class TestLambdaFunctional:
             r1 = []
             t = np.linspace(0.0, 1.0, 801)
             for x in (0.01, 0.005):
-                paths = PathPair(t, math.log(m.s0) + x * exp.g1(t), math.log(m.v0) + x * exp.h1(t))
+                paths = PathPair(math.log(m.s0) + x * exp.g1(t), math.log(m.v0) + x * exp.h1(t))
                 lam = lambda_functional(m, paths).total
                 r1.append(abs(lam - exp.A * x * x))
             # residual is cubic: quarters-at-halving would be quadratic, this is ~8x
@@ -588,13 +588,27 @@ class TestRateNumeric:
         assert res.value == 0.0
         assert np.all(res.paths.g == res.paths.g[0])
 
+    @pytest.mark.parametrize("rel", [0.0, 5e-14, -5e-14])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5])
+    @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
+    def test_atm_newton_record(self, tanh_model, kinked, rho, rel):
+        # inside the ATM band the expansion seed is the constant pair, which
+        # Newton accepts at iteration 0 with the record of any other strike
+        m = (KINKED if kinked else tanh_model).with_rho(rho)
+        res = rate_numeric(m, forward_variance_limit(m) * (1.0 + rel))
+        assert res.value == 0.0 and res.lagrange == 0.0 and res.g_endpoint == m.s0
+        assert np.all(res.paths.g == math.log(m.s0)) and np.all(res.paths.h == math.log(m.v0))
+        d = res.diagnostics
+        assert d["x"] == 0.0 and d["newton_iters"] == 0 and d["grad_evals"] == 1
+        assert d["kkt_residual"] == 0.0 and abs(d["constraint_residual"]) <= 1e-12 * forward_variance_limit(m)
+
     def test_gradient_matches_finite_differences(self, tanh_model):
         """The Newton-KKT gradient against central differences of the public
         action and constraint, L = Lambda + lam (C - K)."""
         m = tanh_model.with_rho(0.4)
         n, k, lam = 21, 0.12, 0.3
         t = np.linspace(0, 1, n)
-        lagrangian_grad = _lagrangian_grad(m, k, n)
+        lagrangian_grad = _lagrangian_grad(m, k, PathPair.constant(0.0, math.log(m.v0), n))
         rng = np.random.default_rng(5)
         z = np.column_stack((
             -0.02 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
@@ -602,7 +616,7 @@ class TestRateNumeric:
         )).ravel()
 
         def paths(z_):
-            return PathPair(t, np.concatenate(([0.0], z_[0::2])), np.concatenate(([math.log(m.v0)], z_[1::2])))
+            return PathPair(np.concatenate(([0.0], z_[0::2])), np.concatenate(([math.log(m.v0)], z_[1::2])))
 
         def lagrangian(z_):
             return lambda_functional(m, paths(z_)).total + lam * (constraint_integral(m, paths(z_)) - k)
@@ -644,10 +658,6 @@ class TestRateNumeric:
         d2 = abs(vals[401] - vals[201])
         assert d2 <= 0.25 * d1 + 1e-12
 
-    def test_el_residual_small(self, tanh_model):
-        res = rate_numeric(tanh_model.with_rho(0.6), 0.115)
-        assert res.diagnostics["el_residual"] < 1e-3
-
     @pytest.mark.parametrize("rho", [0.9, -0.9])
     def test_high_correlation_inside_bounds(self, tanh_model, rho):
         # max|grad L| bottoms out above 1e-12 here, at the gradient's rounding floor
@@ -661,7 +671,7 @@ class TestRateNumeric:
     def test_diagnostics_json_serializable(self, tanh_model):
         res = rate_numeric(tanh_model.with_rho(-0.5), 0.09)
         record = json.loads(json.dumps(res.diagnostics))
-        assert set(record) == {"x", "newton_iters", "grad_evals", "kkt_residual", "constraint_residual", "el_residual"}
+        assert set(record) == {"x", "newton_iters", "grad_evals", "kkt_residual", "constraint_residual"}
         assert record["newton_iters"] >= 1
         assert abs(record["constraint_residual"]) < 1e-12 * 0.09
 

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +237,17 @@ class TestAsianRate:
             asian_rate_j(ConstantSigma(2.0), -0.1, 0.1)
         with pytest.raises(ValueError):
             asian_rate_j_const(0.0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["sigma0", "v0", "z"])
+    def test_non_finite_input_named(self, arg, value):
+        # z = inf overflowed the budget; nan passed the sign checks
+        args = {"sigma0": 2.0, "v0": 0.1, "z": 0.12, arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
+            asian_rate_j_const(**args)
+        if arg != "sigma0":
+            with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
+                asian_rate_j(ConstantSigma(args["sigma0"]), args["v0"], args["z"])
 
 
 class TestGEndpoint:
@@ -618,6 +631,82 @@ class TestNewtonRoute:
         forward = run(range(len(strikes)))
         assert run(reversed(range(len(strikes)))) == forward
         assert run(range(len(strikes))) == forward
+
+
+class TestNewtonFailures:
+    """Each way ``_newton_root`` gives up that an input or a tolerance
+    reaches raises ConvergenceError with its reason, the last (alpha, u_G)
+    as ``best`` and both as diagnostics, with the residuals."""
+
+    @staticmethod
+    def _raise(m, k, monkeypatch, **constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(f"varsmile.rate_zero.{name}", value)
+        with pytest.raises(ConvergenceError) as info:
+            rate_zero_rho(m, k)
+        diag = info.value.diagnostics
+        assert set(diag) == {"alpha", "u_g", "residuals"} and len(diag["residuals"]) == 2
+        assert (diag["alpha"], diag["u_g"]) == info.value.best
+        return str(info.value), diag["alpha"], diag["u_g"], diag["residuals"]
+
+    def test_alpha_past_the_cap(self, tanh_model, monkeypatch):
+        # the far-strike seed steps past the cap before any residual is formed
+        msg, alpha, u_g, r = self._raise(tanh_model, 1e300, monkeypatch)
+        assert re.search(r"alpha = 1038\.57\d* left \(0, 40\.0\]$", msg)
+        assert alpha > 40.0 and u_g < -40.0 and all(map(math.isnan, r))
+
+    def test_u_g_past_the_cap(self, tanh_model, monkeypatch):
+        # steep eta and a low vol-of-vol move the asset leg further than the
+        # variance leg: at the seed |u_G| is past a cap that alpha is not
+        m = replace(tanh_model, eta=TanhEta(1.0, -0.4, 0.0), sigma=ConstantSigma(0.1))
+        k = forward_variance_limit(m) * math.exp(0.3)
+        msg, alpha, u_g, r = self._raise(m, k, monkeypatch, _LOG_CAP=0.3)
+        assert re.search(r"u_G = -0\.52\d* left 0 < -1 u_G <= 0\.3 off eta's plateaus$", msg)
+        assert alpha <= 0.3 < -u_g and all(map(math.isnan, r))
+
+    def test_budget_past_the_pivot(self, monkeypatch):
+        # stopped after a unit step, the budget is past the pivot K/eta(S0)^2
+        m = _drawn_models(60, 7)[1]
+        k = forward_variance_limit(m) * math.exp(-2.0)
+        msg, _, _, r = self._raise(m, k, monkeypatch, _ALPHA_TOL=1.0, _U_TOL=1.0)
+        found = re.search(r"z = (\S+) not between V0 \(excluded\) and the pivot (\S+)$", msg)
+        z, pivot = map(float, found.groups())
+        assert (z - pivot) * (pivot - m.v0) > 0.0  # past the pivot, away from V0
+        assert all(map(math.isfinite, r))
+
+    def test_residual_past_the_tolerance(self, tanh_model, monkeypatch):
+        # steps under 2e-3 stop the iteration where E2 still misses by 0.117
+        k = forward_variance_limit(tanh_model) * math.exp(-1.5)
+        msg, _, _, r = self._raise(tanh_model, k, monkeypatch, _ALPHA_TOL=2e-3, _U_TOL=2e-3)
+        found = re.search(r"residual (\[.*\]) exceeds (\[.*\]) at the root$", msg)
+        got, allowed = map(json.loads, found.groups())
+        assert got == [abs(v) for v in r] and got[1] > allowed[1]
+
+    def test_non_finite_step_next_to_the_money(self, tanh_model):
+        # the Jacobian's differences are all rounding (det = 0) while z/K
+        # misses by one ulp, so the step is nan: a near-money strike that
+        # fails though its residual is at rounding
+        k = forward_variance_limit(tanh_model) * math.exp(-2.49e-10)
+        with pytest.raises(ConvergenceError, match="non-finite step$") as info:
+            rate_zero_rho(tanh_model, k)
+        diag = info.value.diagnostics
+        assert (diag["alpha"], diag["u_g"]) == info.value.best and 0.0 < diag["alpha"] < 1e-9
+        assert max(map(abs, diag["residuals"])) <= 2.3e-16
+
+    @pytest.mark.parametrize("x, constants, pattern", [
+        (1.0, {"_NEWTON_STEPS": 4}, r"no convergence in 4 steps$"),
+        (3.0, {"_ALPHA_TOL": 0.3}, r"plateau residual \S+ exceeds \S+ at the root$"),
+        (2.5, {"_ALPHA_TOL": 1.0}, r"plateau root z/K = \S+ outside \[\S+, \S+\]$"),
+    ], ids=["steps", "residual", "outside"])
+    def test_plateau_branch(self, monkeypatch, x, constants, pattern):
+        # drawn model 20 takes the plateau branch from x = 1 on: u_G is held
+        # at the plateau edge, and only E2' leaves a residual
+        m = _drawn_models(60, 7)[20]
+        f0 = forward_variance_limit(m)
+        edge = rate_zero_rho(m, f0 * math.exp(1.0)).diagnostics["u_g"]
+        msg, _, u_g, r = self._raise(m, f0 * math.exp(x), monkeypatch, **constants)
+        assert re.search(pattern, msg)
+        assert u_g == edge and r[0] == 0.0 and r[1] != 0.0
 
 
 class TestPlateauBranch:

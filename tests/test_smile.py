@@ -63,6 +63,14 @@ class TestBlackPrice:
         with pytest.raises(ValueError):
             black_price(0.1, 0.1, 1.0, 1.0, flag="straddle")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["f", "k", "sigma", "t", "r"])
+    def test_non_finite_input_named(self, arg, value):
+        # an infinite t or a nan f priced as nan
+        args = {"f": 0.1, "k": 0.12, "sigma": 1.15, "t": 1.0 / 12.0, "r": 0.0, arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} must be (positive and )?finite"):
+            black_price(**args)
+
 
 class TestImpliedVol:
     def test_round_trip_spot(self):
@@ -98,6 +106,14 @@ class TestImpliedVol:
     def test_non_finite_price_rejected(self, price):
         with pytest.raises(ValueError, match="finite"):
             implied_vol(price, 0.1, 0.1, 1.0 / 12.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["f", "k", "t", "r"])
+    def test_non_finite_input_named(self, arg, value):
+        # an infinite t reached the root finder as a nan price
+        args = {"price": 0.01, "f": 0.1, "k": 0.12, "t": 1.0 / 12.0, "r": 0.0, arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} must be (positive and )?finite"):
+            implied_vol(**args)
 
     def test_band_edges(self):
         with pytest.raises(ArbitrageError):
@@ -196,16 +212,21 @@ class TestAtmBand:
         with pytest.raises(ValueError, match="finite"):
             log_moneyness(tanh_model, k)
 
-    # eta(S0) = 0 divides by zero, and eta(S0) = -1 squares to a plausible F_V(0)
-    @pytest.mark.parametrize("eta", [LogPolyEta((0.0, -0.5), 0.0, 1.0), LogPolyEta((-1.0, -0.5), -2.0, 1.0)])
+    # eta(S0) = 0 divides by zero, eta(S0) = -1 squares to a plausible F_V(0),
+    # and eta(S0) = 1e-200 is positive but F_V(0) = eta(S0)^2 V0 rounds to 0
+    @pytest.mark.parametrize("eta", [LogPolyEta((0.0, -0.5), 0.0, 1.0), LogPolyEta((-1.0, -0.5), -2.0, 1.0),
+                                     ConstantEta(1e-200)])
     def test_eta_at_spot_not_positive_rejected(self, tanh_model, eta, monkeypatch):
         m = replace(tanh_model, eta=eta)
-        with pytest.raises(ValueError, match=r"eta\(S0\)"):
+        named = r"eta\(S0\) = \S+ and F_V\(0\) = eta\(S0\)\^2 V0 must be positive"
+        with pytest.raises(ValueError, match=named):
             log_moneyness(m, 0.1)
-        with pytest.raises(ValueError, match=r"eta\(S0\)"):
+        with pytest.raises(ValueError, match=named):
             rate_zero_rho(m, 0.1)
+        with pytest.raises(ValueError, match=named):
+            asymptotic_smile(m, 0.1, rate_method="bounds")
         monkeypatch.setattr(mc, "_simulate_core", None)  # refused before any simulation
-        with pytest.raises(ValueError, match=r"eta\(S0\)"):
+        with pytest.raises(ValueError, match=named):
             mc.mc_smile(m, [0.1], 1.0 / 12.0, McConfig(n_paths=100, n_steps=10, seed=1, maturity=1.0 / 12.0))
 
 
