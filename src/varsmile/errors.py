@@ -40,7 +40,7 @@ class ConvergenceError(NumericsError):
 
 
 class DegenerateEtaError(ValueError):
-    """Constant local volatility where a non-constant one is required."""
+    """Flat local volatility where a computation needs it to move."""
 
 
 class TableRangeError(NumericsError):

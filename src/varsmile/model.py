@@ -295,8 +295,17 @@ def eta_eval(model: LsvModel, s):
 
 
 def forward_variance_limit(model: LsvModel) -> float:
-    """Zero-maturity fair strike of the variance swap: eta(S0)^2 * V0."""
-    return float(eta_eval(model, model.s0)) ** 2 * model.v0
+    """Zero-maturity fair strike of the variance swap: F_V(0) = eta(S0)^2 V0.
+    ValueError where eta(S0) <= 0 or F_V(0) underflows to 0 or overflows."""
+    eta0 = float(eta_eval(model, model.s0))
+    try:
+        f_v = eta0**2 * model.v0
+    except OverflowError:  # eta0**2 raises where it would be inf
+        f_v = math.inf
+    if not (eta0 > 0.0 and 0.0 < f_v < math.inf):
+        raise ValueError(f"eta(S0) = {eta0!r} and F_V(0) = eta(S0)^2 V0 must be positive and finite "
+                         f"(V0 = {model.v0!r})")
+    return f_v
 
 
 # A strike whose ratio K / F_V(0) is within this distance of 1 is at the
@@ -307,20 +316,18 @@ ATM_REL_TOL = 1e-13
 
 def log_moneyness(model: LsvModel, k: float) -> float:
     """x = log(K / F_V(0)) of a strike 0 < K < inf; exactly 0.0 inside the
-    ATM band ``ATM_REL_TOL``.  A model with eta(S0) <= 0, or whose
-    F_V(0) = eta(S0)^2 V0 underflows to 0, raises ValueError.
+    ATM band ``ATM_REL_TOL``.  A model whose F_V(0) ``forward_variance_limit``
+    refuses raises its ValueError.
 
     The band test forms K / F_V(0) as the Asian solve forms z / V0 at the
     pivot budget z = K / eta(S0)^2, rounding included, so a strike outside
     the band never meets an Asian solve that takes it for ATM.
     """
     check_finite(positive=True, strike=k)
-    eta0 = float(model.eta.value_log(0.0))
-    if not (eta0 > 0.0 and eta0**2 * model.v0 > 0.0):
-        raise ValueError(f"eta(S0) = {eta0!r} and F_V(0) = eta(S0)^2 V0 must be positive (V0 = {model.v0!r})")
-    if abs(k / eta0**2 / model.v0 - 1.0) <= ATM_REL_TOL:
+    f_v = forward_variance_limit(model)
+    if abs(k / float(model.eta.value_log(0.0)) ** 2 / model.v0 - 1.0) <= ATM_REL_TOL:
         return 0.0
-    return math.log(k / forward_variance_limit(model))
+    return math.log(k / f_v)
 
 
 @dataclass(frozen=True)
@@ -349,9 +356,10 @@ def validate(model: LsvModel) -> ValidationReport:
     if not np.all(np.isfinite(sig_vals)) or float(np.min(sig_vals)) <= 0.0:
         errors.append("sigma not positive on the log grid")
 
-    eta0 = float(model.eta.value_log(0.0))
-    if not eta0 * eta0 * model.v0 > 0.0:  # eta0 * eta0 is inf where eta0**2 raises OverflowError
-        errors.append("F_V(0) = eta(S0)^2 V0 not positive")
+    try:
+        forward_variance_limit(model)
+    except ValueError as exc:
+        errors.append(str(exc))
     for name, spec in (("eta", model.eta), ("sigma", model.sigma)):
         lo, hi = spec.clamp_lo, spec.clamp_hi
         if not (0.0 < lo <= hi and math.isfinite(hi)):

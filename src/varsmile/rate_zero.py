@@ -18,7 +18,7 @@ iteration and secant updates carry it; a step that would cross alpha = 0,
 u_G = 0 or the plateau edge u_c is cut short.  On a clamped eta the
 budget can lie past what any free endpoint meets: the asset path then
 arrives at u_c, where eta turns flat, and stays there at a closed cost
-(the plateau branch), and the iteration goes on in alpha alone.  A root
+(the plateau branch), and a bracketed root in alpha alone ends it.  A root
 is accepted only with a certificate, and ConvergenceError says why when
 there is none.  Integrals over one interval (F and G; the two endpoint
 integrals; all panels of a cumulative time map) share one call of the
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .atm import atm_expansion
-from .errors import ConvergenceError, DegenerateEtaError, check_finite
+from .errors import BracketError, ConvergenceError, DegenerateEtaError, check_finite
 from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness, real_roots
 from .numerics import (
     Bracket,
@@ -58,12 +58,21 @@ __all__ = [
 CONST_ETA_REL_TOL = 1e-12
 
 
-def _eta_flat(model: LsvModel) -> bool:
-    """eta is constant, or flat at S0 (relative slope below CONST_ETA_REL_TOL,
-    as on a clamp).  The endpoint equation then degenerates (it divides by
-    eta^2(G) - eta^2(x)), and the rho = 0 rate is the Asian rate at K/eta(S0)^2."""
-    eta0, eta1, _ = model.eta.log_coeffs()
-    return model.eta.is_constant or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0)
+def _eta_flat(model: LsvModel, x: float) -> bool:
+    """eta is flat at S0 (constant, or relative slope below CONST_ETA_REL_TOL):
+    the endpoint equation degenerates (it divides by eta^2(G) - eta^2(x)).  The
+    rate at log-moneyness x is then the Asian rate at K/eta(S0)^2 if eta is
+    constant or eta(S0) is its clamp toward the strike (the upper one for
+    calls), to that tolerance; elsewhere that is only an upper bound."""
+    eta = model.eta
+    eta0, eta1, _ = eta.log_coeffs()
+    if not (eta.is_constant or abs(eta1) < CONST_ETA_REL_TOL * abs(eta0)):
+        return False
+    clamp = eta.clamp_hi if x > 0 else eta.clamp_lo
+    if eta.is_constant or abs(clamp - eta0) <= CONST_ETA_REL_TOL * eta0:
+        return True
+    raise DegenerateEtaError(f"eta is flat at S0 (eta(S0) = {eta0!r}) but not on its clamp {clamp!r} toward the "
+                             "strike: J(V0, K/eta(S0)^2) is only an upper bound on the rate")
 
 
 @dataclass(frozen=True)
@@ -303,10 +312,9 @@ def _variance_leg(sigma: SigmaSpec, v0: float, alpha: float, above: bool):
 _LOG_CAP = 40.0
 # Steps of at most these sizes end the iteration in alpha and in u_G.
 _ALPHA_TOL, _U_TOL = 1e-12, 1e-13
-# The iteration takes at most this many steps (the slowest strike of the
-# measured sweeps, drawn model 7 of the tests at x = 3, takes 15, and a
-# plateau strike at sigma = 0.03 takes 19); its Jacobian starts from
-# differences at this relative step.
+# The free iteration takes at most this many steps (the slowest strike of
+# the measured sweeps, drawn model 7 of the tests at x = 3, takes 15); its
+# Jacobian starts from differences at this relative step.
 _NEWTON_STEPS = 24
 _FD_REL_STEP = 1e-6
 
@@ -343,16 +351,17 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
 
         E2':  F(alpha) / sqrt(V0) = eta_c |eta_c^2 num_c - den_c| / |eta_c^2 z - K|
 
-    solved by secant steps from the alpha column, with |eta_c^2 z - K|
-    taken to the left side: there E2' is smooth where C blows up and has no
-    root past it.  The point that a step of at most 1e-12 in alpha and 1e-13
-    in u_G reaches is evaluated and accepted with a certificate: z between
-    V0 and the pivot, on the plateau branch z/K between 1/eta_c^2 and
-    num_c/den_c, every value finite and each residual no larger than those
-    tolerances times the first differences' slopes.  Returns (z, Asian
-    solution, ``_asset_leg`` tuple, u_G (u_c on the plateau branch),
-    evaluations, asset branch "free" or "plateau"); any other outcome raises
-    ConvergenceError, with the last (alpha, u_G) and both residuals.
+    with |eta_c^2 z - K| taken to the left side, where E2' is smooth.  Its
+    residual tends to -1 as alpha -> 0 (F -> 0) and rises through the root,
+    which ``bracket_root`` brackets from the last free iterate and
+    ``find_root`` roots to 1e-12.  The free iteration stops after a step of at
+    most 1e-12 in alpha and 1e-13 in u_G, at a point whose residuals are within
+    those tolerances times the first differences' slopes (from such a point a
+    singular Jacobian takes a zero step).  Either root needs z between V0 and
+    the pivot and every value finite, the plateau root z/K not past the
+    junction num_c/den_c.  Returns (z, Asian solution, ``_asset_leg`` tuple,
+    u_G, evaluations, "free" or "plateau"), or raises ConvergenceError with
+    the last (alpha, u_G) and both residuals.
     """
     above = z_pivot > model.v0
     gap_sign = -1.0 if above else 1.0
@@ -419,18 +428,16 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
             break
     # the residual the stopping tolerances allow, through the slopes that the
     # differences measure (the secant updates do not enter it)
-    slope_a = np.abs(col_a)
-    allowed = slope_a * _ALPHA_TOL + np.abs(col_u) * _U_TOL
-    evals, steps = 2, 0
-    while steps < _NEWTON_STEPS:
-        steps += 1
+    allowed = np.abs(col_a) * _ALPHA_TOL + np.abs(col_u) * _U_TOL
+    evals = 2
+    for _ in range(_NEWTON_STEPS):
         r = a_val - u_val
         det = float(col_a[0] * col_u[1] - col_u[0] * col_a[1])
         if det:
             step_a = float(col_u[0] * r[1] - col_u[1] * r[0]) / det
             step_u = float(col_a[1] * r[0] - col_a[0] * r[1]) / det
-        else:  # next to the money the Jacobian can be all rounding: no step from an exact root
-            step_a = step_u = math.nan if r.any() else 0.0
+        else:  # next to the money the Jacobian can be all rounding: no step from a root to rounding
+            step_a = step_u = 0.0 if np.all(np.abs(r) <= allowed) else math.nan
         if not (math.isfinite(step_a) and math.isfinite(step_u)):
             raise fail("non-finite step")
         barriers = [(-alpha, step_a), (-u, step_u)]
@@ -471,41 +478,25 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     u = u_c
     eta_c = float(model.eta.value_log(u_c))
     flat = abs(eta_c**2 * num_c - den_c)
+    seen = {alpha: (a_val, h_leg)}  # find_root evaluates again the ends bracket_root returns
 
-    def plateau(a_val, col):
-        """Residual of E2', its slope in alpha through the alpha column, and w."""
-        scale = math.exp(a_val[1]) * k / (eta_c * flat)
-        w = gap_sign * (1.0 - eta_c**2 * a_val[0])
-        return scale * w - 1.0, scale * (w * col[1] - gap_sign * eta_c**2 * col[0]), w
+    def e2(a):
+        if a not in seen:
+            seen[a] = variance_part(a)
+        z_k, log_f = seen[a][0].tolist()
+        return math.exp(log_f) * k / (eta_c * flat) * gap_sign * (1.0 - eta_c**2 * z_k) - 1.0
 
-    res, slope, w = plateau(a_val, col_a)
-    while steps < _NEWTON_STEPS:
-        steps += 1
-        r = np.array([0.0, res])
-        step = -res / slope
-        if w <= 0.0:  # no path meets K at this budget: aim midway into the plateau's budgets
-            step = (0.5 * (1.0 / eta_c**2 + num_c / den_c) - a_val[0]) / col_a[0]
-        if -step >= alpha:  # a step past alpha = 0 goes half the way there
-            step = -0.5 * alpha
-        alpha += step
-        a_new, h_leg = variance_part(alpha)
-        res_new, _, w = plateau(a_new, col_a)
-        evals += 1
-        if abs(step) <= _ALPHA_TOL:
-            r = np.array([0.0, res_new])
-            # the slope through the first differences, with both terms counted positive
-            bound = abs(plateau(a_new, (-gap_sign * slope_a[0], slope_a[1]))[1]) * _ALPHA_TOL
-            if abs(res_new) > bound:
-                raise fail(f"plateau residual {abs(res_new)!r} exceeds {bound!r} at the root")
-            if not (w > 0.0 and gap_sign * (a_new[0] - num_c / den_c) >= 0.0):
-                raise fail(f"plateau root z/K = {a_new[0]!r} outside [{1.0 / eta_c**2!r}, {num_c / den_c!r}]")
-            z, sol = h_leg
-            leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(eta_c**2 * z - k))
-            return z, sol, certified(z, sol, flat, leg), u_c, evals, "plateau"
-        if abs(step) > da:
-            col_a, slope = (a_new - a_val) / step, (res_new - res) / step
-        a_val, res = a_new, res_new
-    raise fail(f"no convergence in {_NEWTON_STEPS} steps")
+    try:
+        alpha = find_root(e2, bracket_root(e2, _ALPHA_TOL, alpha), tol=_ALPHA_TOL)
+    except BracketError as exc:
+        r = np.array([0.0, e2(alpha)])
+        raise fail(f"no plateau root: {exc}") from None
+    r = np.array([0.0, e2(alpha)])
+    (z_k, _), (z, sol) = seen[alpha]
+    if gap_sign * (z_k - num_c / den_c) < 0.0:
+        raise fail(f"plateau root z/K = {float(z_k)!r} past the junction num_c/den_c = {num_c / den_c!r}")
+    leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(eta_c**2 * z - k))
+    return z, sol, certified(z, sol, flat, leg), u_c, evals + len(seen) - 1, "plateau"
 
 
 def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
@@ -516,8 +507,8 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     the asset leg on its free or its plateau branch; z*, J, F, G, the cost
     and lam all come from its final evaluation.  A strike it cannot certify
     raises ConvergenceError, and an AccuracyError of the quadrature kernel
-    passes through.  Where eta is constant or flat at S0 the rate is
-    J(V0, K/eta(S0)^2).
+    passes through.  Where eta is flat at S0 (``_eta_flat``) the rate is
+    J(V0, K/eta(S0)^2), or DegenerateEtaError where eta can leave S0's plateau.
 
     The diagnostics are plain JSON: the variance leg's ``alpha``,
     ``branch``, ``f_value``, ``g_value``; the asset leg's ``asset_branch``
@@ -545,7 +536,7 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
 
     with count_kernel_calls() as counts:
-        if _eta_flat(model):
+        if _eta_flat(model, x):
             z_star, sol = z_pivot, asian_rate_j(model.sigma, model.v0, z_pivot)
             g_end, g_cost, lam, evals, leg_fields = None, 0.0, None, 0, {"constant_eta": True}
         else:
@@ -630,10 +621,10 @@ def optimal_paths_zero_rho(model: LsvModel, k: float, n: int = 401) -> PathPair:
     """
     if model.rho != 0.0:
         raise ValueError("optimal_paths_zero_rho requires rho = 0")
-    if _eta_flat(model):
+    res = rate_zero_rho(model, k)
+    if "constant_eta" in res.diagnostics:
         raise DegenerateEtaError("optimal paths need non-constant eta")
-
-    return _paths_from_rate(model, rate_zero_rho(model, k), n)
+    return _paths_from_rate(model, res, n)
 
 
 def _paths_from_rate(model: LsvModel, res: RateResult, n: int) -> PathPair:

@@ -209,22 +209,33 @@ class TestErrorPaths:
         assert code == 2
         assert "eta" in json.loads(err.strip().splitlines()[-1])["message"]
 
-    @pytest.mark.parametrize(
+    EVERY_COMMAND = pytest.mark.parametrize(
         "args",
         [["rate", "--k", "0.01"], ["rate", "--x", "0.1"], ["smile", "--x", "0.1"], ["atm"], ["table1"],
          ["mc", "--k", "0.01", "--paths", "4", "--steps", "1"], ["figures", "--paths", "4", "--steps", "1"]],
         ids=["rate-k", "rate-x", "smile", "atm", "table1", "mc", "figures"],
     )
-    def test_forward_variance_underflow_exit_2(self, capsys, tmp_path, args):
-        # eta(S0)^2 V0 rounds to 0: every command refuses the model, none divides by it
+
+    @staticmethod
+    def _refused_with_constant_eta(capsys, tmp_path, args, eta0):
         bad = tmp_path / "bad.json"
         data = json.loads(MODEL.read_text())
-        data["eta"] = {"type": "constant", "eta0": 1e-200}
+        data["eta"] = {"type": "constant", "eta0": eta0}
         bad.write_text(json.dumps(data))
         code, _, err = run(args + ["--model", str(bad)], capsys)
         assert code == 2
         assert "Traceback" not in err
         assert "F_V(0)" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    @EVERY_COMMAND
+    def test_forward_variance_underflow_exit_2(self, capsys, tmp_path, args):
+        # eta(S0)^2 V0 rounds to 0: every command refuses the model, none divides by it
+        self._refused_with_constant_eta(capsys, tmp_path, args, 1e-200)
+
+    @EVERY_COMMAND
+    def test_forward_variance_overflow_exit_2(self, capsys, tmp_path, args):
+        # eta(S0)^2 overflows: every command refuses the model
+        self._refused_with_constant_eta(capsys, tmp_path, args, 1e200)
 
     def test_malformed_model_value_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

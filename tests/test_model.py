@@ -177,14 +177,16 @@ class TestValidate:
         assert not rep.valid
         assert any("eta" in e for e in rep.errors)
 
-    @pytest.mark.parametrize("eta0, v0", [(1e-200, 0.04), (1e-160, 5e-324)])
+    @pytest.mark.parametrize("eta0, v0", [(1e-200, 0.04), (1e-160, 5e-324), (1e200, 0.04), (1e150, 1e20)])
     def test_forward_variance_underflow_rejected(self, eta0, v0):
-        # eta(S0) and V0 are positive, but eta(S0)^2 V0 rounds to 0
+        # eta(S0) and V0 are positive, but eta(S0)^2 V0 rounds to 0, or
+        # overflows (eta(S0)^2 itself raises OverflowError at 1e200)
         m = LsvModel(s0=1.0, v0=v0, rho=0.0, eta=ConstantEta(eta0), sigma=ConstantSigma(1.0))
         rep = validate(m)
         assert not rep.valid and any("F_V(0)" in e for e in rep.errors)
-        with pytest.raises(ValueError, match=r"F_V\(0\)"):
-            log_moneyness(m, 0.01)
+        for call in (lambda: log_moneyness(m, 0.01), lambda: forward_variance_limit(m)):
+            with pytest.raises(ValueError, match=r"F_V\(0\) = eta\(S0\)\^2 V0 must be positive and finite"):
+                call()
 
     def test_increasing_eta_warns(self):
         rep = validate(make(TanhEta(1.0, 0.3, 0.0)))

@@ -494,6 +494,28 @@ class TestRateZeroRho:
         assert abs(res.value - expect) < 1e-12
         assert res.diagnostics.get("constant_eta")
 
+    @pytest.mark.parametrize("eta, x, expect", [
+        (LogPolyEta((0.19, 1.0), 0.2, 2.0), -0.5, 0.41794),
+        (LogPolyEta((0.19, 1.0), 0.2, 2.0), 0.5, None),
+        (LogPolyEta((0.5, -1.0), 0.2, 0.49), 0.5, 0.34189),
+        (LogPolyEta((0.5, -1.0), 0.2, 0.49), -0.5, None),
+    ], ids=["lower-clamp-put", "lower-clamp-call", "upper-clamp-call", "upper-clamp-put"])
+    def test_eta_flat_on_a_clamp(self, eta, x, expect):
+        # eta(S0) on a clamp: toward the strike on that clamp's side no path
+        # moves eta, and the rate is the Asian rate at K/eta(S0)^2 (a
+        # transcription seeded off S0 agrees to 5 digits); toward the other
+        # side eta can leave its plateau, and that Asian rate is only an upper
+        # bound (0.34189 against a transcription's 0.09044 for the call)
+        m = LsvModel(s0=1.0, v0=1.0, rho=0.0, eta=eta, sigma=ConstantSigma(1.0))
+        k = forward_variance_limit(m) * math.exp(x)
+        if expect is None:
+            with pytest.raises(DegenerateEtaError, match=r"only an upper bound on the rate$"):
+                rate_zero_rho(m, k)
+            return
+        res = rate_zero_rho(m, k)
+        assert res.diagnostics["constant_eta"] and round(res.value, 5) == expect
+        assert res.value == asian_rate_j(m.sigma, m.v0, k / float(eta.value_log(0.0)) ** 2).value
+
     @pytest.mark.parametrize(
         "eta",
         [TanhEta(1.0, 0.3), LogPolyEta((1.0, 0.3, 0.05), 0.85, 1.15)],
@@ -593,10 +615,10 @@ class TestNewtonRoute:
             # a full step lands on the plateau past u_c = 0.42, while the root lies inside
             ((60, 7), 14, -3.0, 58.05239548198993, 19, "free"),
             # the plateau branch, against _reference_rate
-            ((60, 7), 14, 5.0, 32.94725507293748, 11, "plateau"),
-            ((60, 7), 20, 5.0, 23.20634502211056, 11, "plateau"),
-            ((60, 7), 53, 4.0, 12.775899148278617, 12, "plateau"),
-            ((60, 7), 53, 5.0, 19.736276149737435, 12, "plateau"),
+            ((60, 7), 14, 5.0, 32.94725507293748, 14, "plateau"),
+            ((60, 7), 20, 5.0, 23.20634502211056, 13, "plateau"),
+            ((60, 7), 53, 4.0, 12.775899148278617, 14, "plateau"),
+            ((60, 7), 53, 5.0, 19.736276149737435, 14, "plateau"),
         ],
         ids=["drawn7-3", "drawn7-3.5", "drawn7-4", "drawn7-5", "seed7-38-5", "seed7-39-5", "plateau-edge-cut",
              "seed7-14-5", "seed7-20-5", "seed7-53-4", "seed7-53-5"],
@@ -619,6 +641,16 @@ class TestNewtonRoute:
         assert alpha > 0.0 > u_g
         assert info.value.diagnostics["u_g"] == u_g
         assert len(info.value.diagnostics["residuals"]) == 2
+
+    def test_near_money_scan_solves(self, tanh_model):
+        # next to the money the Jacobian can be all rounding (det = 0) at a
+        # root to rounding: every strike of the scan solves, to a finite rate
+        # that is positive off the ATM band
+        for m in (tanh_model, KINKED, *_drawn_models(60, 7)):
+            f0 = forward_variance_limit(m)
+            for x in np.logspace(-13.0, -8.0, 16):
+                for res in (rate_zero_rho(m, f0 * math.exp(x)), rate_zero_rho(m, f0 * math.exp(-x))):
+                    assert math.isfinite(res.value) and (res.value > 0.0) == (res.diagnostics["x"] != 0.0)
 
     def test_bits_do_not_depend_on_call_order(self, tanh_model):
         f0 = forward_variance_limit(tanh_model)
@@ -682,31 +714,33 @@ class TestNewtonFailures:
         got, allowed = map(json.loads, found.groups())
         assert got == [abs(v) for v in r] and got[1] > allowed[1]
 
-    def test_non_finite_step_next_to_the_money(self, tanh_model):
+    def test_non_finite_step_next_to_the_money(self, tanh_model, monkeypatch):
         # the Jacobian's differences are all rounding (det = 0) while z/K
-        # misses by one ulp, so the step is nan: a near-money strike that
-        # fails though its residual is at rounding
+        # misses by one ulp: with no residual allowed there is no step
         k = forward_variance_limit(tanh_model) * math.exp(-2.49e-10)
-        with pytest.raises(ConvergenceError, match="non-finite step$") as info:
-            rate_zero_rho(tanh_model, k)
-        diag = info.value.diagnostics
-        assert (diag["alpha"], diag["u_g"]) == info.value.best and 0.0 < diag["alpha"] < 1e-9
-        assert max(map(abs, diag["residuals"])) <= 2.3e-16
+        msg, alpha, _, r = self._raise(tanh_model, k, monkeypatch, _ALPHA_TOL=0.0, _U_TOL=0.0)
+        assert msg.endswith("non-finite step") and 0.0 < alpha < 1e-9
+        assert 0.0 < max(map(abs, r)) <= 2.3e-16
 
     @pytest.mark.parametrize("x, constants, pattern", [
-        (1.0, {"_NEWTON_STEPS": 4}, r"no convergence in 4 steps$"),
-        (3.0, {"_ALPHA_TOL": 0.3}, r"plateau residual \S+ exceeds \S+ at the root$"),
-        (2.5, {"_ALPHA_TOL": 1.0}, r"plateau root z/K = \S+ outside \[\S+, \S+\]$"),
-    ], ids=["steps", "residual", "outside"])
+        (1.0, {"varsmile.numerics._MAX_EXPANSIONS": 0},
+         r"no plateau root: no sign change after 0 expansions \(last \[1e-12, \S+\]\)$"),
+        (1.5, {"varsmile.rate_zero._ALPHA_TOL": 1.0},
+         r"plateau root z/K = \S+ past the junction num_c/den_c = \S+$"),
+    ], ids=["no-sign-change", "outside"])
     def test_plateau_branch(self, monkeypatch, x, constants, pattern):
         # drawn model 20 takes the plateau branch from x = 1 on: u_G is held
-        # at the plateau edge, and only E2' leaves a residual
+        # at the plateau edge, and only E2' leaves a residual.  At x = 1 the
+        # bracket needs one doubling from the last free iterate; at x = 1.5 a
+        # root to within 1 in alpha lands on the free side of the junction
         m = _drawn_models(60, 7)[20]
         f0 = forward_variance_limit(m)
         edge = rate_zero_rho(m, f0 * math.exp(1.0)).diagnostics["u_g"]
-        msg, _, u_g, r = self._raise(m, f0 * math.exp(x), monkeypatch, **constants)
+        for name, value in constants.items():
+            monkeypatch.setattr(name, value)
+        msg, alpha, u_g, r = self._raise(m, f0 * math.exp(x), monkeypatch)
         assert re.search(pattern, msg)
-        assert u_g == edge and r[0] == 0.0 and r[1] != 0.0
+        assert type(alpha) is float and u_g == edge and r[0] == 0.0 and r[1] != 0.0
 
 
 class TestPlateauBranch:

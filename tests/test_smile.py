@@ -213,9 +213,10 @@ class TestAtmBand:
             log_moneyness(tanh_model, k)
 
     # eta(S0) = 0 divides by zero, eta(S0) = -1 squares to a plausible F_V(0),
-    # and eta(S0) = 1e-200 is positive but F_V(0) = eta(S0)^2 V0 rounds to 0
+    # and eta(S0) = 1e-200 and 1e200 are positive but F_V(0) = eta(S0)^2 V0
+    # rounds to 0 or overflows
     @pytest.mark.parametrize("eta", [LogPolyEta((0.0, -0.5), 0.0, 1.0), LogPolyEta((-1.0, -0.5), -2.0, 1.0),
-                                     ConstantEta(1e-200)])
+                                     ConstantEta(1e-200), ConstantEta(1e200)])
     def test_eta_at_spot_not_positive_rejected(self, tanh_model, eta, monkeypatch):
         m = replace(tanh_model, eta=eta)
         named = r"eta\(S0\) = \S+ and F_V\(0\) = eta\(S0\)\^2 V0 must be positive"
