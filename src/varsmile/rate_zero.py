@@ -271,11 +271,12 @@ def _flat_edge(eta, u_c: float) -> Optional[float]:
     slope = poly.polyder(eta.coeffs)
     if any(0.0 < t / u_c < 1.0 for t in real_roots(slope)):
         return None
-    # one Newton step takes the root to an ulp or so, then ulps toward S0 leave the flat
+    # one Newton step lands near the edge; if eta is flat there, bisect [u_c, 0] to the first float off the flat
     u_c -= float(poly.polyval(u_c, eta.coeffs) - eta.value_log(u_c)) / float(poly.polyval(u_c, slope))
-    while eta.dvalue_log(u_c) == 0.0:
-        u_c = float(np.nextafter(u_c, 0.0))
-    return u_c
+    lo, hi = u_c, (0.0 if eta.dvalue_log(u_c) == 0.0 else u_c)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if eta.dvalue_log(mid) == 0.0 else (lo, mid)
+    return hi
 
 
 def _asset_leg(model: LsvModel, z: float, k: float, u_g: float, gap_sign: float, speed: float, scale: float):

@@ -258,9 +258,9 @@ def h_only_oracle(model, k, rho_eff, w_a):
         t = np.linspace(0.0, 1.0, n)
         dt = t[1] - t[0]
 
-        def pieces(h_int):
-            h = np.concatenate(([0.0], h_int))
-            hm = 0.5 * (h[1:] + h[:-1])
+        def pieces(h_int):  # nodes on the last axis, as _newton_kkt batches its difference columns
+            h = np.concatenate((np.zeros(h_int.shape[:-1] + (1,)), h_int), axis=-1)
+            hm = 0.5 * (h[..., 1:] + h[..., :-1])
             return hm, model.sigma.value_log(hm), np.diff(h) / dt
 
         def lagrangian_grad(h_int, lam):
@@ -268,13 +268,13 @@ def h_only_oracle(model, k, rho_eff, w_a):
             slope = dh / sig**2  # an interval energy's derivative in its right node, via the slope
             mid = -dt * dh * dh * model.sigma.dvalue_log(hm) / sig**3
             c_mid = 0.5 * dt * mapper.dlevel(hm)  # each end's share of d(sum G(hm) dt)/d(hm)
-            grad_c, grad_f = np.zeros(n), np.zeros(n)
-            np.add.at(grad_c, np.arange(n - 1), c_mid)
-            np.add.at(grad_c, np.arange(1, n), c_mid)
-            np.add.at(grad_f, np.arange(n - 1), 0.5 * mid - slope)
-            np.add.at(grad_f, np.arange(1, n), 0.5 * mid + slope)
-            c = float(np.sum(mapper.level(hm)) * dt) - k
-            return grad_f[1:] + lam * grad_c[1:], c, grad_c[1:]
+            grad_c, grad_f = np.zeros(h_int.shape[:-1] + (n,)), np.zeros(h_int.shape[:-1] + (n,))
+            grad_c[..., :-1] += c_mid
+            grad_c[..., 1:] += c_mid
+            grad_f[..., :-1] += 0.5 * mid - slope
+            grad_f[..., 1:] += 0.5 * mid + slope
+            c = np.sum(mapper.level(hm), axis=-1) * dt - k
+            return grad_f[..., 1:] + lam * grad_c[..., 1:], c, grad_c[..., 1:]
 
         h_int = rate_general._newton_kkt(lagrangian_grad, (end * (2.0 * t - t * t))[1:], k)[0]
         _, sig, dh = pieces(h_int)
@@ -602,18 +602,23 @@ class TestRateNumeric:
         assert d["x"] == 0.0 and d["newton_iters"] == 0 and d["grad_evals"] == 1
         assert d["kkt_residual"] == 0.0 and abs(d["constraint_residual"]) <= 1e-12 * forward_variance_limit(m)
 
+    @staticmethod
+    def _perturbed(m, n, rng):
+        """Interleaved interior nodes z of a perturbed path pair from (0, log V0)."""
+        t = np.linspace(0, 1, n)
+        return np.column_stack((
+            -0.02 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
+            math.log(m.v0) + 0.3 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
+        )).ravel()
+
     def test_gradient_matches_finite_differences(self, tanh_model):
         """The Newton-KKT gradient against central differences of the public
         action and constraint, L = Lambda + lam (C - K)."""
         m = tanh_model.with_rho(0.4)
         n, k, lam = 21, 0.12, 0.3
-        t = np.linspace(0, 1, n)
         lagrangian_grad = _lagrangian_grad(m, k, PathPair.constant(0.0, math.log(m.v0), n))
         rng = np.random.default_rng(5)
-        z = np.column_stack((
-            -0.02 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
-            math.log(m.v0) + 0.3 * (2 * t - t * t)[1:] + 0.002 * rng.standard_normal(n - 1),
-        )).ravel()
+        z = self._perturbed(m, n, rng)
 
         def paths(z_):
             return PathPair(np.concatenate(([0.0], z_[0::2])), np.concatenate(([math.log(m.v0)], z_[1::2])))
@@ -631,6 +636,58 @@ class TestRateNumeric:
             assert abs(fd - grad[idx]) <= 1e-6 * max(1.0, abs(fd))
             fd_c = (constraint_integral(m, paths(z + e)) - constraint_integral(m, paths(z - e))) / (2 * eps)
             assert abs(fd_c - grad_c[idx]) <= 1e-6 * max(1.0, abs(fd_c))
+
+    @pytest.mark.parametrize("model", [TANH, KINKED], ids=["tanh", "kinked"])
+    def test_batched_gradient_is_row_by_row(self, model):
+        # _newton_kkt takes its 14 difference gradients from one batched call:
+        # each row is bit for bit the single call on it, in grad, C - K and grad C
+        m = model.with_rho(0.4)
+        n, k, lam = 21, 0.12, 0.3
+        lagrangian_grad = _lagrangian_grad(m, k, PathPair.constant(0.0, math.log(m.v0), n))
+        z = self._perturbed(m, n, np.random.default_rng(5))
+        width = 2 * rate_general._BW + 1
+        steps = np.where(np.arange(z.size) % width == np.arange(width)[:, None], rate_general._FD_STEP, 0.0)
+        batch = np.concatenate((z + steps, z - steps))
+        assert batch.shape == (2 * width, z.size) == (14, 40)
+        for got, rows in zip(lagrangian_grad(batch, lam), zip(*(lagrangian_grad(row, lam) for row in batch))):
+            assert np.array_equal(got, np.stack(rows))
+
+    def test_band_is_the_hessian_column_by_column(self, monkeypatch):
+        # unknown j's own central difference of grad L moves only rows within
+        # _BW of j, so its entries there are, bit for bit, those of the colour
+        # difference that _newton_kkt places in column j of its band
+        m = KINKED.with_rho(0.4)
+        n, k, bw = 21, 0.12, rate_general._BW
+        lagrangian_grad = _lagrangian_grad(m, k, PathPair.constant(0.0, math.log(m.v0), n))
+        z = self._perturbed(m, n, np.random.default_rng(5))
+        bands, solve = [], rate_general.solve_banded
+
+        def capture(l_and_u, band, rhs):
+            bands.append(band.copy())
+            return solve(l_and_u, band, rhs)
+
+        monkeypatch.setattr(rate_general, "solve_banded", capture)
+        monkeypatch.setattr(rate_general, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError):
+            rate_general._newton_kkt(lagrangian_grad, z, k)
+        fd = rate_general._FD_STEP
+        hess = np.column_stack([(lagrangian_grad(z + e, 0.0)[0] - lagrangian_grad(z - e, 0.0)[0]) / (2.0 * fd)
+                                for e in fd * np.eye(z.size)])
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(z.size), np.arange(z.size))) <= bw)
+        assert np.array_equal(bands[0][bw + i - j, j], hess[i, j])
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_kinked_cycling_strike_raises(self, rho):
+        # ROADMAP item 1's open case: at x = 0.5 the kinked paths cross clamps,
+        # and Newton cycles there until the cap with max|grad L| near 1.5e-4
+        m = KINKED.with_rho(rho)
+        with pytest.raises(ConvergenceError) as info:
+            rate_numeric(m, forward_variance_limit(m) * math.exp(0.5))
+        diag = info.value.diagnostics
+        assert diag["newton_iters"] == rate_general._NEWTON_MAX_ITER == 20
+        assert 1.2e-4 <= diag["kkt_residual"] <= 1.9e-4  # 1.30e-4 at rho = -0.5, 1.80e-4 at 0.5
+        assert f"max|grad L| {diag['kkt_residual']:.3e}" in str(info.value)
+        assert f"|C - K| {abs(diag['constraint_residual']):.3e}" in str(info.value)
 
     def test_matches_closed_form_spot(self, tanh_model):
         k = 0.1 * math.exp(0.08)

@@ -29,7 +29,7 @@ from varsmile import (
     rate_numeric,
     rate_zero_rho,
 )
-from varsmile.errors import AccuracyError, ConvergenceError, DegenerateEtaError
+from varsmile.errors import AccuracyError, ConvergenceError, DegenerateEtaError, NumericsError
 from varsmile.model import clamp_points, eta_eval
 from varsmile.rate_general import constraint_integral
 from varsmile.rate_zero import _endpoint_integrals, _flat_edge, _variance_leg
@@ -777,6 +777,25 @@ class TestPlateauBranch:
         for seq in (errors, misses):
             assert 3.5 < seq[0] / seq[1] < 4.5 and 3.5 < seq[1] / seq[2] < 4.5
         assert abs(errors[-1]) <= 1e-6 * res.value and abs(misses[-1]) <= 1e-6
+
+    @pytest.mark.parametrize("clamp_hi, x", [(1.0 + 1e-8, 0.1), (1.0 + 1e-12, 1e-6), (1.0 + 1e-13, 1e-10)])
+    def test_edge_next_to_the_money(self, clamp_hi, x):
+        # the clamp point u_c = -(clamp_hi - 1) / 0.3 lies so near S0 that 1e8 to
+        # 1e13 floats of u round to one eta, and the Newton step lands far inside
+        # the flat: the edge is bisected, and the strike ends in bounded time
+        eta = LogPolyEta((1.0, -0.3), 0.85, clamp_hi)
+        edge = _flat_edge(eta, -(clamp_hi - 1.0) / 0.3)
+        assert eta.dvalue_log(edge) != 0.0 == eta.dvalue_log(np.nextafter(edge, -1.0))
+        m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=eta, sigma=ConstantSigma(2.0))
+        k = forward_variance_limit(m) * math.exp(x)
+        try:
+            res = rate_zero_rho(m, k)
+        except NumericsError as exc:
+            assert re.match(r"rate_zero_rho at K = \S+: \S", str(exc))  # names its reason
+            return
+        # eta runs from 1 at S0 up to clamp_hi: the rate lies between those of the frozen asset
+        frozen = [rate_zero_rho(replace(m, eta=ConstantEta(e)), k).value for e in (clamp_hi, 1.0)]
+        assert frozen[0] <= res.value <= frozen[1]
 
     def test_reports_solved_u_g(self):
         # u_g is the endpoint as solved, plain JSON: the plateau edge next to
