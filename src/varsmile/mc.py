@@ -10,11 +10,18 @@ major: blocks of ``(steps, 2, streams)`` normals, with consecutive blocks
 continuing the one counter-based stream, so the block size does not change
 the draws.  Results are therefore bit-identical for a fixed seed, and the
 full chunks of a smaller ``n_paths`` are the leading paths of a larger one.
+
+One background thread draws and mixes the blocks, chunk by chunk and
+block by block within a chunk, into two reused buffers: while the step
+loop runs through one block, the worker fills the other with the next,
+which may open the next chunk.  The draws and the mixing release the GIL,
+so they overlap the loop; the samples are those of drawing in series.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -114,30 +121,73 @@ def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf:
     return out
 
 
-def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
-    """Simulate streams [lo, hi) of the chunk starting at ``lo``; writes into
-    disjoint output slices.
+def _drawn_blocks(pool, model, cfg, dt, chunks):
+    """The mixed normal blocks of the run, chunk by chunk and block by block
+    within a chunk, each a ``(steps, 2, streams)`` view.
+
+    The pool's one worker draws and mixes block j + 1 into the other of two
+    reused buffers while the caller steps through block j, so the caller
+    must be done with a block when it asks for the next.  Chunk c draws from
+    the Philox generator keyed (seed, c).  Mixing turns ``w`` into the spot
+    noise ``rho z + root w`` and, for a constant vol-of-vol s, ``z`` into
+    ``(s z) sqrt(dt)``, the operations and order of the plain Euler step.
+    """
+    nb = _STEP_BLOCK
+    n_steps = cfg.n_steps
+    rho = model.rho
+    root = math.sqrt(max(1.0 - rho * rho, 0.0))
+    hoist = model.sigma.is_constant
+    s = float(model.sigma.value_log(0.0)) if hoist else None
+    sqdt = math.sqrt(dt)
+    size = min(nb, n_steps) * 2 * (chunks[0][1] - chunks[0][0])
+    bufs = (np.empty(size), np.empty(size))
+    tasks = [(c, i, hi - lo) for c, (lo, hi) in enumerate(chunks) for i in range(0, n_steps, nb)]
+    gen = None
+
+    def fill(task, buf):
+        nonlocal gen
+        c, i, m = task
+        if i == 0:
+            gen = np.random.Generator(np.random.Philox(key=[cfg.seed, c]))
+        k = min(nb, n_steps - i)
+        block = gen.standard_normal(out=buf[: k * 2 * m].reshape(k, 2, m))
+        zb, xb = block[:, 0], block[:, 1]
+        xb *= root
+        xb += rho * zb
+        if hoist:
+            zb *= s
+            zb *= sqdt
+        return block
+
+    ahead = pool.submit(fill, tasks[0], bufs[0])
+    for j in range(len(tasks)):
+        block = ahead.result()
+        if j + 1 < len(tasks):
+            ahead = pool.submit(fill, tasks[j + 1], bufs[(j + 1) % 2])
+        yield block
+
+
+def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out, blocks):
+    """Simulate streams [lo, hi) of the chunk starting at ``lo`` from its
+    mixed blocks, taken in turn from ``blocks``; writes into disjoint output
+    slices.
 
     Row 0 of the ``(2, m)`` state follows the drawn normals ``(z, w)``, row
-    1 (antithetic) their negation.  Each drawn block is mixed once, in place:
-    ``w`` becomes the spot noise ``rho z + root w``.  Row 1's noise is the
-    exact negation of row 0's, so row 1 subtracts the noise term that row 0
-    adds.  Every elementwise operation keeps the operands and order of the
-    plain Euler step, so the samples do not depend on this arrangement.
+    1 (antithetic) their negation.  Row 1's noise is the exact negation of
+    row 0's, so row 1 subtracts the noise term that row 0 adds.  Every
+    elementwise operation keeps the operands and order of the plain Euler
+    step, so the samples do not depend on this arrangement.
     """
     n_steps = cfg.n_steps
     m = hi - lo
-    gen = np.random.Generator(np.random.Philox(key=[cfg.seed, lo // _CHUNK_STREAMS]))
     nb = _STEP_BLOCK
 
-    rho = model.rho
-    root = math.sqrt(max(1.0 - rho * rho, 0.0))
     sqdt = math.sqrt(dt)
     drift_s = (model.r - model.q) * dt
     v0 = model.v0
     shape = (2, m)
     # constant vol-of-vol s: the variance increment is the scalar drift_v
-    # plus (s z) sqrt(dt), scaled once per block, written in dw
+    # plus the block's (s z) sqrt(dt), written in dw
     hoist = model.sigma.is_constant
     if hoist:
         s = float(model.sigma.value_log(0.0))
@@ -147,19 +197,12 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out):
     wv = np.zeros(shape)  # log(V/V0)
     acc = np.zeros(shape)
     v, ev = np.empty(shape), np.empty(shape)
-    blocks = np.empty((min(nb, n_steps), 2, m))
     if sample_stride is not None:
         caps = np.zeros((n_steps // sample_stride + 1,) + shape)
 
     for i in range(n_steps):
         if i % nb == 0:
-            block = gen.standard_normal(out=blocks[: min(nb, n_steps - i)])
-            zb, xb = block[:, 0], block[:, 1]
-            xb *= root
-            xb += rho * zb
-            if hoist:
-                zb *= s
-                zb *= sqdt
+            block = next(blocks)
         z, x = block[i % nb]
         np.exp(wv, out=v)
         v *= v0
@@ -210,8 +253,12 @@ def _simulate_core(model: LsvModel, cfg: McConfig, sample_stride=None):
     logs = None
     if sample_stride is not None:
         logs = np.empty((cfg.n_paths, cfg.n_steps // sample_stride + 1))
-    for lo in range(0, n_streams, _CHUNK_STREAMS):
-        _run_chunk(model, cfg, lo, min(lo + _CHUNK_STREAMS, n_streams), dt, sample_stride, rv, logs)
+    chunks = [(lo, min(lo + _CHUNK_STREAMS, n_streams)) for lo in range(0, n_streams, _CHUNK_STREAMS)]
+    # leaving the block joins the worker, also when either thread raised
+    with ThreadPoolExecutor(1) as pool:
+        blocks = _drawn_blocks(pool, model, cfg, dt, chunks)
+        for lo, hi in chunks:
+            _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv, logs, blocks)
     return rv, logs
 
 

@@ -586,7 +586,7 @@ def rate_numeric(model: LsvModel, k: float, n: int = 201) -> RateResult:
         lv.total,
         "numeric_transcription",
         g_endpoint=float(math.exp(paths.g[-1])),
-        lagrange=lam,
+        lagrange=float(lam),
         g_cost=lv.g_cost,
         h_cost=lv.h_cost,
         diagnostics={"x": x, **diag},

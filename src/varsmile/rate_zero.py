@@ -496,7 +496,10 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     (z_k, _), (z, sol) = seen[alpha]
     if gap_sign * (z_k - num_c / den_c) < 0.0:
         raise fail(f"plateau root z/K = {float(z_k)!r} past the junction num_c/den_c = {num_c / den_c!r}")
-    leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(eta_c**2 * z - k))
+    gap = eta_c**2 * z - k
+    if abs(gap) <= 4.0 * math.ulp(k):  # the plateau speed would divide by rounding, or by 0
+        raise fail(f"plateau gap eta_c^2 z - K = {gap!r} is rounding against K = {k!r}")
+    leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(gap))
     return z, sol, certified(z, sol, flat, leg), u_c, evals + len(seen) - 1, "plateau"
 
 

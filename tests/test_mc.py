@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from varsmile import (
     LogPolySigma,
     LsvModel,
     McConfig,
+    TanhEta,
     discrete_rv_diagnostic,
     forward_variance_limit,
     load_model,
@@ -197,6 +199,69 @@ class TestBitPin:
         monkeypatch.setattr(mc, "_estimate", _reference_estimate)
         assert smile == mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
         assert price == mc_price(model, f0, cfg, samples=rv)
+
+    # the worker draws block j + 1 while block j is stepped, so the next
+    # block can belong to the next chunk: at every block of a day-like run
+    # (steps < _STEP_BLOCK), and at the last, partial block of each chunk
+    @pytest.mark.parametrize(
+        "streams, steps",
+        [(3 * mc._CHUNK_STREAMS + 5, 20), (2 * mc._CHUNK_STREAMS - 7, 2 * mc._STEP_BLOCK + 9)],
+        ids=["day_like_4_chunks", "3_blocks_2_chunks"],
+    )
+    @pytest.mark.parametrize("case", ["tanh", "kinked"])
+    def test_matches_reference_across_prefetch_boundaries(self, tanh_model, case, streams, steps):
+        model = {"tanh": tanh_model, "kinked": KINKED}[case].with_rho(-0.4)
+        cfg = McConfig(n_paths=2 * streams, n_steps=steps, seed=23, maturity=1.0 / 365.0)
+        rv, logs = mc._simulate_core(model, cfg, sample_stride=steps)
+        rv_ref, logs_ref = _reference_simulate(model, cfg, sample_stride=steps)
+        assert np.array_equal(rv, rv_ref)
+        assert np.array_equal(logs, logs_ref)
+
+
+class TestLifecycle:
+    """An error on either thread reaches the caller, and the draw worker
+    is joined before the call returns or raises."""
+
+    def test_step_loop_error(self, tanh_model, monkeypatch):
+        err = RuntimeError("eta failed on step 3")
+        calls = []
+        value_log = TanhEta.value_log
+
+        def failing(self, u):
+            calls.append(None)
+            if len(calls) == 3:
+                raise err
+            return value_log(self, u)
+
+        monkeypatch.setattr(TanhEta, "value_log", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate_realized_variance(tanh_model, small_cfg(n_paths=4200, n_steps=100))
+        assert info.value is err
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_draw_error(self, tanh_model, monkeypatch):
+        # chunk 1's generator fails on the worker while chunk 0 is stepped
+        err = RuntimeError("no generator for chunk 1")
+        philox = np.random.Philox
+
+        def failing(key):
+            if key[1] == 1:
+                raise err
+            return philox(key=key)
+
+        monkeypatch.setattr(mc.np.random, "Philox", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate_realized_variance(tanh_model, small_cfg(n_paths=2 * mc._CHUNK_STREAMS + 8, n_steps=5))
+        assert info.value is err
+        assert threading.active_count() == before
+
+    def test_worker_joined_after_a_run(self, tanh_model):
+        before = threading.active_count()
+        simulate_realized_variance(tanh_model, small_cfg(n_paths=8, n_steps=3))
+        assert threading.active_count() == before
 
 
 class TestPricing:

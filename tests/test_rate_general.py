@@ -597,6 +597,7 @@ class TestRateNumeric:
         m = (KINKED if kinked else tanh_model).with_rho(rho)
         res = rate_numeric(m, forward_variance_limit(m) * (1.0 + rel))
         assert res.value == 0.0 and res.lagrange == 0.0 and res.g_endpoint == m.s0
+        assert type(res.lagrange) is float
         assert np.all(res.paths.g == math.log(m.s0)) and np.all(res.paths.h == math.log(m.v0))
         d = res.diagnostics
         assert d["x"] == 0.0 and d["newton_iters"] == 0 and d["grad_evals"] == 1
@@ -699,6 +700,7 @@ class TestRateNumeric:
         m = tanh_model.with_rho(0.5)
         res = rate_numeric(m, 0.11)
         assert res.value == lambda_functional(m, res.paths).total
+        assert type(res.lagrange) is float  # as every other field, not a numpy scalar
         assert abs(constraint_integral(m, res.paths) - 0.11) <= 1e-9 * 0.11
 
     def test_deterministic(self, tanh_model):

@@ -778,11 +778,23 @@ class TestPlateauBranch:
             assert 3.5 < seq[0] / seq[1] < 4.5 and 3.5 < seq[1] / seq[2] < 4.5
         assert abs(errors[-1]) <= 1e-6 * res.value and abs(misses[-1]) <= 1e-6
 
-    @pytest.mark.parametrize("clamp_hi, x", [(1.0 + 1e-8, 0.1), (1.0 + 1e-12, 1e-6), (1.0 + 1e-13, 1e-10)])
+    @pytest.mark.parametrize(
+        "clamp_hi, x",
+        [
+            (1.0 + 1e-8, 0.1),
+            (1.0 + 1e-12, 1e-6),
+            (1.0 + 1e-13, 1e-10),
+            (1.0 + 1e-12, 0.01),
+            (1.0 + 1e-13, 0.001),
+            (1.0 + 1e-13, 0.01),
+        ],
+    )
     def test_edge_next_to_the_money(self, clamp_hi, x):
         # the clamp point u_c = -(clamp_hi - 1) / 0.3 lies so near S0 that 1e8 to
         # 1e13 floats of u round to one eta, and the Newton step lands far inside
-        # the flat: the edge is bisected, and the strike ends in bounded time
+        # the flat: the edge is bisected, and the strike ends in bounded time.
+        # On the last three the plateau root puts eta_c^2 z on K to rounding,
+        # where the plateau speed divided by a zero gap
         eta = LogPolyEta((1.0, -0.3), 0.85, clamp_hi)
         edge = _flat_edge(eta, -(clamp_hi - 1.0) / 0.3)
         assert eta.dvalue_log(edge) != 0.0 == eta.dvalue_log(np.nextafter(edge, -1.0))
