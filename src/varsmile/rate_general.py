@@ -12,6 +12,7 @@ central differences of the analytic gradient, 14 gradients in one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -170,13 +171,16 @@ class _CoupledMap:
     variance w = log(v / V0).
 
     Tabulates Phi_V(w) = sqrt(V0) int_0^w e^{w'/2}/sigma(w') dw' over the
-    log-variance table |w| <= span, clipped to [W_SPAN, MAX_SPAN], and the
-    inverse of Phi_S(u) = int_0^u du'/eta(u') over the log-asset range that
-    rho_eff Phi_V reaches, as cubic Hermite interpolants of the values and
-    exact slopes at the nodes of a ``_grid``: STEP apart through 0, with a
-    node on each clamp point, so no table segment holds a kink.  They give
-    vectorized log F(w), the payoff level G(V0 e^w), G(v) = v eta^2(F(v)),
-    and its w-derivative from the tables' own slope.
+    log-variance table |w| <= span, and the inverse of Phi_S(u) =
+    int_0^u du'/eta(u') over the log-asset range that rho_eff Phi_V
+    reaches, as cubic Hermite interpolants of the values and exact slopes at
+    the nodes of a ``_grid``: STEP apart through 0, with a node on each clamp
+    point, so no table segment holds a kink.  They give vectorized log F(w),
+    the payoff level G(V0 e^w), G(v) = v eta^2(F(v)), and its w-derivative
+    from the tables' own slope; ``levels`` holds G at the table's inner
+    nodes ``w[1:-1]``.  The map depends on (model, rho_eff, span) alone, and
+    the h-only route shares one per key through ``_coupled_map``, so its
+    arrays are read-only.
     """
 
     W_SPAN, MAX_SPAN = 4.0, 10.0
@@ -186,7 +190,7 @@ class _CoupledMap:
     def __init__(self, model: LsvModel, rho_eff: float, span: float = W_SPAN):
         self.model, self.rho_eff, self.v0 = model, rho_eff, model.v0
 
-        self.w = self._grid(min(max(span, self.W_SPAN), self.MAX_SPAN), clamp_points(model.sigma))
+        self.w = self._grid(span, clamp_points(model.sigma))
         dphi_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
         phi_v = self._cumulative(dphi_v, self.w)
         self._phi_v = CubicHermiteSpline(self.w, phi_v, dphi_v(self.w))
@@ -208,6 +212,10 @@ class _CoupledMap:
                 if 0 <= i < phi_v.size - 1:
                     seg = PPoly(self._phi_v.c[:, i : i + 1], self.w[i : i + 2])
                     self._kinks.extend(float(r) for r in seg.solve(level, extrapolate=False))
+
+        self.levels = self.level(self.w[1:-1])
+        for table in (self.w, self.levels, self._phi_v.x, self._phi_v.c, self._phi_s_inv.x, self._phi_s_inv.c):
+            table.flags.writeable = False
 
     @classmethod
     def _grid(cls, span: float, clamps=()):
@@ -270,6 +278,16 @@ class _CoupledMap:
         """The distances t = s w in (0, t_hi), ascending, at which the tabulated
         F(V0 e^w) crosses a clamp point of eta, so G' jumps."""
         return sorted(s * w for w in self._kinks if 0.0 < s * w < t_hi)
+
+
+_memo_map = functools.lru_cache(maxsize=8)(_CoupledMap)
+
+
+def _coupled_map(model: LsvModel, rho_eff: float, span: float) -> _CoupledMap:
+    """The shared ``_CoupledMap`` of (model, rho_eff, span), span clipped to
+    [W_SPAN, MAX_SPAN] first: a memo of the last 8 keys, so equal-by-value
+    models share one map."""
+    return _memo_map(model, rho_eff, min(max(span, _CoupledMap.W_SPAN), _CoupledMap.MAX_SPAN))
 
 
 # Integrand nodes this near (in w) to w_a take the payoff gap G(v_a) - G(v) from
@@ -377,7 +395,7 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float):
 
     w = mapper.w[1:-1]
     mid = int(np.searchsorted(w, 0.0))
-    bg_w = b * mapper.level(w) / a0
+    bg_w = b * mapper.levels / a0
     found = []
     for d in (b, -b):
         t, bg = (w[mid:], bg_w[mid:]) if d > 0 else (-w[mid::-1], bg_w[mid::-1])
@@ -415,13 +433,16 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
     or not, by its one route ``_coupled_asian``; plain-JSON diagnostics
     ``alpha``, ``branch``, ``rho_eff``, ``w_a``, ``kernel_calls``,
     ``kernel_passes``.  The map's table is widened with the strike: |w_a| stays
-    below 2 |log(K / A0)| at the models tried, up to its half-width MAX_SPAN."""
+    below 2 |log(K / A0)| at the models tried, so its half-width is
+    2 |x| + 1, clipped to [W_SPAN, MAX_SPAN].  The map comes from the memo
+    ``_coupled_map``, so strikes up to |x| = 1.5 on one model and rho_eff
+    share one."""
     x = log_moneyness(model, k)
     if x == 0.0:
         return RateResult(0.0, "corr_path_asian", z_star=k)
 
     a0 = forward_variance_limit(model)
-    mapper = _CoupledMap(model, rho_eff, 2.0 * abs(x) + 1.0)
+    mapper = _coupled_map(model, rho_eff, 2.0 * abs(x) + 1.0)
     with count_kernel_calls() as counts:
         value, diagnostics = _coupled_asian(mapper, a0, k / a0)
     diagnostics.update(rho_eff=rho_eff, kernel_calls=counts[0], kernel_passes=counts[1])

@@ -38,6 +38,7 @@ from .atm import atm_expansion
 from .errors import BracketError, ConvergenceError, DegenerateEtaError, check_finite
 from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness, real_roots
 from .numerics import (
+    REL_TOL,
     Bracket,
     bracket_root,
     count_kernel_calls,
@@ -318,6 +319,11 @@ _ALPHA_TOL, _U_TOL = 1e-12, 1e-13
 # Jacobian starts from differences at this relative step.
 _NEWTON_STEPS = 24
 _FD_REL_STEP = 1e-6
+# The plateau numerator |eta_c^2 num_c - den_c| must exceed the kernel's
+# accepted error of its terms, REL_TOL (eta_c^2 num_c + den_c), this many
+# times, so that it keeps a correct digit; the plateau strikes of the
+# measured sweeps exceed that error 1.9e8 times or more.
+_PLATEAU_MARGIN = 10.0
 
 
 def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
@@ -360,7 +366,9 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     those tolerances times the first differences' slopes (from such a point a
     singular Jacobian takes a zero step).  Either root needs z between V0 and
     the pivot and every value finite, the plateau root z/K not past the
-    junction num_c/den_c.  Returns (z, Asian solution, ``_asset_leg`` tuple,
+    junction num_c/den_c and, before it is sought, a numerator
+    |eta_c^2 num_c - den_c| above _PLATEAU_MARGIN times the kernel's error of
+    its terms.  Returns (z, Asian solution, ``_asset_leg`` tuple,
     u_G, evaluations, "free" or "plateau"), or raises ConvergenceError with
     the last (alpha, u_G) and both residuals.
     """
@@ -479,6 +487,10 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     u = u_c
     eta_c = float(model.eta.value_log(u_c))
     flat = abs(eta_c**2 * num_c - den_c)
+    bound = _PLATEAU_MARGIN * REL_TOL * (eta_c**2 * num_c + den_c)
+    if flat <= bound:
+        raise fail(f"plateau numerator |eta_c^2 num_c - den_c| = {flat!r} not above {bound!r}, "
+                   f"{_PLATEAU_MARGIN:g} times the kernel's error of its terms")
     seen = {alpha: (a_val, h_leg)}  # find_root evaluates again the ends bracket_root returns
 
     def e2(a):

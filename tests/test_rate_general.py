@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,13 +30,35 @@ from varsmile import (
 from varsmile import numerics, rate_general, rate_zero
 from varsmile.errors import ConvergenceError, NumericsError, TableRangeError
 from varsmile.model import clamp_points
-from varsmile.rate_general import _CoupledMap, _coupled_endpoint, _h_only_rate, _lagrangian_grad, constraint_integral
+from varsmile.rate_general import (
+    _CoupledMap,
+    _coupled_endpoint,
+    _coupled_map,
+    _h_only_rate,
+    _lagrangian_grad,
+    _memo_map,
+    constraint_integral,
+)
 
 # perfbench/models/kinked.json: eta 1 - 0.3u clamped to [0.85, 1.15] (kinks
 # at u = +-0.5), sigma 2 + 0.5w clamped to [1.85, 2.15] (kinks at w = +-0.3)
 KINKED = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=LogPolyEta((1.0, -0.3), 0.85, 1.15),
                   sigma=LogPolySigma(2.0, 0.5, 0.0, 1.85, 2.15))
 TANH = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=ConstantSigma(2.0))
+
+
+@pytest.fixture
+def finer_maps(monkeypatch):
+    """Call to halve the coupled map's STEP.  The memo is cleared with the
+    change, so the next h-only rate builds a finer map, and after the test,
+    so no finer map outlives it."""
+
+    def refine():
+        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        _memo_map.cache_clear()
+
+    yield refine
+    _memo_map.cache_clear()
 
 
 def const_model(rho=0.0, eta0=1.0, sigma0=2.0, v0=0.1):
@@ -252,7 +275,7 @@ def h_only_oracle(model, k, rho_eff, w_a):
     is the least converged action from h = +-1.5 x (2t - t^2), or from
     w_a (2t - t^2) where neither start converges."""
     x = math.log(k / forward_variance_limit(model))
-    mapper = _CoupledMap(model, rho_eff, 2.0 * abs(x) + 1.0)
+    mapper = _coupled_map(model, rho_eff, 2.0 * abs(x) + 1.0)
 
     def action(n, end):
         t = np.linspace(0.0, 1.0, n)
@@ -466,28 +489,34 @@ class TestPerfectCorr:
 
     @pytest.mark.parametrize("model", [TANH, KINKED], ids=["tanh", "kinked"])
     @pytest.mark.parametrize("rho, x", [(1.0, 0.15), (-1.0, -0.15), (0.7, 0.2), (-0.7, -0.1)])
-    def test_tables_converged(self, monkeypatch, model, rho, x):
+    def test_tables_converged(self, finer_maps, model, rho, x):
         """Perfect-correlation rates and corr-path bounds at the benchmark's
         design points do not move when the map's grids are refined."""
         m = model.with_rho(rho)
         k = forward_variance_limit(m) * math.exp(x)
         rate = (lambda: rate_perfect_corr(m, k, int(rho)).value) if abs(rho) == 1.0 else (
             lambda: rate_upper_corr_path(m, k))
-        coarse = rate()
-        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        nodes = lambda: _coupled_map(m, rho, 2.0 * abs(x) + 1.0).w.size  # of the map the last rate used
+        coarse, coarse_nodes = rate(), nodes()
+        finer_maps()
         fine = rate()
+        assert 1.9 * coarse_nodes < nodes() < 2.1 * coarse_nodes
         assert abs(coarse - fine) <= 1e-11 * fine
 
     @pytest.mark.parametrize("rho, x", [(1.0, 3.0), (1.0, -2.5), (-1.0, -3.0)])
-    def test_far_strikes_widen_the_table(self, monkeypatch, rho, x):
+    def test_far_strikes_widen_the_table(self, finer_maps, rho, x):
         """Strikes whose excursion leaves |log(v/V0)| <= W_SPAN get a table
         sized from the strike, and their rates do not move when it is refined."""
         m = KINKED.with_rho(rho)
         k = forward_variance_limit(m) * math.exp(x)
+        nodes = lambda: _coupled_map(m, rho, 2.0 * abs(x) + 1.0).w.size  # of the map the last rate used
         coarse = rate_perfect_corr(m, k, int(rho))
+        coarse_nodes = nodes()
         assert coarse.method == "perfect_corr" and abs(coarse.diagnostics["w_a"]) > _CoupledMap.W_SPAN
-        monkeypatch.setattr(_CoupledMap, "STEP", _CoupledMap.STEP / 2)
+        assert coarse_nodes > 2.0 * _CoupledMap.W_SPAN / _CoupledMap.STEP + 1.0
+        finer_maps()
         fine = rate_perfect_corr(m, k, int(rho)).value
+        assert 1.9 * coarse_nodes < nodes() < 2.1 * coarse_nodes
         assert abs(coarse.value - fine) <= 1e-11 * fine
 
     def test_excursion_past_table_raises(self):
@@ -562,6 +591,51 @@ class TestPerfectCorr:
         ref = _coupled_endpoint(mapper, a0, mapper.kinks(1.0, 3.0)[0] + delta, 1.0)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-11 * b
+
+
+class TestMapMemo:
+    def test_equal_models_share_one_map(self):
+        a, b = KINKED.with_rho(1.0), replace(KINKED, rho=1.0)
+        assert a is not b
+        # spans below W_SPAN clip to it before the lookup
+        assert _coupled_map(a, 1.0, 1.3) is _coupled_map(b, 1.0, _CoupledMap.W_SPAN)
+        assert _coupled_map(a, 1.0, 5.0) is not _coupled_map(a, 1.0, 4.0)
+        assert _coupled_map(a, -1.0, 4.0) is not _coupled_map(a, 1.0, 4.0)
+
+    @pytest.mark.parametrize("model", [TANH, KINKED], ids=["tanh", "kinked"])
+    def test_warm_and_cold_memo_agree(self, model):
+        """Each rate is the same, value and diagnostics, whether its map is
+        built for it or found in the memo."""
+        f0 = forward_variance_limit(model)
+
+        def rates(cold):
+            out = []
+            for x in (0.15, -0.15, 2.5):
+                for rho in (1.0, -1.0, 0.7, -0.7):
+                    if cold:
+                        _memo_map.cache_clear()
+                    m, k = model.with_rho(rho), f0 * math.exp(x)
+                    if abs(rho) == 1.0:
+                        res = rate_perfect_corr(m, k, int(rho))
+                        out.append((res.value, res.diagnostics))
+                    else:
+                        out.append(rate_upper_corr_path(m, k))
+            return out
+
+        cold = rates(True)
+        rates(False)
+        hits = _memo_map.cache_info().hits
+        warm = rates(False)
+        assert _memo_map.cache_info().hits == hits + 12  # 8 maps, spans 4 and 6
+        assert warm == cold
+
+    def test_tables_are_read_only(self):
+        mapper = _coupled_map(KINKED.with_rho(1.0), 1.0, 4.0)
+        assert np.array_equal(mapper.levels, mapper.level(mapper.w[1:-1]))
+        for table in (mapper.w, mapper.levels, mapper._phi_v.x, mapper._phi_v.c, mapper._phi_s_inv.x,
+                      mapper._phi_s_inv.c):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1.0
 
 
 class TestCorrPathBound:

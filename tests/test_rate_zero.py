@@ -793,8 +793,8 @@ class TestPlateauBranch:
         # the clamp point u_c = -(clamp_hi - 1) / 0.3 lies so near S0 that 1e8 to
         # 1e13 floats of u round to one eta, and the Newton step lands far inside
         # the flat: the edge is bisected, and the strike ends in bounded time.
-        # On the last three the plateau root puts eta_c^2 z on K to rounding,
-        # where the plateau speed divided by a zero gap
+        # All but the first end on the plateau numerator's certificate: there
+        # |eta_c^2 num_c - den_c| is rounding against the kernel's error of its terms
         eta = LogPolyEta((1.0, -0.3), 0.85, clamp_hi)
         edge = _flat_edge(eta, -(clamp_hi - 1.0) / 0.3)
         assert eta.dvalue_log(edge) != 0.0 == eta.dvalue_log(np.nextafter(edge, -1.0))
@@ -808,6 +808,16 @@ class TestPlateauBranch:
         # eta runs from 1 at S0 up to clamp_hi: the rate lies between those of the frozen asset
         frozen = [rate_zero_rho(replace(m, eta=ConstantEta(e)), k).value for e in (clamp_hi, 1.0)]
         assert frozen[0] <= res.value <= frozen[1]
+
+    @pytest.mark.parametrize("clamp_hi", [1.0 + 1e-11, 1.0 + 1e-12, 1.0 + 1e-13])
+    def test_rounding_numerator_refused(self, clamp_hi):
+        # |eta_c^2 num_c - den_c| is 6.7e-12 to 6.6e-14 of den_c here, below the
+        # kernel's 1e-10 relative error on either term, and the rates it gave
+        # fell outside those of the asset frozen at either end of eta's range
+        eta = LogPolyEta((1.0, -0.3), 0.85, clamp_hi)
+        m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=eta, sigma=ConstantSigma(2.0))
+        with pytest.raises(ConvergenceError, match=r"plateau numerator \|eta_c\^2 num_c - den_c\| = \S+ not above"):
+            rate_zero_rho(m, forward_variance_limit(m) * math.exp(0.3))
 
     def test_reports_solved_u_g(self):
         # u_g is the endpoint as solved, plain JSON: the plateau edge next to
