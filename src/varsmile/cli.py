@@ -101,14 +101,12 @@ def _load_checked(path: str) -> LsvModel:
 def _strikes_from_args(model: LsvModel, args) -> list[float]:
     if args.k is not None:
         strikes = [float(v) for v in _parse_grid(args.k)]
-    elif args.x is not None:
+    else:
         fv0 = forward_variance_limit(model)
         try:
             strikes = [fv0 * math.exp(x) for x in _parse_grid(args.x)]
         except OverflowError:
             raise ValueError(f"--x {args.x} overflows the strike") from None
-    else:
-        raise ValueError("need --k or --x")
     if not all(math.isfinite(k) for k in strikes):
         raise ValueError(f"strikes must be finite, got {strikes}")
     return strikes
@@ -248,8 +246,9 @@ def _build_parser() -> _Parser:
             sp.add_argument("--steps", type=int, default=2000)
             sp.add_argument("--seed", type=int, default=0)
         if strikes:
-            sp.add_argument("--k", default=None, help="strike (variance units) or lo:hi:n")
-            sp.add_argument("--x", default=None, help="log-moneyness or lo:hi:n")
+            group = sp.add_mutually_exclusive_group(required=True)
+            group.add_argument("--k", default=None, help="strike (variance units) or lo:hi:n")
+            group.add_argument("--x", default=None, help="log-moneyness or lo:hi:n")
 
     sp = sub.add_parser("rate", help="rate function at one or more strikes")
     common(sp, method=True, strikes=True)

@@ -387,6 +387,8 @@ def discrete_rv_diagnostic(model: LsvModel, cfg: McConfig, sampling_n: int) -> D
     The gap is reported, not asserted: the discrete sum's expectation need
     not converge to the continuous one for every model.
     """
+    if isinstance(sampling_n, bool) or not isinstance(sampling_n, (int, np.integer)):
+        raise ValueError(f"sampling_n must be an integer, got {sampling_n!r}")
     if sampling_n < 1 or cfg.n_steps % sampling_n != 0:
         raise ValueError("sampling_n must divide n_steps")
     stride = cfg.n_steps // sampling_n

@@ -436,10 +436,11 @@ def _h_only_rate(model: LsvModel, k: float, rho_eff: float) -> RateResult:
     below 2 |log(K / A0)| at the models tried, so its half-width is
     2 |x| + 1, clipped to [W_SPAN, MAX_SPAN].  The map comes from the memo
     ``_coupled_map``, so strikes up to |x| = 1.5 on one model and rho_eff
-    share one."""
+    share one.  At the money the rate is 0 with no kernel call."""
     x = log_moneyness(model, k)
     if x == 0.0:
-        return RateResult(0.0, "corr_path_asian", z_star=k)
+        return RateResult(0.0, "corr_path_asian", z_star=k,
+                          diagnostics={"rho_eff": rho_eff, "kernel_calls": 0, "kernel_passes": 0})
 
     a0 = forward_variance_limit(model)
     mapper = _coupled_map(model, rho_eff, 2.0 * abs(x) + 1.0)

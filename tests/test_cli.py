@@ -81,8 +81,8 @@ class TestRate:
 
     def test_missing_strike(self, capsys):
         code, _, err = run(["rate", "--model", str(MODEL)], capsys)
-        assert code == 2
-        assert "error" in err
+        assert code == 1
+        assert "one of the arguments --k --x is required" in err
 
     def test_bounds_method(self, capsys, tmp_path):
         m = tmp_path / "m.json"
@@ -199,6 +199,13 @@ class TestErrorPaths:
     def test_usage_error_exit_1(self, capsys):
         assert run(["bogus"], capsys)[0] == 1
         assert run([], capsys)[0] == 1
+
+    @pytest.mark.parametrize("command", ["rate", "smile", "mc"])
+    @pytest.mark.parametrize("strikes", [["--k", "0.11", "--x", "0.5"], []], ids=["both", "neither"])
+    def test_strike_flags_one_of_k_or_x_exit_1(self, capsys, command, strikes):
+        code, out, err = run([command, "--model", str(MODEL), *strikes], capsys)
+        assert code == 1 and out == ""
+        assert "--k" in err and "--x" in err
 
     def test_invalid_model_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

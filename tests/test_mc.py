@@ -399,6 +399,11 @@ class TestDiscreteDiagnostic:
         with pytest.raises(ValueError):
             discrete_rv_diagnostic(tanh_model, small_cfg(n_steps=100), 7)
 
+    @pytest.mark.parametrize("sampling_n", [2.0, True, "10", None])
+    def test_sampling_n_must_be_an_integer(self, tanh_model, sampling_n):
+        with pytest.raises(ValueError, match="sampling_n must be an integer"):
+            discrete_rv_diagnostic(tanh_model, small_cfg(n_steps=100), sampling_n)
+
     def test_full_resolution_gap_small(self, tanh_model):
         cfg = McConfig(n_paths=2000, n_steps=2000, seed=3, maturity=1.0 / 12.0)
         diag = discrete_rv_diagnostic(tanh_model, cfg, 2000)

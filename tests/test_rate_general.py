@@ -380,7 +380,9 @@ class TestPerfectCorr:
 
     def test_atm_zero(self):
         m = LsvModel(s0=1.0, v0=0.1, rho=1.0, eta=TanhEta(1.0, -0.1, 0.0), sigma=ConstantSigma(2.0))
-        assert rate_perfect_corr(m, 0.1, 1).value == 0.0
+        res = rate_perfect_corr(m, 0.1, 1)
+        assert res.value == 0.0
+        assert res.diagnostics == {"rho_eff": 1.0, "kernel_calls": 0, "kernel_passes": 0}
 
     def test_sign_validation(self):
         m = const_model(rho=1.0)
