@@ -61,15 +61,19 @@ def _csv(header, rows) -> str:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """lo:hi:n inclusive grid, or a single number."""
+    """lo:hi:n inclusive grid, or a single number; the argparse type of the
+    grid flags, so a malformed grid is a usage error."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:n, got {spec!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise ValueError("grid needs n >= 1")
+    try:
+        if len(parts) == 1:
+            return [float(parts[0])]
+        if len(parts) != 3:
+            raise ValueError(f"grid must be lo:hi:n, got {spec!r}")
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if n < 1:
+            raise ValueError("grid needs n >= 1")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if n == 1:
         return [lo]
     return list(np.linspace(lo, hi, n))
@@ -100,13 +104,13 @@ def _load_checked(path: str) -> LsvModel:
 
 def _strikes_from_args(model: LsvModel, args) -> list[float]:
     if args.k is not None:
-        strikes = [float(v) for v in _parse_grid(args.k)]
+        strikes = [float(v) for v in args.k]
     else:
         fv0 = forward_variance_limit(model)
         try:
-            strikes = [fv0 * math.exp(x) for x in _parse_grid(args.x)]
+            strikes = [fv0 * math.exp(x) for x in args.x]
         except OverflowError:
-            raise ValueError(f"--x {args.x} overflows the strike") from None
+            raise ValueError(f"--x {max(args.x):g} overflows the strike") from None
     if not all(math.isfinite(k) for k in strikes):
         raise ValueError(f"strikes must be finite, got {strikes}")
     return strikes
@@ -218,12 +222,11 @@ def _cmd_table1(args) -> int:
 def _cmd_figures(args) -> int:
     model = _load_checked(args.model)
     cfg = _cfg_from_args(args, default_t=1.0 / 252.0)
-    xs = _parse_grid(args.x) if args.x else list(np.linspace(-0.1, 0.1, 21))
     rows = []
     for rho in (-0.7, 0.0, 0.7):
         m = replace(model, rho=rho)
         fv0 = forward_variance_limit(m)
-        sm = mc_mod.mc_smile(m, [fv0 * math.exp(x) for x in xs], cfg.maturity, cfg)
+        sm = mc_mod.mc_smile(m, [fv0 * math.exp(x) for x in args.x], cfg.maturity, cfg)
         for row in sm:
             lin = smile_mod.linear_smile(m, row.x)
             rows.append((rho, cfg.maturity, row.strike, row.x, row.ivol, row.ivol_se, lin, row.reliable))
@@ -247,8 +250,8 @@ def _build_parser() -> _Parser:
             sp.add_argument("--seed", type=int, default=0)
         if strikes:
             group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument("--k", default=None, help="strike (variance units) or lo:hi:n")
-            group.add_argument("--x", default=None, help="log-moneyness or lo:hi:n")
+            group.add_argument("--k", type=_parse_grid, help="strike (variance units) or lo:hi:n")
+            group.add_argument("--x", type=_parse_grid, help="log-moneyness or lo:hi:n")
 
     sp = sub.add_parser("rate", help="rate function at one or more strikes")
     common(sp, method=True, strikes=True)
@@ -273,7 +276,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("figures", help="MC smile vs linear smile data for the rho sweep")
     common(sp, mc_opts=True)
-    sp.add_argument("--x", default=None, help="log-moneyness grid lo:hi:n")
+    sp.add_argument("--x", type=_parse_grid, default="-0.1:0.1:21", help="log-moneyness grid lo:hi:n")
     sp.set_defaults(func=_cmd_figures)
 
     return p

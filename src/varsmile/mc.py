@@ -11,11 +11,10 @@ continuing the one counter-based stream, so the block size does not change
 the draws.  Results are therefore bit-identical for a fixed seed, and the
 full chunks of a smaller ``n_paths`` are the leading paths of a larger one.
 
-One background thread draws and mixes the blocks, chunk by chunk and
-block by block within a chunk, into two reused buffers: while the step
-loop runs through one block, the worker fills the other with the next,
-which may open the next chunk.  The draws and the mixing release the GIL,
-so they overlap the loop; the samples are those of drawing in series.
+One background thread draws and mixes the blocks into two reused buffers,
+and the step loop takes each step's rows from them in run order.  The draws
+and the mixing release the GIL, so they overlap the loop; the samples are
+those of drawing in series.
 """
 
 from __future__ import annotations
@@ -47,12 +46,16 @@ _CHUNK_STREAMS = 2048  # fixed partition: chunk i draws from Philox key (seed, i
 _STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Simulation controls; immutable so runs can echo it verbatim.
 
     ``n_paths`` (two per antithetic pair), ``n_steps`` and ``seed`` are
-    integers, the seed in [0, 2**63), the range the Philox key holds exactly."""
+    integers but not bools, the seed in [0, 2**63) as the Philox key holds."""
 
     n_paths: int = 100_000
     n_steps: int = 2000
@@ -60,14 +63,14 @@ class McConfig:
     maturity: float = 1.0 / 12.0
 
     def __post_init__(self):
-        if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths % 2 == 0):
+        if not (_is_int(self.n_paths) and self.n_paths % 2 == 0):
             raise ValueError(f"antithetic pairs need an even integer n_paths, got {self.n_paths!r}")
         if self.n_streams < 2:
             raise ValueError("a standard error needs at least 2 independent streams (4 paths)")
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+        if not (_is_int(self.n_steps) and self.n_steps >= 1):
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         check_finite(positive=True, maturity=self.maturity)
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**63):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**63):
             raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
 
     @property
@@ -121,24 +124,21 @@ def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf:
     return out
 
 
-def _drawn_blocks(pool, model, cfg, dt, chunks):
-    """The mixed normal blocks of the run, chunk by chunk and block by block
-    within a chunk, each a ``(steps, 2, streams)`` view.
+def _drawn_steps(pool, model, cfg, chunks, s, sqdt):
+    """Each step's mixed ``(z, x)`` rows in run order, ``(2, streams)`` views.
 
-    The pool's one worker draws and mixes block j + 1 into the other of two
-    reused buffers while the caller steps through block j, so the caller
-    must be done with a block when it asks for the next.  Chunk c draws from
-    the Philox generator keyed (seed, c).  Mixing turns ``w`` into the spot
-    noise ``rho z + root w`` and, for a constant vol-of-vol s, ``z`` into
-    ``(s z) sqrt(dt)``, the operations and order of the plain Euler step.
+    The pool's one worker draws and mixes blocks of ``_STEP_BLOCK`` steps into
+    two reused buffers, block j + 1 while the caller steps through block j;
+    a buffer is refilled only once the caller asks for the next block's first
+    step.  Chunk c draws from the Philox generator keyed (seed, c).  Mixing
+    turns ``w`` into the spot noise ``rho z + root w`` and, for a constant
+    vol-of-vol s (not None), ``z`` into ``(s z) sqrt(dt)``, the operations
+    and order of the plain Euler step.
     """
     nb = _STEP_BLOCK
     n_steps = cfg.n_steps
     rho = model.rho
     root = math.sqrt(max(1.0 - rho * rho, 0.0))
-    hoist = model.sigma.is_constant
-    s = float(model.sigma.value_log(0.0)) if hoist else None
-    sqdt = math.sqrt(dt)
     size = min(nb, n_steps) * 2 * (chunks[0][1] - chunks[0][0])
     bufs = (np.empty(size), np.empty(size))
     tasks = [(c, i, hi - lo) for c, (lo, hi) in enumerate(chunks) for i in range(0, n_steps, nb)]
@@ -154,7 +154,7 @@ def _drawn_blocks(pool, model, cfg, dt, chunks):
         zb, xb = block[:, 0], block[:, 1]
         xb *= root
         xb += rho * zb
-        if hoist:
+        if s is not None:
             zb *= s
             zb *= sqdt
         return block
@@ -164,13 +164,12 @@ def _drawn_blocks(pool, model, cfg, dt, chunks):
         block = ahead.result()
         if j + 1 < len(tasks):
             ahead = pool.submit(fill, tasks[j + 1], bufs[(j + 1) % 2])
-        yield block
+        yield from block
 
 
-def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out, blocks):
-    """Simulate streams [lo, hi) of the chunk starting at ``lo`` from its
-    mixed blocks, taken in turn from ``blocks``; writes into disjoint output
-    slices.
+def _run_chunk(model, cfg, m, dt, sqdt, s, sample_stride, steps):
+    """The ``(2, m)`` realized-variance integral of m streams, taking their
+    rows from ``steps``, and their log prices every ``sample_stride`` steps.
 
     Row 0 of the ``(2, m)`` state follows the drawn normals ``(z, w)``, row
     1 (antithetic) their negation.  Row 1's noise is the exact negation of
@@ -179,37 +178,29 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out, blocks):
     step, so the samples do not depend on this arrangement.
     """
     n_steps = cfg.n_steps
-    m = hi - lo
-    nb = _STEP_BLOCK
-
-    sqdt = math.sqrt(dt)
     drift_s = (model.r - model.q) * dt
     v0 = model.v0
     shape = (2, m)
-    # constant vol-of-vol s: the variance increment is the scalar drift_v
-    # plus the block's (s z) sqrt(dt), written in dw
-    hoist = model.sigma.is_constant
-    if hoist:
-        s = float(model.sigma.value_log(0.0))
+    # constant s: the variance increment is drift_v plus the row's (s z) sqrt(dt)
+    if s is not None:
         drift_v = (float(model.mu) - 0.5 * s * s) * dt
         dw = np.empty(shape)
     us = np.zeros(shape)  # log(S/S0)
     wv = np.zeros(shape)  # log(V/V0)
     acc = np.zeros(shape)
     v, ev = np.empty(shape), np.empty(shape)
+    caps = None
     if sample_stride is not None:
         caps = np.zeros((n_steps // sample_stride + 1,) + shape)
 
     for i in range(n_steps):
-        if i % nb == 0:
-            block = next(blocks)
-        z, x = block[i % nb]
+        z, x = next(steps)
         np.exp(wv, out=v)
         v *= v0
         eta = model.eta.value_log(us)
 
         # dw = (mu - 0.5 sig sig) dt +- (sig z) sqrt(dt)
-        if hoist:
+        if s is not None:
             np.add(z, drift_v, out=dw[0])
             np.subtract(drift_v, z, out=dw[1])
         else:
@@ -236,18 +227,13 @@ def _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv_out, logs_out, blocks):
         wv += dw
         if sample_stride is not None and (i + 1) % sample_stride == 0:
             caps[(i + 1) // sample_stride] = us
-
-    rv = acc / cfg.maturity
-    # interleave so path 2j / 2j+1 are the antithetic pair of stream j
-    rv_out[2 * lo : 2 * hi : 2] = rv[0]
-    rv_out[2 * lo + 1 : 2 * hi : 2] = rv[1]
-    if sample_stride is not None:
-        logs_out[2 * lo : 2 * hi : 2] = caps[:, 0, :].T
-        logs_out[2 * lo + 1 : 2 * hi : 2] = caps[:, 1, :].T
+    return acc, caps
 
 
 def _simulate_core(model: LsvModel, cfg: McConfig, sample_stride=None):
     dt = cfg.maturity / cfg.n_steps
+    sqdt = math.sqrt(dt)
+    s = float(model.sigma.value_log(0.0)) if model.sigma.is_constant else None
     n_streams = cfg.n_streams
     rv = np.empty(cfg.n_paths)
     logs = None
@@ -256,9 +242,13 @@ def _simulate_core(model: LsvModel, cfg: McConfig, sample_stride=None):
     chunks = [(lo, min(lo + _CHUNK_STREAMS, n_streams)) for lo in range(0, n_streams, _CHUNK_STREAMS)]
     # leaving the block joins the worker, also when either thread raised
     with ThreadPoolExecutor(1) as pool:
-        blocks = _drawn_blocks(pool, model, cfg, dt, chunks)
+        steps = _drawn_steps(pool, model, cfg, chunks, s, sqdt)
         for lo, hi in chunks:
-            _run_chunk(model, cfg, lo, hi, dt, sample_stride, rv, logs, blocks)
+            acc, caps = _run_chunk(model, cfg, hi - lo, dt, sqdt, s, sample_stride, steps)
+            # interleave so path 2j / 2j+1 are the antithetic pair of stream j
+            rv.reshape(n_streams, 2)[lo:hi] = (acc / cfg.maturity).T
+            if logs is not None:
+                logs.reshape(n_streams, 2, -1)[lo:hi] = caps.T
     return rv, logs
 
 
@@ -268,12 +258,14 @@ def simulate_realized_variance(model: LsvModel, cfg: McConfig) -> np.ndarray:
     return rv
 
 
-def _checked_samples(model: LsvModel, cfg: McConfig, samples: Optional[np.ndarray]) -> np.ndarray:
+def _checked_samples(model: LsvModel, cfg: McConfig, samples: Optional[np.ndarray]):
+    """The samples (simulated if None), the discount factor and the two
+    scratch arrays of ``_payoff_estimates``."""
     if samples is None:
-        return simulate_realized_variance(model, cfg)
-    if len(samples) != cfg.n_paths:
+        samples = simulate_realized_variance(model, cfg)
+    elif len(samples) != cfg.n_paths:
         raise ValueError(f"samples has {len(samples)} paths, the config {cfg.n_paths}")
-    return samples
+    return samples, math.exp(-model.r * cfg.maturity), np.empty_like(samples), np.empty(cfg.n_streams)
 
 
 def mc_price(
@@ -287,9 +279,7 @@ def mc_price(
     ``samples`` short-circuits the simulation, as in ``mc_smile``."""
     if not 0 <= k < math.inf:
         raise ValueError("strike must be nonnegative and finite")
-    rv = _checked_samples(model, cfg, samples)
-    disc = math.exp(-model.r * cfg.maturity)
-    buf, half = np.empty_like(rv), np.empty(cfg.n_streams)
+    rv, disc, buf, half = _checked_samples(model, cfg, samples)
     call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
     forward = _estimate(rv, cfg, half)
     return call, put, forward
@@ -340,9 +330,7 @@ def mc_smile(
     if samples is not None and t != cfg.maturity:
         raise ValueError(f"samples were simulated at maturity {cfg.maturity}, not t = {t}")
     cfg = replace(cfg, maturity=float(t))
-    rv = _checked_samples(model, cfg, samples)
-    disc = math.exp(-model.r * cfg.maturity)
-    buf, half = np.empty_like(rv), np.empty(cfg.n_streams)
+    rv, disc, buf, half = _checked_samples(model, cfg, samples)
     forward = _estimate(rv, cfg, half)
 
     rows = []
@@ -387,10 +375,8 @@ def discrete_rv_diagnostic(model: LsvModel, cfg: McConfig, sampling_n: int) -> D
     The gap is reported, not asserted: the discrete sum's expectation need
     not converge to the continuous one for every model.
     """
-    if isinstance(sampling_n, bool) or not isinstance(sampling_n, (int, np.integer)):
-        raise ValueError(f"sampling_n must be an integer, got {sampling_n!r}")
-    if sampling_n < 1 or cfg.n_steps % sampling_n != 0:
-        raise ValueError("sampling_n must divide n_steps")
+    if not (_is_int(sampling_n) and sampling_n >= 1 and cfg.n_steps % sampling_n == 0):
+        raise ValueError(f"sampling_n must be an integer that divides n_steps, got {sampling_n!r}")
     stride = cfg.n_steps // sampling_n
     rv, logs = _simulate_core(model, cfg, sample_stride=stride)
     increments = np.diff(logs, axis=1)

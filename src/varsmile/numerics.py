@@ -136,11 +136,8 @@ def integrate_sqrt_singular(f: Callable, b: float, breaks=()):
 
     width = math.sqrt(b)
     cuts = [math.sqrt(b - p) for p in breaks if 0.0 < p < b]  # break p sits at u = sqrt(b - p)
-    if cuts:
-        cuts = np.unique([0.0, *cuts, width])
-        left, half = cuts[:-1], 0.5 * np.diff(cuts)
-    else:
-        left, half = np.array([0.0]), np.array([0.5 * width])
+    cuts = np.array(sorted({0.0, *cuts, width}))
+    left, half = cuts[:-1], 0.5 * (cuts[1:] - cuts[:-1])
     done = 0.0
     n_panels = left.size
     while True:

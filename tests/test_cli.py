@@ -72,6 +72,12 @@ class TestRate:
         assert abs(payload["strike"] - 0.1 * math.exp(0.1)) < 1e-12
         assert payload["value"] > 0
 
+    def test_one_point_grid(self, capsys):
+        # lo:hi:1 is the one strike at lo
+        code, out, _ = run(["rate", "--model", str(MODEL), "--x", "0.1:0.2:1"], capsys)
+        assert code == 0
+        assert json.loads(out) == json.loads(run(["rate", "--model", str(MODEL), "--x", "0.1"], capsys)[1])
+
     def test_expansion_method(self, capsys):
         code, out, _ = run(
             ["rate", "--model", str(MODEL), "--x", "0.05", "--method", "expansion"], capsys
@@ -206,6 +212,23 @@ class TestErrorPaths:
         code, out, err = run([command, "--model", str(MODEL), *strikes], capsys)
         assert code == 1 and out == ""
         assert "--k" in err and "--x" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["rate", "--x", "0.1:0.2"], ["rate", "--x", "0.1:0.2:0"], ["rate", "--k", "a"],
+         ["figures", "--x", "0.1:0.2"]],
+        ids=["two-parts", "zero-points", "not-a-number", "figures"],
+    )
+    def test_malformed_grid_exit_1(self, capsys, args):
+        # a grid that does not parse is a usage error, refused before the model loads
+        code, out, err = run(args + ["--model", str(MODEL)], capsys)
+        assert code == 1 and out == ""
+        assert f"argument {args[1]}:" in err and "Traceback" not in err
+
+    def test_strike_overflow_exit_2(self, capsys):
+        code, _, err = run(["rate", "--model", str(MODEL), "--x", "1000"], capsys)
+        assert code == 2
+        assert "overflows the strike" in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_invalid_model_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

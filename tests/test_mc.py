@@ -51,6 +51,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="n_steps must be an integer"):
                 McConfig(n_steps=steps)
         assert McConfig(n_paths=np.int64(10), n_steps=np.int32(4)).n_streams == 5
+        # a bool is an int to isinstance, but no count: True would run one step from seed 1
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="even integer n_paths"):
+                McConfig(n_paths=flag)
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                McConfig(n_paths=4, n_steps=flag)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                McConfig(n_paths=4, seed=flag)
 
     def test_needs_two_streams(self):
         # one antithetic pair leaves no standard error (ddof=1)
@@ -399,7 +407,7 @@ class TestDiscreteDiagnostic:
         with pytest.raises(ValueError):
             discrete_rv_diagnostic(tanh_model, small_cfg(n_steps=100), 7)
 
-    @pytest.mark.parametrize("sampling_n", [2.0, True, "10", None])
+    @pytest.mark.parametrize("sampling_n", [2.0, True, False, "10", None])
     def test_sampling_n_must_be_an_integer(self, tanh_model, sampling_n):
         with pytest.raises(ValueError, match="sampling_n must be an integer"):
             discrete_rv_diagnostic(tanh_model, small_cfg(n_steps=100), sampling_n)

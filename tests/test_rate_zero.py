@@ -809,6 +809,19 @@ class TestPlateauBranch:
         frozen = [rate_zero_rho(replace(m, eta=ConstantEta(e)), k).value for e in (clamp_hi, 1.0)]
         assert frozen[0] <= res.value <= frozen[1]
 
+    def test_no_edge_past_an_interior_extremum(self):
+        # eta = 1 - 0.3 u - 0.5 u^2 peaks at u = -0.3 and meets its lower clamp 0.5
+        # at u_c = -0.3 -+ sqrt(1.09): eta is not monotone from S0 to the negative
+        # u_c, so that side has no plateau edge; the positive side's edge is an
+        # ulp inside its u_c
+        eta = LogPolyEta((1.0, -0.3, -0.5), 0.5, 1.2)
+        below, above = clamp_points(eta)
+        assert below < -0.3 < 0.0 < above
+        assert _flat_edge(eta, below) is None
+        edge = _flat_edge(eta, above)
+        assert edge == 0.7440306508910549
+        assert eta.dvalue_log(edge) != 0.0 == eta.dvalue_log(np.nextafter(edge, 1.0))
+
     @pytest.mark.parametrize("clamp_hi", [1.0 + 1e-11, 1.0 + 1e-12, 1.0 + 1e-13])
     def test_rounding_numerator_refused(self, clamp_hi):
         # |eta_c^2 num_c - den_c| is 6.7e-12 to 6.6e-14 of den_c here, below the
