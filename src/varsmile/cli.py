@@ -222,11 +222,11 @@ def _cmd_table1(args) -> int:
 def _cmd_figures(args) -> int:
     model = _load_checked(args.model)
     cfg = _cfg_from_args(args, default_t=1.0 / 252.0)
+    strikes = _strikes_from_args(model, args)  # F_V(0) does not depend on rho
     rows = []
     for rho in (-0.7, 0.0, 0.7):
         m = replace(model, rho=rho)
-        fv0 = forward_variance_limit(m)
-        sm = mc_mod.mc_smile(m, [fv0 * math.exp(x) for x in args.x], cfg.maturity, cfg)
+        sm = mc_mod.mc_smile(m, strikes, cfg.maturity, cfg)
         for row in sm:
             lin = smile_mod.linear_smile(m, row.x)
             rows.append((rho, cfg.maturity, row.strike, row.x, row.ivol, row.ivol_se, lin, row.reliable))
@@ -277,7 +277,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("figures", help="MC smile vs linear smile data for the rho sweep")
     common(sp, mc_opts=True)
     sp.add_argument("--x", type=_parse_grid, default="-0.1:0.1:21", help="log-moneyness grid lo:hi:n")
-    sp.set_defaults(func=_cmd_figures)
+    sp.set_defaults(func=_cmd_figures, k=None)  # strikes from --x alone
 
     return p
 

@@ -355,12 +355,12 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float):
 
     def solve(d, start, nodes, xp, ext, extrema):
         """The run's (rate, diagnostics); None if its root lies past the table (ext None)."""
-        seen = {0.0: (1.0, 1.0, 0.0)}  # at w_a = 0, D vanishes and G/F with it
+        @functools.cache
+        def endpoint(t_a):  # (G(v_a) / A0, F, G) at |w_a| = t_a; at 0, D vanishes and G/F with it
+            return (1.0, 1.0, 0.0) if t_a == 0.0 else _coupled_endpoint(mapper, a0, d * t_a, b, extrema)
 
         def phi(t_a):  # the Asian root condition at |w_a| = t_a
-            if t_a not in seen:
-                seen[t_a] = _coupled_endpoint(mapper, a0, d * t_a, b, extrema)
-            e_a, f, g = seen[t_a]
+            e_a, f, g = endpoint(t_a)
             return b * (e_a - zr) - g / f
 
         def toward(t, end, what):
@@ -389,8 +389,8 @@ def _coupled_asian(mapper: _CoupledMap, a0: float, zr: float):
         points.append(hi)
         roots = [find_root(phi, Bracket(p, q), tol=1e-13)
                  for p, q in zip(points[:-1], points[1:]) if (phi(p) < 0.0) != (phi(q) < 0.0)]
-        t_a = min(roots, key=lambda t: seen[t][1] * seen[t][2])
-        e_a, f, g = seen[t_a]
+        t_a = min(roots, key=lambda t: endpoint(t)[1] * endpoint(t)[2])
+        e_a, f, g = endpoint(t_a)
         return 0.5 * f * g, {"alpha": abs(math.log(e_a)), "branch": "above" if b > 0 else "below", "w_a": d * t_a}
 
     w = mapper.w[1:-1]

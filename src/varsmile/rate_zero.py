@@ -27,6 +27,7 @@ vectorized kernel ``integrate_sqrt_singular``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -185,16 +186,17 @@ def asian_rate_j(sigma: SigmaSpec, v0: float, z: float) -> AsianRateSolution:
 
     above = zr > 1.0
     sign = 1.0 if above else -1.0
-    seen = {}  # find_root evaluates again the ends bracket_root returns
+
+    @functools.cache  # find_root evaluates again the ends bracket_root returns
+    def leg(alpha):
+        return _variance_leg(sigma, v0, alpha, above)
 
     def phi(alpha):
-        if alpha not in seen:
-            seen[alpha] = _variance_leg(sigma, v0, alpha, above)
-        return sign * (seen[alpha][0] - z) / v0
+        return sign * (leg(alpha)[0] - z) / v0
 
     lo = abs(math.log(zr))  # e^alpha >= zr (above) or e^-alpha <= zr (below) at the root
     alpha = find_root(phi, bracket_root(phi, lo, _asian_seed(zr)), tol=1e-13)
-    return seen[alpha][1]
+    return leg(alpha)[1]
 
 
 def asian_rate_j_const(sigma0: float, v0: float, z: float) -> AsianRateSolution:
@@ -340,13 +342,15 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     equation is an alpha part minus a u_G part, so one evaluation is one
     ``_fg`` call and one ``_endpoint_integrals`` call, and each Jacobian
     column is a secant in its own variable: Broyden's secant condition, kept
-    column by column.  u_G lies on the side of S0 where eta rises (call
-    geometry, z below the pivot) or falls (put geometry): the sign of eta's
-    slope at S0 fixes it once.  The seed is the second-order expansion of
-    both endpoints at t = 1 (``atm.atm_expansion``), with the first-order term
-    alone where the second order puts u_G on the other side of S0, or is more
-    than half alpha's first order (and can cancel it); the first columns are
-    differences at one point moved toward the money.
+    column by column.  Both parts and the plateau edge are cached for this
+    solve (``functools.cache``): a point reached again costs no kernel call.
+    u_G lies on the side of S0 where eta rises (call geometry, z below the
+    pivot) or falls (put geometry): the sign of eta's slope at S0 fixes it
+    once.  The seed is the second-order expansion of both endpoints at t = 1
+    (``atm.atm_expansion``), with the first-order term alone where the second
+    order puts u_G on the other side of S0, or is more than half alpha's first
+    order (and can cancel it); the first columns are differences at one point
+    moved toward the money.
 
     A step that would cross alpha = 0, u_G = 0 or the plateau edge u_c
     (``_flat_edge``) is cut to half the way there.  But when a step heads
@@ -376,14 +380,11 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     gap_sign = -1.0 if above else 1.0
     side = gap_sign if model.eta.log_coeffs()[1] < 0.0 else -gap_sign
     nearest = min((p for p in clamp_points(model.eta) if p * side > 0.0), key=abs, default=None)
-    edge = None  # (u_c, num_c, den_c) once u_G heads to the nearest clamp point; () if eta turns first
 
+    @functools.cache  # (u_c, num_c, den_c) of the nearest clamp point; () if eta turns first
     def plateau_edge():
-        nonlocal edge
-        if edge is None:
-            u_c = _flat_edge(model.eta, nearest)
-            edge = () if u_c is None else (u_c, *_endpoint_integrals(model, u_c, gap_sign))
-        return edge
+        u_c = _flat_edge(model.eta, nearest)
+        return () if u_c is None else (u_c, *_endpoint_integrals(model, u_c, gap_sign))
 
     exp = atm_expansion(model)
     a1, a2 = x * float(exp.h1(1.0)), x * x * float(exp.h2(1.0))
@@ -392,7 +393,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     if side * u <= 0.0:  # far from the money the x^2 term can outgrow the first
         u = x * float(exp.g1(1.0))
     if nearest is not None and side * (u - nearest) >= 0.0 and plateau_edge():
-        u = 0.5 * edge[0]  # a seed past the plateau edge goes half the way there
+        u = 0.5 * plateau_edge()[0]  # a seed past the plateau edge goes half the way there
     sqrt_v0 = math.sqrt(model.v0)
     r = np.full(2, math.nan)
 
@@ -403,12 +404,14 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
             diagnostics={"alpha": alpha, "u_g": u, "residuals": r.tolist()},
         )
 
+    @functools.cache
     def variance_part(a):
         if not 0.0 < a <= _LOG_CAP:
             raise fail(f"alpha = {a!r} left (0, {_LOG_CAP}]")
         z, sol = _variance_leg(model.sigma, model.v0, a, above)
         return np.array([z / k, math.log(sol.f_value / sqrt_v0)]), (z, sol)
 
+    @functools.cache
     def asset_part(u_g):
         if not 0.0 < side * u_g <= _LOG_CAP or model.eta.dvalue_log(u_g) == 0.0:
             raise fail(f"u_G = {u_g!r} left 0 < {side:+.0f} u_G <= {_LOG_CAP} off eta's plateaus")
@@ -427,8 +430,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     # E = a_val - u_val; the differences step toward the money, inside the
     # domain, and go half the way there where a relative step is lost in
     # rounding (next to the money)
-    a_val, h_leg = variance_part(alpha)
-    u_val, den = asset_part(u)
+    a_val, u_val = variance_part(alpha)[0], asset_part(u)[0]
     for rel in (_FD_REL_STEP, 0.5):
         da, du = rel * alpha, rel * u
         col_a = (a_val - variance_part(alpha - da)[0]) / da
@@ -451,7 +453,7 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
             raise fail("non-finite step")
         barriers = [(-alpha, step_a), (-u, step_u)]
         if nearest is not None and side * (u + step_u - nearest) >= 0.0 and plateau_edge():
-            u_c, num_c, den_c = edge
+            u_c, num_c, den_c = plateau_edge()
             if gap_sign * (a_val[0] + col_a[0] * step_a - num_c / den_c) >= 0.0:
                 break  # the step takes z/K past the edge's ratio: the plateau branch
             barriers.append((u_c - u, step_u))
@@ -462,15 +464,14 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
                 cut = min(cut, 0.5 * abs(gap / step))
         step_a, step_u = cut * step_a, cut * step_u
         alpha, u = alpha + step_a, u + step_u
-        a_new, h_leg = variance_part(alpha)
-        u_new, den = asset_part(u)
+        a_new, u_new = variance_part(alpha)[0], asset_part(u)[0]
         evals += 1
         if abs(step_a) <= _ALPHA_TOL and abs(step_u) <= _U_TOL:
             # the certificate; asset_part has checked u_G's side, cap and plateau
             r = a_new - u_new
             if np.any(np.abs(r) > allowed):
                 raise fail(f"residual {np.abs(r).tolist()} exceeds {allowed.tolist()} at the root")
-            z, sol = h_leg
+            (z, sol), den = variance_part(alpha)[1], asset_part(u)[1]
             return z, sol, certified(z, sol, den, _asset_leg(model, z, k, u, gap_sign, den, k)), u, evals, "free"
         # a secant over a step shorter than the first difference's is mostly rounding
         if abs(step_a) > da:
@@ -491,12 +492,10 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
     if flat <= bound:
         raise fail(f"plateau numerator |eta_c^2 num_c - den_c| = {flat!r} not above {bound!r}, "
                    f"{_PLATEAU_MARGIN:g} times the kernel's error of its terms")
-    seen = {alpha: (a_val, h_leg)}  # find_root evaluates again the ends bracket_root returns
+    known = variance_part.cache_info().currsize
 
     def e2(a):
-        if a not in seen:
-            seen[a] = variance_part(a)
-        z_k, log_f = seen[a][0].tolist()
+        z_k, log_f = variance_part(a)[0].tolist()
         return math.exp(log_f) * k / (eta_c * flat) * gap_sign * (1.0 - eta_c**2 * z_k) - 1.0
 
     try:
@@ -505,14 +504,14 @@ def _newton_root(model: LsvModel, k: float, x: float, z_pivot: float):
         r = np.array([0.0, e2(alpha)])
         raise fail(f"no plateau root: {exc}") from None
     r = np.array([0.0, e2(alpha)])
-    (z_k, _), (z, sol) = seen[alpha]
+    (z_k, _), (z, sol) = variance_part(alpha)
     if gap_sign * (z_k - num_c / den_c) < 0.0:
         raise fail(f"plateau root z/K = {float(z_k)!r} past the junction num_c/den_c = {num_c / den_c!r}")
     gap = eta_c**2 * z - k
     if abs(gap) <= 4.0 * math.ulp(k):  # the plateau speed would divide by rounding, or by 0
         raise fail(f"plateau gap eta_c^2 z - K = {gap!r} is rounding against K = {k!r}")
     leg = _asset_leg(model, z, k, u_c, gap_sign, flat, abs(gap))
-    return z, sol, certified(z, sol, flat, leg), u_c, evals + len(seen) - 1, "plateau"
+    return z, sol, certified(z, sol, flat, leg), u_c, evals + variance_part.cache_info().currsize - known, "plateau"
 
 
 def rate_zero_rho(model: LsvModel, k: float) -> RateResult:

@@ -161,6 +161,16 @@ class TestAtmCmd:
         assert abs(payload["atm_price_over_sqrt_t"] - 0.046088913784117655) < 1e-12
         assert abs(payload["sigma_v_atm"] - 1.1552777443829976) < 1e-12
 
+    def test_model_warning_on_stderr(self, capsys, tmp_path):
+        # a model that validates with a warning runs, and the warning goes to stderr
+        rising = tmp_path / "rising.json"
+        data = json.loads(MODEL.read_text())
+        data["eta"]["f1"] = 0.1
+        rising.write_text(json.dumps(data))
+        code, out, err = run(["atm", "--model", str(rising)], capsys)
+        assert code == 0 and json.loads(out)
+        assert err == "warning: eta is increasing; the usual leverage effect assumes decreasing eta\n"
+
 
 class TestMcCmd:
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -228,6 +238,11 @@ class TestErrorPaths:
     def test_strike_overflow_exit_2(self, capsys):
         code, _, err = run(["rate", "--model", str(MODEL), "--x", "1000"], capsys)
         assert code == 2
+        assert "overflows the strike" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    def test_figures_strike_overflow_exit_2(self, capsys):
+        code, out, err = run(["figures", "--model", str(MODEL), "--x", "1000", "--paths", "4", "--steps", "1"], capsys)
+        assert code == 2 and out == ""
         assert "overflows the strike" in json.loads(err.strip().splitlines()[-1])["message"]
 
     def test_invalid_model_exit_2(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from varsmile import (
     LogPolySigma,
     LsvModel,
     McConfig,
+    McEstimate,
     TanhEta,
     discrete_rv_diagnostic,
     forward_variance_limit,
@@ -59,6 +60,10 @@ class TestConfig:
                 McConfig(n_paths=4, n_steps=flag)
             with pytest.raises(ValueError, match="seed must be an integer"):
                 McConfig(n_paths=4, seed=flag)
+
+    def test_estimate_must_be_finite(self):
+        with pytest.raises(ValueError, match="^estimate must be finite with nonnegative stderr$"):
+            McEstimate(math.nan, 0.0, 2, 0, McConfig(n_paths=4))
 
     def test_needs_two_streams(self):
         # one antithetic pair leaves no standard error (ddof=1)

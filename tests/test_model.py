@@ -53,6 +53,10 @@ class TestEtaEval:
         assert np.all(np.diff(vals) < 0)
         assert np.max(np.abs(np.diff(vals))) < 0.01  # no jumps on a fine grid
 
+    def test_logpoly_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="^need at least one coefficient$"):
+            LogPolyEta((), 0.85, 1.15)
+
     def test_logpoly_clamps(self):
         eta = LogPolyEta((1.0, -0.5), clamp_lo=0.5, clamp_hi=1.5)
         m = make(eta)
@@ -187,6 +191,10 @@ class TestValidate:
         for call in (lambda: log_moneyness(m, 0.01), lambda: forward_variance_limit(m)):
             with pytest.raises(ValueError, match=r"F_V\(0\) = eta\(S0\)\^2 V0 must be positive and finite"):
                 call()
+
+    def test_sigma_not_positive(self):
+        rep = validate(make(ConstantEta(1.0), LogPolySigma(-1.0, 0.0, 0.0, -2.0, 2.0)))
+        assert not rep.valid and "sigma not positive on the log grid" in rep.errors
 
     def test_increasing_eta_warns(self):
         rep = validate(make(TanhEta(1.0, 0.3, 0.0)))

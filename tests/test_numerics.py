@@ -224,6 +224,10 @@ class TestFindRoot:
         root = find_root(f, Bracket(shift - 4.0, shift + 5.0), tol=1e-12)
         assert abs(f(root)) <= 10 * 1e-12 + 1e-12
 
+    def test_bracket_needs_lo_below_hi(self):
+        with pytest.raises(ValueError, match=r"^bracket requires lo < hi, got \[2, 1\]$"):
+            Bracket(2, 1)
+
     def test_bracket_expansion(self):
         br = bracket_root(lambda x: x - 100.0, 0.0, 1.0)
         assert br.lo < 100.0 < br.hi

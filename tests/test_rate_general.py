@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from varsmile import numerics, rate_general, rate_zero
 from varsmile.errors import ConvergenceError, NumericsError, TableRangeError
 from varsmile.model import clamp_points
 from varsmile.rate_general import (
+    BoundsResult,
     _CoupledMap,
     _coupled_endpoint,
     _coupled_map,
@@ -38,6 +40,7 @@ from varsmile.rate_general import (
     _lagrangian_grad,
     _memo_map,
     constraint_integral,
+    rate_by_method,
 )
 
 # perfbench/models/kinked.json: eta 1 - 0.3u clamped to [0.85, 1.15] (kinks
@@ -823,3 +826,20 @@ class TestRateNumeric:
     def test_rejects_perfect_corr(self, tanh_model):
         with pytest.raises(ValueError):
             rate_numeric(tanh_model.with_rho(1.0), 0.12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BoundsResult(1.0, (("a", 0.5),), 0.5), "lower bound exceeds best upper bound"),
+        (lambda: rate_bounds_rho(TANH.with_rho(1.0), 0.12), "bounds require |rho| < 1"),
+        (lambda: rate_perfect_corr(TANH.with_rho(1.0), 0.12, 0), "sign must be +1 or -1"),
+        (lambda: rate_upper_corr_path(TANH.with_rho(1.0), 0.12), "requires |rho| < 1"),
+        (lambda: rate_by_method(TANH, 0.12, "shooting"),
+         "rate method must be one of closed|bounds|numeric|expansion, got 'shooting'"),
+    ],
+    ids=["bounds-ordered", "bounds-perfect-corr", "perfect-corr-sign", "corr-path-perfect-corr", "unknown-method"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -29,10 +29,11 @@ from varsmile import (
     rate_numeric,
     rate_zero_rho,
 )
+from varsmile import rate_zero as rate_zero_module
 from varsmile.errors import AccuracyError, ConvergenceError, DegenerateEtaError, NumericsError
 from varsmile.model import clamp_points, eta_eval
 from varsmile.rate_general import constraint_integral
-from varsmile.rate_zero import _endpoint_integrals, _flat_edge, _variance_leg
+from varsmile.rate_zero import AsianRateSolution, _endpoint_integrals, _flat_edge, _variance_leg
 
 # eta 1 - 0.3u clamped to [0.85, 1.15] (flat beyond |u| = 0.5) and a clamped
 # linear vol-of-vol: kinks in both legs
@@ -449,8 +450,9 @@ class TestRateZeroRho:
     @pytest.mark.parametrize("kinked", [False, True], ids=["tanh", "kinked"])
     @pytest.mark.parametrize("x", [0.15, -0.15, 0.3, -0.3])
     def test_kernel_call_budget(self, tanh_model, kinked, x):
-        # one evaluation of the system, the first difference's included, is
-        # two kernel calls (the bound on their number is test_newton_kernel_calls)
+        # two kernel calls per evaluation at a new point, the first
+        # difference's included; no step of these strikes returns to a point
+        # (the bound on their number is test_newton_kernel_calls)
         m = KINKED if kinked else tanh_model
         diag = rate_zero_rho(m, forward_variance_limit(m) * math.exp(x)).diagnostics
         assert diag["kernel_calls"] == 2 * diag["derivative_evals"]
@@ -608,8 +610,8 @@ class TestNewtonRoute:
             # at x = 4; from x = 3 the first order seeds it
             ((20, 2024), 7, 3.0, 16.8862404057449, 20, "free"),
             ((20, 2024), 7, 3.5, 22.504676220267772, 20, "free"),
-            ((20, 2024), 7, 4.0, 28.922385997715025, 22, "free"),
-            ((20, 2024), 7, 5.0, 44.11704362675941, 22, "free"),
+            ((20, 2024), 7, 4.0, 28.922385997715025, 21, "free"),
+            ((20, 2024), 7, 5.0, 44.11704362675941, 21, "free"),
             ((60, 7), 38, 5.0, 24.367572435378897, 22, "free"),
             ((60, 7), 39, 5.0, 24.5554331840219, 20, "free"),
             # a full step lands on the plateau past u_c = 0.42, while the root lies inside
@@ -651,6 +653,30 @@ class TestNewtonRoute:
             for x in np.logspace(-13.0, -8.0, 16):
                 for res in (rate_zero_rho(m, f0 * math.exp(x)), rate_zero_rho(m, f0 * math.exp(-x))):
                     assert math.isfinite(res.value) and (res.value > 0.0) == (res.diagnostics["x"] != 0.0)
+
+    @pytest.mark.parametrize(
+        "kinked, x",
+        [
+            # strikes of the seed-1 closed_smooth smile whose last step leaves alpha unmoved
+            (False, -0.27563877951015714),
+            (False, -0.10371405930164068),
+            (False, 0.2509718875066049),
+            *((True, x) for x in (0.15, -0.15, 0.3, -0.3)),
+        ],
+    )
+    def test_each_point_evaluated_once(self, tanh_model, monkeypatch, kinked, x):
+        # a solve evaluates each alpha and each u_G once, however often its
+        # iteration, differences and roots return to it
+        seen = []
+        for name in ("_variance_leg", "_endpoint_integrals"):
+            def spy(*args, _name=name, _fn=getattr(rate_zero_module, name)):
+                seen.append((_name, *args[-2:]))  # (alpha, above) or (u_G, gap_sign)
+                return _fn(*args)
+
+            monkeypatch.setattr(rate_zero_module, name, spy)
+        m = KINKED if kinked else tanh_model
+        rate_zero_rho(m, forward_variance_limit(m) * math.exp(x))
+        assert seen and len(set(seen)) == len(seen)
 
     def test_bits_do_not_depend_on_call_order(self, tanh_model):
         f0 = forward_variance_limit(tanh_model)
@@ -902,3 +928,16 @@ class TestOptimalPaths:
         m = LsvModel(s0=1.0, v0=0.1, rho=0.0, eta=ConstantEta(1.0), sigma=ConstantSigma(2.0))
         with pytest.raises(DegenerateEtaError):
             optimal_paths_zero_rho(m, 0.12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AsianRateSolution(-1.0, "above"), "asian rate must be nonnegative"),
+        (lambda: optimal_paths_zero_rho(KINKED.with_rho(0.5), 0.12), "optimal_paths_zero_rho requires rho = 0"),
+    ],
+    ids=["negative-asian-rate", "paths-off-rho-zero"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

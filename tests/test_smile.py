@@ -115,6 +115,10 @@ class TestImpliedVol:
         with pytest.raises(ValueError, match=f"^{arg} must be (positive and )?finite"):
             implied_vol(**args)
 
+    def test_unknown_flag(self):
+        with pytest.raises(ValueError, match="^flag must be 'call' or 'put'$"):
+            implied_vol(0.01, 0.1, 0.1, 1.0 / 12.0, flag="straddle")
+
     def test_band_edges(self):
         with pytest.raises(ArbitrageError):
             implied_vol(0.1, 0.1, 0.12, 1.0, 0.0, "call")  # price = e^{-rT} F
