@@ -98,8 +98,8 @@ class TanhEta:
 
 
 def _horner(u, c):
-    """sum_k c[k] u^k by Horner's rule, in numpy ``polyval``'s operation
-    order (so its bits) without its argument handling."""
+    """sum_k c[k] u^k by Horner's rule, in the operation order of numpy's
+    polynomial evaluation (so its bits) without its argument handling."""
     out = c[-1] + u * 0
     for ck in c[-2::-1]:
         out = ck + out * u
@@ -117,12 +117,14 @@ class _ClampedPoly:
     def value_log(self, u):
         return np.clip(_horner(np.asarray(u, dtype=float), self.coeffs), self.clamp_lo, self.clamp_hi)
 
+    @property
+    def slope_coeffs(self) -> list[float]:  # of the raw polynomial's derivative, ascending
+        return [k * c for k, c in enumerate(self.coeffs)][1:] or [0.0]
+
     def dvalue_log(self, u):
-        u, c = np.asarray(u, dtype=float), self.coeffs
-        raw = _horner(u, c)
-        d = _horner(u, [k * c[k] for k in range(1, len(c))] or [0.0])
-        inside = (raw > self.clamp_lo) & (raw < self.clamp_hi)
-        return np.where(inside, d, 0.0)
+        u = np.asarray(u, dtype=float)
+        raw = _horner(u, self.coeffs)
+        return np.where((raw > self.clamp_lo) & (raw < self.clamp_hi), _horner(u, self.slope_coeffs), 0.0)
 
     def log_coeffs(self) -> tuple[float, float, float]:
         """Expansion at 0: the raw coefficients when c0 is strictly inside
@@ -170,23 +172,18 @@ class LogPolyEta(_ClampedPoly):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def diff_log(self, u1, u2, delta):
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        r1, r2 = _horner(u1, self.coeffs), _horner(u2, self.coeffs)
-        inside = (
-            (r1 > self.clamp_lo) & (r1 < self.clamp_hi)
-            & (r2 > self.clamp_lo) & (r2 < self.clamp_hi)
-        )
-        # p(u1) - p(u2) = (u1 - u2) * sum_k c_k * sum_{j<k} u1^j u2^(k-1-j)
-        acc = np.zeros_like(u1 + u2)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            inner = np.zeros_like(acc)
-            for j in range(k):
-                inner = inner + u1**j * u2 ** (k - 1 - j)
-            acc = acc + self.coeffs[k] * inner
-        exact = delta * acc
-        plain = self.value_log(u1) - self.value_log(u2)
-        return np.where(inside, exact, plain)
+        u1, u2, c = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float), self.coeffs
+        lo, hi = self.clamp_lo, self.clamp_hi
+        r1, r2 = _horner(u1, c), _horner(u2, c)
+        inside = (r1 > lo) & (r1 < hi) & (r2 > lo) & (r2 < hi)
+        # p(u1) - p(u2) = (u1 - u2) sum_k c_k h_k with h_k = sum_{j<k} u1^j u2^(k-1-j),
+        # built as h_1 = 1, h_k = u2 h_(k-1) + u1^(k-1) and summed from the top
+        h, power = [np.ones_like(u1 + u2)], 1.0
+        for _ in c[2:]:
+            power = power * u1
+            h.append(u2 * h[-1] + power)
+        acc = sum(ck * hk for ck, hk in zip(c[:0:-1], h[::-1]))
+        return np.where(inside, delta * acc, np.clip(r1, lo, hi) - np.clip(r2, lo, hi))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared numerical kernel: singular quadrature and bracketed root finding.
 
-Every integral in the rate-function machinery has an inverse square-root
-singularity at one endpoint.  ``integrate_sqrt_singular`` integrates on
+The rate integrals with an inverse square-root singularity at one end go
+through ``integrate_sqrt_singular`` (smooth tables, running integrals and
+discretized actions use fixed rules where they are formed).  It integrates on
 [0, b] toward the singular end b (callers mirror a singularity at 0 onto
 it), removes it exactly by the substitution u = sqrt(b - y) and integrates
 the smooth transformed integrand with a vectorized adaptive Gauss-Legendre

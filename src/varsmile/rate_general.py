@@ -180,26 +180,37 @@ class _CoupledMap:
     from the tables' own slope; ``levels`` holds G at the table's inner
     nodes ``w[1:-1]``.  The map depends on (model, rho_eff, span) alone, and
     the h-only route shares one per key through ``_coupled_map``, so its
-    arrays are read-only.
+    arrays are read-only.  An asset table that needs more than U_NODES nodes
+    raises the clamp-saturation NumericsError; the sweeps and tests build at
+    most 10565 while sizing one.
     """
 
     W_SPAN, MAX_SPAN = 4.0, 10.0
     STEP = 0.00625
+    U_NODES = 2**16
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
     def __init__(self, model: LsvModel, rho_eff: float, span: float = W_SPAN):
         self.model, self.rho_eff, self.v0 = model, rho_eff, model.v0
 
-        self.w = self._grid(span, clamp_points(model.sigma))
+        self.w = self._grid(-span, span, clamp_points(model.sigma))
         dphi_v = lambda ww: np.sqrt(self.v0) * np.exp(0.5 * ww) / model.sigma.value_log(ww)
         phi_v = self._cumulative(dphi_v, self.w)
         self._phi_v = CubicHermiteSpline(self.w, phi_v, dphi_v(self.w))
 
-        # asset-side span must cover the image of rho * Phi_V: Phi_S grows at
-        # least like u / eta_max, so u_span = |Phi_V|_max eta_max suffices
-        reach = abs(rho_eff) * float(np.max(np.abs(phi_v)))
-        u = self._grid(max(2.0, 1.05 * reach * model.eta.clamp_hi + 1.0), clamp_points(model.eta))
-        phi_s = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u)
+        # the u table covers what rho_eff Phi_V reaches over the w table: it doubles out from
+        # [-1, 1] on each side where Phi_S falls short, then keeps one node past the reach
+        need, lo, hi = np.sort(rho_eff * phi_v[[0, -1]]), -1.0, 1.0
+        while True:
+            u = self._grid(lo, hi, clamp_points(model.eta))
+            if u.size > self.U_NODES:
+                raise NumericsError(f"coupled-map primitive out of range (clamp saturation) past {self.U_NODES} u nodes")
+            phi_s = self._cumulative(lambda uu: 1.0 / model.eta.value_log(uu), u)
+            if phi_s[0] < need[0] and phi_s[-1] > need[1]:
+                break
+            lo, hi = (2.0 * lo if phi_s[0] >= need[0] else lo), (2.0 * hi if phi_s[-1] <= need[1] else hi)
+        keep = slice(np.searchsorted(phi_s, need[0]) - 1, np.searchsorted(phi_s, need[1], side="right") + 1)
+        u, phi_s = u[keep], phi_s[keep]
         self._phi_s_inv = CubicHermiteSpline(phi_s, u, model.eta.value_log(u))
         self._phi_s_range = (phi_s[0], phi_s[-1])
 
@@ -218,12 +229,12 @@ class _CoupledMap:
             table.flags.writeable = False
 
     @classmethod
-    def _grid(cls, span: float, clamps=()):
-        """Nodes STEP apart from -span to span (rounded out), 0 among them,
-        and one on each clamp point inside: a node other than 0 within
+    def _grid(cls, lo: float, hi: float, clamps=()):
+        """Nodes STEP apart from lo < 0 to hi > 0 (rounded out), 0 among
+        them, and one on each clamp point inside: a node other than 0 within
         STEP/4 of a clamp point gives way to it."""
-        n = math.ceil(span / cls.STEP - 1e-9)
-        grid = cls.STEP * np.arange(-n, n + 1)
+        n = math.ceil(-lo / cls.STEP - 1e-9)
+        grid = cls.STEP * np.arange(-n, math.ceil(hi / cls.STEP - 1e-9) + 1)
         c = np.array([p for p in clamps if grid[0] <= p <= grid[-1] and p != 0.0])
         if c.size:
             near = n + np.rint(c / cls.STEP).astype(int)  # only the nearest node can be within STEP/4
@@ -623,17 +634,21 @@ def rate_by_method(model: LsvModel, k: float, method: str) -> RateResult | Bound
     "closed": ``rate_zero_rho``.  "numeric": ``rate_numeric``, or at
     rho = +-1, where the transcription does not apply, the exact reduction
     ``rate_perfect_corr``.  "bounds": ``rate_bounds_rho`` (a BoundsResult).
-    "expansion": A x^2 + B x^3, with x in the diagnostics.
+    "expansion": A x^2 + B x^3, with x in the diagnostics.  A rate off the
+    money that is not positive raises ValueError: A x^2 + B x^3 changes sign
+    at x = -A/B.
     """
-    if method == "closed":
-        return rate_zero_rho(model, k)
-    if method == "numeric":
-        if abs(model.rho) == 1.0:
-            return rate_perfect_corr(model, k, int(model.rho))
-        return rate_numeric(model, k)
     if method == "bounds":
         return rate_bounds_rho(model, k)
-    if method == "expansion":
-        x = log_moneyness(model, k)
-        return RateResult(atm_mod.atm_expansion(model).rate(x), "expansion", diagnostics={"x": x})
-    raise ValueError(f"rate method must be one of {'|'.join(RATE_METHODS)}, got {method!r}")
+    if method not in RATE_METHODS:
+        raise ValueError(f"rate method must be one of {'|'.join(RATE_METHODS)}, got {method!r}")
+    x = log_moneyness(model, k)
+    if method == "closed":
+        res = rate_zero_rho(model, k)
+    elif method == "numeric":
+        res = rate_perfect_corr(model, k, int(model.rho)) if abs(model.rho) == 1.0 else rate_numeric(model, k)
+    else:
+        res = RateResult(atm_mod.atm_expansion(model).rate(x), "expansion", diagnostics={"x": x})
+    if x != 0.0 and res.value <= 0.0:
+        raise ValueError(f"{method} rate {res.value:.6g} not positive at x={x}")
+    return res

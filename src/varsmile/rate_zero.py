@@ -37,7 +37,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .atm import atm_expansion
 from .errors import BracketError, ConvergenceError, DegenerateEtaError, check_finite
-from .model import ATM_REL_TOL, LsvModel, SigmaSpec, clamp_points, log_moneyness, real_roots
+from .model import ATM_REL_TOL, LsvModel, SigmaSpec, _horner, clamp_points, log_moneyness, real_roots
 from .numerics import (
     REL_TOL,
     Bracket,
@@ -270,12 +270,10 @@ def _flat_edge(eta, u_c: float) -> Optional[float]:
     side of S0: the last point there before eta turns flat, if eta is
     monotone from S0 to it.  None past an interior extremum of eta, where the
     free endpoint reaches every feasible budget."""
-    poly = np.polynomial.polynomial
-    slope = poly.polyder(eta.coeffs)
-    if any(0.0 < t / u_c < 1.0 for t in real_roots(slope)):
+    if any(0.0 < t / u_c < 1.0 for t in real_roots(eta.slope_coeffs)):
         return None
     # one Newton step lands near the edge; if eta is flat there, bisect [u_c, 0] to the first float off the flat
-    u_c -= float(poly.polyval(u_c, eta.coeffs) - eta.value_log(u_c)) / float(poly.polyval(u_c, slope))
+    u_c -= float(_horner(u_c, eta.coeffs) - eta.value_log(u_c)) / float(_horner(u_c, eta.slope_coeffs))
     lo, hi = u_c, (0.0 if eta.dvalue_log(u_c) == 0.0 else u_c)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if eta.dvalue_log(mid) == 0.0 else (lo, mid)
@@ -589,15 +587,18 @@ def rate_zero_rho(model: LsvModel, k: float) -> RateResult:
 _MAP_STEPS = 160
 
 
-def _cumulative_map(integrand, upper: float, breaks):
-    """Cumulative integral of ``integrand`` on [0, upper] at ``_MAP_STEPS + 1``
-    nodes clustered toward ``upper``, where the integrand may be singular.
+def _inverted_map(start: float, sign: float, upper: float, integrand, breaks, target):
+    """A leg's path start + sign s(T) on the time grid: s in [0, upper]
+    inverts the cumulative map Theta(s) of ``integrand``'s first row, at
+    T = target(Theta(upper)) clipped to [0, Theta(upper)]; node 0 is start.
 
     ``integrand(y, d)`` is vectorized, with d the exact distance upper - y.
+    Theta is tabulated at ``_MAP_STEPS + 1`` nodes clustered toward
+    ``upper``, where the integrand may be singular, and inverted by PCHIP.
     Each panel is mapped onto [0, 1] and becomes one row of a single kernel
-    call, singular at 1 (harmless where the integrand is smooth).  Panels also end
-    at the ``breaks`` (kinks), not returned as nodes: an interpolant through a
-    kink node was measured no more accurate.  Returns (nodes, cumulative values).
+    call, singular at 1 (harmless where the integrand is smooth).  Panels
+    also end at the ``breaks`` (kinks), not kept as nodes: an interpolant
+    through a kink node was measured no more accurate.
     """
     j = np.arange(_MAP_STEPS + 1)
     grid = upper * (1.0 - (1.0 - j / _MAP_STEPS) ** 2)
@@ -608,23 +609,14 @@ def _cumulative_map(integrand, upper: float, breaks):
 
     def panels(_, e):
         d = gap + e * width
-        return width * integrand(upper - d, d)
+        return width * integrand(upper - d, d)[0]
 
     cum = np.zeros(nodes.size)
     cum[1:] = np.cumsum(integrate_sqrt_singular(panels, 1.0))
-    return grid, cum[np.isin(nodes, grid)]
-
-
-def _asian_h_path(sigma: SigmaSpec, v0: float, alpha: float, branch: str, t: np.ndarray):
-    """Variance-leg path log V(t) of the Asian problem with terminal log
-    excursion ``alpha`` > 0 on ``branch``, by inverting t(w) = P(w)/P(alpha)."""
-    log_v0 = math.log(v0)
-    fg, breaks = _fg_integrand(sigma, branch == "above")
-    w_nodes, p_cum = _cumulative_map(lambda y, d: fg(y, d)[0], alpha, breaks)
-    w = PchipInterpolator(p_cum, w_nodes)(np.clip(t * p_cum[-1], 0.0, p_cum[-1]))
-    h = log_v0 + (w if branch == "above" else -w)
-    h[0] = log_v0
-    return h
+    cum = cum[np.isin(nodes, grid)]
+    path = start + sign * PchipInterpolator(cum, grid)(np.clip(target(cum[-1]), 0.0, cum[-1]))
+    path[0] = start
+    return path
 
 
 def optimal_paths_zero_rho(model: LsvModel, k: float, n: int = 401) -> PathPair:
@@ -650,19 +642,15 @@ def _paths_from_rate(model: LsvModel, res: RateResult, n: int) -> PathPair:
         return PathPair.constant(log_s0, math.log(model.v0), n)
 
     diag = res.diagnostics
-    h = _asian_h_path(model.sigma, model.v0, diag["alpha"], diag["branch"], t)
-    u_g = diag["u_g"]
+    # variance leg: t(w) = P(w) / P(alpha), P the cumulative F integral
+    sign = 1.0 if diag["branch"] == "above" else -1.0
+    h = _inverted_map(math.log(model.v0), sign, diag["alpha"], *_fg_integrand(model.sigma, sign > 0), lambda p: t * p)
 
     # asset leg: Theta(gamma(t)) = sqrt(2 |lam|) int_0^t e^h ds, Theta the
     # cumulative num integral; on the plateau branch Theta reaches num_c
     # before t = 1, and the clip holds the path at u_c from there
-    m_t = CubicSpline(t, np.exp(h)).antiderivative()(t)
-
-    num_den, breaks = _endpoint_integrand(model.eta, u_g, math.copysign(1.0, res.lagrange))
-    s_nodes, theta_cum = _cumulative_map(lambda s, d: num_den(s, d)[0], abs(u_g), breaks)
-    rhs = math.sqrt(2.0 * abs(res.lagrange)) * m_t
-    gamma = PchipInterpolator(theta_cum, s_nodes)(np.clip(rhs, 0.0, theta_cum[-1]))
-    g = log_s0 + (gamma if u_g > 0 else -gamma)
-    g[0] = log_s0
-
+    rhs = math.sqrt(2.0 * abs(res.lagrange)) * CubicSpline(t, np.exp(h)).antiderivative()(t)
+    u_g = diag["u_g"]
+    g = _inverted_map(log_s0, 1.0 if u_g > 0 else -1.0, abs(u_g),
+                      *_endpoint_integrand(model.eta, u_g, math.copysign(1.0, res.lagrange)), lambda _: rhs)
     return PathPair(g, h)

@@ -122,8 +122,6 @@ def asymptotic_smile(model: LsvModel, k: float, rate_method: str = "closed") -> 
         lo = _sigma_from_rate(x, res.best_upper)  # larger rate -> smaller vol
         hi = _sigma_from_rate(x, res.lower)
         return SmilePoint(strike=k, x=x, sigma_v=None, method="bounds", lo=lo, hi=hi)
-    if res.value <= 0.0:
-        raise ValueError(f"{rate_method} rate {res.value:.6g} not positive at x={x}")
     return SmilePoint(strike=k, x=x, sigma_v=_sigma_from_rate(x, res.value), method=rate_method)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from varsmile.cli import main
 
 MODEL = Path(__file__).resolve().parent.parent / "models" / "tanh.json"
+KINKED = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "kinked.json"
 
 
 def run(args, capsys):
@@ -244,6 +246,15 @@ class TestErrorPaths:
         code, out, err = run(["figures", "--model", str(MODEL), "--x", "1000", "--paths", "4", "--steps", "1"], capsys)
         assert code == 2 and out == ""
         assert "overflows the strike" in json.loads(err.strip().splitlines()[-1])["message"]
+
+    @pytest.mark.parametrize("command", ["rate", "smile"])
+    @pytest.mark.parametrize("model, x", [(MODEL, "5.3"), (KINKED, "2.1")], ids=["tanh", "kinked"])
+    def test_expansion_rate_not_positive_exit_2(self, capsys, command, model, x):
+        # A x^2 + B x^3 changes sign at x = -A/B: 4.985 on tanh, 2.0001 on kinked
+        code, out, err = run([command, "--model", str(model), "--method", "expansion", "--x", x], capsys)
+        assert code == 2 and out == ""
+        message = json.loads(err.strip().splitlines()[-1])["message"]
+        assert re.match(r"expansion rate -[0-9.e-]+ not positive at x=", message)
 
     def test_invalid_model_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

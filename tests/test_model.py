@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from varsmile import (
     model_to_dict,
     validate,
 )
+from varsmile import model as model_mod
 from varsmile.model import clamp_points, load_model, save_model
 
 
@@ -338,3 +340,39 @@ def test_exact_diff_identity_logpoly():
         assert abs(direct - stable) < 1e-12
     d = 1e-13
     assert abs(float(eta.diff_log(0.3, 0.3 - d, delta=d)) / d - float(eta.dvalue_log(0.3))) < 1e-5
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -0.3), (1.0, -0.15, 0.02), (1.0, -0.15, 0.02, 0.005)],
+                         ids=["deg1", "deg2", "deg3"])
+def test_diff_log_evaluates_each_polynomial_once(monkeypatch, coeffs):
+    # the clamp test and the plain difference share one Horner value per argument
+    horner, calls = model_mod._horner, []
+
+    def spy(u, c):
+        calls.append((u, c))
+        return horner(u, c)
+
+    monkeypatch.setattr(model_mod, "_horner", spy)
+    eta = LogPolyEta(coeffs, clamp_lo=0.9, clamp_hi=1.1)
+    u1 = np.linspace(-1.0, 1.0, 9)
+    eta.diff_log(u1, u1 - 1e-3, delta=np.full(9, 1e-3))
+    assert len(calls) == 2 and all(c == eta.coeffs for _, c in calls)
+    assert np.array_equal(calls[0][0], u1) and np.array_equal(calls[1][0], u1 - 1e-3)
+
+
+def test_diff_log_matches_exact_arithmetic():
+    # degree 4, inside the clamps on [-1, 1]: within 4 eps of the exact difference
+    coeffs = (1.0, -0.15, 0.02, 0.005, -0.001)
+    eta = LogPolyEta(coeffs, clamp_lo=0.5, clamp_hi=2.0)
+    poly = lambda u: sum(Fraction(c) * Fraction(u) ** k for k, c in enumerate(coeffs))
+    u2 = np.linspace(-1.0, 1.0, 41)
+    worst = 0.0
+    for sep in 10.0 ** -np.arange(3, 13):
+        u1 = u2 + sep
+        delta = u1 - u2
+        got = eta.diff_log(u1, u2, delta)
+        for a, b, d, g in zip(u1, u2, delta, got):
+            assert Fraction(d) == Fraction(a) - Fraction(b)  # delta is the exact separation
+            exact = poly(a) - poly(b)
+            worst = max(worst, abs(float((Fraction(g) - exact) / exact)))
+    assert worst <= 4.0 * np.finfo(float).eps

@@ -215,6 +215,33 @@ class TestBounds:
         assert all(b > a for a, b in zip(uppers, uppers[1:]))
 
 
+class TestAssetTable:
+    """The coupled map's u table covers what rho_eff Phi_V reaches over its w
+    table, whatever eta's upper clamp: eta = 1 - 0.3u clamped to
+    [0.85, clamp_hi], sigma 2, V0 = 0.1."""
+
+    @staticmethod
+    def model(clamp_hi, rho=1.0):
+        return LsvModel(s0=1.0, v0=0.1, rho=rho, eta=LogPolyEta((1.0, -0.3), 0.85, clamp_hi), sigma=ConstantSigma(2.0))
+
+    def test_loose_upper_clamp_keeps_rate_and_table(self):
+        rates, nodes = [], []
+        for clamp_hi in (1.15, 100.0):
+            m = self.model(clamp_hi)
+            k = forward_variance_limit(m) * math.exp(0.1)
+            rates.append(rate_perfect_corr(m, k, 1).value)
+            nodes.append(_coupled_map(m, 1.0, 1.2)._phi_s_inv.x.size)
+        assert abs(rates[1] - rates[0]) <= 1e-12
+        assert nodes[1] <= 2 * nodes[0]
+
+    def test_table_past_the_node_budget_raises(self):
+        # at rho = -1 on the widest w table, Phi_S must reach -46.6 where eta
+        # climbs toward 1e4: about 3e7 nodes, past U_NODES
+        m = self.model(1e4, rho=-1.0)
+        with pytest.raises(NumericsError, match="clamp saturation"):
+            rate_perfect_corr(m, forward_variance_limit(m) * math.exp(5.0), -1)
+
+
 class TestFMap:
     @pytest.mark.parametrize("sigma", [LogPolySigma(-0.95, 200.0, 0.0, 1.85, 2.15),
                                        LogPolySigma(2.0, 0.5, 0.0, 1.9995, 2.001),
@@ -826,6 +853,14 @@ class TestRateNumeric:
     def test_rejects_perfect_corr(self, tanh_model):
         with pytest.raises(ValueError):
             rate_numeric(tanh_model.with_rho(1.0), 0.12)
+
+
+def test_rate_off_the_money_must_be_positive():
+    # A x^2 + B x^3 changes sign at x = -A/B = 4.985 on tanh; at the money every rate is 0
+    with pytest.raises(ValueError, match=r"^expansion rate -0\.664791 not positive at x=5\.3"):
+        rate_by_method(TANH, forward_variance_limit(TANH) * math.exp(5.3), "expansion")
+    for method in ("expansion", "closed"):
+        assert rate_by_method(TANH, forward_variance_limit(TANH), method).value == 0.0
 
 
 @pytest.mark.parametrize(
