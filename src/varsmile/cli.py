@@ -138,6 +138,7 @@ def _cmd_rate(args) -> int:
                 "lower": res.lower,
                 "best_upper": res.best_upper,
                 "upper_candidates": dict(res.upper_candidates),
+                "dropped": dict(res.dropped),
             }
         elif args.method == "expansion":
             payload = {"strike": k, "method": "expansion", "value": res.value, "x": res.diagnostics["x"]}

@@ -12,6 +12,12 @@ share of the tolerance and bisects the rest.  Integrands are
 numpy-vectorized and may return several rows, so integrals over the same
 interval share one evaluation.
 
+Most calls end after one pass on one panel, so a pass gives numpy only its
+array work (the node matrix, the integrand call and one 3-D product for
+both rules and the probes; a 2-D one rounds differently) and runs the rest
+on Python floats, with each row's panel sum in numpy's pairwise order: the
+bits of an all-numpy pass at half its fixed cost.
+
 The accuracy is fixed here, not by callers: every integral is accepted at
 max(ABS_TOL, REL_TOL |integral|) within MAX_PANELS panels.
 """
@@ -57,6 +63,8 @@ _PROBES = np.array([-1.0 + 1e-6, 1.0 - 1e-6])
 _EDGE = 1.0 - _X_2N[-1]
 _NODES = np.concatenate((_X_N, _X_2N, _PROBES))  # one evaluation for all, on [-1, 1]
 _PROBE = 3 * _GL_N  # index of the first probe
+_NODES_AT_B = _NODES.copy()  # for the panel at the singular end: its first probe on a node
+_NODES_AT_B[_PROBE] = _NODES[_GL_N]
 # columns: n-point weights, 2n-point weights, interpolant at the two probes
 _RULES = np.zeros((_NODES.size, 4))
 _RULES[:_GL_N, 0] = _W_N
@@ -136,47 +144,61 @@ def integrate_sqrt_singular(f: Callable, b: float, breaks=()):
         return 2.0 * u * f(b - d, d)
 
     width = math.sqrt(b)
-    cuts = [math.sqrt(b - p) for p in breaks if 0.0 < p < b]  # break p sits at u = sqrt(b - p)
-    cuts = np.array(sorted({0.0, *cuts, width}))
-    left, half = cuts[:-1], 0.5 * (cuts[1:] - cuts[:-1])
-    done = 0.0
-    n_panels = left.size
+    cuts = sorted({0.0, *(math.sqrt(b - p) for p in breaks if 0.0 < p < b), width})  # break p sits at u = sqrt(b - p)
+    lefts, halves = cuts[:-1], [0.5 * (hi - lo) for lo, hi in zip(cuts, cuts[1:])]  # the panels in u
+    floor = 16.0 * _EPS * b
+    done, n_panels = None, len(halves)  # done: per row, the sum over the accepted panels
     while True:
         counter[1] += 1
-        x = (left + half)[:, None] + half[:, None] * _NODES
+        n = len(halves)
         # the panel at the singular point (always first) gets no probe there:
         # it is moved onto a node and its term dropped
-        at_singular = left[0] == 0.0
-        if at_singular:
-            x[0, _PROBE] = x[0, _GL_N]
+        at_singular = lefts[0] == 0.0
+        if n == 1:
+            x = (lefts[0] + halves[0]) + halves[0] * (_NODES_AT_B if at_singular else _NODES)
+        else:
+            left, half = np.array(lefts), np.array(halves)
+            x = (left + half)[:, None] + half[:, None] * _NODES
+            if at_singular:
+                x[0, _PROBE] = x[0, _GL_N]
         vals = np.asarray(g(x.ravel()), dtype=float)
         scalar = vals.ndim == 1
-        vals = vals.reshape(-1, *x.shape)
-        rules = vals @ _RULES
-        i_2n = half * rules[..., 1]
-        off_edge = np.abs(vals[..., _PROBE:] - rules[..., 2:])
-        if at_singular:
-            off_edge[:, 0, 0] = 0.0
-        err = np.abs(i_2n - half * rules[..., 0]) + _EDGE * half * off_edge.sum(axis=-1)
-        total = done + i_2n.sum(axis=-1)
-        allowed = np.maximum(ABS_TOL, REL_TOL * np.abs(total))[:, None] * (2.0 * half / width)
-        ok = (err <= allowed).all(axis=0)
+        vals = vals.reshape(-1, n, _NODES.size)
+        rules = vals @ _RULES  # (m, n, 32) @ (32, 4): a 2-D product rounds differently
+        # the rest in floats, one entry per row and panel, row after row
+        rows, probes = rules.reshape(-1, 4).tolist(), vals[..., _PROBE:].reshape(-1, 2).tolist()
+        m = len(rows) // n
+        hs = halves * m
+        drop = ([at_singular] + [False] * (n - 1)) * m  # the first probe's term, at b
+        i_2n, err = [], []
+        for h, (r_n, r_2n, p0, p1), (v0, v1), dropped in zip(hs, rows, probes, drop):
+            i = h * r_2n
+            i_2n.append(i)
+            err.append(abs(i - h * r_n) + _EDGE * h * (abs(v1 - p1) + (0.0 if dropped else abs(v0 - p0))))
+        # the row sums in numpy's pairwise order; one panel's sum is itself
+        sums = i_2n if n == 1 else np.reshape(i_2n, (m, n)).sum(axis=-1).tolist()
+        done = done or [0.0] * m
+        total = [d + s for d, s in zip(done, sums)]
+        # max(ABS_TOL, REL_TOL |total|) that keeps a NaN, as np.maximum does
+        tols = [ABS_TOL if (t := REL_TOL * abs(s)) <= ABS_TOL else t for s in total]
         # a panel below the rounding floor is accepted; 4 half (left + half) is its width in y
-        if ok.all() or (ok := ok | (4.0 * half * (left + half) < 16.0 * _EPS * b)).all():
-            return float(total[0]) if scalar else total
-        done = done + i_2n[:, ok].sum(axis=-1)
-        bad = ~ok
-        n_panels += int(bad.sum())
+        ok = [all(e <= t * (2.0 * h / width) for e, t in zip(err[p::n], tols)) or 4.0 * h * (left + h) < floor
+              for p, (left, h) in enumerate(zip(lefts, halves))]
+        if all(ok):
+            return total[0] if scalar else np.array(total)
+        ok = np.array(ok)
+        done = [d + s for d, s in zip(done, np.reshape(i_2n, (m, n))[:, ok].sum(axis=-1).tolist())]
+        n_panels += int((~ok).sum())
         if n_panels > MAX_PANELS:
-            bound = err[:, bad].sum(axis=-1)
+            bound = np.reshape(err, (m, n))[:, ~ok].sum(axis=-1)
             raise AccuracyError(
                 f"{n_panels} panels needed, budget {MAX_PANELS}",
-                estimate=float(total[0]) if scalar else total,
+                estimate=total[0] if scalar else np.array(total),
                 error_bound=float(bound[0]) if scalar else bound,
             )
-        left, half = left[bad], 0.5 * half[bad]
-        left = np.concatenate((left, left + 2.0 * half))
-        half = np.concatenate((half, half))
+        lefts = [left for left, o in zip(lefts, ok) if not o]
+        halves = [0.5 * h for h, o in zip(halves, ok) if not o] * 2
+        lefts += [left + 2.0 * h for left, h in zip(lefts, halves)]
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12) -> float:

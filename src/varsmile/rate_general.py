@@ -62,6 +62,7 @@ class BoundsResult:
     lower: float
     upper_candidates: tuple[tuple[str, float], ...]
     best_upper: float
+    dropped: tuple[tuple[str, str], ...] = ()  # (name, reason) of each upper that could not be formed
 
     def __post_init__(self):
         # discretized upper candidates can undershoot by quadrature error
@@ -152,13 +153,14 @@ def rate_bounds_rho(model: LsvModel, k: float) -> BoundsResult:
     z_pivot = k / float(model.eta.value_log(0.0)) ** 2
     uppers.append(("scaled_asian", asian_rate_j(model.sigma, model.v0, z_pivot).value / (1.0 - rho * rho)))
 
+    dropped = ()
     try:
         uppers.append(("corr_path", rate_upper_corr_path(model, k)))
-    except TableRangeError:
-        pass  # the strike's excursion leaves the coupled-map table; the other uppers stand
+    except NumericsError as exc:  # e.g. the excursion leaves the coupled-map table; the other uppers stand
+        dropped = (("corr_path", f"{type(exc).__name__}: {exc}"),)
 
     best = min(v for _, v in uppers)
-    return BoundsResult(lower=lower, upper_candidates=tuple(uppers), best_upper=best)
+    return BoundsResult(lower=lower, upper_candidates=tuple(uppers), best_upper=best, dropped=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +260,10 @@ class _CoupledMap:
     def _coords(self, w):
         """(w, rho_eff Phi_V(w)) at log variance(s) w; Phi_S^{-1} of the latter is log(F / S0)."""
         w = np.asarray(w, dtype=float)
-        if np.any(w < self.w[0]) or np.any(w > self.w[-1]):
+        if _outside(w, self.w[0], self.w[-1]):
             raise TableRangeError(f"log variance outside the coupled-map table [{self.w[0]:g}, {self.w[-1]:g}]")
         rhs = self.rho_eff * self._phi_v(w)
-        if np.any(rhs < self._phi_s_range[0]) or np.any(rhs > self._phi_s_range[1]):
+        if _outside(rhs, *self._phi_s_range):
             raise NumericsError("coupled-map primitive out of range (clamp saturation)")
         return w, rhs
 
@@ -289,6 +291,11 @@ class _CoupledMap:
         """The distances t = s w in (0, t_hi), ascending, at which the tabulated
         F(V0 e^w) crosses a clamp point of eta, so G' jumps."""
         return sorted(s * w for w in self._kinks if 0.0 < s * w < t_hi)
+
+
+def _outside(a, lo: float, hi: float) -> bool:
+    """Whether an entry of a lies outside [lo, hi], in one NaN-skipping reduction per bound."""
+    return np.fmin.reduce(a, axis=None, initial=np.inf) < lo or np.fmax.reduce(a, axis=None, initial=-np.inf) > hi
 
 
 _memo_map = functools.lru_cache(maxsize=8)(_CoupledMap)

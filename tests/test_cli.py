@@ -102,7 +102,22 @@ class TestRate:
         payload = json.loads(out)
         assert {"lower", "best_upper", "upper_candidates"} <= set(payload)
         assert set(payload["upper_candidates"]) == {"scaled_zero_corr", "zero_corr_paths", "scaled_asian", "corr_path"}
+        assert payload["dropped"] == {}
         assert payload["lower"] <= payload["best_upper"]
+
+    def test_bounds_method_prints_dropped(self, capsys, tmp_path):
+        # eta's loose upper clamp: the corr_path upper's asset table passes its node budget
+        m = tmp_path / "m.json"
+        data = json.loads(MODEL.read_text())
+        data.update(rho=-0.9, eta={"type": "logpoly", "coeffs": [1.0, -0.3], "clamp_lo": 0.85, "clamp_hi": 1e4},
+                    sigma={"type": "constant", "sigma0": 2.0})
+        m.write_text(json.dumps(data))
+        code, out, _ = run(["rate", "--model", str(m), "--x", "5", "--method", "bounds"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["upper_candidates"]) == {"scaled_zero_corr", "zero_corr_paths", "scaled_asian"}
+        assert list(payload["dropped"]) == ["corr_path"]
+        assert "clamp saturation" in payload["dropped"]["corr_path"]
 
     def test_bounds_ordered_at_rho_zero(self, capsys):
         code, out, _ = run(["rate", "--model", str(MODEL), "--x", "2", "--method", "bounds"], capsys)

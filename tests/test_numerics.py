@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,138 @@ class TestKernelAgainstQuadpack:
         ref = _quadpack_reference(lambda y: float(smooth(y)), a, b, lower, _clamp_kinks(eta, a, b))
         assert abs(val - ref) <= 1e-10 * abs(ref)
 
+
+
+def _reference_kernel(f, b, breaks=()):
+    """``integrate_sqrt_singular`` as it stood with the whole pass in numpy
+    arrays, kept to pin the float-list pass bit for bit (counts included)."""
+    if not (0.0 <= b < math.inf):
+        raise ValueError(f"requires a finite b >= 0, got {b}")
+    if b == 0.0:
+        return 0.0
+    counter = numerics._KERNEL_CALLS.get() or [0, 0]
+    counter[0] += 1
+
+    def g(u):
+        d = u * u
+        return 2.0 * u * f(b - d, d)
+
+    _NODES, _RULES, _PROBE, _GL_N, _EDGE = numerics._NODES, numerics._RULES, numerics._PROBE, numerics._GL_N, numerics._EDGE
+    width = math.sqrt(b)
+    cuts = [math.sqrt(b - p) for p in breaks if 0.0 < p < b]  # break p sits at u = sqrt(b - p)
+    cuts = np.array(sorted({0.0, *cuts, width}))
+    left, half = cuts[:-1], 0.5 * (cuts[1:] - cuts[:-1])
+    done = 0.0
+    n_panels = left.size
+    while True:
+        counter[1] += 1
+        x = (left + half)[:, None] + half[:, None] * _NODES
+        # the panel at the singular point (always first) gets no probe there:
+        # it is moved onto a node and its term dropped
+        at_singular = left[0] == 0.0
+        if at_singular:
+            x[0, _PROBE] = x[0, _GL_N]
+        vals = np.asarray(g(x.ravel()), dtype=float)
+        scalar = vals.ndim == 1
+        vals = vals.reshape(-1, *x.shape)
+        rules = vals @ _RULES
+        i_2n = half * rules[..., 1]
+        off_edge = np.abs(vals[..., _PROBE:] - rules[..., 2:])
+        if at_singular:
+            off_edge[:, 0, 0] = 0.0
+        err = np.abs(i_2n - half * rules[..., 0]) + _EDGE * half * off_edge.sum(axis=-1)
+        total = done + i_2n.sum(axis=-1)
+        allowed = np.maximum(numerics.ABS_TOL, numerics.REL_TOL * np.abs(total))[:, None] * (2.0 * half / width)
+        ok = (err <= allowed).all(axis=0)
+        # a panel below the rounding floor is accepted; 4 half (left + half) is its width in y
+        if ok.all() or (ok := ok | (4.0 * half * (left + half) < 16.0 * numerics._EPS * b)).all():
+            return float(total[0]) if scalar else total
+        done = done + i_2n[:, ok].sum(axis=-1)
+        bad = ~ok
+        n_panels += int(bad.sum())
+        if n_panels > numerics.MAX_PANELS:
+            bound = err[:, bad].sum(axis=-1)
+            raise AccuracyError(
+                f"{n_panels} panels needed, budget {numerics.MAX_PANELS}",
+                estimate=float(total[0]) if scalar else total,
+                error_bound=float(bound[0]) if scalar else bound,
+            )
+        left, half = left[bad], 0.5 * half[bad]
+        left = np.concatenate((left, left + 2.0 * half))
+        half = np.concatenate((half, half))
+
+
+def _outcome(kernel, f, b, breaks):
+    """What ``kernel`` returns or raises on f, with its kernel (calls, passes).
+    numpy warns on the inf - inf that Python floats form silently; the bits
+    are compared, not the warnings."""
+    with numerics.count_kernel_calls() as counts, np.errstate(invalid="ignore"):
+        try:
+            return "value", kernel(f, b, breaks), tuple(counts)
+        except AccuracyError as exc:
+            return str(exc), (exc.estimate, exc.error_bound), tuple(counts)
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_bits, a, b))
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _rows(*fs):
+    return lambda y, d: np.array([fn(y, d) for fn in fs])
+
+
+_KINK = lambda y, d: np.abs(y - 0.3) / np.sqrt(d)
+_SMOOTH = lambda y, d: np.exp(0.7 * y) / np.sqrt(d)
+
+
+class TestReferenceKernel:
+    """The float-list pass gives every bit the all-numpy pass gave: values,
+    errors and kernel counts."""
+
+    @pytest.mark.parametrize("f, b, breaks", [
+        (_SMOOTH, 1.0, ()),
+        (_rows(_SMOOTH, lambda y, d: y * y), 0.7, ()),
+        (_rows(_SMOOTH, lambda y, d: np.cos(y), lambda y, d: 1.0 / np.sqrt(d)), 2.5, ()),
+        (_KINK, 1.0, (0.3,)),
+        (_rows(_KINK, _SMOOTH), 1.0, (0.3, 0.6)),
+        (_rows(_KINK, _SMOOTH), 1.0, (0.1, 0.3, 0.6, -1.0, 1.0, 2.0)),
+        (_rows(_KINK, lambda y, d: np.abs(y - 0.6)), 1.0, (0.05, 0.3, 0.6, 0.9)),
+        (_KINK, 1.0, ()),
+        (_rows(_KINK, lambda y, d: np.abs(y - 0.61)), 1.0, ()),
+        (lambda y, d: np.where(y < 0.3, 1.0, 2.0), 1.0, ()),
+        (lambda y, d: np.where(d < 1e-9, 2.0, 1.0), 3e-9, ()),
+        (lambda y, d: np.full_like(y, np.nan), 1.0, ()),
+        (_rows(_SMOOTH, lambda y, d: np.where(y > 0.7, np.nan, y)), 1.0, (0.5,)),
+        (lambda y, d: np.where(y > 0.5, np.inf, 1.0), 1.0, ()),
+        (lambda y, d: np.sin(200.0 / (d + 0.01)), 1.0, ()),
+        (_rows(lambda y, d: np.sin(200.0 / (d + 0.01)), _SMOOTH), 1.0, (0.4,)),
+    ], ids=["one_panel_one_row", "one_panel_two_rows", "one_panel_three_rows", "two_panels", "three_panels",
+            "four_panels_breaks_outside_dropped", "five_panels", "bisection", "bisection_two_rows", "jump_to_floor",
+            "jump_to_floor_near_b", "nan", "nan_in_part", "inf_in_part", "budget_out", "budget_out_two_rows"])
+    def test_matches_reference(self, f, b, breaks):
+        ref = _outcome(_reference_kernel, f, b, breaks)
+        assert _same_bits(_outcome(integrate_sqrt_singular, f, b, breaks), ref)
+
+    def test_cases_reach_each_branch(self):
+        """The cases above take the branches they are named for."""
+        passes = lambda f, b, breaks=(): _outcome(integrate_sqrt_singular, f, b, breaks)[2][1]
+        assert passes(_SMOOTH, 1.0) == 1 and passes(_KINK, 1.0) > 2
+        # a jump bisected down to the rounding floor is accepted, not a budget error
+        assert _outcome(integrate_sqrt_singular, lambda y, d: np.where(y < 0.3, 1.0, 2.0), 1.0, ())[0] == "value"
+        assert passes(lambda y, d: np.where(y < 0.3, 1.0, 2.0), 1.0) > 40
+        for f in (lambda y, d: np.full_like(y, np.nan), lambda y, d: np.sin(200.0 / (d + 0.01))):
+            message = _outcome(integrate_sqrt_singular, f, 1.0, ())[0]
+            assert re.match(r"\d+ panels needed, budget 200 ", message)
+
+    def test_budget_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_PANELS", 7)
+        for breaks in ((), (0.2, 0.5)):
+            f = _rows(_KINK, lambda y, d: np.abs(y - 0.61))
+            ref = _outcome(_reference_kernel, f, 1.0, breaks)
+            assert ref[0] != "value"
+            assert _same_bits(_outcome(integrate_sqrt_singular, f, 1.0, breaks), ref)
 
 class TestFindRoot:
     def test_sqrt2(self):

@@ -205,6 +205,23 @@ class TestBounds:
             rate_upper_corr_path(m, k)
         b = rate_bounds_rho(m, k)
         assert [name for name, _ in b.upper_candidates] == ["scaled_zero_corr", "zero_corr_paths", "scaled_asian"]
+        assert [name for name, _ in b.dropped] == ["corr_path"] and b.dropped[0][1].startswith("TableRangeError: ")
+
+    @pytest.mark.parametrize("x", [5.0, -5.0])
+    def test_corr_path_numerics_error_is_dropped(self, x):
+        # eta's loose upper clamp: the h-only route's asset table passes its node budget
+        m = TestAssetTable.model(1e4, rho=-0.9)
+        b = rate_bounds_rho(m, forward_variance_limit(m) * math.exp(x))
+        assert [name for name, _ in b.upper_candidates] == ["scaled_zero_corr", "zero_corr_paths", "scaled_asian"]
+        assert b.dropped == (("corr_path", "NumericsError: coupled-map primitive out of range (clamp saturation) "
+                                           f"past {_CoupledMap.U_NODES} u nodes"),)
+        assert 0.0 < b.lower <= b.best_upper
+
+    def test_nothing_dropped(self):
+        m = TestAssetTable.model(1e4, rho=-0.9)
+        b = rate_bounds_rho(m, forward_variance_limit(m) * math.exp(0.1))
+        assert b.dropped == ()
+        assert [name for name, _ in b.upper_candidates][-1] == "corr_path"
 
     def test_monotone_degradation(self, tanh_model):
         k = 0.12
@@ -240,6 +257,32 @@ class TestAssetTable:
         m = self.model(1e4, rho=-1.0)
         with pytest.raises(NumericsError, match="clamp saturation"):
             rate_perfect_corr(m, forward_variance_limit(m) * math.exp(5.0), -1)
+
+
+class TestCoords:
+    """_CoupledMap._coords checks its range with one NaN-skipping reduction per bound."""
+
+    @staticmethod
+    def mapper():
+        return _coupled_map(KINKED.with_rho(1.0), 1.0, _CoupledMap.W_SPAN)
+
+    def test_nan_beside_an_out_of_range_entry_raises(self):
+        mapper = self.mapper()
+        for w in ([np.nan, mapper.w[-1] + 0.5], [mapper.w[0] - 0.5, np.nan]):
+            with pytest.raises(TableRangeError, match="coupled-map table"):
+                mapper.level(np.array(w))
+
+    def test_nan_alone_passes_through(self):
+        mapper = self.mapper()
+        levels = mapper.level(np.array([np.nan, 0.1]))
+        assert math.isnan(levels[0]) and levels[1] == mapper.level(0.1)
+
+    def test_scalar_and_empty(self):
+        mapper = self.mapper()
+        assert mapper.level(np.float64(0.1)).shape == ()
+        assert mapper.level(np.array([])).shape == (0,)
+        with pytest.raises(TableRangeError):
+            mapper.log_f(mapper.w[-1] + 0.5)
 
 
 class TestFMap:
