@@ -6,6 +6,7 @@ Usage:
     python3 scripts/sweep.py CHECKOUT h_only [--reverse]
     python3 scripts/sweep.py CHECKOUT transcription
     python3 scripts/sweep.py CHECKOUT ops [--seed 1]
+    python3 scripts/sweep.py CHECKOUT mc
 
 Runs CHECKOUT's own code from its ``src/`` and prints one JSON list of rows,
 one per point, in the sweep's order.  Floats print as ``repr``, and a point
@@ -41,6 +42,15 @@ ops: each rate op of the first ``closed_smooth``, ``closed_kinked`` and
     ``newton_iters``, ``grad_evals`` and ``kkt_residual``.  ``{"workload",
     "kind", "x", "rho", "asset_branch"}`` rows carry ``value``: the rate, or
     ``[lower, best_upper]`` for ``bounds``.
+mc: the Monte Carlo simulator on tanh and kinked at rho in {0, +-0.7}, at
+    seed 7 and T = 1/12, for the (paths x steps) shapes of ``MC_SHAPES``.
+    ``{"model", "rho", "paths", "steps"}`` rows carry ``rv``, the sha1 of
+    ``simulate_realized_variance``'s bytes, ``logs``, the sha1 of the log
+    prices ``_simulate_core`` samples every ``stride`` steps, ``smile``,
+    the ``repr`` of each ``mc_smile`` row of those samples at x in
+    ``MC_XS``, and ``forward``, that smile's forward mean and standard
+    error.  Thread timing must not move a bit: two runs of one checkout
+    print the same bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +69,11 @@ H_ONLY_XS = (0.05, 0.15, 0.3, 0.6, 1.0, 2.0, 3.0)
 H_ONLY_RHOS = (1.0, -1.0, 0.3, -0.3, 0.7, -0.7, 0.9, -0.9)
 TRANSCRIPTION_RHOS = (0.0, 0.5, -0.5, 0.9, -0.9)
 TRANSCRIPTION_XS = (0.3, -0.3, 0.5, -0.5)
+# (paths, steps, stride): a partial chunk and block, two full chunks of three
+# blocks, one tiny chunk, the benchmark's day shape and a three-chunk short run
+MC_SHAPES = ((4200, 100, 10), (8192, 130, 13), (12, 7, 7), (262144, 20, 5), (10000, 3, 1))
+MC_RHOS = (0.0, 0.7, -0.7)
+MC_XS = (-0.2, -0.05, 0.0, 0.05, 0.2)
 
 
 def _reprs(diagnostics: dict, skip=()) -> dict:
@@ -165,11 +180,33 @@ def ops(vs, root: Path, args):
             yield keys, partial(solve, ctx, op)
 
 
+def mc(vs, root: Path, args):
+    from varsmile.mc import _simulate_core
+
+    def sha1(a) -> str:
+        return hashlib.sha1(a.tobytes()).hexdigest()
+
+    def solve(m, stride, keys):
+        cfg = vs.McConfig(n_paths=keys["paths"], n_steps=keys["steps"], seed=7, maturity=1.0 / 12.0)
+        rv = vs.simulate_realized_variance(m, cfg)
+        _, logs = _simulate_core(m, cfg, sample_stride=stride)
+        strikes = [vs.forward_variance_limit(m) * math.exp(x) for x in MC_XS]
+        smile = vs.mc_smile(m, strikes, cfg.maturity, cfg, samples=rv)
+        return {**keys, "rv": sha1(rv), "logs": sha1(logs), "smile": [repr(row) for row in smile],
+                "forward": [repr(smile.forward.mean), repr(smile.forward.stderr)]}
+
+    for name, [model] in _model_sets(vs, root, drawn=False).items():
+        for rho in MC_RHOS:
+            m = model.with_rho(rho)
+            for paths, steps, stride in MC_SHAPES:
+                yield {"model": name, "rho": rho, "paths": paths, "steps": steps}, partial(solve, m, stride)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", type=Path)
     sub = ap.add_subparsers(dest="sweep", required=True)
-    for points in (closed, h_only, transcription, ops):
+    for points in (closed, h_only, transcription, ops, mc):
         sub.add_parser(points.__name__).set_defaults(points=points)
     sub.choices["closed"].add_argument("--near", action="store_true", help="add the near-money log scan")
     sub.choices["h_only"].add_argument("--reverse", action="store_true", help="run the points in reverse order")

@@ -11,15 +11,17 @@ continuing the one counter-based stream, so the block size does not change
 the draws.  Results are therefore bit-identical for a fixed seed, and the
 full chunks of a smaller ``n_paths`` are the leading paths of a larger one.
 
-One background thread draws and mixes the blocks into two reused buffers,
-and the step loop takes each step's rows from them in run order.  The draws
-and the mixing release the GIL, so they overlap the loop; the samples are
-those of drawing in series.
+One background thread only draws: it fills three reused buffers, up to two
+blocks ahead of the step loop.  The calling thread mixes each step's rows as
+it takes them, in run order, so the two threads carry about equal work.  The
+draws release the GIL, so they overlap the loop; the samples are those of
+drawing and mixing in series.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -44,6 +46,7 @@ __all__ = [
 
 _CHUNK_STREAMS = 2048  # fixed partition: chunk i draws from Philox key (seed, i)
 _STEP_BLOCK = 64  # steps per standard_normal call; bounds memory, not the draws
+_DRAW_AHEAD = 2  # blocks the worker may draw ahead of the step loop, into _DRAW_AHEAD + 1 buffers
 
 
 def _is_int(v) -> bool:
@@ -98,73 +101,77 @@ def _vega(f: float, k: float, sigma: float, t: float, r: float) -> float:
     return math.exp(-r * t) * f * math.sqrt(t) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
 
 
-def _estimate(samples: np.ndarray, cfg: McConfig, half: np.ndarray) -> McEstimate:
-    """Mean and standard error over the independent antithetic pair means,
-    written into ``half``."""
+def _estimate(even: np.ndarray, odd: np.ndarray, cfg: McConfig, out: np.ndarray) -> McEstimate:
+    """Mean and standard error over the independent antithetic pair means of
+    the even and odd paths, formed in ``out`` (which may be ``even``)."""
     # (a + b) * 0.5 rounds as the (a + b) / 2 of a length-2 mean does,
     # without numpy's slow reduction along a short axis
-    pairs = np.add(samples[0::2], samples[1::2], out=half)
+    pairs = np.add(even, odd, out=out)
     pairs *= 0.5
     n = pairs.size
-    mean = float(np.mean(pairs))
-    stderr = float(np.std(pairs, ddof=1) / math.sqrt(n))
-    return McEstimate(mean=mean, stderr=stderr, n_effective=n, seed=cfg.seed, config=cfg)
+    # np.mean and np.std(ddof=1) step by step, the mean summed once
+    mean = np.add.reduce(pairs) / n
+    dev = np.subtract(pairs, mean, out=pairs)
+    np.square(dev, out=dev)
+    stderr = math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
+    return McEstimate(mean=float(mean), stderr=stderr, n_effective=n, seed=cfg.seed, config=cfg)
 
 
-def _payoff_estimates(rv: np.ndarray, k: float, disc: float, cfg: McConfig, buf: np.ndarray, half):
-    """(call, put) estimates at strike k; each payoff is formed in place in
-    ``buf`` and its pair means in ``half``, so a strike sweep reuses two
-    arrays instead of allocating sample-sized temporaries per payoff."""
+def _payoff_estimates(halves: np.ndarray, k: float, disc: float, cfg: McConfig, scratch: np.ndarray):
+    """(call, put) estimates at strike k from the ``(2, streams)`` even and
+    odd samples; each payoff is formed in place in ``scratch``, so a strike
+    sweep reuses it instead of allocating temporaries per payoff."""
     out = []
-    for a, b in ((rv, k), (k, rv)):
-        np.subtract(a, b, out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        buf *= disc
-        out.append(_estimate(buf, cfg, half))
+    for a, b in ((halves, k), (k, halves)):
+        np.subtract(a, b, out=scratch)
+        np.maximum(scratch, 0.0, out=scratch)
+        scratch *= disc
+        out.append(_estimate(*scratch, cfg, scratch[0]))
     return out
 
 
 def _drawn_steps(pool, model, cfg, chunks, s, sqdt):
-    """Each step's mixed ``(z, x)`` rows in run order, ``(2, streams)`` views.
+    """Each step's mixed ``(z, x)`` rows in run order, ``(streams,)`` views.
 
-    The pool's one worker draws and mixes blocks of ``_STEP_BLOCK`` steps into
-    two reused buffers, block j + 1 while the caller steps through block j;
-    a buffer is refilled only once the caller asks for the next block's first
-    step.  Chunk c draws from the Philox generator keyed (seed, c).  Mixing
-    turns ``w`` into the spot noise ``rho z + root w`` and, for a constant
-    vol-of-vol s (not None), ``z`` into ``(s z) sqrt(dt)``, the operations
-    and order of the plain Euler step.
+    The pool's one worker only draws: blocks of ``_STEP_BLOCK`` steps into
+    ``_DRAW_AHEAD + 1`` reused buffers, up to ``_DRAW_AHEAD`` blocks ahead
+    of the block the caller steps through.  A buffer is refilled only once
+    the caller asks for the first step after it.  Chunk c draws from the
+    Philox generator keyed (seed, c).  Each row is mixed here, on the
+    calling thread, as it is handed out: ``w`` becomes the spot noise
+    ``rho z + root w`` and, for a constant vol-of-vol s (not None), ``z``
+    becomes ``(s z) sqrt(dt)``, the operations and order of the plain Euler
+    step.
     """
     nb = _STEP_BLOCK
     n_steps = cfg.n_steps
     rho = model.rho
     root = math.sqrt(max(1.0 - rho * rho, 0.0))
-    size = min(nb, n_steps) * 2 * (chunks[0][1] - chunks[0][0])
-    bufs = (np.empty(size), np.empty(size))
     tasks = [(c, i, hi - lo) for c, (lo, hi) in enumerate(chunks) for i in range(0, n_steps, nb)]
+    size = min(nb, n_steps) * 2 * (chunks[0][1] - chunks[0][0])
+    bufs = [np.empty(size) for _ in range(_DRAW_AHEAD + 1)]
     gen = None
 
-    def fill(task, buf):
+    def fill(j):
         nonlocal gen
-        c, i, m = task
+        c, i, m = tasks[j]
         if i == 0:
             gen = np.random.Generator(np.random.Philox(key=[cfg.seed, c]))
         k = min(nb, n_steps - i)
-        block = gen.standard_normal(out=buf[: k * 2 * m].reshape(k, 2, m))
-        zb, xb = block[:, 0], block[:, 1]
-        xb *= root
-        xb += rho * zb
-        if s is not None:
-            zb *= s
-            zb *= sqdt
-        return block
+        return gen.standard_normal(out=bufs[j % len(bufs)][: k * 2 * m].reshape(k, 2, m))
 
-    ahead = pool.submit(fill, tasks[0], bufs[0])
+    ahead = deque(pool.submit(fill, j) for j in range(min(_DRAW_AHEAD, len(tasks))))
     for j in range(len(tasks)):
-        block = ahead.result()
-        if j + 1 < len(tasks):
-            ahead = pool.submit(fill, tasks[j + 1], bufs[(j + 1) % 2])
-        yield from block
+        # block j + _DRAW_AHEAD takes the buffer of block j - 1, which the caller has left
+        if j + _DRAW_AHEAD < len(tasks):
+            ahead.append(pool.submit(fill, j + _DRAW_AHEAD))
+        for z, x in ahead.popleft().result():
+            x *= root
+            x += rho * z
+            if s is not None:
+                z *= s
+                z *= sqdt
+            yield z, x
 
 
 def _run_chunk(model, cfg, m, dt, sqdt, s, sample_stride, steps):
@@ -259,13 +266,15 @@ def simulate_realized_variance(model: LsvModel, cfg: McConfig) -> np.ndarray:
 
 
 def _checked_samples(model: LsvModel, cfg: McConfig, samples: Optional[np.ndarray]):
-    """The samples (simulated if None), the discount factor and the two
-    scratch arrays of ``_payoff_estimates``."""
+    """The samples (simulated if None) as ``(2, streams)`` rows of the even
+    and the odd paths, so each path's antithetic mirror is in the other row,
+    the discount factor and the scratch of ``_payoff_estimates``."""
     if samples is None:
         samples = simulate_realized_variance(model, cfg)
     elif len(samples) != cfg.n_paths:
         raise ValueError(f"samples has {len(samples)} paths, the config {cfg.n_paths}")
-    return samples, math.exp(-model.r * cfg.maturity), np.empty_like(samples), np.empty(cfg.n_streams)
+    halves = np.asarray(samples, dtype=float).reshape(cfg.n_streams, 2).T.copy()
+    return halves, math.exp(-model.r * cfg.maturity), np.empty_like(halves)
 
 
 def mc_price(
@@ -279,9 +288,9 @@ def mc_price(
     ``samples`` short-circuits the simulation, as in ``mc_smile``."""
     if not 0 <= k < math.inf:
         raise ValueError("strike must be nonnegative and finite")
-    rv, disc, buf, half = _checked_samples(model, cfg, samples)
-    call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
-    forward = _estimate(rv, cfg, half)
+    halves, disc, scratch = _checked_samples(model, cfg, samples)
+    call, put = _payoff_estimates(halves, k, disc, cfg, scratch)
+    forward = _estimate(*halves, cfg, scratch[0])
     return call, put, forward
 
 
@@ -330,12 +339,12 @@ def mc_smile(
     if samples is not None and t != cfg.maturity:
         raise ValueError(f"samples were simulated at maturity {cfg.maturity}, not t = {t}")
     cfg = replace(cfg, maturity=float(t))
-    rv, disc, buf, half = _checked_samples(model, cfg, samples)
-    forward = _estimate(rv, cfg, half)
+    halves, disc, scratch = _checked_samples(model, cfg, samples)
+    forward = _estimate(*halves, cfg, scratch[0])
 
     rows = []
     for k, x in zip(strikes, xs):
-        call, put = _payoff_estimates(rv, k, disc, cfg, buf, half)
+        call, put = _payoff_estimates(halves, k, disc, cfg, scratch)
         side = "call" if k >= forward.mean else "put"
         px = call if side == "call" else put
         reliable = px.mean > 3.0 * px.stderr

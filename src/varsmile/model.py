@@ -114,8 +114,12 @@ class _ClampedPoly:
     def is_constant(self) -> bool:
         return all(c == 0.0 for c in self.coeffs[1:]) or self.clamp_lo == self.clamp_hi
 
+    def _clamp(self, raw):
+        # np.clip's values for 0 < lo <= hi, NaN too, without its Python wrapper
+        return np.minimum(np.maximum(raw, self.clamp_lo), self.clamp_hi)
+
     def value_log(self, u):
-        return np.clip(_horner(np.asarray(u, dtype=float), self.coeffs), self.clamp_lo, self.clamp_hi)
+        return self._clamp(_horner(np.asarray(u, dtype=float), self.coeffs))
 
     @property
     def slope_coeffs(self) -> list[float]:  # of the raw polynomial's derivative, ascending
@@ -183,7 +187,7 @@ class LogPolyEta(_ClampedPoly):
             power = power * u1
             h.append(u2 * h[-1] + power)
         acc = sum(ck * hk for ck, hk in zip(c[:0:-1], h[::-1]))
-        return np.where(inside, delta * acc, np.clip(r1, lo, hi) - np.clip(r2, lo, hi))
+        return np.where(inside, delta * acc, self._clamp(r1) - self._clamp(r2))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -170,7 +171,8 @@ def _reference_simulate(model, cfg, sample_stride):
     return rv, logs
 
 
-def _reference_estimate(samples, cfg, half=None):
+def _reference_estimate(even, odd, cfg, out=None):
+    samples = np.stack((even, odd), axis=1).ravel()  # path 2j / 2j+1 of stream j
     pairs = samples.reshape(-1, 2).mean(axis=1)
     n = pairs.size
     return mc.McEstimate(
@@ -213,13 +215,19 @@ class TestBitPin:
         assert smile == mc_smile(model, strikes, cfg.maturity, cfg, samples=rv)
         assert price == mc_price(model, f0, cfg, samples=rv)
 
-    # the worker draws block j + 1 while block j is stepped, so the next
-    # block can belong to the next chunk: at every block of a day-like run
-    # (steps < _STEP_BLOCK), and at the last, partial block of each chunk
+    # the worker draws blocks j + 1 and j + 2 while block j is stepped, so a
+    # block in flight can belong to the next chunk: at every block of a
+    # day-like run (steps < _STEP_BLOCK), and near the last, partial block of
+    # each chunk; with 5 blocks a chunk the three buffers wrap inside a chunk
+    # and across chunks
     @pytest.mark.parametrize(
         "streams, steps",
-        [(3 * mc._CHUNK_STREAMS + 5, 20), (2 * mc._CHUNK_STREAMS - 7, 2 * mc._STEP_BLOCK + 9)],
-        ids=["day_like_4_chunks", "3_blocks_2_chunks"],
+        [
+            (3 * mc._CHUNK_STREAMS + 5, 20),
+            (2 * mc._CHUNK_STREAMS - 7, 2 * mc._STEP_BLOCK + 9),
+            (2 * mc._CHUNK_STREAMS - 7, 4 * mc._STEP_BLOCK + 9),
+        ],
+        ids=["day_like_4_chunks", "3_blocks_2_chunks", "ring_wraps_5_blocks_2_chunks"],
     )
     @pytest.mark.parametrize("case", ["tanh", "kinked"])
     def test_matches_reference_across_prefetch_boundaries(self, tanh_model, case, streams, steps):
@@ -227,6 +235,23 @@ class TestBitPin:
         cfg = McConfig(n_paths=2 * streams, n_steps=steps, seed=23, maturity=1.0 / 365.0)
         rv, logs = mc._simulate_core(model, cfg, sample_stride=steps)
         rv_ref, logs_ref = _reference_simulate(model, cfg, sample_stride=steps)
+        assert np.array_equal(rv, rv_ref)
+        assert np.array_equal(logs, logs_ref)
+
+    def test_ring_under_fast_thread_switching(self, monkeypatch):
+        # 14 blocks a chunk wrap the three buffers many times; a switch
+        # interval of 1 us hands the GIL over inside every mixing and step,
+        # so a buffer refilled before the step loop left it would show
+        monkeypatch.setattr(mc, "_STEP_BLOCK", 3)
+        model = KINKED.with_rho(0.7)
+        cfg = McConfig(n_paths=2 * (2 * mc._CHUNK_STREAMS - 7), n_steps=40, seed=29, maturity=1.0 / 12.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rv, logs = mc._simulate_core(model, cfg, sample_stride=8)
+        finally:
+            sys.setswitchinterval(interval)
+        rv_ref, logs_ref = _reference_simulate(model, cfg, sample_stride=8)
         assert np.array_equal(rv, rv_ref)
         assert np.array_equal(logs, logs_ref)
 
@@ -271,10 +296,79 @@ class TestLifecycle:
         assert info.value is err
         assert threading.active_count() == before
 
+    def test_draw_error_two_blocks_ahead(self, tanh_model, monkeypatch):
+        # the third block's draw fails on the worker while the first is
+        # stepped; the error surfaces when the step loop reaches that block
+        err = RuntimeError("draw of block 2 failed")
+        generator = np.random.Generator
+        draws, steps = [], []
+
+        class FailingThird:
+            def __init__(self, bit_generator):
+                self.gen = generator(bit_generator)
+
+            def standard_normal(self, out):
+                draws.append(None)
+                if len(draws) == 3:
+                    raise err
+                return self.gen.standard_normal(out=out)
+
+        value_log = TanhEta.value_log
+
+        def counted(self, u):
+            steps.append(None)
+            return value_log(self, u)
+
+        monkeypatch.setattr(mc.np.random, "Generator", FailingThird)
+        monkeypatch.setattr(TanhEta, "value_log", counted)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate_realized_variance(tanh_model, small_cfg(n_paths=16, n_steps=2 * mc._STEP_BLOCK + 5))
+        assert info.value is err
+        assert len(steps) == 2 * mc._STEP_BLOCK
+        assert threading.active_count() == before
+
     def test_worker_joined_after_a_run(self, tanh_model):
         before = threading.active_count()
         simulate_realized_variance(tanh_model, small_cfg(n_paths=8, n_steps=3))
         assert threading.active_count() == before
+
+
+class TestEstimator:
+    """The pair means, mean and standard error are np.mean and
+    np.std(ddof=1) of the length-2 pair means, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["all_zero", "one_nonzero_pair", "two_streams", "lognormal"])
+    def test_matches_numpy(self, case):
+        rng = np.random.default_rng(5)
+        samples = {
+            "all_zero": np.zeros(4000),
+            "one_nonzero_pair": np.zeros(4000),
+            "two_streams": rng.lognormal(-2.3, 0.5, 4),
+            "lognormal": rng.lognormal(-2.3, 0.5, 4000),
+        }[case]
+        if case == "one_nonzero_pair":
+            samples[2:4] = (0.3, 0.1)
+        cfg = McConfig(n_paths=samples.size, n_steps=1)
+        even, odd = samples[0::2].copy(), samples[1::2].copy()
+        est = mc._estimate(even, odd, cfg, np.empty(cfg.n_streams))
+        ref = _reference_estimate(even, odd, cfg)
+        assert (est.mean.hex(), est.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
+        assert est == ref
+
+    @pytest.mark.parametrize("n_paths", [4, 4000])
+    def test_all_zero_payoffs(self, tanh_model, n_paths):
+        # no path ends above the strike: the call is 0 with 0 error, and the put is the
+        # discounted K - RV estimate that the reference forms from full-length payoffs
+        cfg = small_cfg(n_paths=n_paths)
+        rv = np.random.default_rng(8).lognormal(-2.3, 0.5, n_paths)
+        k = 2.0 * float(rv.max())
+        call, put, fwd = mc_price(tanh_model, k, cfg, samples=rv)
+        assert (call.mean, call.stderr) == (0.0, 0.0)
+        disc = math.exp(-tanh_model.r * cfg.maturity)
+        pay = np.maximum(k - rv, 0.0) * disc
+        assert put == _reference_estimate(pay[0::2], pay[1::2], cfg)
+        assert fwd == _reference_estimate(rv[0::2], rv[1::2], cfg)
 
 
 class TestPricing:
